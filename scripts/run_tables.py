@@ -5,8 +5,9 @@ Each config reproduces one table of the study: negativity statistics,
 strong-order regressions (CIR and CEV), the moment-explosion table for the
 3/2 model, MLMC cost and rmsq tables, a Fourier-priced Heston run, and the
 parameter diagnostics. Seeds live in the config files so reruns are
-byte-identical; pass --threads to spread path batches over workers (results
-do not change).
+byte-identical. --threads spreads work over workers only for the explode
+study and for the mlmc replication (rmsq) studies; every other config runs
+serially, and results never change.
 """
 
 import argparse

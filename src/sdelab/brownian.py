@@ -199,23 +199,6 @@ def sample_lattice(key: StreamKey, T: float, m: int, finest_n: int) -> BrownianL
     return BrownianLattice(T=T, m=m, finest_n=finest_n, increments=incr, key=key)
 
 
-def sample_increments(key: StreamKey, T: float, m: int, n: int) -> np.ndarray:
-    """Increments on an arbitrary (possibly non-dyadic) n-step grid.
-
-    For single-resolution simulation only: these draws do not couple across
-    resolutions.  Coupled experiments must go through :func:`sample_lattice`.
-    """
-    if n < 1:
-        raise LatticeError(f"step count n must be >= 1, got {n}")
-    scale = np.sqrt(T / n)
-    incr = np.empty((m, n))
-    for j in range(m):
-        gen = derive_stream(key.with_substream(key.substream + j))
-        incr[j] = gen.standard_normal(n)
-    incr *= scale
-    return incr
-
-
 def halve_pairs(arr: np.ndarray) -> np.ndarray:
     """Sum adjacent pairs along the last axis (one dyadic aggregation step)."""
     if arr.shape[-1] % 2 != 0:

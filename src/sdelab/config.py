@@ -15,12 +15,11 @@ since every stepsize and accuracy grid in the experiments is a power of two.
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from . import models
+from . import models, schemes
 
 EXPERIMENT_KINDS = (
     "negstats",
@@ -30,24 +29,6 @@ EXPERIMENT_KINDS = (
     "mlmc",
     "price",
     "validate",
-)
-
-SCHEME_ALIASES = (
-    "euler",
-    "milstein",
-    "truncated_euler",
-    "absolute_euler",
-    "truncated_milstein",
-    "absolute_milstein",
-    "symmetrized_euler",
-    "tamed_euler",
-    "split_step",
-    "backward_euler",
-    "implicit_sqrt",
-    "implicit_sqrt_truncated",
-    "dimp_milstein",
-    "dimp_milstein_truncated",
-    "log_heston",
 )
 
 
@@ -223,19 +204,6 @@ _REQUIRED_RUN_KEYS: dict[str, tuple[str, ...]] = {
     "validate": (),
 }
 
-_PARAM_CLASSES: dict[str, type] = {
-    "cir": models.CirParams,
-    "cir_lamperti": models.CirParams,
-    "cev": models.CevParams,
-    "gbm": models.CevParams,
-    "heston": models.HestonParams,
-    "heston_log": models.HestonParams,
-    "ait_sahalia": models.AitSahaliaParams,
-    "three_halves_vol": models.ThreeHalvesParams,
-    "cubic_toy": models.CubicToyParams,
-}
-
-
 def _parse_sections(text: str, errors: list[str]):
     """Raw pass: sections -> {key: (value_text, line_no)}."""
     sections: dict[str, dict[str, tuple[str, int]]] = {}
@@ -314,13 +282,11 @@ def _resolve_model(
     if model_id is None:
         errors.append("[model]: needs either 'preset' or 'model'")
         return None
-    if model_id not in _PARAM_CLASSES:
-        errors.append(
-            f"line {_line_of(raw, 'model')}: unknown model {model_id!r}; known: "
-            + ", ".join(sorted(_PARAM_CLASSES))
-        )
+    try:
+        cls = models.param_class(model_id)
+    except models.ModelError as exc:
+        errors.append(f"line {_line_of(raw, 'model')}: {exc}")
         return None
-    cls = _PARAM_CLASSES[model_id]
     fields = {f.name for f in dataclasses.fields(cls)}
     overrides = {}
     for key in _MODEL_PARAM_KEYS:
@@ -396,26 +362,26 @@ def _resolve_schemes(
                 )
         out = []
         for a in aliases:
-            if a not in SCHEME_ALIASES:
+            if a not in schemes.ALIASES:
                 errors.append(
                     f"line {_line_of(raw, 'scheme')}: unknown scheme alias {a!r}; "
-                    "known: " + ", ".join(SCHEME_ALIASES)
+                    "known: " + ", ".join(schemes.ALIASES)
                 )
             else:
                 out.append(SchemeSpec(alias=a))
         return tuple(out)
     if raw_id:
         ext = vals.get("extension")
-        if ext is not None and ext not in ("truncate", "absolute"):
+        if ext is not None and ext not in schemes.EXTENSIONS:
             errors.append(
                 f"line {_line_of(raw, 'extension')}: unknown extension {ext!r}; "
-                "known: truncate, absolute"
+                "known: " + ", ".join(schemes.EXTENSIONS)
             )
         proj = vals.get("projection")
-        if proj is not None and proj != "abs":
+        if proj is not None and proj not in schemes.PROJECTIONS:
             errors.append(
                 f"line {_line_of(raw, 'projection')}: unknown projection "
-                f"{proj!r}; known: abs"
+                f"{proj!r}; known: " + ", ".join(schemes.PROJECTIONS)
             )
         return (
             SchemeSpec(
@@ -541,7 +507,7 @@ def _check_run_values(kind, run, run_raw, errors):
         allowed = ("mc", "mc_discarded", "mlmc", "standard")
         if run["method"] not in allowed:
             bad("method", f"unknown method {run['method']!r}; known: " + ", ".join(allowed))
-    if "ref_scheme" in run and run["ref_scheme"] not in SCHEME_ALIASES:
+    if "ref_scheme" in run and run["ref_scheme"] not in schemes.ALIASES:
         bad("ref_scheme", f"unknown scheme alias {run['ref_scheme']!r}")
     if "truth" in run and run["truth"] != "oracle":
         try:
@@ -589,9 +555,7 @@ def echo_lines(cfg: ExperimentConfig, seed: int) -> list[str]:
     if cfg.preset_name:
         lines.append(f"preset = {cfg.preset_name}")
     for f in dataclasses.fields(cfg.params):
-        v = getattr(cfg.params, f.name)
-        if v is not None:
-            lines.append(f"model.{f.name} = {v!r}")
+        lines.append(f"model.{f.name} = {getattr(cfg.params, f.name)!r}")
     lines.append(f"model.T = {cfg.T!r}")
     if cfg.strike is not None:
         lines.append(f"model.strike = {cfg.strike!r}")

@@ -23,9 +23,14 @@ from typing import Sequence
 import numpy as np
 
 from . import brownian as bw
-from .models import Model, feller_ratio
+from .models import Model
 from .oracles import gbm_exact_nodes
-from .schemes import SamplePath, SchemeError, StepperConfig, make_stepper, simulate_batch
+from .schemes import (
+    StepperConfig,
+    default_reference_config,
+    make_stepper,
+    simulate_batch,
+)
 
 _BATCH_FLOATS = 1 << 23  # per-batch increment budget, keeps blocks ~64 MB
 
@@ -111,51 +116,6 @@ def fit_order(stepsizes: Sequence[float], errors: Sequence[float]) -> Regression
     dof = len(steps) - 2
     stderr = float(np.sqrt((resid**2).sum() / dof)) if dof > 0 else 0.0
     return Regression(slope=float(slope), intercept=float(intercept), residual_stderr=stderr)
-
-
-def max_node_error(path: SamplePath, reference: SamplePath) -> float:
-    """Maximum Euclidean deviation at the path's grid nodes.
-
-    The reference must live on the same horizon and on a refinement of the
-    path's grid, so every node of ``path`` is a node of ``reference``.
-    """
-    if path.grid.T != reference.grid.T:
-        raise MeasurementError(
-            f"horizon mismatch: {path.grid.T} vs {reference.grid.T}"
-        )
-    if reference.grid.n % path.grid.n != 0:
-        raise MeasurementError(
-            f"grids are incompatible: reference n={reference.grid.n} is not a "
-            f"multiple of path n={path.grid.n}"
-        )
-    if path.values.shape[0] != reference.values.shape[0]:
-        raise MeasurementError("dimension mismatch between path and reference")
-    stride = reference.grid.n // path.grid.n
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = reference.values[:, ::stride] - path.values
-        dist = np.abs(diff[0]) if diff.shape[0] == 1 else np.sqrt((diff**2).sum(axis=0))
-    dist = np.where(np.isfinite(dist), dist, np.inf)
-    return float(dist.max())
-
-
-def default_reference_config(config: StepperConfig, model: Model) -> StepperConfig:
-    """Reference scheme for coupled error curves.
-
-    For the square-root process the drift-implicit square-root Euler scheme is
-    the reference inside the Feller regime; outside it (where that scheme
-    needs truncation itself) the truncated Euler scheme is used.  Every other
-    model is referenced by the scheme under test at the finer resolution.
-    """
-    if model.model_id == "cir":
-        if feller_ratio(model.params) >= 1.0:
-            return StepperConfig(scheme_id="cir_implicit_sqrt_euler")
-        from .schemes import extension_truncated_sqrt
-
-        return StepperConfig(
-            scheme_id="modified_euler",
-            extension=extension_truncated_sqrt(model.params),
-        )
-    return config
 
 
 def _dist_max(rec: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -342,15 +302,6 @@ def strong_error_curves(
             )
         )
     return reports
-
-
-def strong_error_curve(
-    config: StepperConfig,
-    model: Model,
-    **kwargs,
-) -> ErrorReport:
-    """Single-scheme wrapper around :func:`strong_error_curves`."""
-    return strong_error_curves([config], model, **kwargs)[0]
 
 
 def pathwise_error_curve(

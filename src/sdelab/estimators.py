@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -210,7 +209,7 @@ def _observable_row(model: Model, row: np.ndarray) -> np.ndarray:
     return model.observable(row[None])
 
 
-def _mc_core(
+def mc_estimate(
     config: StepperConfig,
     model: Model,
     payoff: PayoffSpec,
@@ -219,18 +218,29 @@ def _mc_core(
     seed: int,
     n: int,
     n_samples: int,
-    policy: str,
-    radius: float | None,
-    index_offset: int,
-    substream: int,
-    batch_floats: int,
+    policy: str = "propagate",
+    radius: float | None = None,
+    index_offset: int = 0,
+    substream: int = 0,
+    batch_floats: int = _BATCH_FLOATS,
 ) -> PriceEstimate:
+    """Plain Monte Carlo mean of the discounted payoff at resolution n.
+
+    With ``radius`` set, paths whose running maximum |X| exceeds it are
+    zeroed out instead of applying ``policy``.  Overflowed paths always count
+    as outside the radius, so the estimate stays finite where the plain
+    estimator explodes; ``radius=inf`` keeps every path and reproduces the
+    plain estimate exactly.
+    """
     if policy not in ("propagate", "exclude"):
         raise EstimatorError(f"unknown overflow policy {policy!r}")
     if n_samples < 1:
         raise EstimatorError("n_samples must be >= 1")
-    if radius is not None and model.d != 1:
-        raise EstimatorError("the discarded-path estimator is scalar-only")
+    if radius is not None:
+        if not radius >= 0:
+            raise EstimatorError(f"radius must be nonnegative, got {radius}")
+        if model.d != 1:
+            raise EstimatorError("the discarded-path estimator is scalar-only")
     make_stepper(config, model)
     track = payoff.needs_extrema or radius is not None
     m = model.m
@@ -303,75 +313,6 @@ def _mc_core(
             "policy": policy if radius is None else f"discard(radius={radius})",
             "index_offset": index_offset,
         },
-    )
-
-
-def mc_estimate(
-    config: StepperConfig,
-    model: Model,
-    payoff: PayoffSpec,
-    *,
-    T: float,
-    seed: int,
-    n: int,
-    n_samples: int,
-    policy: str = "propagate",
-    index_offset: int = 0,
-    substream: int = 0,
-    batch_floats: int = _BATCH_FLOATS,
-) -> PriceEstimate:
-    """Plain Monte Carlo mean of the discounted payoff at resolution n."""
-    return _mc_core(
-        config,
-        model,
-        payoff,
-        T=T,
-        seed=seed,
-        n=n,
-        n_samples=n_samples,
-        policy=policy,
-        radius=None,
-        index_offset=index_offset,
-        substream=substream,
-        batch_floats=batch_floats,
-    )
-
-
-def mc_estimate_discarded(
-    config: StepperConfig,
-    model: Model,
-    payoff: PayoffSpec,
-    *,
-    T: float,
-    seed: int,
-    n: int,
-    n_samples: int,
-    radius: float,
-    index_offset: int = 0,
-    substream: int = 0,
-    batch_floats: int = _BATCH_FLOATS,
-) -> PriceEstimate:
-    """MC with paths whose running maximum |X| exceeds ``radius`` zeroed out.
-
-    Overflowed paths always count as outside the radius, so the estimate
-    stays finite where the plain estimator explodes.  ``radius=inf`` keeps
-    every path and reproduces :func:`mc_estimate` exactly.
-    """
-    if not radius >= 0:
-        raise EstimatorError(f"radius must be nonnegative, got {radius}")
-    return _mc_core(
-        config,
-        model,
-        payoff,
-        T=T,
-        seed=seed,
-        n=n,
-        n_samples=n_samples,
-        policy="propagate",
-        radius=radius,
-        index_offset=index_offset,
-        substream=substream,
-        batch_floats=batch_floats,
     )
 
 

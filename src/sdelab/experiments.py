@@ -21,95 +21,25 @@ from . import convergence, estimators, models, oracles, schemes, util
 from .config import ConfigError, ExperimentConfig, SchemeSpec, echo_lines
 
 
-def _needs_cir(spec: SchemeSpec, model: models.Model, what: str) -> models.CirParams:
-    if not isinstance(model.params, models.CirParams):
-        raise ConfigError(
-            [
-                f"scheme {spec.label!r} needs a square-root (cir) model for its "
-                f"{what}, got model {model.model_id!r}"
-            ]
-        )
-    return model.params
-
-
 def build_stepper_config(
     spec: SchemeSpec, model: models.Model
 ) -> schemes.StepperConfig:
-    """Turn a config-file scheme request into a StepperConfig."""
-    alias = spec.alias
-    if alias is None:
-        ext = None
-        if spec.extension is not None:
-            p = _needs_cir(spec, model, f"{spec.extension!r} extension")
-            ext = (
-                schemes.extension_truncated_sqrt(p)
-                if spec.extension == "truncate"
-                else schemes.extension_absolute_sqrt(p)
-            )
-        proj = schemes.projection_abs() if spec.projection == "abs" else None
-        try:
-            cfg = schemes.StepperConfig(
-                scheme_id=spec.scheme_id,
-                extension=ext,
-                projection=proj,
-                truncate_sqrt=spec.truncate_sqrt,
-            )
-            schemes.make_stepper(cfg, model)
-        except schemes.SchemeError as exc:
-            raise ConfigError([f"[scheme]: {exc}"]) from exc
-        return cfg
-
-    if alias in ("truncated_euler", "absolute_euler", "truncated_milstein",
-                 "absolute_milstein"):
-        p = _needs_cir(spec, model, "square-root extension")
-        ext = (
-            schemes.extension_truncated_sqrt(p)
-            if alias.startswith("truncated")
-            else schemes.extension_absolute_sqrt(p)
+    """Turn a config-file scheme request into a StepperConfig for ``model``."""
+    row = (
+        schemes.ALIASES[spec.alias]
+        if spec.alias is not None
+        else schemes.SchemeRow(
+            spec.scheme_id, spec.extension, spec.projection, spec.truncate_sqrt
         )
-        scheme_id = (
-            "modified_euler" if alias.endswith("euler") else "modified_milstein"
-        )
-        cfg = schemes.StepperConfig(scheme_id=scheme_id, extension=ext)
-    elif alias == "euler":
-        cfg = schemes.StepperConfig(scheme_id="explicit_euler")
-    elif alias == "milstein":
-        cfg = schemes.StepperConfig(scheme_id="milstein")
-    elif alias == "symmetrized_euler":
-        cfg = schemes.StepperConfig(
-            scheme_id="reflected_euler", projection=schemes.projection_abs()
-        )
-    elif alias == "tamed_euler":
-        cfg = schemes.StepperConfig(scheme_id="tamed_euler")
-    elif alias == "split_step":
-        cfg = schemes.StepperConfig(scheme_id="split_step_backward_euler")
-    elif alias == "backward_euler":
-        cfg = schemes.StepperConfig(scheme_id="backward_euler")
-    elif alias in ("implicit_sqrt", "implicit_sqrt_truncated"):
-        cfg = schemes.StepperConfig(
-            scheme_id="cir_implicit_sqrt_euler",
-            truncate_sqrt=alias.endswith("truncated"),
-        )
-    elif alias in ("dimp_milstein", "dimp_milstein_truncated"):
-        cfg = schemes.StepperConfig(
-            scheme_id="cir_implicit_milstein",
-            truncate_sqrt=alias.endswith("truncated"),
-        )
-    elif alias == "log_heston":
-        cfg = schemes.StepperConfig(scheme_id="log_heston_composite")
-    else:  # unreachable: config validation rejects unknown aliases
-        raise ConfigError([f"unknown scheme alias {alias!r}"])
+    )
     try:
+        cfg = row.build(model)
         schemes.make_stepper(cfg, model)
     except schemes.SchemeError as exc:
         raise ConfigError(
-            [f"[scheme]: {alias!r} does not apply to model {model.model_id!r}: {exc}"]
+            [f"[scheme]: {spec.label!r} does not apply to model {model.model_id!r}: {exc}"]
         ) from exc
     return cfg
-
-
-def _build_model(cfg: ExperimentConfig) -> models.Model:
-    return models.build_model(cfg.model_id, cfg.params)
 
 
 def _discount_rate(cfg: ExperimentConfig) -> float:
@@ -293,18 +223,7 @@ def _run_explode(cfg, model, seed, out_dir, threads, header):
 
     def run_one(job):
         n, N = job
-        if radius is None:
-            return estimators.mc_estimate(
-                scheme_cfg,
-                model,
-                payoff,
-                T=cfg.T,
-                seed=seed,
-                n=n,
-                n_samples=N,
-                policy=run.get("policy", "propagate"),
-            )
-        return estimators.mc_estimate_discarded(
+        return estimators.mc_estimate(
             scheme_cfg,
             model,
             payoff,
@@ -312,6 +231,7 @@ def _run_explode(cfg, model, seed, out_dir, threads, header):
             seed=seed,
             n=n,
             n_samples=N,
+            policy=run.get("policy", "propagate"),
             radius=radius,
         )
 
@@ -415,15 +335,11 @@ def _run_price(cfg, model, seed, out_dir, threads, header):
     payoff = _build_payoff(cfg)
     method = run["method"]
     policy = run.get("policy", "propagate")
-    if method == "mc":
+    if method in ("mc", "mc_discarded"):
         est = estimators.mc_estimate(
             scheme_cfg, model, payoff, T=cfg.T, seed=seed,
             n=run["n"], n_samples=run["n_samples"], policy=policy,
-        )
-    elif method == "mc_discarded":
-        est = estimators.mc_estimate_discarded(
-            scheme_cfg, model, payoff, T=cfg.T, seed=seed,
-            n=run["n"], n_samples=run["n_samples"], radius=run["radius"],
+            radius=run["radius"] if method == "mc_discarded" else None,
         )
     elif method == "mlmc":
         est = estimators.mlmc_estimate(
@@ -496,14 +412,15 @@ def run_experiment(
     """Run one experiment, write its CSV artifacts, return their paths."""
     if not 0 <= seed < 2**64:
         raise ConfigError([f"seed must fit in an unsigned 64-bit integer, got {seed}"])
-    model = _build_model(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    header = _header(cfg, seed)
     try:
-        return _RUNNERS[cfg.kind](cfg, model, seed, out_dir, threads, header)
+        model = models.build_model(cfg.model_id, cfg.params)
+        os.makedirs(out_dir, exist_ok=True)
+        return _RUNNERS[cfg.kind](cfg, model, seed, out_dir, threads, _header(cfg, seed))
     except (
         models.ModelError,
         schemes.SchemeError,
+        schemes.DomainError,
+        schemes.SolverError,
         convergence.MeasurementError,
         estimators.EstimatorError,
     ) as exc:

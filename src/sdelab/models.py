@@ -17,7 +17,7 @@ positive strong solution and a solvable drift-implicit step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,14 @@ import numpy as np
 
 class ModelError(ValueError):
     """Raised when parameters violate a model's standing assumptions."""
+
+
+class DomainError(RuntimeError):
+    """A coefficient was about to be evaluated outside its domain."""
+
+
+class SolverError(RuntimeError):
+    """The implicit-step equation could not be solved."""
 
 
 def _require(cond: bool, what: str) -> None:
@@ -176,7 +184,7 @@ class AitSahaliaParams:
 
 @dataclass(frozen=True)
 class ThreeHalvesParams:
-    """dV = c1*V*(c2 - V) dt + c3*(V^+)^(3/2) dW; optional price layer (mu, rho, s0).
+    """dV = c1*V*(c2 - V) dt + c3*(V^+)^(3/2) dW.
 
     Written with (V^+)^(3/2) so the explicit Euler iteration is defined on all
     of R -- the moment-explosion experiments run exactly this form.
@@ -186,18 +194,11 @@ class ThreeHalvesParams:
     c2: float
     c3: float
     v0: float
-    mu: float | None = None
-    rho: float | None = None
-    s0: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "c3"):
             _require(getattr(self, name) > 0, f"{name} must be positive")
         _require(self.v0 > 0, f"v0 must be positive, got {self.v0}")
-        if self.rho is not None:
-            _require(-1.0 < self.rho < 1.0, f"rho must lie in (-1, 1), got {self.rho}")
-        if self.s0 is not None:
-            _require(self.s0 > 0, f"s0 must be positive, got {self.s0}")
 
 
 @dataclass(frozen=True)
@@ -246,11 +247,12 @@ class Model:
 
     Evaluators are vectorized: for d == 1 they map arrays elementwise; for
     d > 1 they map arrays of shape (d, ...) to arrays of the same shape.
-    ``diffusion_jacobian[j]`` returns d b_j / d x with shape (d, d, ...);
-    for scalar models this collapses to the elementwise derivative b'.
-    ``price_observable`` maps recorded state values to the scalar used by
-    payoffs (identity for scalar models, exp of the log-price for the
-    log-Heston system).
+    ``diffusion_jacobian[j]`` is b_j' for scalar models and empty otherwise
+    (Milstein is scalar-only).  ``price_observable`` maps recorded state
+    values to the scalar used by payoffs (identity for scalar models, exp of
+    the log-price for the log-Heston system).  The implicit schemes use
+    ``drift_prime`` (a') and ``closed_form(rhs, dt)`` (the root of
+    x - a(x)*dt = rhs) where the drift admits them.
     """
 
     model_id: str
@@ -261,7 +263,10 @@ class Model:
     diffusion_jacobian: tuple[Callable[[np.ndarray], np.ndarray], ...]
     domain: DomainDescriptor
     params: Params
+    state0: tuple[float, ...]
     price_observable: Callable[[np.ndarray], np.ndarray] | None = None
+    drift_prime: Callable[[np.ndarray], np.ndarray] | None = None
+    closed_form: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def observable(self, state: np.ndarray) -> np.ndarray:
         """Scalar observable of a state block of shape (d, ...)."""
@@ -287,9 +292,16 @@ def _cir_model(p: CirParams) -> Model:
     def ddiff(x):
         return theta / (2.0 * np.sqrt(x))
 
+    def drift_prime(x):
+        return np.full_like(np.asarray(x, dtype=np.float64), -kappa)
+
+    def closed_form(rhs, dt):
+        return (rhs + kappa * lam * dt) / (1.0 + kappa * dt)
+
     return Model(
         model_id="cir", d=1, m=1, drift=drift, diffusion=(diff,),
         diffusion_jacobian=(ddiff,), domain=POSITIVE_HALF_LINE, params=p,
+        state0=(float(p.x0),), drift_prime=drift_prime, closed_form=closed_form,
     )
 
 
@@ -314,6 +326,7 @@ def _cev_model(p: CevParams) -> Model:
     return Model(
         model_id="cev", d=1, m=1, drift=drift, diffusion=(diff,),
         diffusion_jacobian=(ddiff,), domain=FULL_LINE, params=p,
+        state0=(float(p.s0),),
     )
 
 
@@ -330,9 +343,19 @@ def _gbm_model(p: CevParams) -> Model:
     def ddiff(x):
         return np.full_like(np.asarray(x, dtype=np.float64), sigma)
 
+    def drift_prime(x):
+        return np.full_like(np.asarray(x, dtype=np.float64), mu)
+
+    def closed_form(rhs, dt):
+        denom = 1.0 - mu * dt
+        if denom <= 0:
+            raise SolverError(f"linear implicit step ill-posed: 1 - mu*dt = {denom}")
+        return rhs / denom
+
     return Model(
         model_id="gbm", d=1, m=1, drift=drift, diffusion=(diff,),
         diffusion_jacobian=(ddiff,), domain=FULL_LINE, params=p,
+        state0=(float(p.s0),), drift_prime=drift_prime, closed_form=closed_form,
     )
 
 
@@ -350,9 +373,13 @@ def _ait_sahalia_model(p: AitSahaliaParams) -> Model:
     def ddiff(x):
         return sigma * rho * x ** (rho - 1.0)
 
+    def drift_prime(x):
+        return -a_m1 / x**2 + a_1 - a_2 * r * x ** (r - 1.0)
+
     return Model(
         model_id="ait_sahalia", d=1, m=1, drift=drift, diffusion=(diff,),
         diffusion_jacobian=(ddiff,), domain=POSITIVE_HALF_LINE, params=p,
+        state0=(float(p.x0),), drift_prime=drift_prime,
     )
 
 
@@ -368,9 +395,13 @@ def _three_halves_model(p: ThreeHalvesParams) -> Model:
     def ddiff(x):
         return 1.5 * c3 * np.sqrt(np.maximum(x, 0.0))
 
+    def drift_prime(x):
+        return c1 * c2 - 2.0 * c1 * np.asarray(x, dtype=np.float64)
+
     return Model(
         model_id="three_halves_vol", d=1, m=1, drift=drift, diffusion=(diff,),
         diffusion_jacobian=(ddiff,), domain=FULL_LINE, params=p,
+        state0=(float(p.v0),), drift_prime=drift_prime,
     )
 
 
@@ -386,10 +417,46 @@ def _cubic_toy_model(p: CubicToyParams) -> Model:
     def ddiff(x):
         return np.zeros_like(np.asarray(x, dtype=np.float64))
 
+    def drift_prime(x):
+        return -3.0 * np.asarray(x, dtype=np.float64) ** 2
+
     return Model(
         model_id="cubic_toy", d=1, m=1, drift=drift, diffusion=(diff,),
         diffusion_jacobian=(ddiff,), domain=FULL_LINE, params=p,
+        state0=(float(p.x0),), drift_prime=drift_prime,
     )
+
+
+def lamperti_implicit(
+    p: LampertiCir, truncate: bool = False
+) -> Callable[[np.ndarray, float], np.ndarray]:
+    """Closed form of y - (alpha/y + beta*y)*dt = rhs, positive root:
+
+        y = rhs/(2*(1-beta*dt)) + sqrt(rhs^2/(4*(1-beta*dt)^2) + alpha*dt/(1-beta*dt))
+
+    With alpha > 0 the root is strictly positive for every rhs.  With
+    ``truncate`` the (possibly negative, when alpha < 0) radicand is clipped
+    at zero, which is the sqrt(x^+) convention used outside the Feller regime.
+    """
+
+    def solve(rhs: np.ndarray, dt: float) -> np.ndarray:
+        denom = 1.0 - p.beta * dt
+        if denom <= 0:
+            raise SolverError(
+                f"implicit sqrt step ill-posed: 1 - beta*dt = {denom} <= 0"
+            )
+        half = rhs / (2.0 * denom)
+        radicand = half * half + p.alpha * dt / denom
+        if truncate:
+            radicand = np.maximum(radicand, 0.0)
+        elif np.any(radicand < 0):
+            raise DomainError(
+                "negative radicand in implicit sqrt step (alpha < 0 regime); "
+                "enable truncate_sqrt to run outside the Feller condition"
+            )
+        return half + np.sqrt(radicand)
+
+    return solve
 
 
 def _lamperti_model(p: LampertiCir) -> Model:
@@ -404,9 +471,14 @@ def _lamperti_model(p: LampertiCir) -> Model:
     def ddiff(y):
         return np.zeros_like(np.asarray(y, dtype=np.float64))
 
+    def drift_prime(y):
+        return -alpha / np.asarray(y, dtype=np.float64) ** 2 + beta
+
     return Model(
         model_id="cir_lamperti", d=1, m=1, drift=drift, diffusion=(diff,),
         diffusion_jacobian=(ddiff,), domain=POSITIVE_HALF_LINE, params=p,
+        state0=(float(p.y0),), drift_prime=drift_prime,
+        closed_form=lamperti_implicit(p),
     )
 
 
@@ -436,29 +508,13 @@ def _heston_log_model(p: HestonParams) -> Model:
         y = x[1]
         return np.stack([rho * y, np.full_like(y, theta / 2.0)])
 
-    def jac1(x):
-        y = x[1]
-        z = np.zeros_like(y)
-        return np.stack([
-            np.stack([z, np.full_like(y, rho_bar)]),
-            np.stack([z, z]),
-        ])
-
-    def jac2(x):
-        y = x[1]
-        z = np.zeros_like(y)
-        return np.stack([
-            np.stack([z, np.full_like(y, rho)]),
-            np.stack([z, z]),
-        ])
-
     def observable(state):
         return np.exp(state[0])
 
     return Model(
         model_id="heston_log", d=2, m=2, drift=drift, diffusion=(b1, b2),
-        diffusion_jacobian=(jac1, jac2),
-        domain=DomainDescriptor("full_space", 2), params=p,
+        diffusion_jacobian=(), domain=DomainDescriptor("full_space", 2),
+        params=p, state0=(math.log(p.s0), math.sqrt(p.v0)),
         price_observable=observable,
     )
 
@@ -485,28 +541,10 @@ def _heston_model(p: HestonParams) -> Model:
         s, v = x[0], x[1]
         return np.stack([rho * np.sqrt(v) * s, theta * np.sqrt(v)])
 
-    def jac1(x):
-        s, v = x[0], x[1]
-        z = np.zeros_like(s)
-        sq = np.sqrt(v)
-        return np.stack([
-            np.stack([rho_bar * sq, rho_bar * s / (2.0 * sq)]),
-            np.stack([z, z]),
-        ])
-
-    def jac2(x):
-        s, v = x[0], x[1]
-        z = np.zeros_like(s)
-        sq = np.sqrt(v)
-        return np.stack([
-            np.stack([rho * sq, rho * s / (2.0 * sq)]),
-            np.stack([z, theta / (2.0 * sq)]),
-        ])
-
     return Model(
         model_id="heston", d=2, m=2, drift=drift, diffusion=(b1, b2),
-        diffusion_jacobian=(jac1, jac2),
-        domain=DomainDescriptor("positive_orthant", 2), params=p,
+        diffusion_jacobian=(), domain=DomainDescriptor("positive_orthant", 2),
+        params=p, state0=(float(p.s0), float(p.v0)),
     )
 
 
@@ -525,18 +563,23 @@ _BUILDERS: dict[str, tuple[type, Callable]] = {
 MODEL_IDS = tuple(sorted(_BUILDERS))
 
 
-def build_model(model_id: str, params: Params) -> Model:
-    """Construct the model named ``model_id`` from a matching parameter set."""
+def param_class(model_id: str) -> type:
+    """The parameter dataclass that ``build_model`` expects for ``model_id``."""
     if model_id not in _BUILDERS:
         raise ModelError(
             f"unknown model {model_id!r}; known models: {', '.join(MODEL_IDS)}"
         )
-    ptype, builder = _BUILDERS[model_id]
+    return _BUILDERS[model_id][0]
+
+
+def build_model(model_id: str, params: Params) -> Model:
+    """Construct the model named ``model_id`` from a matching parameter set."""
+    ptype = param_class(model_id)
     if not isinstance(params, ptype):
         raise ModelError(
             f"model {model_id!r} expects {ptype.__name__}, got {type(params).__name__}"
         )
-    return builder(params)
+    return _BUILDERS[model_id][1](params)
 
 
 # ---------------------------------------------------------------------------

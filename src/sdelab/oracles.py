@@ -10,7 +10,6 @@ returning silently wrong numbers.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 

@@ -20,8 +20,12 @@ Two policies are enforced everywhere and never silently relaxed:
   decide how to aggregate it.
 
 One-step maps are pure and vectorized: state has shape (d, b) for a batch of
-b paths, increments (m, b).  ``simulate_path`` drives a single path;
-``simulate_batch`` is the engine used by the measurement modules.
+b paths, increments (m, b).  ``simulate_batch`` drives a batch of paths and
+is the engine used by the measurement modules.
+
+``SCHEMES`` is the one table of schemes: each entry builds the scheme's
+stepper and says which models it applies to.  ``ALIASES`` names the scheme
+and option combinations that config files select.
 """
 
 from __future__ import annotations
@@ -32,45 +36,22 @@ from typing import Callable
 
 import numpy as np
 
-from .brownian import BrownianLattice, TimeGrid, increments_at
 from .models import (
     CirParams,
     DomainDescriptor,
+    DomainError,
     FULL_LINE,
-    HestonParams,
     LampertiCir,
     Model,
+    SolverError,
+    feller_ratio,
     lamperti_cir,
+    lamperti_implicit,
 )
 
 
 class SchemeError(ValueError):
     """Invalid scheme configuration for the given model."""
-
-
-class DomainError(RuntimeError):
-    """A coefficient was about to be evaluated outside its domain."""
-
-
-class SolverError(RuntimeError):
-    """The implicit-step equation could not be solved."""
-
-
-SCHEME_IDS = (
-    "explicit_euler",
-    "milstein",
-    "modified_euler",
-    "modified_milstein",
-    "reflected_euler",
-    "split_step_backward_euler",
-    "backward_euler",
-    "tamed_euler",
-    "cir_implicit_sqrt_euler",
-    "cir_implicit_milstein",
-    "log_heston_composite",
-)
-
-_IMPLICIT_SCHEMES = ("split_step_backward_euler", "backward_euler")
 
 
 # ---------------------------------------------------------------------------
@@ -180,50 +161,23 @@ class StepperConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
     truncate_sqrt: bool = False
     stability_constants: tuple[float, float] | None = None
-    description: str = ""
 
     def __post_init__(self) -> None:
-        if self.scheme_id not in SCHEME_IDS:
+        entry = SCHEMES.get(self.scheme_id)
+        if entry is None:
             raise SchemeError(
-                f"unknown scheme {self.scheme_id!r}; known: {', '.join(SCHEME_IDS)}"
+                f"unknown scheme {self.scheme_id!r}; known: {', '.join(SCHEMES)}"
             )
-        if self.scheme_id.startswith("modified_") and self.extension is None:
+        if entry.option == "extension" and self.extension is None:
             raise SchemeError(f"{self.scheme_id} requires an AuxiliaryExtension")
-        if self.scheme_id == "reflected_euler" and self.projection is None:
-            raise SchemeError("reflected_euler requires a ProjectionMap")
-        if self.extension is not None and not self.scheme_id.startswith("modified_"):
+        if entry.option == "projection" and self.projection is None:
+            raise SchemeError(f"{self.scheme_id} requires a ProjectionMap")
+        if self.extension is not None and entry.option != "extension":
+            users = [sid for sid, e in SCHEMES.items() if e.option == "extension"]
             raise SchemeError(
                 f"extension given but scheme {self.scheme_id} does not use one; "
-                "use modified_euler or modified_milstein"
+                f"use {' or '.join(users)}"
             )
-
-
-# ---------------------------------------------------------------------------
-# paths
-
-
-@dataclass
-class SamplePath:
-    """One simulated path on a uniform grid, with diagnostic flags."""
-
-    grid: TimeGrid
-    values: np.ndarray  # (d, n+1)
-    scheme_id: str
-    negative_step_count: int
-    domain_exit_count: int
-    overflow: bool
-    first_non_finite: int | None = None
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[:, -1]
-
-    def at(self, t: float) -> np.ndarray:
-        """Linear interpolation between grid nodes, per coordinate."""
-        nodes = self.grid.nodes()
-        if not 0.0 <= t <= self.grid.T:
-            raise ValueError(f"t={t} outside [0, {self.grid.T}]")
-        return np.array([np.interp(t, nodes, row) for row in self.values])
 
 
 # ---------------------------------------------------------------------------
@@ -348,80 +302,6 @@ def implicit_step_bound(L1: float, L2: float) -> float:
     """Largest safe dt for the implicit schemes under a one-sided Lipschitz
     constant L1 and polynomial-growth constant L2: 1/max(1 + 2*L1, 4*L2)."""
     return 1.0 / max(1.0 + 2.0 * L1, 4.0 * L2)
-
-
-def cir_affine_implicit(p: CirParams) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Closed form of x - kappa*(lam - x)*dt = rhs."""
-
-    def solve(rhs: np.ndarray, dt: float) -> np.ndarray:
-        return (rhs + p.kappa * p.lam * dt) / (1.0 + p.kappa * dt)
-
-    return solve
-
-
-def lamperti_implicit(
-    p: LampertiCir, truncate: bool = False
-) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Closed form of y - (alpha/y + beta*y)*dt = rhs, positive root:
-
-        y = rhs/(2*(1-beta*dt)) + sqrt(rhs^2/(4*(1-beta*dt)^2) + alpha*dt/(1-beta*dt))
-
-    With alpha > 0 the root is strictly positive for every rhs.  With
-    ``truncate`` the (possibly negative, when alpha < 0) radicand is clipped
-    at zero, which is the sqrt(x^+) convention used outside the Feller regime.
-    """
-
-    def solve(rhs: np.ndarray, dt: float) -> np.ndarray:
-        denom = 1.0 - p.beta * dt
-        if denom <= 0:
-            raise SolverError(
-                f"implicit sqrt step ill-posed: 1 - beta*dt = {denom} <= 0"
-            )
-        half = rhs / (2.0 * denom)
-        radicand = half * half + p.alpha * dt / denom
-        if truncate:
-            radicand = np.maximum(radicand, 0.0)
-        elif np.any(radicand < 0):
-            raise DomainError(
-                "negative radicand in implicit sqrt step (alpha < 0 regime); "
-                "enable truncate_sqrt to run outside the Feller condition"
-            )
-        return half + np.sqrt(radicand)
-
-    return solve
-
-
-def linear_implicit(c: float) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Closed form of x - c*x*dt = rhs."""
-
-    def solve(rhs: np.ndarray, dt: float) -> np.ndarray:
-        denom = 1.0 - c * dt
-        if denom <= 0:
-            raise SolverError(f"linear implicit step ill-posed: 1 - c*dt = {denom}")
-        return rhs / denom
-
-    return solve
-
-
-def _drift_prime(model: Model) -> Callable[[np.ndarray], np.ndarray] | None:
-    """Analytic drift derivative for Newton, for the models that have one."""
-    p = model.params
-    mid = model.model_id
-    if mid == "cir":
-        return lambda x: np.full_like(np.asarray(x, dtype=np.float64), -p.kappa)
-    if mid == "gbm":
-        return lambda x: np.full_like(np.asarray(x, dtype=np.float64), p.mu)
-    if mid == "cubic_toy":
-        return lambda x: -3.0 * np.asarray(x, dtype=np.float64) ** 2
-    if mid == "cir_lamperti":
-        return lambda y: -p.alpha / np.asarray(y, dtype=np.float64) ** 2 + p.beta
-    if mid == "ait_sahalia":
-        return lambda x: (
-            -p.a_m1 / x**2 + p.a_1 - p.a_2 * p.r * x ** (p.r - 1.0)
-        )
-    if mid == "three_halves_vol":
-        return lambda x: p.c1 * p.c2 - 2.0 * p.c1 * np.asarray(x, dtype=np.float64)
-    return None
 
 
 def solve_drift_implicit(
@@ -549,8 +429,7 @@ def step_split_step_backward(
     dw = np.asarray(dw, dtype=np.float64)
     xs = solve_drift_implicit(
         model.drift, x, dt, model.domain, settings,
-        x_init=x, closed_form=_closed_form_for(model),
-        drift_prime=_drift_prime(model),
+        x_init=x, closed_form=model.closed_form, drift_prime=model.drift_prime,
     )
     _guard_domain_eval(model, xs, "split-step diffusion stage")
     if model.m == 1 and model.d == 1:
@@ -580,19 +459,8 @@ def step_backward_euler(
             rhs = rhs + model.diffusion[j](x) * dw[j]
     return solve_drift_implicit(
         model.drift, rhs, dt, model.domain, settings,
-        x_init=x, closed_form=_closed_form_for(model),
-        drift_prime=_drift_prime(model),
+        x_init=x, closed_form=model.closed_form, drift_prime=model.drift_prime,
     )
-
-
-def _closed_form_for(model: Model):
-    if model.model_id == "cir":
-        return cir_affine_implicit(model.params)
-    if model.model_id == "cir_lamperti":
-        return lamperti_implicit(model.params)
-    if model.model_id == "gbm":
-        return linear_implicit(model.params.mu)
-    return None
 
 
 # --- square-root process specials ------------------------------------------
@@ -644,24 +512,8 @@ def step_cir_implicit_milstein(
     )
 
 
-def step_log_heston(p: HestonParams, state, dt: float, dws) -> tuple:
-    """Composite step for (H, Y) = (log-price, sqrt-variance):
-
-        H' = H + (mu - Y^2/2)*dt + Y*(sqrt(1-rho^2)*dW1 + rho*dW2)
-        Y' = implicit sqrt step driven by dW2.
-    """
-    h, y = state
-    dw1, dw2 = dws
-    h = np.asarray(h, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    rho_bar = math.sqrt(1.0 - p.rho * p.rho)
-    h_new = h + (p.mu - 0.5 * y * y) * dt + y * (rho_bar * np.asarray(dw1) + p.rho * np.asarray(dw2))
-    y_new = step_cir_implicit_sqrt(lamperti_cir(p.vol_cir()), y, dt, dw2)
-    return h_new, y_new
-
-
 # ---------------------------------------------------------------------------
-# stepper factory
+# the scheme table
 
 
 @dataclass(frozen=True)
@@ -670,182 +522,262 @@ class _Stepper:
     transform from internal state to recorded path values."""
 
     step: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    state0: np.ndarray  # (d,)
+    state0: tuple[float, ...]
     emit: Callable[[np.ndarray], np.ndarray] | None = None  # state -> values
     check_domain: bool = False
-    model: Model | None = None
 
 
-def _initial_state(model: Model) -> np.ndarray:
+def _explicit(step_fn):
+    """Stepper factory for an explicit map on the model's own coefficients;
+    simulation raises DomainError when a path leaves a proper domain."""
+
+    def factory(config: StepperConfig, model: Model) -> _Stepper:
+        return _Stepper(
+            step=lambda x, dw, dt: step_fn(model, x, dt, dw),
+            state0=model.state0,
+            check_domain=not model.domain.is_full,
+        )
+
+    return factory
+
+
+def _modified(step_fn):
+    """Stepper factory for an explicit map on the extended coefficients."""
+
+    def factory(config: StepperConfig, model: Model) -> _Stepper:
+        ext_model = apply_extension(model, config.extension)
+        return _Stepper(
+            step=lambda x, dw, dt: step_fn(ext_model, x, dt, dw),
+            state0=model.state0,
+        )
+
+    return factory
+
+
+def _implicit(step_fn):
+    """Stepper factory for a drift-implicit map solved with config.solver."""
+
+    def factory(config: StepperConfig, model: Model) -> _Stepper:
+        return _Stepper(
+            step=lambda x, dw, dt: step_fn(model, x, dt, dw, config.solver),
+            state0=model.state0,
+        )
+
+    return factory
+
+
+def _reflected(config: StepperConfig, model: Model) -> _Stepper:
+    return _Stepper(
+        step=lambda x, dw, dt: step_reflected(model, config.projection, x, dt, dw),
+        state0=model.state0,
+    )
+
+
+def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Stepper:
+    """Runs in Lamperti coordinates y = sqrt(x); a CIR model records y^2."""
+    cir = isinstance(model.params, CirParams)
+    lam = lamperti_cir(model.params) if cir else model.params
+    if lam.alpha <= 0 and not config.truncate_sqrt:
+        raise SchemeError(
+            "implicit sqrt Euler requires 2*kappa*lam > theta^2 "
+            f"(alpha = {lam.alpha:.6g}); set truncate_sqrt to run anyway"
+        )
+    return _Stepper(
+        step=lambda y, dw, dt: step_cir_implicit_sqrt(lam, y, dt, dw, config.truncate_sqrt),
+        state0=(lam.y0,),
+        emit=(lambda y: y * y) if cir else None,
+    )
+
+
+def _cir_implicit_milstein(config: StepperConfig, model: Model) -> _Stepper:
     p = model.params
-    mid = model.model_id
-    if mid in ("cir", "cev", "gbm", "ait_sahalia", "cubic_toy"):
-        x0 = getattr(p, "x0", None)
-        if x0 is None:
-            x0 = p.s0
-        return np.array([float(x0)])
-    if mid == "three_halves_vol":
-        return np.array([float(p.v0)])
-    if mid == "cir_lamperti":
-        return np.array([float(p.y0)])
-    if mid == "heston_log":
-        return np.array([math.log(p.s0), math.sqrt(p.v0)])
-    if mid == "heston":
-        return np.array([float(p.s0), float(p.v0)])
-    raise SchemeError(f"no initial state rule for model {model.model_id!r}")
+    if 4.0 * p.kappa * p.lam < p.theta * p.theta and not config.truncate_sqrt:
+        raise SchemeError(
+            "drift-implicit Milstein loses positivity when 4*kappa*lam < "
+            "theta^2; set truncate_sqrt to run in that regime"
+        )
+    return _Stepper(
+        step=lambda z, dw, dt: step_cir_implicit_milstein(p, z, dt, dw, config.truncate_sqrt),
+        state0=model.state0,
+    )
 
 
-def validate_config(config: StepperConfig, model: Model) -> None:
-    """Reject scheme/model combinations that are not defined."""
-    sid = config.scheme_id
-    if sid in ("milstein", "modified_milstein") and (model.m != 1 or model.d != 1):
+def _log_heston(config: StepperConfig, model: Model) -> _Stepper:
+    """Composite step for (H, Y) = (log-price, sqrt-variance):
+
+        H' = H + (mu - Y^2/2)*dt + Y*(sqrt(1-rho^2)*dW1 + rho*dW2)
+        Y' = implicit sqrt step driven by dW2.
+    """
+    p = model.params
+    lam = lamperti_cir(p.vol_cir())
+    rho, rho_bar = p.rho, math.sqrt(1.0 - p.rho * p.rho)
+    mu = p.mu
+    solve = lamperti_implicit(lam, truncate=config.truncate_sqrt)
+    gamma = lam.gamma
+    if lam.alpha <= 0 and not config.truncate_sqrt:
         raise SchemeError(
-            "Milstein schemes are restricted to scalar noise; "
-            f"model {model.model_id!r} has d={model.d}, m={model.m}"
+            "volatility equation violates 2*kappa*lam > theta^2; "
+            "set truncate_sqrt to run anyway"
         )
-    if sid.startswith("modified_") and model.domain.is_full:
-        raise SchemeError(
-            f"{sid} extends coefficients outside the domain, but model "
-            f"{model.model_id!r} already lives on full space"
+
+    def step(x, dw, dt):
+        h, y = x[0], x[1]
+        dw1, dw2 = dw[0], dw[1]
+        h_new = h + (mu - 0.5 * y * y) * dt + y * (rho_bar * dw1 + rho * dw2)
+        y_new = solve(y + gamma * dw2, dt)
+        return np.stack([h_new, y_new])
+
+    return _Stepper(step=step, state0=model.state0)
+
+
+@dataclass(frozen=True)
+class SchemeEntry:
+    """One scheme: how to build its stepper and which models it applies to.
+
+    ``requires`` states the ``applies_to`` condition in words, for errors.
+    ``option`` names the StepperConfig field the scheme cannot run without
+    ("extension" or "projection"), if any.
+    """
+
+    factory: Callable[[StepperConfig, Model], _Stepper]
+    applies_to: Callable[[Model], bool] = lambda model: True
+    requires: str = ""
+    option: str | None = None
+
+
+def _scalar(model: Model) -> bool:
+    return model.d == 1
+
+
+def _scalar_noise(model: Model) -> bool:
+    return model.d == 1 and model.m == 1
+
+
+def _scalar_in_domain(model: Model) -> bool:
+    return model.d == 1 and not model.domain.is_full
+
+
+SCHEMES: dict[str, SchemeEntry] = {
+    "explicit_euler": SchemeEntry(_explicit(step_explicit_euler)),
+    "milstein": SchemeEntry(
+        _explicit(step_milstein_scalar), _scalar_noise,
+        "models with scalar noise (d = m = 1)",
+    ),
+    "modified_euler": SchemeEntry(
+        _modified(step_explicit_euler), _scalar_in_domain,
+        "scalar models whose domain is not the full space", "extension",
+    ),
+    "modified_milstein": SchemeEntry(
+        _modified(step_milstein_scalar),
+        lambda model: model.m == 1 and _scalar_in_domain(model),
+        "models with scalar noise whose domain is not the full space", "extension",
+    ),
+    "reflected_euler": SchemeEntry(
+        _reflected, _scalar_in_domain, "scalar models with a proper domain",
+        "projection",
+    ),
+    "split_step_backward_euler": SchemeEntry(
+        _implicit(step_split_step_backward), _scalar, "scalar models"
+    ),
+    "backward_euler": SchemeEntry(
+        _implicit(step_backward_euler), _scalar, "scalar models"
+    ),
+    "tamed_euler": SchemeEntry(_explicit(step_tamed_euler)),
+    "cir_implicit_sqrt_euler": SchemeEntry(
+        _cir_implicit_sqrt,
+        lambda model: isinstance(model.params, (CirParams, LampertiCir)),
+        "CIR or Lamperti-CIR models",
+    ),
+    "cir_implicit_milstein": SchemeEntry(
+        _cir_implicit_milstein,
+        lambda model: isinstance(model.params, CirParams),
+        "CIR models",
+    ),
+    "log_heston_composite": SchemeEntry(
+        _log_heston, lambda model: model.model_id == "heston_log",
+        "the log-Heston model",
+    ),
+}
+
+
+EXTENSIONS: dict[str, Callable[[CirParams], AuxiliaryExtension]] = {
+    "truncate": extension_truncated_sqrt,
+    "absolute": extension_absolute_sqrt,
+}
+
+PROJECTIONS: dict[str, Callable[[], ProjectionMap]] = {"abs": projection_abs}
+
+
+@dataclass(frozen=True)
+class SchemeRow:
+    """A scheme id with its options named as config files name them."""
+
+    scheme_id: str
+    extension: str | None = None
+    projection: str | None = None
+    truncate_sqrt: bool = False
+
+    def build(self, model: Model) -> StepperConfig:
+        """The StepperConfig this row selects for ``model``."""
+        ext = None
+        if self.extension is not None:
+            if not isinstance(model.params, CirParams):
+                raise SchemeError(
+                    f"the {self.extension!r} extension needs a square-root (cir) "
+                    f"model, got model {model.model_id!r}"
+                )
+            ext = EXTENSIONS[self.extension](model.params)
+        return StepperConfig(
+            scheme_id=self.scheme_id,
+            extension=ext,
+            projection=PROJECTIONS[self.projection]() if self.projection else None,
+            truncate_sqrt=self.truncate_sqrt,
         )
-    if sid == "reflected_euler" and model.domain.is_full:
-        raise SchemeError("reflected_euler needs a model with a proper domain")
-    if sid == "cir_implicit_sqrt_euler" and model.model_id not in (
-        "cir", "cir_lamperti",
-    ):
-        raise SchemeError(f"{sid} requires a CIR or Lamperti-CIR model")
-    if sid == "cir_implicit_milstein" and model.model_id != "cir":
-        raise SchemeError(f"{sid} requires a CIR model")
-    if sid == "log_heston_composite" and model.model_id != "heston_log":
-        raise SchemeError(f"{sid} requires the log-Heston model")
-    if sid in ("explicit_euler", "milstein") and not model.domain.is_full:
-        # legal for one-step use from inside D, but a path will exit the
-        # domain with positive probability; simulate_path enforces the domain
-        # at every step and raises DomainError on exit.
-        pass
+
+
+# the scheme names config files use
+ALIASES: dict[str, SchemeRow] = {
+    "euler": SchemeRow("explicit_euler"),
+    "milstein": SchemeRow("milstein"),
+    "truncated_euler": SchemeRow("modified_euler", extension="truncate"),
+    "absolute_euler": SchemeRow("modified_euler", extension="absolute"),
+    "truncated_milstein": SchemeRow("modified_milstein", extension="truncate"),
+    "absolute_milstein": SchemeRow("modified_milstein", extension="absolute"),
+    "symmetrized_euler": SchemeRow("reflected_euler", projection="abs"),
+    "tamed_euler": SchemeRow("tamed_euler"),
+    "split_step": SchemeRow("split_step_backward_euler"),
+    "backward_euler": SchemeRow("backward_euler"),
+    "implicit_sqrt": SchemeRow("cir_implicit_sqrt_euler"),
+    "implicit_sqrt_truncated": SchemeRow("cir_implicit_sqrt_euler", truncate_sqrt=True),
+    "dimp_milstein": SchemeRow("cir_implicit_milstein"),
+    "dimp_milstein_truncated": SchemeRow("cir_implicit_milstein", truncate_sqrt=True),
+    "log_heston": SchemeRow("log_heston_composite"),
+}
+
+
+def default_reference_config(config: StepperConfig, model: Model) -> StepperConfig:
+    """Reference scheme for coupled error curves.
+
+    For the square-root process the drift-implicit square-root Euler scheme is
+    the reference inside the Feller regime; outside it (where that scheme
+    needs truncation itself) the truncated Euler scheme is used.  Every other
+    model is referenced by the scheme under test at the finer resolution.
+    """
+    if model.model_id == "cir":
+        feller = feller_ratio(model.params) >= 1.0
+        return ALIASES["implicit_sqrt" if feller else "truncated_euler"].build(model)
+    return config
 
 
 def make_stepper(config: StepperConfig, model: Model) -> _Stepper:
-    validate_config(config, model)
-    sid = config.scheme_id
-    x0 = _initial_state(model)
-
-    if sid in ("modified_euler", "modified_milstein"):
-        ext_model = apply_extension(model, config.extension)
-        base = step_explicit_euler if sid == "modified_euler" else step_milstein_scalar
-
-        def step(x, dw, dt):
-            return base(ext_model, x[0], dt, dw[0])[None]
-
-        return _Stepper(step=step, state0=x0, model=model)
-
-    if sid == "explicit_euler":
-        if model.d == 1:
-            def step(x, dw, dt):
-                return step_explicit_euler(model, x[0], dt, dw[0])[None]
-        else:
-            def step(x, dw, dt):
-                return step_explicit_euler(model, x, dt, dw)
-        return _Stepper(
-            step=step, state0=x0, check_domain=not model.domain.is_full, model=model
+    """The scheme's one-step map for ``model``; SchemeError if it does not apply."""
+    entry = SCHEMES[config.scheme_id]
+    if not entry.applies_to(model):
+        raise SchemeError(
+            f"{config.scheme_id} applies only to {entry.requires}, not to model "
+            f"{model.model_id!r} (d={model.d}, m={model.m})"
         )
-
-    if sid == "milstein":
-        def step(x, dw, dt):
-            return step_milstein_scalar(model, x[0], dt, dw[0])[None]
-        return _Stepper(
-            step=step, state0=x0, check_domain=not model.domain.is_full, model=model
-        )
-
-    if sid == "reflected_euler":
-        proj = config.projection
-
-        def step(x, dw, dt):
-            return step_reflected(model, proj, x[0], dt, dw[0])[None]
-        return _Stepper(step=step, state0=x0, model=model)
-
-    if sid == "tamed_euler":
-        if model.d == 1:
-            def step(x, dw, dt):
-                return step_tamed_euler(model, x[0], dt, dw[0])[None]
-        else:
-            def step(x, dw, dt):
-                return step_tamed_euler(model, x, dt, dw)
-        return _Stepper(
-            step=step, state0=x0, check_domain=not model.domain.is_full, model=model
-        )
-
-    if sid == "split_step_backward_euler":
-        def step(x, dw, dt):
-            return step_split_step_backward(model, x[0], dt, dw[0], config.solver)[None]
-        return _Stepper(step=step, state0=x0, model=model)
-
-    if sid == "backward_euler":
-        def step(x, dw, dt):
-            return step_backward_euler(model, x[0], dt, dw[0], config.solver)[None]
-        return _Stepper(step=step, state0=x0, model=model)
-
-    if sid == "cir_implicit_sqrt_euler":
-        if model.model_id == "cir":
-            lam = lamperti_cir(model.params)
-            y0 = np.array([lam.y0])
-
-            def emit(y):
-                return y * y
-
-        else:
-            lam = model.params
-            y0 = np.array([lam.y0])
-            emit = None
-        if lam.alpha <= 0 and not config.truncate_sqrt:
-            raise SchemeError(
-                "implicit sqrt Euler requires 2*kappa*lam > theta^2 "
-                f"(alpha = {lam.alpha:.6g}); set truncate_sqrt to run anyway"
-            )
-        trunc = config.truncate_sqrt
-
-        def step(y, dw, dt):
-            return step_cir_implicit_sqrt(lam, y[0], dt, dw[0], truncate=trunc)[None]
-
-        return _Stepper(step=step, state0=y0, emit=emit, model=model)
-
-    if sid == "cir_implicit_milstein":
-        p = model.params
-        if 4.0 * p.kappa * p.lam < p.theta * p.theta and not config.truncate_sqrt:
-            raise SchemeError(
-                "drift-implicit Milstein loses positivity when 4*kappa*lam < "
-                "theta^2; set truncate_sqrt to run in that regime"
-            )
-        trunc = config.truncate_sqrt
-
-        def step(z, dw, dt):
-            return step_cir_implicit_milstein(p, z[0], dt, dw[0], truncate=trunc)[None]
-
-        return _Stepper(step=step, state0=x0, model=model)
-
-    if sid == "log_heston_composite":
-        p = model.params
-        lam = lamperti_cir(p.vol_cir())
-        rho, rho_bar = p.rho, math.sqrt(1.0 - p.rho * p.rho)
-        mu = p.mu
-        solve = lamperti_implicit(lam, truncate=config.truncate_sqrt)
-        gamma = lam.gamma
-        if lam.alpha <= 0 and not config.truncate_sqrt:
-            raise SchemeError(
-                "volatility equation violates 2*kappa*lam > theta^2; "
-                "set truncate_sqrt to run anyway"
-            )
-
-        def step(x, dw, dt):
-            h, y = x[0], x[1]
-            dw1, dw2 = dw[0], dw[1]
-            h_new = h + (mu - 0.5 * y * y) * dt + y * (rho_bar * dw1 + rho * dw2)
-            y_new = solve(y + gamma * dw2, dt)
-            return np.stack([h_new, y_new])
-
-        return _Stepper(step=step, state0=x0, model=model)
-
-    raise SchemeError(f"unhandled scheme {sid!r}")  # pragma: no cover
+    return entry.factory(config, model)
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +791,6 @@ class BatchResult:
     recorded: np.ndarray | None  # (d, n_rec+1, b) emitted values, or None
     terminal: np.ndarray  # (d, b) emitted values at T
     negative_steps: np.ndarray  # (b,) int
-    domain_exits: np.ndarray  # (b,) int
     overflow: np.ndarray  # (b,) bool
     first_bad: np.ndarray  # (b,) int step index, -1 if clean
     runmax: np.ndarray | None  # (b,) signed max of emitted coordinate 0
@@ -901,7 +832,7 @@ def simulate_batch(
         raise SchemeError(f"record_every={record_every} must divide n={n}")
 
     d = model.d
-    x = np.repeat(stepper.state0[:, None], b, axis=1)
+    x = np.repeat(np.array(stepper.state0, dtype=np.float64)[:, None], b, axis=1)
     emit = stepper.emit or (lambda s: s)
 
     rec = None
@@ -910,7 +841,6 @@ def simulate_batch(
         rec = np.empty((d, n_rec + 1, b))
         rec[:, 0, :] = emit(x)
     neg = np.zeros(b, dtype=np.int64)
-    exits = np.zeros(b, dtype=np.int64)
     first_bad = np.full(b, -1, dtype=np.int64)
     runmax = runmin = None
     if track_extrema:
@@ -926,9 +856,9 @@ def simulate_batch(
             if check and domain.violates_closure(x).any():
                 raise DomainError(
                     f"scheme {config.scheme_id!r} left the domain of model "
-                    f"{model.model_id!r} at step {k + 1}; configure an "
-                    "extension (modified_*), a projection (reflected_euler), "
-                    "or a truncating scheme"
+                    f"{model.model_id!r} at step {k + 1}; use a scheme that "
+                    "extends the coefficients, projects back into the domain, "
+                    "or truncates"
                 )
             finite = np.isfinite(x).all(axis=0) if d > 1 else np.isfinite(x[0])
             newly_bad = ~finite & (first_bad < 0)
@@ -940,8 +870,6 @@ def simulate_batch(
                 neg += row < 0
             else:
                 neg += (vals < 0).any(axis=0)
-            if not domain.is_full:
-                exits += domain.violates_closure(vals)
             if track_extrema:
                 r0 = row if d == 1 else vals[0]
                 np.maximum(runmax, r0, out=runmax)
@@ -953,7 +881,6 @@ def simulate_batch(
         recorded=rec,
         terminal=emit(x),
         negative_steps=neg,
-        domain_exits=np.asarray(exits),
         overflow=first_bad >= 0,
         first_bad=first_bad,
         runmax=runmax,
@@ -961,30 +888,3 @@ def simulate_batch(
         steps=n,
     )
 
-
-def simulate_path(
-    config: StepperConfig, model: Model, lattice: BrownianLattice, n: int
-) -> SamplePath:
-    """Simulate one path at resolution n (a dyadic divisor of the lattice)."""
-    if lattice.m != model.m:
-        raise SchemeError(
-            f"lattice has m={lattice.m} noise dimensions, model needs {model.m}"
-        )
-    incr = increments_at(lattice, n)[:, None, :]  # (m, 1, n)
-    res = simulate_batch(config, model, lattice.T / n, incr, record_every=1)
-    values = res.recorded[:, :, 0]
-    overflow = bool(res.overflow[0])
-    first = int(res.first_bad[0]) if overflow else None
-    if overflow:
-        # freeze: values from the first non-finite node onward are already
-        # non-finite by propagation; nothing to clean up, just report
-        pass
-    return SamplePath(
-        grid=TimeGrid(T=lattice.T, n=n),
-        values=values,
-        scheme_id=config.scheme_id,
-        negative_step_count=int(res.negative_steps[0]),
-        domain_exit_count=int(res.domain_exits[0]),
-        overflow=overflow,
-        first_non_finite=first,
-    )

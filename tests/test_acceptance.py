@@ -109,10 +109,10 @@ def test_cev_orders():
     for name, lo, hi in (("cev-set-1", 0.42, 0.57), ("cev-set-2", 0.44, 0.58)):
         pre = models.get_preset(name)
         m = models.build_model(pre.model_id, pre.params)
-        rep = cv.strong_error_curve(
-            EULER, m, T=pre.T, seed=104,
+        rep = cv.strong_error_curves(
+            [EULER], m, T=pre.T, seed=104,
             n_list=[2**k for k in range(4, 11)], n_samples=10000, p=1,
-        )
+        )[0]
         slopes[name] = (rep.regression.slope, lo <= rep.regression.slope <= hi)
     _check(
         "cev convergence orders",
@@ -305,7 +305,7 @@ def test_implicit_residuals():
         worst = max(worst, float(np.abs(res).max()))
         xs = schemes.solve_drift_implicit(
             toy.drift, x, dt, toy.domain, schemes.DEFAULT_SOLVER,
-            x_init=x, drift_prime=schemes._drift_prime(toy),
+            x_init=x, drift_prime=toy.drift_prime,
         )
         xfull = schemes.step_split_step_backward(toy, x, dt, dw)
         res_stage = xs - x - toy.drift(xs) * dt

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from sdelab import cli, config as cfgmod, models
+from sdelab import cli, config as cfgmod, models, schemes
 from sdelab.config import ConfigError, parse_config
 
 MINIMAL_CONVERGE = """
@@ -595,3 +595,60 @@ reference = exact
         assert data[0] == "delta,error,stderr,n_overflow"
         assert len(data) == 4
         assert lines[-1].startswith("# regression: slope = ")
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: a config that parses never ends in a traceback
+
+# [model] block per model id: a preset where one exists, inline otherwise.
+# gbm appears twice; gamma = 0.5 parses but cannot build the model.
+# cir_lamperti takes square-root parameters, which it does not have.
+SWEEP_MODELS = {
+    "cir": "preset = cir-scenario-1",
+    "cir_lamperti": "model = cir_lamperti\nkappa = 2.0\nlam = 0.09\ntheta = 0.3\nx0 = 0.09\nT = 1.0",
+    "cev": "preset = cev-set-1",
+    "gbm": "model = gbm\nmu = 0.05\nsigma = 0.2\ngamma = 1.0\ns0 = 1.0\nT = 1.0",
+    "gbm-gamma": "model = gbm\nmu = 0.05\nsigma = 0.2\ngamma = 0.5\ns0 = 1.0\nT = 1.0",
+    "heston_log": "preset = heston-mlmc",
+    "heston": (
+        "model = heston\nmu = 0.05\nkappa = 2.0\nlam = 0.09\ntheta = 0.3\n"
+        "rho = -0.5\ns0 = 100.0\nv0 = 0.09\nT = 1.0"
+    ),
+    "ait_sahalia": (
+        "model = ait_sahalia\na_m1 = 1.0\na_0 = 1.0\na_1 = 1.0\na_2 = 1.0\n"
+        "sigma = 0.5\nr = 2.0\nrho = 1.4\nx0 = 1.0\nT = 1.0"
+    ),
+    "three_halves_vol": "preset = three-halves-mc",
+    "cubic_toy": "model = cubic_toy\nsigma = 1.0\nx0 = 1.0\nT = 1.0",
+}
+
+SWEEP_RUNS = {
+    "negstats": "n = 4\nn_samples = 8",
+    "pathwise": "n_list = 2, 4\nref_n = 8",
+    "converge": "n_list = 2, 4\nn_samples = 4\nref_n = 8",
+    "explode": "n_list = 2, 4\nn_samples = 8",
+    "mlmc": "epsilon = 2^-1",
+    "price": "method = mc\nn = 8\nn_samples = 16",
+}
+
+
+def test_every_model_alias_and_kind_exits_cleanly(tmp_path, capsys):
+    assert {m.split("-")[0] for m in SWEEP_MODELS} == set(models.MODEL_IDS)
+    tracebacks = []
+    for label, model_block in SWEEP_MODELS.items():
+        for alias in schemes.ALIASES:
+            for kind, run_block in SWEEP_RUNS.items():
+                text = (
+                    f"[experiment]\nkind = {kind}\nseed = 5\n\n[model]\n{model_block}\n\n"
+                    f"[scheme]\nscheme = {alias}\n\n[run]\n{run_block}\n"
+                )
+                cfg = _write(tmp_path / "sweep.cfg", text)
+                try:
+                    rc = cli.main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+                except Exception as exc:  # collect every traceback, not just the first
+                    tracebacks.append(f"{label} {alias} {kind}: {exc!r}")
+                    continue
+                if rc not in (0, 2, 3):
+                    tracebacks.append(f"{label} {alias} {kind}: exit {rc}")
+    capsys.readouterr()
+    assert not tracebacks, f"{len(tracebacks)} runs failed:\n" + "\n".join(tracebacks)

@@ -28,18 +28,12 @@ def _truncated_euler():
     )
 
 
-def _path(n, values, T=1.0):
+def _block(values):
+    """Recorded values as a (d, nodes, 1) block, as simulate_batch records them."""
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim == 1:
         vals = vals[None]
-    return schemes.SamplePath(
-        grid=bw.TimeGrid(T=T, n=n),
-        values=vals,
-        scheme_id="manual",
-        negative_step_count=0,
-        domain_exit_count=0,
-        overflow=False,
-    )
+    return vals[:, :, None]
 
 
 # ---------------------------------------------------------------------------
@@ -88,47 +82,52 @@ def test_fit_order_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# max_node_error
+# max node error
 
 
 def test_max_node_error_identical_paths_is_exact_zero():
-    a = _path(4, [1.0, 1.1, 0.9, 1.3, 1.2])
-    b = _path(4, [1.0, 1.1, 0.9, 1.3, 1.2])
-    assert cv.max_node_error(a, b) == 0.0
+    a = _block([1.0, 1.1, 0.9, 1.3, 1.2])
+    assert cv._dist_max(a, a.copy()).tolist() == [0.0]
 
 
 def test_max_node_error_constant_offset():
     vals = np.linspace(1.0, 2.0, 5)
-    a = _path(4, vals)
-    b = _path(4, vals + 0.25)
-    assert math.isclose(cv.max_node_error(a, b), 0.25, rel_tol=1e-15)
+    assert math.isclose(
+        cv._dist_max(_block(vals), _block(vals + 0.25))[0], 0.25, rel_tol=1e-15
+    )
 
 
 def test_max_node_error_uses_shared_nodes_only():
-    a = _path(4, np.zeros(5))
-    fine = np.zeros(9)
-    fine[3] = 7.0  # odd node of the refined grid, not shared with n=4
-    assert cv.max_node_error(a, _path(8, fine)) == 0.0
-    fine2 = np.zeros(9)
-    fine2[2] = 7.0  # t=1/4 is a node of both grids
-    assert cv.max_node_error(a, _path(8, fine2)) == 7.0
+    # the curve at n compares against the reference at every (ref_n/n)-th node
+    key = bw.StreamKey(seed=3, sample_index=0, substream=0)
+    rep = cv.pathwise_error_curve(
+        EULER, GBM, T=1.0, key=key, n_list=[8], ref_config=EULER, ref_n=32
+    )
+    lat = bw.sample_lattice(key, T=1.0, m=1, finest_n=32)
+    ref = schemes.simulate_batch(
+        EULER, GBM, 1.0 / 32, lat.increments[:, None, :], record_every=1
+    ).recorded[0, ::4, 0]
+    approx = schemes.simulate_batch(
+        EULER, GBM, 1.0 / 8, bw.increments_at(lat, 8)[:, None, :], record_every=1
+    ).recorded[0, :, 0]
+    assert rep.errors == (float(np.abs(ref - approx).max()),)
+    assert rep.errors[0] > 0
 
 
 def test_max_node_error_euclidean_distance():
-    a = _path(2, np.zeros((2, 3)))
     ref = np.zeros((2, 3))
     ref[:, 1] = (3.0, 4.0)
-    assert cv.max_node_error(a, _path(2, ref)) == 5.0
+    assert cv._dist_max(_block(np.zeros((2, 3))), _block(ref)).tolist() == [5.0]
 
 
 def test_max_node_error_rejects_incompatible_paths():
-    a = _path(4, np.zeros(5))
-    with pytest.raises(MeasurementError):
-        cv.max_node_error(a, _path(4, np.zeros(5), T=2.0))
-    with pytest.raises(MeasurementError):
-        cv.max_node_error(a, _path(6, np.zeros(7)))
-    with pytest.raises(MeasurementError):
-        cv.max_node_error(a, _path(4, np.zeros((2, 5))))
+    # grids that do not nest dyadically in the reference share no node set
+    key = bw.StreamKey(seed=1, sample_index=0, substream=0)
+    for n_list, ref_n in ([6], 8), ([16], 8):
+        with pytest.raises(MeasurementError, match="dyadically"):
+            cv.pathwise_error_curve(
+                EULER, GBM, T=1.0, key=key, n_list=n_list, ref_n=ref_n
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +162,8 @@ def test_default_reference_selection():
 
 
 def test_strong_self_reference_error_is_exact_zero():
-    rep = cv.strong_error_curve(
-        EULER,
+    rep = cv.strong_error_curves(
+        [EULER],
         GBM,
         T=1.0,
         seed=7,
@@ -172,7 +171,7 @@ def test_strong_self_reference_error_is_exact_zero():
         n_samples=50,
         ref_config=EULER,
         ref_n=64,
-    )
+    )[0]
     assert rep.errors == (0.0,)
     assert rep.stderrs == (0.0,)
     assert rep.regression is None
@@ -238,30 +237,30 @@ def test_zero_noise_strong_curve_has_first_order_slope():
     flat = models.build_model(
         "gbm", models.CevParams(mu=0.8, sigma=0.0, gamma=1.0, s0=1.0)
     )
-    rep = cv.strong_error_curve(
-        EULER,
+    rep = cv.strong_error_curves(
+        [EULER],
         flat,
         T=1.0,
         seed=5,
         n_list=[2**k for k in range(3, 9)],
         n_samples=2,
         reference="exact",
-    )
+    )[0]
     assert 0.95 < rep.regression.slope < 1.05
     assert all(s == 0.0 for s in rep.stderrs)  # deterministic paths
 
 
 def test_stderr_shrinks_with_sample_size():
     kw = dict(T=1.0, seed=33, n_list=[32], reference="exact")
-    small = cv.strong_error_curve(EULER, GBM, n_samples=400, **kw)
-    large = cv.strong_error_curve(EULER, GBM, n_samples=1600, **kw)
+    small = cv.strong_error_curves([EULER], GBM, n_samples=400, **kw)[0]
+    large = cv.strong_error_curves([EULER], GBM, n_samples=1600, **kw)[0]
     ratio = small.stderrs[0] / large.stderrs[0]
     assert 1.6 < ratio < 2.4
 
 
 def test_strong_errors_decrease_with_information():
-    rep = cv.strong_error_curve(
-        _truncated_euler(),
+    rep = cv.strong_error_curves(
+        [_truncated_euler()],
         _cir_sc1(),
         T=5.0,
         seed=41,
@@ -269,7 +268,7 @@ def test_strong_errors_decrease_with_information():
         n_samples=500,
         ref_config=schemes.StepperConfig(scheme_id="cir_implicit_sqrt_euler"),
         ref_n=2**11,
-    )
+    )[0]
     assert rep.valid and all(c == 0 for c in rep.overflow_counts)
     assert all(math.isfinite(e) and e > 0 for e in rep.errors)
     for i in range(len(rep.errors) - 1):
@@ -289,8 +288,8 @@ def test_overflow_policy_exclude_vs_propagate():
         ref_config=schemes.StepperConfig(scheme_id="tamed_euler"),
         ref_n=256,
     )
-    keep = cv.strong_error_curve(EULER, model, policy="exclude", **kw)
-    prop = cv.strong_error_curve(EULER, model, policy="propagate", **kw)
+    keep = cv.strong_error_curves([EULER], model, policy="exclude", **kw)[0]
+    prop = cv.strong_error_curves([EULER], model, policy="propagate", **kw)[0]
     assert keep.overflow_counts == (9,) and prop.overflow_counts == (9,)
     assert math.isfinite(keep.errors[0])
     assert math.isclose(keep.errors[0], 1.913742590270859e111, rel_tol=1e-12)
@@ -302,8 +301,8 @@ def test_overflow_policy_exclude_vs_propagate():
 def test_reference_overflow_invalidates_report():
     preset = models.get_preset("three-halves-mc")
     model = models.build_model(preset.model_id, preset.params)
-    rep = cv.strong_error_curve(
-        schemes.StepperConfig(scheme_id="tamed_euler"),
+    rep = cv.strong_error_curves(
+        [schemes.StepperConfig(scheme_id="tamed_euler")],
         model,
         T=preset.T,
         seed=1,
@@ -311,7 +310,7 @@ def test_reference_overflow_invalidates_report():
         n_samples=500,
         ref_config=EULER,
         ref_n=16,
-    )
+    )[0]
     assert not rep.valid
     assert rep.errors == (math.inf,)
     assert rep.regression is None
@@ -325,17 +324,17 @@ def test_reference_overflow_invalidates_report():
 def test_resolution_list_must_divide_reference_dyadically():
     for n_list, ref_n in ([48], 256), ([512], 256), ([64], 192):
         with pytest.raises(MeasurementError, match="dyadically"):
-            cv.strong_error_curve(
-                EULER, GBM, T=1.0, seed=1, n_list=n_list, n_samples=2, ref_n=ref_n
+            cv.strong_error_curves(
+                [EULER], GBM, T=1.0, seed=1, n_list=n_list, n_samples=2, ref_n=ref_n
             )
     with pytest.raises(MeasurementError):
-        cv.strong_error_curve(EULER, GBM, T=1.0, seed=1, n_list=[], n_samples=2)
+        cv.strong_error_curves([EULER], GBM, T=1.0, seed=1, n_list=[], n_samples=2)
 
 
 def test_reference_and_policy_guards():
     with pytest.raises(MeasurementError, match="gbm"):
-        cv.strong_error_curve(
-            _truncated_euler(),
+        cv.strong_error_curves(
+            [_truncated_euler()],
             _cir_sc1(),
             T=5.0,
             seed=1,
@@ -344,8 +343,8 @@ def test_reference_and_policy_guards():
             reference="exact",
         )
     with pytest.raises(MeasurementError, match="policy"):
-        cv.strong_error_curve(
-            EULER, GBM, T=1.0, seed=1, n_list=[8], n_samples=2, policy="drop"
+        cv.strong_error_curves(
+            [EULER], GBM, T=1.0, seed=1, n_list=[8], n_samples=2, policy="drop"
         )
     with pytest.raises(MeasurementError, match="reference"):
         cv.pathwise_error_curve(

@@ -148,12 +148,12 @@ def test_discard_ball_radius_infinity_matches_plain():
     model = _three_halves()
     kw = dict(T=4.0, seed=60, n=4096, n_samples=300)
     plain = est.mc_estimate(EULER, model, ABS_T, **kw)
-    ball = est.mc_estimate_discarded(EULER, model, ABS_T, radius=math.inf, **kw)
+    ball = est.mc_estimate(EULER, model, ABS_T, radius=math.inf, **kw)
     assert ball.value == plain.value and ball.stderr == plain.stderr
 
 
 def test_discard_ball_smaller_than_start_zeroes_everything():
-    r = est.mc_estimate_discarded(
+    r = est.mc_estimate(
         EULER, _three_halves(), ABS_T, T=4.0, seed=60, n=4, n_samples=100, radius=0.1
     )
     assert r.value == 0.0
@@ -163,7 +163,7 @@ def test_discard_ball_stays_finite_where_plain_overflows():
     model = _three_halves()
     kw = dict(T=4.0, seed=61, n=64, n_samples=500)
     plain = est.mc_estimate(EULER, model, ABS_T, **kw)
-    ball = est.mc_estimate_discarded(EULER, model, ABS_T, radius=1e3, **kw)
+    ball = est.mc_estimate(EULER, model, ABS_T, radius=1e3, **kw)
     assert math.isinf(plain.value) and plain.n_overflow > 0
     assert math.isfinite(ball.value) and math.isfinite(ball.stderr)
     assert ball.n_overflow == plain.n_overflow
@@ -175,13 +175,13 @@ def test_mc_guards():
     with pytest.raises(EstimatorError):
         est.mc_estimate(EULER, GBM, IDENT, T=1.0, seed=1, n=4, n_samples=0)
     with pytest.raises(EstimatorError, match="radius"):
-        est.mc_estimate_discarded(
+        est.mc_estimate(
             EULER, GBM, IDENT, T=1.0, seed=1, n=4, n_samples=2, radius=-1.0
         )
     heston = models.get_preset("heston-mlmc")
     hmodel = models.build_model(heston.model_id, heston.params)
     with pytest.raises(EstimatorError, match="scalar"):
-        est.mc_estimate_discarded(
+        est.mc_estimate(
             schemes.StepperConfig(scheme_id="log_heston_composite"),
             hmodel,
             IDENT,

@@ -160,31 +160,17 @@ def _zoo():
 
 def test_diffusion_jacobian_matches_finite_differences(rng):
     for model, sampler in _zoo():
-        if model.d == 1:
-            x = sampler(rng)
-            h = 1e-6 * np.maximum(1.0, np.abs(x))
-            for b, db in zip(model.diffusion, model.diffusion_jacobian):
-                fd = (b(x + h) - b(x - h)) / (2.0 * h)
-                an = db(x)
-                err = np.abs(fd - an) / np.maximum(np.abs(an), 1e-8)
-                assert err.max() < 1e-6, model.model_id
-        else:
-            # states (d, npts); perturb one coordinate at a time
-            npts = 100
-            if model.model_id == "heston_log":
-                x = np.stack([rng.normal(4.0, 0.5, npts), rng.uniform(0.1, 1.0, npts)])
-            else:
-                x = np.stack([rng.uniform(50.0, 150.0, npts), rng.uniform(0.01, 0.5, npts)])
-            for b, db in zip(model.diffusion, model.diffusion_jacobian):
-                an = db(x)
-                for k in range(model.d):
-                    h = 1e-6 * np.maximum(1.0, np.abs(x[k]))
-                    xp, xm = x.copy(), x.copy()
-                    xp[k] += h
-                    xm[k] -= h
-                    fd = (b(xp) - b(xm)) / (2.0 * h)
-                    err = np.abs(fd - an[:, k]) / np.maximum(np.abs(an[:, k]), 1e-8)
-                    assert err.max() < 1e-6, (model.model_id, k)
+        if model.d > 1:
+            # the Milstein schemes that read b' are scalar-only
+            assert model.diffusion_jacobian == ()
+            continue
+        x = sampler(rng)
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        for b, db in zip(model.diffusion, model.diffusion_jacobian):
+            fd = (b(x + h) - b(x - h)) / (2.0 * h)
+            an = db(x)
+            err = np.abs(fd - an) / np.maximum(np.abs(an), 1e-8)
+            assert err.max() < 1e-6, model.model_id
 
 
 def test_cir_drift_is_affine(rng):

@@ -446,26 +446,33 @@ def test_domination_of_milstein_over_sqrt_euler(rng):
 
 
 HP = models.get_preset("heston-mlmc").params
+LOG_HESTON = schemes.StepperConfig(scheme_id="log_heston_composite")
+
+
+def _log_heston_step(p, h, y, dt, dw1, dw2):
+    """One composite step from (h, y) through the scheme's stepper."""
+    stepper = schemes.make_stepper(LOG_HESTON, models.build_model("heston_log", p))
+    out = stepper.step(np.array([[h], [y]]), np.array([[dw1], [dw2]]), dt)
+    return out[0, 0], out[1, 0]
 
 
 def test_log_heston_deterministic_part():
     h, y = 4.6, 0.22
     dt = 1.0 / 64.0
-    h2, y2 = schemes.step_log_heston(HP, (np.array([h]), np.array([y])), dt, (np.array([0.0]), np.array([0.0])))
-    assert h2[0] == h + (HP.mu - 0.5 * y * y) * dt
+    h2, y2 = _log_heston_step(HP, h, y, dt, 0.0, 0.0)
+    assert h2 == h + (HP.mu - 0.5 * y * y) * dt
 
 
 def test_log_heston_decorrelates_at_rho_zero():
     p = models.HestonParams(
         mu=0.05, kappa=2.0, lam=0.09, theta=0.3, rho=0.0, s0=100.0, v0=0.09
     )
-    state = (np.array([4.6]), np.array([0.3]))
     dt = 1.0 / 64.0
-    h_a, y_a = schemes.step_log_heston(p, state, dt, (np.array([0.5]), np.array([0.1])))
-    h_b, y_b = schemes.step_log_heston(p, state, dt, (np.array([0.5]), np.array([-0.4])))
-    assert h_a[0] == h_b[0]  # price leg sees only dW1
-    h_c, y_c = schemes.step_log_heston(p, state, dt, (np.array([-0.2]), np.array([0.1])))
-    assert y_a[0] == y_c[0]  # volatility leg sees only dW2
+    h_a, y_a = _log_heston_step(p, 4.6, 0.3, dt, 0.5, 0.1)
+    h_b, y_b = _log_heston_step(p, 4.6, 0.3, dt, 0.5, -0.4)
+    assert h_a == h_b  # price leg sees only dW1
+    h_c, y_c = _log_heston_step(p, 4.6, 0.3, dt, -0.2, 0.1)
+    assert y_a == y_c  # volatility leg sees only dW2
 
 
 def test_log_heston_degenerates_to_black_scholes():
@@ -475,12 +482,11 @@ def test_log_heston_degenerates_to_black_scholes():
     )
     y0 = math.sqrt(lam)
     dt = 1.0 / 64.0
-    dws = (np.array([0.08]), np.array([-0.05]))
-    h2, y2 = schemes.step_log_heston(p, (np.array([4.6]), np.array([y0])), dt, dws)
-    assert abs(y2[0] - y0) < 1e-7
+    h2, y2 = _log_heston_step(p, 4.6, y0, dt, 0.08, -0.05)
+    assert abs(y2 - y0) < 1e-7
     rho_bar = math.sqrt(1.0 - 0.25)
     bs = 4.6 + (0.05 - 0.5 * lam) * dt + y0 * (rho_bar * 0.08 - 0.5 * -0.05)
-    assert abs(h2[0] - bs) < 1e-12
+    assert abs(h2 - bs) < 1e-12
 
 
 # --- path simulation -------------------------------------------------------------------
@@ -534,15 +540,22 @@ def test_simulate_overflow_freezes_path():
     assert not np.isfinite(res.terminal[0, 0])
 
 
+def _lattice_run(cfg, model, lat):
+    """One recorded path on the lattice's finest grid."""
+    return schemes.simulate_batch(
+        cfg, model, lat.T / lat.finest_n, lat.increments[:, None, :], record_every=1
+    )
+
+
 def test_symmetrized_euler_never_negative():
     lat = bw.sample_lattice(bw.StreamKey(907, 0, 0), T=5.0, m=1, finest_n=512)
     cfg = schemes.StepperConfig(
         scheme_id="reflected_euler", projection=schemes.projection_abs()
     )
-    path = schemes.simulate_path(cfg, CIR, lat, 512)
-    assert path.negative_step_count == 0
-    assert path.values.min() >= 0.0
-    assert path.values[0, 0] == SC1.x0
+    res = _lattice_run(cfg, CIR, lat)
+    assert res.negative_steps[0] == 0
+    assert res.recorded.min() >= 0.0
+    assert res.recorded[0, 0, 0] == SC1.x0
 
 
 def test_modified_euler_agrees_with_explicit_on_clean_path():
@@ -552,12 +565,12 @@ def test_modified_euler_agrees_with_explicit_on_clean_path():
     )
     for idx in range(20):
         lat = bw.sample_lattice(bw.StreamKey(31, idx, 0), T=5.0, m=1, finest_n=2048)
-        path_mod = schemes.simulate_path(cfg_mod, CIR, lat, 2048)
-        if path_mod.negative_step_count == 0:
-            path_exp = schemes.simulate_path(
-                schemes.StepperConfig(scheme_id="explicit_euler"), CIR, lat, 2048
+        path_mod = _lattice_run(cfg_mod, CIR, lat)
+        if path_mod.negative_steps[0] == 0:
+            path_exp = _lattice_run(
+                schemes.StepperConfig(scheme_id="explicit_euler"), CIR, lat
             )
-            np.testing.assert_array_equal(path_mod.values, path_exp.values)
+            np.testing.assert_array_equal(path_mod.recorded, path_exp.recorded)
             break
     else:
         pytest.fail("no domain-clean path found in 20 tries")
@@ -583,17 +596,17 @@ def test_batch_equals_stacked_single_paths(rng):
         np.testing.assert_array_equal(batch.recorded[:, :, i], single.recorded[:, :, 0])
 
 
-def test_sample_path_interpolation():
+def test_record_every_keeps_every_sth_node():
     lat = bw.sample_lattice(bw.StreamKey(77, 0, 0), T=2.0, m=1, finest_n=4)
     cfg = schemes.StepperConfig(scheme_id="tamed_euler")
     m = models.build_model("cubic_toy", models.CubicToyParams(sigma=1.0, x0=0.5))
-    path = schemes.simulate_path(cfg, m, lat, 4)
-    nodes = path.grid.nodes()
-    mid = 0.5 * (nodes[1] + nodes[2])
-    want = 0.5 * (path.values[0, 1] + path.values[0, 2])
-    assert math.isclose(path.at(mid)[0], want, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        path.at(2.5)
+    incr = lat.increments[:, None, :]
+    every = schemes.simulate_batch(cfg, m, 0.5, incr, record_every=1)
+    second = schemes.simulate_batch(cfg, m, 0.5, incr, record_every=2)
+    np.testing.assert_array_equal(second.recorded, every.recorded[:, ::2])
+    np.testing.assert_array_equal(second.terminal, every.recorded[:, -1])
+    with pytest.raises(schemes.SchemeError, match="divide"):
+        schemes.simulate_batch(cfg, m, 0.5, incr, record_every=3)
 
 
 def test_stability_constants_gate():
@@ -621,6 +634,9 @@ def test_config_validation_rules():
     heston = models.get_preset("heston-mlmc").build()
     with pytest.raises(schemes.SchemeError, match="scalar noise"):
         schemes.make_stepper(schemes.StepperConfig(scheme_id="milstein"), heston)
+    for implicit in ("split_step_backward_euler", "backward_euler"):
+        with pytest.raises(schemes.SchemeError, match="scalar models"):
+            schemes.make_stepper(schemes.StepperConfig(scheme_id=implicit), heston)
     cev = models.get_preset("cev-set-1").build()
     with pytest.raises(schemes.SchemeError, match="full space"):
         schemes.make_stepper(
