@@ -16,9 +16,9 @@ estimators, reference-solution error curves) well defined.
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,11 +28,10 @@ import numpy as np
 GAUSSIAN_TRANSFORM = "philox4x64-ziggurat"
 
 _MAX_SUBSTREAM = 1 << 8
-_MAX_SAMPLE_INDEX = 1 << 56
+MAX_SAMPLE_INDEX = 1 << 56
 _MAX_SEED = 1 << 64
 
-_MAGIC = b"SDLB"
-_HEADER = struct.Struct("<4sIdIQQ")  # magic, version, T, m, finest_n, seed
+_BATCH_FLOATS = 1 << 23  # per-batch increment budget, keeps blocks ~64 MB
 
 
 class LatticeError(ValueError):
@@ -56,7 +55,7 @@ class StreamKey:
     def __post_init__(self) -> None:
         if not 0 <= int(self.seed) < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not 0 <= int(self.sample_index) < _MAX_SAMPLE_INDEX:
+        if not 0 <= int(self.sample_index) < MAX_SAMPLE_INDEX:
             raise ValueError(
                 f"sample_index must lie in [0, 2**56), got {self.sample_index}"
             )
@@ -122,31 +121,39 @@ def batch_standard_normals(
     return out
 
 
+def increment_block(
+    seed: int, sample_indices: Sequence[int], substream: int, m: int, n: int, dt: float
+) -> np.ndarray:
+    """Brownian increments of shape (m, b, n) over steps of length ``dt``.
+
+    Row j holds the normals of substream ``substream + j`` for each sample
+    index, scaled by sqrt(dt).  Every simulating experiment draws its noise
+    here, so this decides how the noise of a sample is addressed and scaled.
+    """
+    out = np.empty((m, len(sample_indices), n))
+    scale = math.sqrt(dt)
+    for j in range(m):
+        out[j] = batch_standard_normals(seed, sample_indices, substream + j, n)
+        out[j] *= scale
+    return out
+
+
+def increment_batches(
+    seed: int, n_samples: int, substream: int, m: int, n: int, dt: float,
+    index_offset: int = 0,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(sample_indices, increment_block)`` over samples
+    ``index_offset .. index_offset + n_samples - 1`` in index order, in
+    batches of at most ``_BATCH_FLOATS`` increments (and at least one path).
+    """
+    batch = max(1, min(n_samples, _BATCH_FLOATS // (n * m)))
+    for start in range(0, n_samples, batch):
+        idx = np.arange(start, min(start + batch, n_samples)) + index_offset
+        yield idx, increment_block(seed, idx, substream, m, n, dt)
+
+
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid 0 = t_0 < ... < t_n = T with t_k = k*T/n."""
-
-    T: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not self.T > 0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
-        if int(self.n) < 1:
-            raise ValueError(f"step count n must be >= 1, got {self.n}")
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.n
-
-    def nodes(self) -> np.ndarray:
-        t = np.arange(self.n + 1, dtype=np.float64) * self.T / self.n
-        t[-1] = self.T  # guard the endpoint against t_n = fl(n*T)/n != T
-        return t
 
 
 @dataclass(frozen=True)
@@ -214,9 +221,9 @@ def aggregate_to(arr: np.ndarray, n: int) -> np.ndarray:
     other route through intermediate dyadic levels.
     """
     fine = arr.shape[-1]
-    if not is_power_of_two(n) or n > fine or fine % n != 0:
+    if n < 1 or fine % n != 0 or not is_power_of_two(fine // n):
         raise LatticeError(
-            f"target resolution {n} must be a power-of-two divisor of {fine}"
+            f"target resolution {n} must divide {fine} by a power of two"
         )
     out = arr
     while out.shape[-1] > n:
@@ -232,71 +239,3 @@ def increments_at(lattice: BrownianLattice, n: int) -> np.ndarray:
     if n == lattice.finest_n:
         return lattice.increments
     return aggregate_to(lattice.increments, n)
-
-
-def brownian_path(lattice: BrownianLattice, n: int) -> np.ndarray:
-    """W(t_k) at the n-step grid nodes, shape (m, n+1), W(0) = 0."""
-    incr = increments_at(lattice, n)
-    path = np.zeros((lattice.m, n + 1))
-    np.cumsum(incr, axis=1, out=path[:, 1:])
-    return path
-
-
-def bridge_refine(lattice: BrownianLattice, key: StreamKey) -> BrownianLattice:
-    """Split every increment in two by Brownian-bridge interpolation.
-
-    An increment d over a step of length h becomes (d/2 + xi, d - (d/2 + xi))
-    with xi ~ N(0, h/4); the second child is the float remainder, so
-    aggregating the refined lattice reproduces ``lattice`` up to one rounding
-    of the child magnitude per entry (when |xi| >> |d| the remainder d - c1
-    is not representable, so bit-exact reproduction is unattainable for any
-    split of the form d/2 +- xi).  Fresh noise comes from ``key`` (substream
-    ``key.substream + j`` for dimension j), so refinement is as reproducible
-    as sampling.
-    """
-    old = lattice.increments
-    m, n = old.shape
-    scale = np.sqrt(lattice.T / n / 4.0)
-    xi = np.empty((m, n))
-    for j in range(m):
-        gen = derive_stream(key.with_substream(key.substream + j))
-        xi[j] = gen.standard_normal(n)
-    xi *= scale
-    fine = np.empty((m, 2 * n))
-    fine[:, 0::2] = old / 2.0 + xi
-    fine[:, 1::2] = old - fine[:, 0::2]
-    return BrownianLattice(
-        T=lattice.T, m=m, finest_n=2 * n, increments=fine, key=lattice.key
-    )
-
-
-def save_lattice(lattice: BrownianLattice, path: str) -> None:
-    """Binary dump: fixed header (T, m, finest_n, seed), float64 row-major payload."""
-    seed = lattice.key.seed if lattice.key is not None else 0
-    header = _HEADER.pack(_MAGIC, 1, lattice.T, lattice.m, lattice.finest_n, seed)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(lattice.increments, dtype=np.float64).tobytes())
-
-
-def load_lattice(path: str) -> BrownianLattice:
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise LatticeError(f"{path}: truncated header")
-        magic, version, T, m, finest_n, seed = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise LatticeError(f"{path}: not a lattice dump")
-        if version != 1:
-            raise LatticeError(f"{path}: unsupported dump version {version}")
-        payload = fh.read()
-    expected = 8 * m * finest_n
-    if len(payload) != expected:
-        raise LatticeError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    incr = np.frombuffer(payload, dtype="<f8").reshape(m, finest_n).copy()
-    return BrownianLattice(
-        T=T, m=int(m), finest_n=int(finest_n), increments=incr,
-        key=StreamKey(seed) if seed else None,
-    )

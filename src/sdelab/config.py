@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import models, schemes
+from .brownian import MAX_SAMPLE_INDEX
 
 EXPERIMENT_KINDS = (
     "negstats",
@@ -482,11 +483,11 @@ def _check_run_values(kind, run, run_raw, errors):
     def bad(key, msg):
         errors.append(f"line {_line_of(run_raw, key)}: {msg}")
 
-    for key in ("n", "n_samples", "p", "ref_n", "replications", "sample_index"):
-        if key in run and run[key] < 1 and key != "sample_index":
+    for key in ("n", "n_samples", "p", "ref_n", "replications"):
+        if key in run and run[key] < 1:
             bad(key, f"{key!r} must be >= 1, got {run[key]}")
-    if "sample_index" in run and run["sample_index"] < 0:
-        bad("sample_index", "sample_index must be >= 0")
+    if "sample_index" in run and not 0 <= run["sample_index"] < MAX_SAMPLE_INDEX:
+        bad("sample_index", "sample_index must lie in [0, 2**56)")
     for key in ("n_list", "n_samples_list"):
         if key in run and (not run[key] or any(v < 1 for v in run[key])):
             bad(key, f"{key!r} must list integers >= 1")
@@ -516,6 +517,11 @@ def _check_run_values(kind, run, run_raw, errors):
             bad("truth", f"'truth' must be a number or 'oracle', got {run['truth']!r}")
     if kind == "price" and run.get("method") == "mc_discarded" and "radius" not in run:
         errors.append("[run]: method 'mc_discarded' requires 'radius'")
+    if kind == "price" and "radius" in run and run.get("method") != "mc_discarded":
+        bad("radius", "'radius' applies only to method 'mc_discarded'")
+    if "radius" in run and "policy" in run:
+        bad("policy", "'policy' has no effect with 'radius': paths that leave "
+            "the radius or overflow count as zero")
     if kind == "price":
         method = run.get("method")
         if method in ("mc", "mc_discarded"):

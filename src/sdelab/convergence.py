@@ -32,8 +32,6 @@ from .schemes import (
     simulate_batch,
 )
 
-_BATCH_FLOATS = 1 << 23  # per-batch increment budget, keeps blocks ~64 MB
-
 
 class MeasurementError(ValueError):
     """Ill-posed error-curve request (grids, references, fit inputs)."""
@@ -156,15 +154,17 @@ def strong_error_curves(
     ref_n: int | None = None,
     reference: str = "scheme",
     policy: str = "propagate",
+    index_offset: int = 0,
     substream: int = 0,
-    batch_floats: int = _BATCH_FLOATS,
 ) -> list[ErrorReport]:
     """Coupled strong-error curves for several schemes over one sample set.
 
-    Brownian paths use sample indices 0..n_samples-1 of the given seed; the
-    reference path is simulated once per sample and shared by all configs.
-    ``reference="exact"`` (geometric Brownian motion only) compares against
-    the closed-form solution on the same Brownian path instead of a scheme.
+    Brownian paths use sample indices index_offset .. index_offset +
+    n_samples - 1 of the given seed; the reference path is simulated once
+    per sample and shared by all configs.  ``reference="exact"`` (geometric
+    Brownian motion only) compares against the closed-form solution on the
+    same Brownian path instead of a scheme.  A pathwise curve is the case
+    ``n_samples=1, p=1``: the error along the one path ``index_offset``.
     """
     if policy not in ("propagate", "exclude"):
         raise MeasurementError(f"unknown overflow policy {policy!r}")
@@ -197,16 +197,9 @@ def strong_error_curves(
     ref_overflowed = 0
 
     dt_ref = T / ref_n
-    batch = max(1, min(n_samples, batch_floats // (ref_n * m)))
-    for start in range(0, n_samples, batch):
-        idx = np.arange(start, min(start + batch, n_samples))
-        incr = np.stack(
-            [
-                bw.batch_standard_normals(seed, idx, substream + j, ref_n)
-                * math.sqrt(dt_ref)
-                for j in range(m)
-            ]
-        )
+    for idx, incr in bw.increment_batches(
+        seed, n_samples, substream, m, ref_n, dt_ref, index_offset
+    ):
         if reference == "scheme":
             stride = ref_n // n_top
             rres = simulate_batch(ref_config, model, dt_ref, incr, record_every=stride)
@@ -304,91 +297,6 @@ def strong_error_curves(
     return reports
 
 
-def pathwise_error_curve(
-    config: StepperConfig,
-    model: Model,
-    *,
-    T: float,
-    key: bw.StreamKey,
-    n_list: Sequence[int],
-    ref_config: StepperConfig | None = None,
-    ref_n: int | None = None,
-    reference: str = "scheme",
-) -> ErrorReport:
-    """Error curve along one fixed Brownian path (no averaging).
-
-    All resolutions and the reference run on the same lattice sampled from
-    ``key``, so the curve shows the pathwise convergence for that single
-    realization.  If the reference overflows the report is marked invalid.
-    """
-    if reference not in ("scheme", "exact"):
-        raise MeasurementError(f"unknown reference kind {reference!r}")
-    if reference == "exact" and model.model_id != "gbm":
-        raise MeasurementError("exact reference is available for gbm only")
-    ns = sorted(set(int(n) for n in n_list))
-    if not ns:
-        raise MeasurementError("n_list is empty")
-    if ref_n is None:
-        ref_n = 4 * max(ns) if reference == "scheme" else max(ns)
-    ns = _validate_n_list(ns, ref_n)
-    n_top = max(ns)
-    lattice = bw.sample_lattice(key, T=T, m=model.m, finest_n=ref_n)
-    incr = lattice.increments[:, None, :]
-
-    if reference == "scheme":
-        if ref_config is None:
-            ref_config = default_reference_config(config, model)
-        rres = simulate_batch(
-            ref_config, model, T / ref_n, incr, record_every=ref_n // n_top
-        )
-        ref_top = rres.recorded
-        ref_bad = bool(rres.overflow[0])
-    else:
-        incr_top = bw.increments_at(lattice, n_top)
-        w = np.concatenate([[0.0], np.cumsum(incr_top[0])])
-        ref_top = gbm_exact_nodes(model.params, T, n_top, w[None]).T[None]
-        ref_bad = False
-
-    errors = []
-    over = []
-    for n in ns:
-        incr_n = bw.increments_at(lattice, n)[:, None, :]
-        res = simulate_batch(config, model, T / n, incr_n, record_every=1)
-        ref_sub = ref_top[:, :: n_top // n, :]
-        errors.append(float(_dist_max(res.recorded, ref_sub)[0]))
-        over.append(int(res.overflow[0]) + int(ref_bad))
-
-    steps = [T / n for n in ns]
-    order = np.argsort([-s for s in steps])
-    steps_dec = tuple(steps[i] for i in order)
-    errs_dec = tuple(errors[i] for i in order)
-    ov_dec = tuple(over[i] for i in order)
-    valid = not ref_bad
-    reg = None
-    if valid and len(ns) >= 2 and all(math.isfinite(e) and e > 0 for e in errs_dec):
-        reg = fit_order(steps_dec, errs_dec)
-    return ErrorReport(
-        stepsizes=steps_dec,
-        errors=errs_dec,
-        p=1,
-        regression=reg,
-        stderrs=None,
-        overflow_counts=ov_dec,
-        valid=valid,
-        metadata={
-            "scheme_id": config.scheme_id,
-            "model_id": model.model_id,
-            "T": T,
-            "key": (key.seed, key.sample_index, key.substream),
-            "reference": (
-                "exact"
-                if reference == "exact"
-                else f"{ref_config.scheme_id}@n={ref_n}"
-            ),
-        },
-    )
-
-
 def negativity_stats(
     config: StepperConfig,
     model: Model,
@@ -398,7 +306,6 @@ def negativity_stats(
     n: int,
     n_samples: int,
     substream: int = 0,
-    batch_floats: int = _BATCH_FLOATS,
 ) -> NegativityStats:
     """Average negative steps per path and the fraction of negative paths.
 
@@ -412,12 +319,7 @@ def negativity_stats(
     dt = T / n
     total_neg = 0
     neg_paths = 0
-    batch = max(1, min(n_samples, batch_floats // n))
-    for start in range(0, n_samples, batch):
-        idx = np.arange(start, min(start + batch, n_samples))
-        incr = (
-            bw.batch_standard_normals(seed, idx, substream, n) * math.sqrt(dt)
-        )[None]
+    for _, incr in bw.increment_batches(seed, n_samples, substream, 1, n, dt):
         res = simulate_batch(config, model, dt, incr)
         total_neg += int(res.negative_steps.sum())
         neg_paths += int((res.negative_steps > 0).sum())

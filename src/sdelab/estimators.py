@@ -18,9 +18,7 @@ import numpy as np
 
 from . import brownian as bw
 from .models import Model
-from .schemes import StepperConfig, make_stepper, simulate_batch
-
-_BATCH_FLOATS = 1 << 23
+from .schemes import BatchResult, StepperConfig, make_stepper, simulate_batch
 
 
 class EstimatorError(ValueError):
@@ -209,6 +207,17 @@ def _observable_row(model: Model, row: np.ndarray) -> np.ndarray:
     return model.observable(row[None])
 
 
+def _payoff_values(
+    model: Model, payoff: PayoffSpec, T: float, res: BatchResult
+) -> np.ndarray:
+    """Discounted payoff of each simulated path in ``res``."""
+    rmin = rmax = None
+    if res.runmin is not None:
+        rmin = _observable_row(model, res.runmin)
+        rmax = _observable_row(model, res.runmax)
+    return payoff.evaluate(model.observable(res.terminal), T, rmin, rmax)
+
+
 def mc_estimate(
     config: StepperConfig,
     model: Model,
@@ -222,7 +231,6 @@ def mc_estimate(
     radius: float | None = None,
     index_offset: int = 0,
     substream: int = 0,
-    batch_floats: int = _BATCH_FLOATS,
 ) -> PriceEstimate:
     """Plain Monte Carlo mean of the discounted payoff at resolution n.
 
@@ -243,31 +251,18 @@ def mc_estimate(
             raise EstimatorError("the discarded-path estimator is scalar-only")
     make_stepper(config, model)
     track = payoff.needs_extrema or radius is not None
-    m = model.m
     dt = T / n
     total = 0.0
     total_sq = 0.0
     kept = 0
     n_over = 0
     steps = 0
-    batch = max(1, min(n_samples, batch_floats // (n * m)))
-    for start in range(0, n_samples, batch):
-        idx = np.arange(start, min(start + batch, n_samples)) + index_offset
-        incr = np.stack(
-            [
-                bw.batch_standard_normals(seed, idx, substream + j, n)
-                * math.sqrt(dt)
-                for j in range(m)
-            ]
-        )
+    for idx, incr in bw.increment_batches(
+        seed, n_samples, substream, model.m, n, dt, index_offset
+    ):
         res = simulate_batch(config, model, dt, incr, track_extrema=track)
         steps += res.steps * len(idx)
-        obs_T = model.observable(res.terminal)
-        rmin = rmax = None
-        if track:
-            rmin = _observable_row(model, res.runmin)
-            rmax = _observable_row(model, res.runmax)
-        vals = payoff.evaluate(obs_T, T, rmin, rmax)
+        vals = _payoff_values(model, payoff, T, res)
         over = res.overflow
         n_over += int(over.sum())
         if radius is not None:
@@ -341,7 +336,6 @@ def mlmc_estimate(
         raise EstimatorError(f"unknown overflow policy {policy!r}")
     plan = plan or mlmc_plan(epsilon, T)
     make_stepper(config, model)
-    m = model.m
     track = payoff.needs_extrema
     offsets = [index_offset]
     for nl in plan.samples:
@@ -359,22 +353,10 @@ def mlmc_estimate(
         n_fine = 2**level
         idx = np.arange(n_l) + offsets[level]
         dt_f = T / n_fine
-        incr = np.stack(
-            [
-                bw.batch_standard_normals(seed, idx, substream + j, n_fine)
-                * math.sqrt(dt_f)
-                for j in range(m)
-            ]
-        )
+        incr = bw.increment_block(seed, idx, substream, model.m, n_fine, dt_f)
         fine = simulate_batch(config, model, dt_f, incr, track_extrema=track)
         steps += fine.steps * n_l
-        obs_f = model.observable(fine.terminal)
-        pf = payoff.evaluate(
-            obs_f,
-            T,
-            _observable_row(model, fine.runmin) if track else None,
-            _observable_row(model, fine.runmax) if track else None,
-        )
+        pf = _payoff_values(model, payoff, T, fine)
         over = fine.overflow
         if level == 0:
             y = pf
@@ -388,13 +370,7 @@ def mlmc_estimate(
                 track_extrema=track,
             )
             steps += coarse.steps * n_l
-            obs_c = model.observable(coarse.terminal)
-            pc = payoff.evaluate(
-                obs_c,
-                T,
-                _observable_row(model, coarse.runmin) if track else None,
-                _observable_row(model, coarse.runmax) if track else None,
-            )
+            pc = _payoff_values(model, payoff, T, coarse)
             over = over | coarse.overflow
             y = pf - pc
         n_over_l = int(over.sum())

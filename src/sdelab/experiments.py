@@ -152,22 +152,25 @@ def _run_pathwise(cfg, model, seed, out_dir, threads, header):
         if "ref_scheme" in run
         else None
     )
-    key = bw.StreamKey(seed, run.get("sample_index", 0), 0)
-    report = convergence.pathwise_error_curve(
-        scheme_cfg,
+    # a pathwise curve is a one-sample strong curve; one path has no stderr
+    (report,) = convergence.strong_error_curves(
+        [scheme_cfg],
         model,
         T=cfg.T,
-        key=key,
+        seed=seed,
         n_list=run["n_list"],
+        n_samples=1,
+        p=1,
         ref_config=ref_cfg,
         ref_n=run.get("ref_n"),
         reference=run.get("reference", "scheme"),
+        index_offset=run.get("sample_index", 0),
     )
     path = os.path.join(out_dir, "pathwise.csv")
     util.write_csv(
         path,
         ("delta", "error", "stderr", "n_overflow"),
-        _report_rows(report),
+        [(dt, err, None, ov) for dt, err, _, ov in _report_rows(report)],
         header + [f"reference = {report.metadata['reference']}"],
         _regression_comments(report),
     )
@@ -250,6 +253,19 @@ def _run_explode(cfg, model, seed, out_dir, threads, header):
     return [path]
 
 
+def _estimate_at(method, scheme_cfg, model, payoff, T, seed, policy, epsilon):
+    """One multilevel ("mlmc") or standard-pairing estimate at accuracy epsilon."""
+    if method == "mlmc":
+        return estimators.mlmc_estimate(
+            scheme_cfg, model, payoff, T=T, epsilon=epsilon, seed=seed, policy=policy,
+        )
+    pairing = estimators.mc_standard_pairing(epsilon, T)
+    return estimators.mc_estimate(
+        scheme_cfg, model, payoff, T=T, seed=seed,
+        n=pairing.n, n_samples=pairing.n_samples, policy=policy,
+    )
+
+
 def _run_mlmc(cfg, model, seed, out_dir, threads, header):
     run = cfg.run
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
@@ -293,28 +309,9 @@ def _run_mlmc(cfg, model, seed, out_dir, threads, header):
             rows.append(
                 (eps, levels, steps, mean_est, study.rmsq, study.n_overflow)
             )
-        elif method == "mlmc":
-            est = estimators.mlmc_estimate(
-                scheme_cfg,
-                model,
-                payoff,
-                T=cfg.T,
-                epsilon=eps,
-                seed=seed,
-                policy=policy,
-            )
-            rows.append((eps, levels, est.total_steps, est.value, None,
-                         est.n_overflow))
         else:
-            est = estimators.mc_estimate(
-                scheme_cfg,
-                model,
-                payoff,
-                T=cfg.T,
-                seed=seed,
-                n=pairing.n,
-                n_samples=pairing.n_samples,
-                policy=policy,
+            est = _estimate_at(
+                method, scheme_cfg, model, payoff, cfg.T, seed, policy, eps
             )
             rows.append((eps, levels, est.total_steps, est.value, None,
                          est.n_overflow))
@@ -339,18 +336,11 @@ def _run_price(cfg, model, seed, out_dir, threads, header):
         est = estimators.mc_estimate(
             scheme_cfg, model, payoff, T=cfg.T, seed=seed,
             n=run["n"], n_samples=run["n_samples"], policy=policy,
-            radius=run["radius"] if method == "mc_discarded" else None,
-        )
-    elif method == "mlmc":
-        est = estimators.mlmc_estimate(
-            scheme_cfg, model, payoff, T=cfg.T, epsilon=run["epsilon"],
-            seed=seed, policy=policy,
+            radius=run.get("radius"),
         )
     else:
-        pairing = estimators.mc_standard_pairing(run["epsilon"], cfg.T)
-        est = estimators.mc_estimate(
-            scheme_cfg, model, payoff, T=cfg.T, seed=seed,
-            n=pairing.n, n_samples=pairing.n_samples, policy=policy,
+        est = _estimate_at(
+            method, scheme_cfg, model, payoff, cfg.T, seed, policy, run["epsilon"]
         )
     path = os.path.join(out_dir, "price.csv")
     util.write_csv(

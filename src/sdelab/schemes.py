@@ -111,25 +111,15 @@ def projection_abs() -> ProjectionMap:
     return ProjectionMap(name="abs", psi=np.abs)
 
 
-def projection_constant(c: float) -> ProjectionMap:
-    return ProjectionMap(
-        name=f"const({c})",
-        psi=lambda x: np.full_like(np.asarray(x, dtype=np.float64), c),
-    )
-
-
 @dataclass(frozen=True)
 class SolverSettings:
     """Controls for the implicit-step equation x - drift(x)*dt = rhs."""
 
-    mode: str = "newton_bisection"  # or "closed_form"
     abs_tol: float = 1e-12
     max_iter: int = 100
     bracket_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("newton_bisection", "closed_form"):
-            raise SchemeError(f"unknown solver mode {self.mode!r}")
         if not self.abs_tol > 0:
             raise SchemeError(f"abs_tol must be positive, got {self.abs_tol}")
         if self.max_iter < 1:
@@ -150,9 +140,6 @@ class StepperConfig:
     ``truncate_sqrt`` opts the square-root-process implicit schemes into
     evaluating sqrt(x^+) instead of sqrt(x), which is how they are run when
     the Feller-type conditions fail and iterates may leave the domain.
-    ``stability_constants`` are the optional one-sided-Lipschitz/growth
-    constants (L1, L2); when provided, simulation checks the implicit-scheme
-    well-definedness bound dt < 1/max(1 + 2*L1, 4*L2).
     """
 
     scheme_id: str
@@ -160,7 +147,6 @@ class StepperConfig:
     projection: ProjectionMap | None = None
     solver: SolverSettings = field(default_factory=SolverSettings)
     truncate_sqrt: bool = False
-    stability_constants: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         entry = SCHEMES.get(self.scheme_id)
@@ -327,8 +313,6 @@ def solve_drift_implicit(
     rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
     if closed_form is not None:
         return closed_form(rhs, dt)
-    if settings.mode == "closed_form":
-        raise SolverError("closed_form mode requested but no closed form registered")
 
     def g(x):
         return x - dt * drift(x) - rhs
@@ -814,14 +798,6 @@ def simulate_batch(
     but the iteration continues for the rest of the batch; the frozen values
     stay non-finite (all maps here propagate them).
     """
-    if config.stability_constants is not None:
-        l1, l2 = config.stability_constants
-        bound = implicit_step_bound(l1, l2)
-        if not dt < bound:
-            raise SchemeError(
-                f"dt = {dt} violates the implicit-scheme bound dt < {bound} "
-                f"for (L1, L2) = {config.stability_constants}"
-            )
     stepper = make_stepper(config, model)
     m, b, n = incr.shape
     if m != model.m:

@@ -652,3 +652,44 @@ def test_every_model_alias_and_kind_exits_cleanly(tmp_path, capsys):
                     tracebacks.append(f"{label} {alias} {kind}: exit {rc}")
     capsys.readouterr()
     assert not tracebacks, f"{len(tracebacks)} runs failed:\n" + "\n".join(tracebacks)
+
+
+# (kind, [run] block, exit code, text the error must contain)
+EDGE_RUNS = {
+    # resolutions only need to divide ref_n by a power of two
+    "converge-n3": ("converge", "n_list = 3, 6\nn_samples = 4\nref_n = 12", 0, None),
+    "pathwise-n3": ("pathwise", "n_list = 3, 6\nref_n = 12", 0, None),
+    "pathwise-last-index": (
+        "pathwise", "n_list = 2, 4\nsample_index = 72057594037927935", 0, None,
+    ),
+    "pathwise-index-2^56": (
+        "pathwise", "n_list = 2, 4\nsample_index = 72057594037927936", 2, "sample_index",
+    ),
+    # keys the run would ignore are config errors
+    "price-mc-radius": (
+        "price", "method = mc\nn = 8\nn_samples = 16\nradius = 0.1", 2, "'radius'",
+    ),
+    "price-standard-radius": (
+        "price", "method = standard\nepsilon = 2^-1\nradius = 0.1", 2, "'radius'",
+    ),
+    "explode-radius-policy": (
+        "explode", "n_list = 2, 4\nn_samples = 8\nradius = 0.1\npolicy = exclude",
+        2, "'policy'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, run_block, code, needle", list(EDGE_RUNS.values()), ids=list(EDGE_RUNS)
+)
+def test_cli_exit_code_of_edge_configs(tmp_path, capsys, kind, run_block, code, needle):
+    text = (
+        f"[experiment]\nkind = {kind}\nseed = 5\n\n[model]\n{SWEEP_MODELS['gbm']}\n\n"
+        f"[scheme]\nscheme = euler\n\n[run]\n{run_block}\n"
+    )
+    cfg = _write(tmp_path / "edge.cfg", text)
+    rc = cli.main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    if needle is not None:
+        assert needle in err

@@ -98,10 +98,12 @@ def test_max_node_error_constant_offset():
 
 
 def test_max_node_error_uses_shared_nodes_only():
-    # the curve at n compares against the reference at every (ref_n/n)-th node
-    key = bw.StreamKey(seed=3, sample_index=0, substream=0)
-    rep = cv.pathwise_error_curve(
-        EULER, GBM, T=1.0, key=key, n_list=[8], ref_config=EULER, ref_n=32
+    # the curve at n compares against the reference at every (ref_n/n)-th
+    # node; a one-sample curve at index_offset k runs on sample k's lattice
+    key = bw.StreamKey(seed=3, sample_index=5, substream=0)
+    (rep,) = cv.strong_error_curves(
+        [EULER], GBM, T=1.0, seed=3, n_list=[8], n_samples=1, p=1,
+        ref_config=EULER, ref_n=32, index_offset=5,
     )
     lat = bw.sample_lattice(key, T=1.0, m=1, finest_n=32)
     ref = schemes.simulate_batch(
@@ -122,11 +124,11 @@ def test_max_node_error_euclidean_distance():
 
 def test_max_node_error_rejects_incompatible_paths():
     # grids that do not nest dyadically in the reference share no node set
-    key = bw.StreamKey(seed=1, sample_index=0, substream=0)
     for n_list, ref_n in ([6], 8), ([16], 8):
         with pytest.raises(MeasurementError, match="dyadically"):
-            cv.pathwise_error_curve(
-                EULER, GBM, T=1.0, key=key, n_list=n_list, ref_n=ref_n
+            cv.strong_error_curves(
+                [EULER], GBM, T=1.0, seed=1, n_list=n_list, n_samples=1, p=1,
+                ref_n=ref_n,
             )
 
 
@@ -179,17 +181,19 @@ def test_strong_self_reference_error_is_exact_zero():
 
 
 def test_pathwise_self_comparison_is_zero():
-    rep = cv.pathwise_error_curve(
-        EULER,
+    (rep,) = cv.strong_error_curves(
+        [EULER],
         GBM,
         T=1.0,
-        key=bw.StreamKey(seed=7, sample_index=0, substream=0),
+        seed=7,
         n_list=[64],
+        n_samples=1,
+        p=1,
         ref_config=EULER,
         ref_n=64,
     )
     assert rep.errors == (0.0,)
-    assert rep.p == 1 and rep.stderrs is None
+    assert rep.p == 1
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +201,14 @@ def test_pathwise_self_comparison_is_zero():
 
 
 def test_pathwise_gbm_euler_against_exact_solution():
-    rep = cv.pathwise_error_curve(
-        EULER,
+    (rep,) = cv.strong_error_curves(
+        [EULER],
         GBM,
         T=1.0,
-        key=bw.StreamKey(seed=12, sample_index=0, substream=0),
+        seed=12,
         n_list=[2**k for k in range(4, 11)],
+        n_samples=1,
+        p=1,
         reference="exact",
     )
     assert rep.metadata["reference"] == "exact"
@@ -212,18 +218,21 @@ def test_pathwise_gbm_euler_against_exact_solution():
 def test_pathwise_cir_milstein_beats_euler_on_one_path():
     # Scenario I, single driving path: the truncated Milstein scheme shows
     # roughly first-order decay while truncated Euler stays near one half.
-    key = bw.StreamKey(seed=21, sample_index=0, substream=0)
-    ref = schemes.StepperConfig(scheme_id="cir_implicit_sqrt_euler")
-    kw = dict(T=5.0, key=key, n_list=[2**k for k in range(8, 14)], ref_config=ref, ref_n=2**15)
-    mil = cv.pathwise_error_curve(
-        schemes.StepperConfig(
-            scheme_id="modified_milstein",
-            extension=schemes.extension_truncated_sqrt(SC1),
-        ),
-        _cir_sc1(),
-        **kw,
+    milstein = schemes.StepperConfig(
+        scheme_id="modified_milstein",
+        extension=schemes.extension_truncated_sqrt(SC1),
     )
-    eul = cv.pathwise_error_curve(_truncated_euler(), _cir_sc1(), **kw)
+    mil, eul = cv.strong_error_curves(
+        [milstein, _truncated_euler()],
+        _cir_sc1(),
+        T=5.0,
+        seed=21,
+        n_list=[2**k for k in range(8, 14)],
+        n_samples=1,
+        p=1,
+        ref_config=schemes.StepperConfig(scheme_id="cir_implicit_sqrt_euler"),
+        ref_n=2**15,
+    )
     assert 0.8 < mil.regression.slope < 1.25
     assert 0.35 < eul.regression.slope < 0.65
     assert mil.regression.slope > eul.regression.slope
@@ -317,6 +326,18 @@ def test_reference_overflow_invalidates_report():
     assert rep.overflow_counts[0] > 0
 
 
+def test_overflow_in_scheme_and_reference_counts_the_path_once():
+    # on this 3/2-model path both the Euler scheme and its reference overflow
+    preset = models.get_preset("three-halves-mc")
+    model = models.build_model(preset.model_id, preset.params)
+    (rep,) = cv.strong_error_curves(
+        [EULER], model, T=preset.T, seed=1865, n_list=[16], n_samples=1, p=1,
+        ref_n=64,
+    )
+    assert rep.overflow_counts == (1,)
+    assert rep.errors == (math.inf,) and not rep.valid
+
+
 # ---------------------------------------------------------------------------
 # input validation
 
@@ -347,12 +368,8 @@ def test_reference_and_policy_guards():
             [EULER], GBM, T=1.0, seed=1, n_list=[8], n_samples=2, policy="drop"
         )
     with pytest.raises(MeasurementError, match="reference"):
-        cv.pathwise_error_curve(
-            EULER,
-            GBM,
-            T=1.0,
-            key=bw.StreamKey(seed=1, sample_index=0, substream=0),
-            n_list=[8],
+        cv.strong_error_curves(
+            [EULER], GBM, T=1.0, seed=1, n_list=[8], n_samples=1,
             reference="closed_form",
         )
 

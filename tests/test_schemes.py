@@ -134,9 +134,9 @@ def test_reflected_symmetrizes_negative_excursion():
 
 
 def test_reflected_constant_projection():
+    const = schemes.ProjectionMap(name="const(0.07)", psi=lambda x: np.full_like(x, 0.07))
     out = schemes.step_reflected(
-        CIR, schemes.projection_constant(0.07), np.array([0.04]), 1.0 / 512.0,
-        np.array([-0.7]),
+        CIR, const, np.array([0.04]), 1.0 / 512.0, np.array([-0.7])
     )
     assert out[0] == 0.07
 
@@ -145,7 +145,7 @@ def test_reflected_constant_projection():
 
 
 def test_solve_linear_drift():
-    settings = schemes.SolverSettings(mode="newton_bisection")
+    settings = schemes.SolverSettings()
     x = schemes.solve_drift_implicit(
         lambda x: -x, np.array([1.0]), 1.0, models.FULL_LINE, settings
     )
@@ -179,7 +179,7 @@ def _bisect_oracle(fn, lo, hi, tol=1e-14):
 
 def test_newton_matches_bisection_on_ait_sahalia(rng):
     dt = 0.01
-    settings = schemes.SolverSettings(mode="newton_bisection")
+    settings = schemes.SolverSettings()
     for rhs in rng.uniform(0.1, 5.0, 20):
         got = schemes.solve_drift_implicit(
             AS.drift, np.array([rhs]), dt, AS.domain, settings
@@ -607,17 +607,6 @@ def test_record_every_keeps_every_sth_node():
     np.testing.assert_array_equal(second.terminal, every.recorded[:, -1])
     with pytest.raises(schemes.SchemeError, match="divide"):
         schemes.simulate_batch(cfg, m, 0.5, incr, record_every=3)
-
-
-def test_stability_constants_gate():
-    cfg = schemes.StepperConfig(
-        scheme_id="split_step_backward_euler", stability_constants=(2.0, 3.0)
-    )
-    incr = np.zeros((1, 1, 4))
-    with pytest.raises(schemes.SchemeError, match="bound"):
-        schemes.simulate_batch(cfg, CIR, 0.25, incr)  # 0.25 >= 1/12
-    # below the bound the same config runs
-    schemes.simulate_batch(cfg, CIR, 0.01, incr)
 
 
 def test_config_validation_rules():
