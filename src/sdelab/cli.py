@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="output directory for CSV files (default: config, else '.')",
         )
         p.add_argument(
-            "--threads", type=int, metavar="N",
+            "--threads", type=int, default=1, metavar="N",
             help="worker threads; affects wall time only, never results",
         )
     return parser
@@ -82,11 +82,10 @@ def main(argv: list[str] | None = None) -> int:
                     "[experiment]; runs are never seeded from the clock"
                 ]
             )
-        threads = args.threads if args.threads is not None else cfg.threads
-        if threads < 1:
-            raise ConfigError([f"--threads must be >= 1, got {threads}"])
+        if args.threads < 1:
+            raise ConfigError([f"--threads must be >= 1, got {args.threads}"])
         out_dir = args.out if args.out is not None else (cfg.out or ".")
-        paths = run_experiment(cfg, seed=seed, out_dir=out_dir, threads=threads)
+        paths = run_experiment(cfg, seed=seed, out_dir=out_dir, threads=args.threads)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)

@@ -75,7 +75,6 @@ class ExperimentConfig:
     run: dict
     seed: int | None = None
     out: str | None = None
-    threads: int = 1
 
 
 def _parse_float(text: str) -> float:
@@ -132,7 +131,6 @@ _SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
         "kind": _parse_str,
         "seed": _parse_int,
         "out": _parse_str,
-        "threads": _parse_int,
     },
     "model": {
         "preset": _parse_str,
@@ -426,9 +424,6 @@ def parse_config(text: str) -> ExperimentConfig:
             f"line {_line_of(exp_raw, 'seed')}: seed must fit in an unsigned "
             f"64-bit integer, got {seed}"
         )
-    threads = exp.get("threads", 1)
-    if threads < 1:
-        errors.append(f"line {_line_of(exp_raw, 'threads')}: threads must be >= 1")
 
     resolved = None
     if "model" not in sections:
@@ -475,7 +470,6 @@ def parse_config(text: str) -> ExperimentConfig:
         run=run,
         seed=seed,
         out=exp.get("out"),
-        threads=threads,
     )
 
 

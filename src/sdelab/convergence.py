@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import brownian as bw
+from . import brownian as bw, util
 from .models import Model
 from .oracles import gbm_exact_nodes
 from .schemes import (
@@ -121,10 +121,10 @@ def _dist_max(rec: np.ndarray, ref: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         diff = ref - rec
         if diff.shape[0] == 1:
-            dist = np.abs(diff[0])
+            dist = np.abs(diff[0], out=diff[0])  # in place: one block, not three
         else:
             dist = np.sqrt((diff**2).sum(axis=0))
-    dist = np.where(np.isfinite(dist), dist, np.inf)
+    dist[~np.isfinite(dist)] = np.inf
     return dist.max(axis=0)
 
 
@@ -190,9 +190,7 @@ def strong_error_curves(
 
     m = model.m
     nc, nn = len(configs), len(ns)
-    pow_sum = np.zeros((nc, nn))
-    pow_sq = np.zeros((nc, nn))
-    kept = np.zeros((nc, nn), dtype=np.int64)
+    pows: list[list[list[np.ndarray]]] = [[[] for _ in ns] for _ in configs]
     over = np.zeros((nc, nn), dtype=np.int64)
     ref_overflowed = 0
 
@@ -226,11 +224,7 @@ def strong_error_curves(
                 else:
                     errs = np.where(bad, np.inf, errs)
                 with np.errstate(over="ignore"):
-                    ep = errs**p
-                    pow_sum[j_c, j_n] += ep.sum()
-                    finite = ep[np.isfinite(ep)]
-                    pow_sq[j_c, j_n] += (finite**2).sum()
-                kept[j_c, j_n] += len(errs)
+                    pows[j_c][j_n].append(errs**p)
 
     reports = []
     steps = tuple(T / n for n in ns)  # increasing n -> decreasing dt
@@ -238,28 +232,18 @@ def strong_error_curves(
     for j_c, cfg in enumerate(configs):
         errors, stderrs = [], []
         for j_n in range(nn):
-            cnt = kept[j_c, j_n]
-            if cnt == 0:
-                errors.append(math.inf)
-                stderrs.append(math.inf)
-                continue
-            mean_p = pow_sum[j_c, j_n] / cnt
-            err = mean_p ** (1.0 / p)
-            if math.isfinite(mean_p) and cnt > 1:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    var = pow_sq[j_c, j_n] / cnt - np.float64(mean_p) ** 2
-                var = float(var) * cnt / (cnt - 1) if np.isfinite(var) else math.inf
-                if var < 0.0:
-                    var = 0.0
-                se_mean = math.sqrt(var / cnt)
+            ep = np.concatenate(pows[j_c][j_n])
+            mean_p, var = util.sample_moments(ep)
+            se = math.inf
+            if math.isfinite(mean_p):
+                se_mean = math.sqrt(var / len(ep))
+                # numpy power: a subnormal mean_p overflows to inf, not raises
                 se = (
-                    (1.0 / p) * mean_p ** (1.0 / p - 1.0) * se_mean
+                    (1.0 / p) * np.float64(mean_p) ** (1.0 / p - 1.0) * se_mean
                     if mean_p > 0
                     else 0.0
                 )
-            else:
-                se = math.inf if not math.isfinite(mean_p) else 0.0
-            errors.append(float(err))
+            errors.append(mean_p ** (1.0 / p))
             stderrs.append(float(se))
         steps_dec = tuple(steps[i] for i in order)
         errs_dec = tuple(errors[i] for i in order)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import brownian as bw
+from . import brownian as bw, util
 from .models import Model
-from .schemes import BatchResult, StepperConfig, make_stepper, simulate_batch
+from .schemes import BatchResult, StepperConfig, simulate_batch
 
 
 class EstimatorError(ValueError):
@@ -200,22 +200,76 @@ def mc_standard_pairing(epsilon: float, T: float) -> StandardPlan:
     )
 
 
-def _observable_row(model: Model, row: np.ndarray) -> np.ndarray:
-    """Price observable applied to coordinate-0 values (monotone transforms)."""
-    if model.price_observable is None:
-        return row
-    return model.observable(row[None])
-
-
 def _payoff_values(
     model: Model, payoff: PayoffSpec, T: float, res: BatchResult
 ) -> np.ndarray:
     """Discounted payoff of each simulated path in ``res``."""
     rmin = rmax = None
-    if res.runmin is not None:
-        rmin = _observable_row(model, res.runmin)
-        rmax = _observable_row(model, res.runmax)
+    if res.runmin is not None:  # extrema of coordinate 0; observables are monotone
+        rmin = model.observable(res.runmin[None])
+        rmax = model.observable(res.runmax[None])
     return payoff.evaluate(model.observable(res.terminal), T, rmin, rmax)
+
+
+def _sample(
+    config: StepperConfig,
+    model: Model,
+    payoff: PayoffSpec,
+    *,
+    T: float,
+    seed: int,
+    n: int,
+    n_samples: int,
+    index_offset: int,
+    substream: int,
+    policy: str = "propagate",
+    radius: float | None = None,
+    coupled: bool = False,
+) -> tuple[np.ndarray, int, int]:
+    """Per-sample payoff values at resolution n, in sample-index order.
+
+    With ``coupled`` (an MLMC level l >= 1) each value is the fine payoff
+    minus the payoff on the n/2-step grid driven by the same, aggregated,
+    increments.  ``radius`` zeroes paths that leave the ball; otherwise
+    overflowed paths become +inf ("propagate") or are dropped ("exclude").
+    Returns the values, the overflow count and the steps taken.
+    """
+    if policy not in ("propagate", "exclude"):
+        raise EstimatorError(f"unknown overflow policy {policy!r}")
+    track = payoff.needs_extrema or radius is not None
+    dt = T / n
+    chunks = []
+    n_over = 0
+    steps = 0
+    for idx, incr in bw.increment_batches(
+        seed, n_samples, substream, model.m, n, dt, index_offset
+    ):
+        res = simulate_batch(config, model, dt, incr, track_extrema=track)
+        steps += res.steps * len(idx)
+        vals = _payoff_values(model, payoff, T, res)
+        over = res.overflow
+        if coupled:
+            coarse = simulate_batch(
+                config,
+                model,
+                T / (n // 2),
+                bw.aggregate_to(incr, n // 2),
+                track_extrema=track,
+            )
+            steps += coarse.steps * len(idx)
+            vals = vals - _payoff_values(model, payoff, T, coarse)
+            over = over | coarse.overflow
+        n_over += int(over.sum())
+        if radius is not None:
+            sup = np.maximum(np.abs(res.runmax), np.abs(res.runmin))
+            sup = np.where(over, np.inf, sup)
+            vals = np.where(sup <= radius, vals, 0.0)
+        elif policy == "exclude":
+            vals = vals[~over]
+        else:
+            vals = np.where(over, np.inf, vals)
+        chunks.append(vals)
+    return np.concatenate(chunks), n_over, steps
 
 
 def mc_estimate(
@@ -240,8 +294,6 @@ def mc_estimate(
     estimator explodes; ``radius=inf`` keeps every path and reproduces the
     plain estimate exactly.
     """
-    if policy not in ("propagate", "exclude"):
-        raise EstimatorError(f"unknown overflow policy {policy!r}")
     if n_samples < 1:
         raise EstimatorError("n_samples must be >= 1")
     if radius is not None:
@@ -249,56 +301,18 @@ def mc_estimate(
             raise EstimatorError(f"radius must be nonnegative, got {radius}")
         if model.d != 1:
             raise EstimatorError("the discarded-path estimator is scalar-only")
-    make_stepper(config, model)
-    track = payoff.needs_extrema or radius is not None
-    dt = T / n
-    total = 0.0
-    total_sq = 0.0
-    kept = 0
-    n_over = 0
-    steps = 0
-    for idx, incr in bw.increment_batches(
-        seed, n_samples, substream, model.m, n, dt, index_offset
-    ):
-        res = simulate_batch(config, model, dt, incr, track_extrema=track)
-        steps += res.steps * len(idx)
-        vals = _payoff_values(model, payoff, T, res)
-        over = res.overflow
-        n_over += int(over.sum())
-        if radius is not None:
-            sup = np.maximum(np.abs(res.runmax), np.abs(res.runmin))
-            sup = np.where(over, np.inf, sup)
-            vals = np.where(sup <= radius, vals, 0.0)
-        elif policy == "exclude":
-            vals = vals[~over]
-        else:
-            vals = np.where(over, np.inf, vals)
-        with np.errstate(invalid="ignore", over="ignore"):
-            total += vals.sum()
-            total_sq += (vals[np.isfinite(vals)] ** 2).sum()
-        kept += len(vals)
-
-    if kept == 0:
-        value, stderr = math.inf, math.inf
-    else:
-        value = total / kept
-        if math.isfinite(value) and kept > 1:
-            with np.errstate(over="ignore", invalid="ignore"):
-                var = max(total_sq / kept - value * value, 0.0) * kept / (kept - 1)
-                stderr = math.sqrt(var / kept)
-            if not math.isfinite(stderr):
-                stderr = math.inf
-        elif math.isfinite(value):
-            stderr = 0.0
-        else:
-            stderr = math.inf
+    vals, n_over, steps = _sample(
+        config, model, payoff, T=T, seed=seed, n=n, n_samples=n_samples,
+        index_offset=index_offset, substream=substream, policy=policy,
+        radius=radius,
+    )
+    value, var = util.sample_moments(vals)
     return PriceEstimate(
-        value=float(value),
-        stderr=float(stderr),
+        value=value,
+        stderr=math.sqrt(var / max(len(vals), 1)),
         n_samples=n_samples,
         total_steps=steps,
         n_overflow=n_over,
-        levels=None,
         metadata={
             "scheme_id": config.scheme_id,
             "model_id": model.model_id,
@@ -332,74 +346,35 @@ def mlmc_estimate(
     Every (level, sample) pair consumes its own stream index, so levels are
     independent and the whole estimate is reproducible from (seed, offset).
     """
-    if policy not in ("propagate", "exclude"):
-        raise EstimatorError(f"unknown overflow policy {policy!r}")
     plan = plan or mlmc_plan(epsilon, T)
-    make_stepper(config, model)
-    track = payoff.needs_extrema
-    offsets = [index_offset]
-    for nl in plan.samples:
-        offsets.append(offsets[-1] + nl)
-
     total = 0.0
     var_sum = 0.0
     stats: list[LevelStat] = []
     n_over = 0
     steps = 0
     any_inf = False
+    offset = index_offset
     for level, n_l in enumerate(plan.samples):
         if n_l < 1:
             raise EstimatorError(f"plan allocates no samples to level {level}")
-        n_fine = 2**level
-        idx = np.arange(n_l) + offsets[level]
-        dt_f = T / n_fine
-        incr = bw.increment_block(seed, idx, substream, model.m, n_fine, dt_f)
-        fine = simulate_batch(config, model, dt_f, incr, track_extrema=track)
-        steps += fine.steps * n_l
-        pf = _payoff_values(model, payoff, T, fine)
-        over = fine.overflow
-        if level == 0:
-            y = pf
-        else:
-            n_coarse = n_fine // 2
-            coarse = simulate_batch(
-                config,
-                model,
-                T / n_coarse,
-                bw.aggregate_to(incr, n_coarse),
-                track_extrema=track,
-            )
-            steps += coarse.steps * n_l
-            pc = _payoff_values(model, payoff, T, coarse)
-            over = over | coarse.overflow
-            y = pf - pc
-        n_over_l = int(over.sum())
+        y, n_over_l, steps_l = _sample(
+            config, model, payoff, T=T, seed=seed, n=2**level, n_samples=n_l,
+            index_offset=offset, substream=substream, policy=policy,
+            coupled=level > 0,
+        )
+        offset += n_l
+        steps += steps_l
         n_over += n_over_l
-        if policy == "exclude":
-            y = y[~over]
+        mean_l, var_l = util.sample_moments(y)
+        if math.isfinite(mean_l):
+            total += mean_l
+            var_sum += var_l / len(y)
         else:
-            y = np.where(over, np.inf, y)
-        if len(y) == 0 or not np.isfinite(y).all():
             any_inf = True
-            mean_l = math.inf
-            var_l = math.inf
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean_l = float(y.mean())
-                var_l = float(y.var(ddof=1)) if len(y) > 1 else 0.0
-            if not math.isfinite(mean_l):
-                any_inf = True
-                mean_l = math.inf
-                var_l = math.inf
-            else:
-                if not math.isfinite(var_l):
-                    var_l = math.inf
-                total += mean_l
-                var_sum += var_l / len(y)
         stats.append(
             LevelStat(
                 level=level,
-                n_fine=n_fine,
+                n_fine=2**level,
                 n_samples=n_l,
                 mean=mean_l,
                 variance=var_l,
@@ -429,6 +404,36 @@ def mlmc_estimate(
             "policy": policy,
             "index_offset": index_offset,
         },
+    )
+
+
+def estimate_at(
+    method: str,
+    config: StepperConfig,
+    model: Model,
+    payoff: PayoffSpec,
+    *,
+    T: float,
+    epsilon: float,
+    seed: int,
+    policy: str = "propagate",
+    index_offset: int = 0,
+    substream: int = 0,
+) -> PriceEstimate:
+    """One multilevel ("mlmc") or standard-pairing ("standard") estimate at
+    accuracy epsilon, on the stream indices from ``index_offset`` on."""
+    if method == "mlmc":
+        return mlmc_estimate(
+            config, model, payoff, T=T, epsilon=epsilon, seed=seed,
+            policy=policy, index_offset=index_offset, substream=substream,
+        )
+    if method != "standard":
+        raise EstimatorError(f"unknown method {method!r}; use 'mlmc' or 'standard'")
+    pairing = mc_standard_pairing(epsilon, T)
+    return mc_estimate(
+        config, model, payoff, T=T, seed=seed, n=pairing.n,
+        n_samples=pairing.n_samples, policy=policy, index_offset=index_offset,
+        substream=substream,
     )
 
 
@@ -470,8 +475,6 @@ def rmsq_study(
     the result is identical for any mapper because accumulation follows
     replication order.
     """
-    if method not in ("mlmc", "standard"):
-        raise EstimatorError(f"unknown method {method!r}; use 'mlmc' or 'standard'")
     if replications < 1:
         raise EstimatorError("replications must be >= 1")
     if method == "mlmc":
@@ -484,31 +487,9 @@ def rmsq_study(
         steps_per = pairing.total_steps
 
     def run_one(r: int) -> PriceEstimate:
-        off = r * span
-        if method == "mlmc":
-            return mlmc_estimate(
-                config,
-                model,
-                payoff,
-                T=T,
-                epsilon=epsilon,
-                seed=seed,
-                policy=policy,
-                index_offset=off,
-                substream=substream,
-                plan=plan,
-            )
-        return mc_estimate(
-            config,
-            model,
-            payoff,
-            T=T,
-            seed=seed,
-            n=pairing.n,
-            n_samples=pairing.n_samples,
-            policy=policy,
-            index_offset=off,
-            substream=substream,
+        return estimate_at(
+            method, config, model, payoff, T=T, epsilon=epsilon, seed=seed,
+            policy=policy, index_offset=r * span, substream=substream,
         )
 
     results = (

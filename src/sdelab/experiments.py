@@ -3,9 +3,11 @@
 Every file starts with a '#' metadata block (library version, seed, the
 resolved configuration, and the Gaussian-transform identifier of the RNG),
 so a result can always be traced back to the exact run that produced it.
-Floats are written with repr, and all parallel work is accumulated in
-submission order, which makes outputs byte-identical for a fixed seed no
-matter how many worker threads are used.
+Floats are written with repr, all parallel work is accumulated in
+submission order, and every estimator reduces its per-sample values once,
+in sample-index order, which makes outputs byte-identical for a fixed seed
+no matter how many worker threads are used or how wide the sample batches
+are.
 """
 
 from __future__ import annotations
@@ -253,19 +255,6 @@ def _run_explode(cfg, model, seed, out_dir, threads, header):
     return [path]
 
 
-def _estimate_at(method, scheme_cfg, model, payoff, T, seed, policy, epsilon):
-    """One multilevel ("mlmc") or standard-pairing estimate at accuracy epsilon."""
-    if method == "mlmc":
-        return estimators.mlmc_estimate(
-            scheme_cfg, model, payoff, T=T, epsilon=epsilon, seed=seed, policy=policy,
-        )
-    pairing = estimators.mc_standard_pairing(epsilon, T)
-    return estimators.mc_estimate(
-        scheme_cfg, model, payoff, T=T, seed=seed,
-        n=pairing.n, n_samples=pairing.n_samples, policy=policy,
-    )
-
-
 def _run_mlmc(cfg, model, seed, out_dir, threads, header):
     run = cfg.run
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
@@ -281,16 +270,12 @@ def _run_mlmc(cfg, model, seed, out_dir, threads, header):
     policy = run.get("policy", "propagate")
     mapper = functools.partial(util.parallel_map_ordered, threads=threads)
 
+    # evaluated once, before any simulation: the oracle is the costly part
+    truth = _truth_value(cfg) if replications else None
+
     rows = []
     for eps in eps_list:
-        if method == "mlmc":
-            plan = estimators.mlmc_plan(eps, cfg.T)
-            levels: object = plan.levels
-            steps = plan.total_steps
-        else:
-            pairing = estimators.mc_standard_pairing(eps, cfg.T)
-            levels = None
-            steps = pairing.total_steps
+        levels = estimators.mlmc_plan(eps, cfg.T).levels if method == "mlmc" else None
         if replications:
             study = estimators.rmsq_study(
                 method,
@@ -299,19 +284,19 @@ def _run_mlmc(cfg, model, seed, out_dir, threads, header):
                 payoff,
                 T=cfg.T,
                 epsilon=eps,
-                truth=_truth_value(cfg),
+                truth=truth,
                 replications=replications,
                 seed=seed,
                 policy=policy,
                 mapper=mapper,
             )
             mean_est = float(np.mean(study.estimates))
-            rows.append(
-                (eps, levels, steps, mean_est, study.rmsq, study.n_overflow)
-            )
+            rows.append((eps, levels, study.steps_per_replication, mean_est,
+                         study.rmsq, study.n_overflow))
         else:
-            est = _estimate_at(
-                method, scheme_cfg, model, payoff, cfg.T, seed, policy, eps
+            est = estimators.estimate_at(
+                method, scheme_cfg, model, payoff, T=cfg.T, epsilon=eps,
+                seed=seed, policy=policy,
             )
             rows.append((eps, levels, est.total_steps, est.value, None,
                          est.n_overflow))
@@ -339,8 +324,9 @@ def _run_price(cfg, model, seed, out_dir, threads, header):
             radius=run.get("radius"),
         )
     else:
-        est = _estimate_at(
-            method, scheme_cfg, model, payoff, cfg.T, seed, policy, run["epsilon"]
+        est = estimators.estimate_at(
+            method, scheme_cfg, model, payoff, T=cfg.T, epsilon=run["epsilon"],
+            seed=seed, policy=policy,
         )
     path = os.path.join(out_dir, "price.csv")
     util.write_csv(

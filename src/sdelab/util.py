@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -23,6 +26,25 @@ def parallel_map_ordered(
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def sample_moments(values: np.ndarray) -> tuple[float, float]:
+    """Mean and unbiased (ddof=1) variance of per-sample Monte Carlo values.
+
+    The variance is numpy's two-pass one (squared deviations from the mean),
+    so it does not cancel the way E[x^2] - E[x]^2 does.  No values, or any
+    non-finite value, give (inf, inf); one value, or constant values, give
+    variance exactly 0.  Every estimator reduces its samples here, once, in
+    sample-index order, so results do not depend on how samples were batched.
+    """
+    if len(values) == 0 or not np.isfinite(values).all():
+        return math.inf, math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        var = float(values.var(ddof=1)) if (values != values[0]).any() else 0.0
+    if not math.isfinite(mean):
+        return math.inf, math.inf
+    return mean, var if math.isfinite(var) else math.inf
 
 
 def format_value(v: object) -> str:

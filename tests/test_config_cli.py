@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from sdelab import cli, config as cfgmod, models, schemes
+from sdelab import brownian as bw, cli, config as cfgmod, models, schemes
 from sdelab.config import ConfigError, parse_config
 
 MINIMAL_CONVERGE = """
@@ -41,7 +41,7 @@ def test_parse_minimal_converge_config():
     cfg = parse_config(MINIMAL_CONVERGE)
     assert cfg.kind == "converge" and cfg.seed == 11
     assert cfg.model_id == "cir" and cfg.preset_name == "cir-scenario-1"
-    assert cfg.T == 5.0 and cfg.threads == 1
+    assert cfg.T == 5.0
     assert [s.label for s in cfg.schemes] == ["truncated_euler", "implicit_sqrt"]
     assert cfg.run["n_list"] == (16, 32) and cfg.run["ref_n"] == 128
 
@@ -515,6 +515,74 @@ payoff = abs
     b4 = open(d4 / "explode.csv", "rb").read()
     assert b1 == b4
     assert b"threads" not in b1
+
+
+_MULTI_BATCH_CONFIGS = {
+    "converge": """
+[experiment]
+kind = converge
+seed = 3
+
+[model]
+preset = cir-scenario-1
+
+[scheme]
+scheme = truncated_euler, implicit_sqrt
+
+[run]
+n_list = 4, 8
+n_samples = 300
+ref_n = 32
+""",
+    "explode": """
+[experiment]
+kind = explode
+seed = 7
+
+[model]
+preset = three-halves-mc
+
+[scheme]
+scheme = euler
+
+[run]
+n_list = 64, 256
+n_samples = 300
+payoff = abs
+""",
+    "price": """
+[experiment]
+kind = price
+seed = 2
+
+[model]
+preset = heston-mlmc
+
+[scheme]
+scheme = log_heston
+
+[run]
+method = mc
+n = 16
+n_samples = 300
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MULTI_BATCH_CONFIGS))
+def test_cli_output_is_byte_identical_across_batch_widths(
+    kind, tmp_path, capsys, monkeypatch
+):
+    # one batch of every sample, then batches of a few paths each
+    cfg = _write(tmp_path / "b.cfg", _MULTI_BATCH_CONFIGS[kind])
+    outputs = []
+    for budget in (2**23, 2**9):
+        monkeypatch.setattr(bw, "_BATCH_FLOATS", budget)
+        out = tmp_path / str(budget)
+        assert cli.main([kind, "--config", cfg, "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    capsys.readouterr()
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_cli_pathwise_csv_has_regression_comment(tmp_path, capsys):
