@@ -144,9 +144,15 @@ def increment_batches(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(sample_indices, increment_block)`` over samples
     ``index_offset .. index_offset + n_samples - 1`` in index order, in
-    batches of at most ``_BATCH_FLOATS`` increments (and at least one path).
+    batches of at most ``_BATCH_FLOATS`` increments.  A path that alone
+    exceeds the budget raises LatticeError.
     """
-    batch = max(1, min(n_samples, _BATCH_FLOATS // (n * m)))
+    if n * m > _BATCH_FLOATS:
+        raise LatticeError(
+            f"one path of {n} steps x {m} noise dimensions exceeds the "
+            f"{_BATCH_FLOATS} increments a batch may hold"
+        )
+    batch = min(n_samples, _BATCH_FLOATS // (n * m))
     for start in range(0, n_samples, batch):
         idx = np.arange(start, min(start + batch, n_samples)) + index_offset
         yield idx, increment_block(seed, idx, substream, m, n, dt)
@@ -185,10 +191,6 @@ class BrownianLattice:
                 f"increment array has shape {self.increments.shape}, "
                 f"expected {(self.m, self.finest_n)}"
             )
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.finest_n
 
 
 def sample_lattice(key: StreamKey, T: float, m: int, finest_n: int) -> BrownianLattice:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import models, schemes
 from .brownian import MAX_SAMPLE_INDEX
@@ -43,24 +43,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """One scheme request: either a named alias or raw scheme_id + options."""
+    """One scheme request: its label (alias, or scheme_id with options) and
+    the scheme table row it selects."""
 
-    alias: str | None = None
-    scheme_id: str | None = None
-    extension: str | None = None
-    projection: str | None = None
-    truncate_sqrt: bool = False
-
-    @property
-    def label(self) -> str:
-        if self.alias is not None:
-            return self.alias
-        parts = [self.scheme_id or "?"]
-        if self.extension:
-            parts.append(self.extension)
-        if self.truncate_sqrt:
-            parts.append("tsqrt")
-        return "-".join(parts)
+    label: str
+    row: schemes.SchemeRow
 
 
 @dataclass(frozen=True)
@@ -120,6 +107,96 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(_split_list(text))
 
 
+def _parse_truth(text: str) -> str | float:
+    if text == "oracle":
+        return text
+    try:
+        return _parse_float(text)
+    except ValueError:
+        raise ValueError(f"not a number or 'oracle': {text!r}") from None
+
+
+def _at_least_one(key: str, v) -> str | None:
+    return None if v >= 1 else f"{key!r} must be >= 1, got {v}"
+
+
+def _all_at_least_one(key: str, v) -> str | None:
+    return None if v and min(v) >= 1 else f"{key!r} must list integers >= 1"
+
+
+def _positive(key: str, v) -> str | None:
+    return None if v > 0 else f"{key!r} must be positive"
+
+
+def _all_positive(key: str, v) -> str | None:
+    return None if v and all(x > 0 for x in v) else f"{key!r} must list positive values"
+
+
+def _one_of(noun: str, choices) -> Callable[[str, object], str | None]:
+    def check(key: str, v) -> str | None:
+        return None if v in choices else f"unknown {noun} {v!r}; known: " + ", ".join(choices)
+
+    return check
+
+
+def _sample_index(key: str, v) -> str | None:
+    return None if 0 <= v < MAX_SAMPLE_INDEX else "sample_index must lie in [0, 2**56)"
+
+
+class _RunKey(NamedTuple):
+    parse: Callable[[str], object]
+    kinds: tuple[str, ...]  # experiments that accept the key; the rest reject it
+    required_by: tuple[str, ...]
+    check: Callable[[str, object], str | None] | None  # error message or None
+
+
+# One row per [run] key.  Rules that tie several keys together, or a key to
+# the model, are in _check_run_values.
+_RUN_KEYS: dict[str, _RunKey] = {
+    "n": _RunKey(_parse_int, ("negstats", "price"), ("negstats",), _at_least_one),
+    "n_samples": _RunKey(
+        _parse_int, ("negstats", "converge", "explode", "price"),
+        ("negstats", "converge"), _at_least_one,
+    ),
+    "n_list": _RunKey(
+        _parse_int_list, ("pathwise", "converge", "explode"),
+        ("pathwise", "converge", "explode"), _all_at_least_one,
+    ),
+    "n_samples_list": _RunKey(_parse_int_list, ("explode",), (), _all_at_least_one),
+    "p": _RunKey(_parse_int, ("converge",), (), _at_least_one),
+    "ref_n": _RunKey(_parse_int, ("pathwise", "converge"), (), _at_least_one),
+    "ref_scheme": _RunKey(
+        _parse_str, ("pathwise", "converge"), (), _one_of("scheme alias", schemes.ALIASES)
+    ),
+    "reference": _RunKey(
+        _parse_str, ("pathwise", "converge"), (), _one_of("reference", ("scheme", "exact"))
+    ),
+    "sample_index": _RunKey(_parse_int, ("pathwise",), (), _sample_index),
+    "policy": _RunKey(
+        _parse_str, ("converge", "explode", "mlmc", "price"), (),
+        _one_of("policy", ("propagate", "exclude")),
+    ),
+    "payoff": _RunKey(
+        _parse_str, ("explode", "mlmc", "price"), (),
+        _one_of("payoff", ("identity", "call", "put", "abs")),
+    ),
+    "lower": _RunKey(_parse_float, ("mlmc", "price"), (), None),
+    "upper": _RunKey(_parse_float, ("mlmc", "price"), (), None),
+    "radius": _RunKey(_parse_float, ("explode", "price"), (), _positive),
+    "method": _RunKey(
+        _parse_str, ("mlmc", "price"), ("price",),
+        _one_of("method", ("mc", "mc_discarded", "mlmc", "standard")),
+    ),
+    "epsilon": _RunKey(_parse_float, ("mlmc", "price"), (), _positive),
+    "epsilon_list": _RunKey(_parse_float_list, ("mlmc",), (), _all_positive),
+    "replications": _RunKey(_parse_int, ("mlmc",), (), _at_least_one),
+    "truth": _RunKey(_parse_truth, ("mlmc",), (), None),
+    "moment_p_list": _RunKey(_parse_float_list, ("validate",), (), None),
+    "l1": _RunKey(_parse_float, ("validate",), (), None),
+    "l2": _RunKey(_parse_float, ("validate",), (), None),
+}
+
+
 _MODEL_PARAM_KEYS = (
     "mu", "sigma", "gamma", "s0", "kappa", "lam", "theta", "rho",
     "x0", "v0", "r", "a_m1", "a_0", "a_1", "a_2", "c1", "c2", "c3",
@@ -146,62 +223,9 @@ _SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
         "projection": _parse_str,
         "truncate_sqrt": _parse_bool,
     },
-    "run": {
-        "n": _parse_int,
-        "n_samples": _parse_int,
-        "n_list": _parse_int_list,
-        "n_samples_list": _parse_int_list,
-        "p": _parse_int,
-        "ref_n": _parse_int,
-        "ref_scheme": _parse_str,
-        "reference": _parse_str,
-        "policy": _parse_str,
-        "payoff": _parse_str,
-        "lower": _parse_float,
-        "upper": _parse_float,
-        "radius": _parse_float,
-        "method": _parse_str,
-        "epsilon": _parse_float,
-        "epsilon_list": _parse_float_list,
-        "replications": _parse_int,
-        "truth": _parse_str,
-        "sample_index": _parse_int,
-        "moment_p_list": _parse_float_list,
-        "l1": _parse_float,
-        "l2": _parse_float,
-    },
+    "run": {key: row.parse for key, row in _RUN_KEYS.items()},
 }
 
-# which run keys each experiment consumes (strict: anything else errors)
-_RUN_KEYS_BY_KIND: dict[str, tuple[str, ...]] = {
-    "negstats": ("n", "n_samples"),
-    "pathwise": ("n_list", "ref_n", "ref_scheme", "reference", "sample_index"),
-    "converge": (
-        "n_list", "n_samples", "p", "ref_n", "ref_scheme", "reference", "policy",
-    ),
-    "explode": (
-        "n_list", "n_samples_list", "n_samples", "payoff", "policy", "radius",
-    ),
-    "mlmc": (
-        "epsilon", "epsilon_list", "method", "replications", "truth",
-        "payoff", "lower", "upper", "policy",
-    ),
-    "price": (
-        "method", "n", "n_samples", "epsilon", "radius",
-        "payoff", "lower", "upper", "policy",
-    ),
-    "validate": ("moment_p_list", "l1", "l2"),
-}
-
-_REQUIRED_RUN_KEYS: dict[str, tuple[str, ...]] = {
-    "negstats": ("n", "n_samples"),
-    "pathwise": ("n_list",),
-    "converge": ("n_list", "n_samples"),
-    "explode": ("n_list",),
-    "mlmc": (),
-    "price": ("method",),
-    "validate": (),
-}
 
 def _parse_sections(text: str, errors: list[str]):
     """Raw pass: sections -> {key: (value_text, line_no)}."""
@@ -367,7 +391,7 @@ def _resolve_schemes(
                     "known: " + ", ".join(schemes.ALIASES)
                 )
             else:
-                out.append(SchemeSpec(alias=a))
+                out.append(SchemeSpec(a, schemes.ALIASES[a]))
         return tuple(out)
     if raw_id:
         ext = vals.get("extension")
@@ -382,14 +406,9 @@ def _resolve_schemes(
                 f"line {_line_of(raw, 'projection')}: unknown projection "
                 f"{proj!r}; known: " + ", ".join(schemes.PROJECTIONS)
             )
-        return (
-            SchemeSpec(
-                scheme_id=raw_id,
-                extension=ext,
-                projection=proj,
-                truncate_sqrt=vals.get("truncate_sqrt", False),
-            ),
-        )
+        tsqrt = vals.get("truncate_sqrt", False)
+        label = "-".join([raw_id] + ([ext] if ext else []) + (["tsqrt"] if tsqrt else []))
+        return (SchemeSpec(label, schemes.SchemeRow(raw_id, ext, proj, tsqrt)),)
     return ()
 
 
@@ -441,23 +460,24 @@ def parse_config(text: str) -> ExperimentConfig:
         )
 
     if kind is not None:
-        allowed = set(_RUN_KEYS_BY_KIND[kind])
-        for key in run_raw:
-            if key not in allowed:
+        for key, (_, lineno) in run_raw.items():
+            row = _RUN_KEYS[key]
+            if kind not in row.kinds:
                 errors.append(
-                    f"line {_line_of(run_raw, key)}: run key {key!r} is not used "
-                    f"by experiment {kind!r}; its keys are "
-                    + (", ".join(sorted(allowed)) or "(none)")
+                    f"line {lineno}: run key {key!r} is not used by experiment "
+                    f"{kind!r}; its keys are "
+                    + (", ".join(sorted(k for k, r in _RUN_KEYS.items() if kind in r.kinds))
+                       or "(none)")
                 )
-        for key in _REQUIRED_RUN_KEYS[kind]:
-            if key not in run:
+            elif key in run and row.check and (msg := row.check(key, run[key])):
+                errors.append(f"line {lineno}: {msg}")
+        for key, row in _RUN_KEYS.items():
+            if kind in row.required_by and key not in run:
                 errors.append(f"[run]: experiment {kind!r} requires {key!r}")
-        _check_run_values(kind, run, run_raw, errors)
+        _check_run_values(kind, run, run_raw, resolved, errors)
 
     if errors:
         raise ConfigError(errors)
-    if "truth" in run and run["truth"] != "oracle":
-        run["truth"] = _parse_float(run["truth"])
     model_id, params, T, strike, preset_name = resolved
     return ExperimentConfig(
         kind=kind,
@@ -473,42 +493,11 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def _check_run_values(kind, run, run_raw, errors):
+def _check_run_values(kind, run, run_raw, resolved, errors):
+    """The rules that tie several run keys together, or a key to the model."""
     def bad(key, msg):
         errors.append(f"line {_line_of(run_raw, key)}: {msg}")
 
-    for key in ("n", "n_samples", "p", "ref_n", "replications"):
-        if key in run and run[key] < 1:
-            bad(key, f"{key!r} must be >= 1, got {run[key]}")
-    if "sample_index" in run and not 0 <= run["sample_index"] < MAX_SAMPLE_INDEX:
-        bad("sample_index", "sample_index must lie in [0, 2**56)")
-    for key in ("n_list", "n_samples_list"):
-        if key in run and (not run[key] or any(v < 1 for v in run[key])):
-            bad(key, f"{key!r} must list integers >= 1")
-    for key in ("epsilon", "radius"):
-        if key in run and not run[key] > 0:
-            bad(key, f"{key!r} must be positive")
-    if "epsilon_list" in run and (
-        not run["epsilon_list"] or any(not v > 0 for v in run["epsilon_list"])
-    ):
-        bad("epsilon_list", "'epsilon_list' must list positive values")
-    if "policy" in run and run["policy"] not in ("propagate", "exclude"):
-        bad("policy", f"unknown policy {run['policy']!r}; known: propagate, exclude")
-    if "reference" in run and run["reference"] not in ("scheme", "exact"):
-        bad("reference", f"unknown reference {run['reference']!r}; known: scheme, exact")
-    if "payoff" in run and run["payoff"] not in ("identity", "call", "put", "abs"):
-        bad("payoff", f"unknown payoff {run['payoff']!r}; known: identity, call, put, abs")
-    if "method" in run:
-        allowed = ("mc", "mc_discarded", "mlmc", "standard")
-        if run["method"] not in allowed:
-            bad("method", f"unknown method {run['method']!r}; known: " + ", ".join(allowed))
-    if "ref_scheme" in run and run["ref_scheme"] not in schemes.ALIASES:
-        bad("ref_scheme", f"unknown scheme alias {run['ref_scheme']!r}")
-    if "truth" in run and run["truth"] != "oracle":
-        try:
-            _parse_float(run["truth"])
-        except ValueError:
-            bad("truth", f"'truth' must be a number or 'oracle', got {run['truth']!r}")
     if kind == "price" and run.get("method") == "mc_discarded" and "radius" not in run:
         errors.append("[run]: method 'mc_discarded' requires 'radius'")
     if kind == "price" and "radius" in run and run.get("method") != "mc_discarded":
@@ -529,6 +518,14 @@ def _check_run_values(kind, run, run_raw, errors):
             errors.append("[run]: experiment 'mlmc' needs 'epsilon' or 'epsilon_list'")
         if "replications" in run and "truth" not in run:
             errors.append("[run]: a replication study needs 'truth' (number or 'oracle')")
+        if run.get("method") in ("mc", "mc_discarded"):
+            bad("method", "experiment 'mlmc' supports 'method' = mlmc or standard; "
+                "use experiment 'price' for single fixed-grid estimates")
+    if run.get("truth") == "oracle" and resolved is not None:
+        _, params, _, strike, _ = resolved
+        if not isinstance(params, models.HestonParams) or strike is None:
+            bad("truth", "truth = oracle needs a heston model with a strike "
+                "(the Fourier call-price oracle)")
     if kind == "explode" and "n_samples" not in run and "n_samples_list" not in run:
         errors.append("[run]: experiment 'explode' needs 'n_samples' or 'n_samples_list'")
 

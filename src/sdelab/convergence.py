@@ -17,7 +17,7 @@ infinity, under "exclude" they are dropped and counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,12 +25,7 @@ import numpy as np
 from . import brownian as bw, util
 from .models import Model
 from .oracles import gbm_exact_nodes
-from .schemes import (
-    StepperConfig,
-    default_reference_config,
-    make_stepper,
-    simulate_batch,
-)
+from .schemes import StepperConfig, default_reference_config, simulate_batch
 
 
 class MeasurementError(ValueError):
@@ -48,12 +43,13 @@ class Regression:
 
 @dataclass
 class ErrorReport:
-    """One error-vs-stepsize curve with its provenance.
+    """One error-vs-stepsize curve and the reference it was measured against.
 
     ``stepsizes`` are strictly decreasing.  ``stderrs`` hold the Monte Carlo
-    standard error of each point (None for single-path curves).  ``valid`` is
-    cleared when the reference itself overflowed, in which case the errors
-    are meaningless and no regression is attached.
+    standard error of each point.  ``valid`` is cleared when the reference
+    itself overflowed, in which case the errors are meaningless and no
+    regression is attached.  ``reference`` names the reference: "exact", or
+    "<scheme_id>@n=<ref_n>".
     """
 
     stepsizes: tuple[float, ...]
@@ -63,7 +59,7 @@ class ErrorReport:
     stderrs: tuple[float, ...] | None = None
     overflow_counts: tuple[int, ...] | None = None
     valid: bool = True
-    metadata: dict = field(default_factory=dict)
+    reference: str = ""
 
     def __post_init__(self) -> None:
         if len(self.stepsizes) != len(self.errors):
@@ -81,7 +77,6 @@ class ErrorReport:
 class NegativityStats:
     """Average negative steps per path and fraction of paths going negative."""
 
-    scheme_id: str
     n_steps: int
     n_samples: int
     avg_negative_steps: float
@@ -128,19 +123,6 @@ def _dist_max(rec: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return dist.max(axis=0)
 
 
-def _validate_n_list(n_list: Sequence[int], ref_n: int) -> list[int]:
-    ns = sorted(set(int(n) for n in n_list))
-    if not ns:
-        raise MeasurementError("n_list is empty")
-    for n in ns:
-        if n < 1 or ref_n % n != 0 or not bw.is_power_of_two(ref_n // n):
-            raise MeasurementError(
-                f"resolution n={n} does not dyadically divide the reference "
-                f"resolution {ref_n}"
-            )
-    return ns
-
-
 def strong_error_curves(
     configs: Sequence[StepperConfig],
     model: Model,
@@ -174,19 +156,20 @@ def strong_error_curves(
         raise MeasurementError("exact reference is available for gbm only")
     if n_samples < 1:
         raise MeasurementError("n_samples must be >= 1")
-    ns = sorted(set(int(n) for n in n_list))
+    ns = sorted(set(int(n) for n in n_list))  # increasing n: decreasing dt
     if not ns:
         raise MeasurementError("n_list is empty")
+    n_top = ns[-1]
     if ref_n is None:
-        ref_n = 4 * max(ns) if reference == "scheme" else max(ns)
-    ns = _validate_n_list(ns, ref_n)
-    n_top = max(ns)
-    if reference == "scheme":
-        if ref_config is None:
-            ref_config = default_reference_config(configs[0], model)
-        make_stepper(ref_config, model)  # fail fast on bad combinations
-    for c in configs:
-        make_stepper(c, model)
+        ref_n = 4 * n_top if reference == "scheme" else n_top
+    for n in ns:
+        if n < 1 or ref_n % n != 0 or not bw.is_power_of_two(ref_n // n):
+            raise MeasurementError(
+                f"resolution n={n} does not dyadically divide the reference "
+                f"resolution {ref_n}"
+            )
+    if reference == "scheme" and ref_config is None:
+        ref_config = default_reference_config(configs[0], model)
 
     m = model.m
     nc, nn = len(configs), len(ns)
@@ -227,9 +210,10 @@ def strong_error_curves(
                     pows[j_c][j_n].append(errs**p)
 
     reports = []
-    steps = tuple(T / n for n in ns)  # increasing n -> decreasing dt
-    order = np.argsort([-s for s in steps])
-    for j_c, cfg in enumerate(configs):
+    steps = tuple(T / n for n in ns)
+    valid = ref_overflowed == 0
+    ref_name = "exact" if reference == "exact" else f"{ref_config.scheme_id}@n={ref_n}"
+    for j_c in range(nc):
         errors, stderrs = [], []
         for j_n in range(nn):
             ep = np.concatenate(pows[j_c][j_n])
@@ -245,37 +229,19 @@ def strong_error_curves(
                 )
             errors.append(mean_p ** (1.0 / p))
             stderrs.append(float(se))
-        steps_dec = tuple(steps[i] for i in order)
-        errs_dec = tuple(errors[i] for i in order)
-        ses_dec = tuple(stderrs[i] for i in order)
-        ov_dec = tuple(int(over[j_c, i]) for i in order)
-        valid = ref_overflowed == 0
         reg = None
-        if valid and all(math.isfinite(e) and e > 0 for e in errs_dec) and nn >= 2:
-            reg = fit_order(steps_dec, errs_dec)
+        if valid and all(math.isfinite(e) and e > 0 for e in errors) and nn >= 2:
+            reg = fit_order(steps, errors)
         reports.append(
             ErrorReport(
-                stepsizes=steps_dec,
-                errors=errs_dec,
+                stepsizes=steps,
+                errors=tuple(errors),
                 p=p,
                 regression=reg,
-                stderrs=ses_dec,
-                overflow_counts=ov_dec,
+                stderrs=tuple(stderrs),
+                overflow_counts=tuple(int(v) for v in over[j_c]),
                 valid=valid,
-                metadata={
-                    "scheme_id": cfg.scheme_id,
-                    "model_id": model.model_id,
-                    "T": T,
-                    "seed": seed,
-                    "n_samples": n_samples,
-                    "reference": (
-                        "exact"
-                        if reference == "exact"
-                        else f"{ref_config.scheme_id}@n={ref_n}"
-                    ),
-                    "policy": policy,
-                    "reference_overflowed": ref_overflowed,
-                },
+                reference=ref_name,
             )
         )
     return reports
@@ -297,7 +263,6 @@ def negativity_stats(
     preserve the domain report zeros; the extension-based Euler variants on
     the square-root process reproduce the known negativity levels.
     """
-    make_stepper(config, model)
     if model.m != 1:
         raise MeasurementError("negativity statistics are defined for scalar noise")
     dt = T / n
@@ -308,7 +273,6 @@ def negativity_stats(
         total_neg += int(res.negative_steps.sum())
         neg_paths += int((res.negative_steps > 0).sum())
     return NegativityStats(
-        scheme_id=config.scheme_id,
         n_steps=n,
         n_samples=n_samples,
         avg_negative_steps=total_neg / n_samples,

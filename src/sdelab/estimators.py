@@ -12,7 +12,7 @@ estimator zeroes every path whose running maximum leaves the chosen radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,6 @@ class PriceEstimate:
     total_steps: int
     n_overflow: int
     levels: tuple[LevelStat, ...] | None = None
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,6 @@ class MlmcPlan:
     coarse steps.
     """
 
-    epsilon: float
-    T: float
     levels: int
     samples: tuple[int, ...]
     level_steps: tuple[int, ...]
@@ -169,8 +166,6 @@ def mlmc_plan(epsilon: float, T: float) -> MlmcPlan:
     )
     total = sum(n * c for n, c in zip(samples, level_steps))
     return MlmcPlan(
-        epsilon=epsilon,
-        T=T,
         levels=levels,
         samples=samples,
         level_steps=level_steps,
@@ -183,8 +178,6 @@ class StandardPlan:
     """Step/sample pairing for plain MC at target accuracy epsilon:
     n = ceil(T/eps) steps, N = ceil(T/eps^2) samples."""
 
-    epsilon: float
-    T: float
     n: int
     n_samples: int
     total_steps: int
@@ -195,9 +188,7 @@ def mc_standard_pairing(epsilon: float, T: float) -> StandardPlan:
         raise EstimatorError(f"epsilon must lie in (0, T], got {epsilon}")
     n = math.ceil(T / epsilon)
     n_samples = math.ceil(T / (epsilon * epsilon))
-    return StandardPlan(
-        epsilon=epsilon, T=T, n=n, n_samples=n_samples, total_steps=n * n_samples
-    )
+    return StandardPlan(n=n, n_samples=n_samples, total_steps=n * n_samples)
 
 
 def _payoff_values(
@@ -313,15 +304,6 @@ def mc_estimate(
         n_samples=n_samples,
         total_steps=steps,
         n_overflow=n_over,
-        metadata={
-            "scheme_id": config.scheme_id,
-            "model_id": model.model_id,
-            "T": T,
-            "n": n,
-            "seed": seed,
-            "policy": policy if radius is None else f"discard(radius={radius})",
-            "index_offset": index_offset,
-        },
     )
 
 
@@ -336,7 +318,6 @@ def mlmc_estimate(
     policy: str = "propagate",
     index_offset: int = 0,
     substream: int = 0,
-    plan: MlmcPlan | None = None,
 ) -> PriceEstimate:
     """Multilevel Monte Carlo over dyadic resolutions 2^0 .. 2^L.
 
@@ -346,7 +327,7 @@ def mlmc_estimate(
     Every (level, sample) pair consumes its own stream index, so levels are
     independent and the whole estimate is reproducible from (seed, offset).
     """
-    plan = plan or mlmc_plan(epsilon, T)
+    plan = mlmc_plan(epsilon, T)
     total = 0.0
     var_sum = 0.0
     stats: list[LevelStat] = []
@@ -355,8 +336,6 @@ def mlmc_estimate(
     any_inf = False
     offset = index_offset
     for level, n_l in enumerate(plan.samples):
-        if n_l < 1:
-            raise EstimatorError(f"plan allocates no samples to level {level}")
         y, n_over_l, steps_l = _sample(
             config, model, payoff, T=T, seed=seed, n=2**level, n_samples=n_l,
             index_offset=offset, substream=substream, policy=policy,
@@ -395,15 +374,6 @@ def mlmc_estimate(
         total_steps=steps,
         n_overflow=n_over,
         levels=tuple(stats),
-        metadata={
-            "scheme_id": config.scheme_id,
-            "model_id": model.model_id,
-            "T": T,
-            "epsilon": epsilon,
-            "seed": seed,
-            "policy": policy,
-            "index_offset": index_offset,
-        },
     )
 
 
@@ -441,10 +411,6 @@ def estimate_at(
 class RmsqStudy:
     """Replicated root-mean-square error of an estimator against a truth."""
 
-    method: str
-    epsilon: float
-    truth: float
-    replications: int
     rmsq: float
     steps_per_replication: int
     n_overflow: int
@@ -503,10 +469,6 @@ def rmsq_study(
     with np.errstate(invalid="ignore", over="ignore"):
         rmsq = float(np.sqrt(np.mean((arr - truth) ** 2)))
     return RmsqStudy(
-        method=method,
-        epsilon=epsilon,
-        truth=truth,
-        replications=replications,
         rmsq=rmsq,
         steps_per_replication=steps_per,
         n_overflow=n_over,

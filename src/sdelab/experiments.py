@@ -27,15 +27,8 @@ def build_stepper_config(
     spec: SchemeSpec, model: models.Model
 ) -> schemes.StepperConfig:
     """Turn a config-file scheme request into a StepperConfig for ``model``."""
-    row = (
-        schemes.ALIASES[spec.alias]
-        if spec.alias is not None
-        else schemes.SchemeRow(
-            spec.scheme_id, spec.extension, spec.projection, spec.truncate_sqrt
-        )
-    )
     try:
-        cfg = row.build(model)
+        cfg = spec.row.build(model)
         schemes.make_stepper(cfg, model)
     except schemes.SchemeError as exc:
         raise ConfigError(
@@ -59,10 +52,6 @@ def _build_payoff(cfg: ExperimentConfig, default_phi: str | None = None):
     if phi == "abs" and not barrier:
         return estimators.PayoffSpec(
             kind="absolute_terminal", discount=_discount_rate(cfg)
-        )
-    if phi in ("call", "put") and cfg.strike is None:
-        raise ConfigError(
-            [f"payoff {phi!r} needs a strike: set strike in [model] or use a preset"]
         )
     return estimators.PayoffSpec(
         kind="barrier" if barrier else "terminal",
@@ -94,29 +83,6 @@ def _regression_comments(report: convergence.ErrorReport) -> list[str]:
     ]
 
 
-def _report_rows(report: convergence.ErrorReport):
-    stderrs = report.stderrs or (None,) * len(report.errors)
-    overs = report.overflow_counts or (0,) * len(report.errors)
-    return [
-        (dt, err, se, ov)
-        for dt, err, se, ov in zip(report.stepsizes, report.errors, stderrs, overs)
-    ]
-
-
-def _truth_value(cfg: ExperimentConfig) -> float:
-    raw = cfg.run["truth"]
-    if raw == "oracle":
-        if not isinstance(cfg.params, models.HestonParams) or cfg.strike is None:
-            raise ConfigError(
-                [
-                    "truth = oracle needs a heston model with a strike "
-                    "(the Fourier call-price oracle)"
-                ]
-            )
-        return oracles.heston_call_price(cfg.params, cfg.strike, cfg.T)
-    return raw
-
-
 def _run_negstats(cfg, model, seed, out_dir, threads, header):
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     stats = convergence.negativity_stats(
@@ -146,72 +112,41 @@ def _run_negstats(cfg, model, seed, out_dir, threads, header):
     return [path]
 
 
-def _run_pathwise(cfg, model, seed, out_dir, threads, header):
+def _run_curves(cfg, model, seed, out_dir, threads, header):
+    """converge, and pathwise as its case of one path: one sample at
+    ``sample_index``, p = 1, and no standard error (one path has none)."""
     run = cfg.run
-    scheme_cfg = build_stepper_config(cfg.schemes[0], model)
-    ref_cfg = (
-        build_stepper_config(SchemeSpec(alias=run["ref_scheme"]), model)
-        if "ref_scheme" in run
-        else None
-    )
-    # a pathwise curve is a one-sample strong curve; one path has no stderr
-    (report,) = convergence.strong_error_curves(
-        [scheme_cfg],
-        model,
-        T=cfg.T,
-        seed=seed,
-        n_list=run["n_list"],
-        n_samples=1,
-        p=1,
-        ref_config=ref_cfg,
-        ref_n=run.get("ref_n"),
-        reference=run.get("reference", "scheme"),
-        index_offset=run.get("sample_index", 0),
-    )
-    path = os.path.join(out_dir, "pathwise.csv")
-    util.write_csv(
-        path,
-        ("delta", "error", "stderr", "n_overflow"),
-        [(dt, err, None, ov) for dt, err, _, ov in _report_rows(report)],
-        header + [f"reference = {report.metadata['reference']}"],
-        _regression_comments(report),
-    )
-    return [path]
-
-
-def _run_converge(cfg, model, seed, out_dir, threads, header):
-    run = cfg.run
-    scheme_cfgs = [build_stepper_config(s, model) for s in cfg.schemes]
-    ref_cfg = (
-        build_stepper_config(SchemeSpec(alias=run["ref_scheme"]), model)
-        if "ref_scheme" in run
-        else None
-    )
+    pathwise = cfg.kind == "pathwise"
+    ref_cfg = None
+    if "ref_scheme" in run:
+        ref = run["ref_scheme"]
+        ref_cfg = build_stepper_config(SchemeSpec(ref, schemes.ALIASES[ref]), model)
     reports = convergence.strong_error_curves(
-        scheme_cfgs,
+        [build_stepper_config(s, model) for s in cfg.schemes],
         model,
         T=cfg.T,
         seed=seed,
         n_list=run["n_list"],
-        n_samples=run["n_samples"],
-        p=run.get("p", 2),
+        n_samples=1 if pathwise else run["n_samples"],
+        p=1 if pathwise else run.get("p", 2),
         ref_config=ref_cfg,
         ref_n=run.get("ref_n"),
         reference=run.get("reference", "scheme"),
         policy=run.get("policy", "propagate"),
+        index_offset=run.get("sample_index", 0),
     )
     paths = []
     for spec, report in zip(cfg.schemes, reports):
-        path = os.path.join(out_dir, f"converge_{spec.label}.csv")
+        name = "pathwise.csv" if pathwise else f"converge_{spec.label}.csv"
+        path = os.path.join(out_dir, name)
+        stderrs = (None,) * len(report.errors) if pathwise else report.stderrs
         util.write_csv(
             path,
             ("delta", "error", "stderr", "n_overflow"),
-            _report_rows(report),
+            zip(report.stepsizes, report.errors, stderrs, report.overflow_counts),
             header
-            + [
-                f"scheme = {spec.label}",
-                f"reference = {report.metadata['reference']}",
-            ],
+            + ([] if pathwise else [f"scheme = {spec.label}"])
+            + [f"reference = {report.reference}"],
             _regression_comments(report),
         )
         paths.append(path)
@@ -260,18 +195,15 @@ def _run_mlmc(cfg, model, seed, out_dir, threads, header):
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     payoff = _build_payoff(cfg)
     method = run.get("method", "mlmc")
-    if method in ("mc", "mc_discarded"):
-        raise ConfigError(
-            ["experiment 'mlmc' supports method = mlmc or standard; "
-             "use experiment 'price' for single fixed-grid estimates"]
-        )
     eps_list = run.get("epsilon_list") or (run["epsilon"],)
     replications = run.get("replications")
     policy = run.get("policy", "propagate")
     mapper = functools.partial(util.parallel_map_ordered, threads=threads)
 
     # evaluated once, before any simulation: the oracle is the costly part
-    truth = _truth_value(cfg) if replications else None
+    truth = run.get("truth")
+    if replications and truth == "oracle":
+        truth = oracles.heston_call_price(cfg.params, cfg.strike, cfg.T)
 
     rows = []
     for eps in eps_list:
@@ -373,8 +305,8 @@ def _run_validate(cfg, model, seed, out_dir, threads, header):
 
 _RUNNERS: dict[str, Callable] = {
     "negstats": _run_negstats,
-    "pathwise": _run_pathwise,
-    "converge": _run_converge,
+    "pathwise": _run_curves,
+    "converge": _run_curves,
     "explode": _run_explode,
     "mlmc": _run_mlmc,
     "price": _run_price,
@@ -386,13 +318,12 @@ def run_experiment(
     cfg: ExperimentConfig, *, seed: int, out_dir: str, threads: int = 1
 ) -> list[str]:
     """Run one experiment, write its CSV artifacts, return their paths."""
-    if not 0 <= seed < 2**64:
-        raise ConfigError([f"seed must fit in an unsigned 64-bit integer, got {seed}"])
     try:
         model = models.build_model(cfg.model_id, cfg.params)
         os.makedirs(out_dir, exist_ok=True)
         return _RUNNERS[cfg.kind](cfg, model, seed, out_dir, threads, _header(cfg, seed))
     except (
+        bw.LatticeError,
         models.ModelError,
         schemes.SchemeError,
         schemes.DomainError,

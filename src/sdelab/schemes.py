@@ -227,16 +227,20 @@ def apply_extension(model: Model, ext: AuxiliaryExtension) -> Model:
 # one-step maps (public, vectorized)
 
 
-def step_explicit_euler(model: Model, x, dt: float, dw) -> np.ndarray:
-    """x' = x + a(x)*dt + sum_j b_j(x)*dW_j."""
-    x = np.asarray(x, dtype=np.float64)
-    dw = np.asarray(dw, dtype=np.float64)
-    out = x + model.drift(x) * dt
+def _add_noise(model: Model, out, x, dw) -> np.ndarray:
+    """out + sum_j b_j(x)*dW_j, with the diffusion evaluated at x."""
     if model.m == 1 and model.d == 1:
         return out + model.diffusion[0](x) * dw
     for j in range(model.m):
         out = out + model.diffusion[j](x) * dw[j]
     return out
+
+
+def step_explicit_euler(model: Model, x, dt: float, dw) -> np.ndarray:
+    """x' = x + a(x)*dt + sum_j b_j(x)*dW_j."""
+    x = np.asarray(x, dtype=np.float64)
+    dw = np.asarray(dw, dtype=np.float64)
+    return _add_noise(model, x + model.drift(x) * dt, x, dw)
 
 
 def step_milstein_scalar(model: Model, x, dt: float, dw) -> np.ndarray:
@@ -273,12 +277,7 @@ def step_tamed_euler(model: Model, x, dt: float, dw) -> np.ndarray:
         denom = 1.0 + np.abs(a) * dt
     else:
         denom = 1.0 + np.sqrt((a * a).sum(axis=0)) * dt
-    out = x + a * dt / denom
-    if model.m == 1 and model.d == 1:
-        return out + model.diffusion[0](x) * dw
-    for j in range(model.m):
-        out = out + model.diffusion[j](x) * dw[j]
-    return out
+    return _add_noise(model, x + a * dt / denom, x, dw)
 
 
 # --- implicit machinery ----------------------------------------------------
@@ -416,12 +415,7 @@ def step_split_step_backward(
         x_init=x, closed_form=model.closed_form, drift_prime=model.drift_prime,
     )
     _guard_domain_eval(model, xs, "split-step diffusion stage")
-    if model.m == 1 and model.d == 1:
-        return xs + model.diffusion[0](xs) * dw
-    out = xs.copy()
-    for j in range(model.m):
-        out = out + model.diffusion[j](xs) * dw[j]
-    return out
+    return _add_noise(model, xs, xs, dw)
 
 
 def step_backward_euler(
@@ -435,14 +429,8 @@ def step_backward_euler(
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     dw = np.asarray(dw, dtype=np.float64)
     _guard_domain_eval(model, x, "backward Euler diffusion term")
-    if model.m == 1 and model.d == 1:
-        rhs = x + model.diffusion[0](x) * dw
-    else:
-        rhs = x.astype(np.float64, copy=True)
-        for j in range(model.m):
-            rhs = rhs + model.diffusion[j](x) * dw[j]
     return solve_drift_implicit(
-        model.drift, rhs, dt, model.domain, settings,
+        model.drift, _add_noise(model, x, x, dw), dt, model.domain, settings,
         x_init=x, closed_form=model.closed_form, drift_prime=model.drift_prime,
     )
 

@@ -122,8 +122,7 @@ n_samples = 100
 """
     )
     (spec,) = cfg.schemes
-    assert spec.alias is None and spec.scheme_id == "modified_euler"
-    assert spec.extension == "truncate"
+    assert spec.row == schemes.SchemeRow("modified_euler", extension="truncate")
     assert spec.label == "modified_euler-truncate"
 
 
@@ -550,6 +549,37 @@ n_list = 64, 256
 n_samples = 300
 payoff = abs
 """,
+    "negstats": """
+[experiment]
+kind = negstats
+seed = 4
+
+[model]
+preset = cir-scenario-1
+
+[scheme]
+scheme = truncated_euler
+
+[run]
+n = 64
+n_samples = 300
+""",
+    "mlmc": """
+[experiment]
+kind = mlmc
+seed = 9
+
+[model]
+preset = heston-mlmc
+
+[scheme]
+scheme = log_heston
+
+[run]
+epsilon_list = 2^-3, 2^-4
+replications = 2
+truth = 7.46
+""",
     "price": """
 [experiment]
 kind = price
@@ -743,6 +773,21 @@ EDGE_RUNS = {
     "explode-radius-policy": (
         "explode", "n_list = 2, 4\nn_samples = 8\nradius = 0.1\npolicy = exclude",
         2, "'policy'",
+    ),
+    # checked when the config is parsed, before anything runs
+    "mlmc-method-mc": (
+        "mlmc", "method = mc\nepsilon = 2^-1", 2,
+        "line 17: experiment 'mlmc' supports 'method'",
+    ),
+    "mlmc-oracle-without-heston": (
+        "mlmc", "epsilon = 2^-1\nreplications = 2\ntruth = oracle", 2, "truth = oracle",
+    ),
+    "price-call-without-strike": (
+        "price", "method = mc\nn = 8\nn_samples = 16\npayoff = call", 2, "strike",
+    ),
+    # one path over the batch budget is a config error, not a failed allocation
+    "negstats-over-budget": (
+        "negstats", "n = 2^40\nn_samples = 10", 2, "1099511627776 steps",
     ),
 }
 

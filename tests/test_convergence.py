@@ -211,7 +211,7 @@ def test_pathwise_gbm_euler_against_exact_solution():
         p=1,
         reference="exact",
     )
-    assert rep.metadata["reference"] == "exact"
+    assert rep.reference == "exact"
     assert 0.35 < rep.regression.slope < 0.65
 
 

@@ -242,17 +242,13 @@ def test_mlmc_overflow_propagates_or_excludes():
     assert prop.total_steps == excl.total_steps == est.mlmc_plan(0.125, 4.0).total_steps
 
 
-def test_mlmc_rejects_empty_levels():
-    plan = est.MlmcPlan(
-        epsilon=0.5,
-        T=1.0,
-        levels=1,
-        samples=(0, 1),
-        level_steps=(1, 3),
-        total_steps=3,
-    )
-    with pytest.raises(EstimatorError, match="level 0"):
-        est.mlmc_estimate(EULER, GBM, IDENT, T=1.0, epsilon=0.5, seed=1, plan=plan)
+def test_mlmc_plan_never_yields_an_empty_level():
+    # mlmc_estimate takes every level from mlmc_plan, so no level is empty
+    for T in (0.25, 1.0, 4.0, 50.0):
+        for eps in [T / 2, T / 3] + [T * 2.0**-k for k in range(2, 12)] + [T * 1e-3]:
+            plan = est.mlmc_plan(eps, T)
+            assert len(plan.samples) == plan.levels + 1
+            assert min(plan.samples) >= 1, (eps, T, plan.samples)
 
 
 # ---------------------------------------------------------------------------
