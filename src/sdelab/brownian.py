@@ -139,8 +139,7 @@ def increment_block(
 
 
 def increment_batches(
-    seed: int, n_samples: int, substream: int, m: int, n: int, dt: float,
-    index_offset: int = 0,
+    seed: int, n_samples: int, m: int, n: int, dt: float, index_offset: int = 0
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(sample_indices, increment_block)`` over samples
     ``index_offset .. index_offset + n_samples - 1`` in index order, in
@@ -155,7 +154,7 @@ def increment_batches(
     batch = min(n_samples, _BATCH_FLOATS // (n * m))
     for start in range(0, n_samples, batch):
         idx = np.arange(start, min(start + batch, n_samples)) + index_offset
-        yield idx, increment_block(seed, idx, substream, m, n, dt)
+        yield idx, increment_block(seed, idx, 0, m, n, dt)
 
 
 def is_power_of_two(n: int) -> bool:

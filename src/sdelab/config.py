@@ -42,15 +42,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SchemeSpec:
-    """One scheme request: its label (alias, or scheme_id with options) and
-    the scheme table row it selects."""
-
-    label: str
-    row: schemes.SchemeRow
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
     model_id: str
@@ -58,7 +49,7 @@ class ExperimentConfig:
     T: float
     strike: float | None
     preset_name: str | None
-    schemes: tuple[SchemeSpec, ...]
+    schemes: tuple[str, ...]  # scheme aliases
     run: dict
     seed: int | None = None
     out: str | None = None
@@ -76,15 +67,6 @@ def _parse_int(text: str) -> int:
     if m:
         return int(m.group(1)) ** int(m.group(2))
     return int(text, 10)
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _split_list(text: str) -> list[str]:
@@ -216,13 +198,7 @@ _SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
         "strike": _parse_float,
         **{k: _parse_float for k in _MODEL_PARAM_KEYS},
     },
-    "scheme": {
-        "scheme": _parse_str_list,
-        "scheme_id": _parse_str,
-        "extension": _parse_str,
-        "projection": _parse_str,
-        "truncate_sqrt": _parse_bool,
-    },
+    "scheme": {"scheme": _parse_str_list},
     "run": {key: row.parse for key, row in _RUN_KEYS.items()},
 }
 
@@ -367,49 +343,15 @@ def _resolve_model(
 
 def _resolve_schemes(
     raw: dict[str, tuple[str, int]], vals: dict, errors: list[str]
-) -> tuple[SchemeSpec, ...]:
-    aliases = vals.get("scheme")
-    raw_id = vals.get("scheme_id")
-    if aliases and raw_id:
-        errors.append(
-            "[scheme]: give either 'scheme' (named aliases) or 'scheme_id' "
-            "with options, not both"
-        )
-        return ()
-    if aliases:
-        for key in ("extension", "projection", "truncate_sqrt"):
-            if key in vals:
-                errors.append(
-                    f"line {_line_of(raw, key)}: {key!r} applies only to the "
-                    f"'scheme_id' form; aliases fix their own options"
-                )
-        out = []
-        for a in aliases:
-            if a not in schemes.ALIASES:
-                errors.append(
-                    f"line {_line_of(raw, 'scheme')}: unknown scheme alias {a!r}; "
-                    "known: " + ", ".join(schemes.ALIASES)
-                )
-            else:
-                out.append(SchemeSpec(a, schemes.ALIASES[a]))
-        return tuple(out)
-    if raw_id:
-        ext = vals.get("extension")
-        if ext is not None and ext not in schemes.EXTENSIONS:
+) -> tuple[str, ...]:
+    aliases = vals.get("scheme", ())
+    for a in aliases:
+        if a not in schemes.ALIASES:
             errors.append(
-                f"line {_line_of(raw, 'extension')}: unknown extension {ext!r}; "
-                "known: " + ", ".join(schemes.EXTENSIONS)
+                f"line {_line_of(raw, 'scheme')}: unknown scheme alias {a!r}; "
+                "known: " + ", ".join(schemes.ALIASES)
             )
-        proj = vals.get("projection")
-        if proj is not None and proj not in schemes.PROJECTIONS:
-            errors.append(
-                f"line {_line_of(raw, 'projection')}: unknown projection "
-                f"{proj!r}; known: " + ", ".join(schemes.PROJECTIONS)
-            )
-        tsqrt = vals.get("truncate_sqrt", False)
-        label = "-".join([raw_id] + ([ext] if ext else []) + (["tsqrt"] if tsqrt else []))
-        return (SchemeSpec(label, schemes.SchemeRow(raw_id, ext, proj, tsqrt)),)
-    return ()
+    return tuple(a for a in aliases if a in schemes.ALIASES)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -518,6 +460,9 @@ def _check_run_values(kind, run, run_raw, resolved, errors):
             errors.append("[run]: experiment 'mlmc' needs 'epsilon' or 'epsilon_list'")
         if "replications" in run and "truth" not in run:
             errors.append("[run]: a replication study needs 'truth' (number or 'oracle')")
+        if "truth" in run and "replications" not in run:
+            bad("truth", "'truth' is read only by a replication study; set "
+                "'replications' or drop 'truth'")
         if run.get("method") in ("mc", "mc_discarded"):
             bad("method", "experiment 'mlmc' supports 'method' = mlmc or standard; "
                 "use experiment 'price' for single fixed-grid estimates")
@@ -557,7 +502,7 @@ def echo_lines(cfg: ExperimentConfig, seed: int) -> list[str]:
     if cfg.strike is not None:
         lines.append(f"model.strike = {cfg.strike!r}")
     if cfg.schemes:
-        lines.append("scheme = " + ", ".join(s.label for s in cfg.schemes))
+        lines.append("scheme = " + ", ".join(cfg.schemes))
     for key in sorted(cfg.run):
         v = cfg.run[key]
         if isinstance(v, tuple):

@@ -137,7 +137,6 @@ def strong_error_curves(
     reference: str = "scheme",
     policy: str = "propagate",
     index_offset: int = 0,
-    substream: int = 0,
 ) -> list[ErrorReport]:
     """Coupled strong-error curves for several schemes over one sample set.
 
@@ -179,7 +178,7 @@ def strong_error_curves(
 
     dt_ref = T / ref_n
     for idx, incr in bw.increment_batches(
-        seed, n_samples, substream, m, ref_n, dt_ref, index_offset
+        seed, n_samples, m, ref_n, dt_ref, index_offset
     ):
         if reference == "scheme":
             stride = ref_n // n_top
@@ -255,7 +254,6 @@ def negativity_stats(
     seed: int,
     n: int,
     n_samples: int,
-    substream: int = 0,
 ) -> NegativityStats:
     """Average negative steps per path and the fraction of negative paths.
 
@@ -268,7 +266,7 @@ def negativity_stats(
     dt = T / n
     total_neg = 0
     neg_paths = 0
-    for _, incr in bw.increment_batches(seed, n_samples, substream, 1, n, dt):
+    for _, incr in bw.increment_batches(seed, n_samples, 1, n, dt):
         res = simulate_batch(config, model, dt, incr)
         total_neg += int(res.negative_steps.sum())
         neg_paths += int((res.negative_steps > 0).sum())

@@ -25,7 +25,7 @@ class EstimatorError(ValueError):
     """Ill-posed estimator request."""
 
 
-PAYOFF_KINDS = ("terminal", "barrier", "absolute_terminal")
+PAYOFF_KINDS = ("terminal", "barrier")
 PHI_NAMES = ("call", "put", "identity", "abs")
 
 
@@ -34,7 +34,7 @@ class PayoffSpec:
     """Discounted payoff of a simulated path.
 
     ``terminal`` applies ``phi`` to the terminal price observable;
-    ``absolute_terminal`` is |X_T| (no phi); ``barrier`` multiplies the
+    ``barrier`` multiplies the
     terminal payoff by the indicator that the running price observable stayed
     inside [lower, upper].  ``discount`` is the rate r in e^(-rT).
     """
@@ -74,8 +74,6 @@ class PayoffSpec:
         return self.kind == "barrier"
 
     def _apply_phi(self, s: np.ndarray) -> np.ndarray:
-        if self.kind == "absolute_terminal":
-            return np.abs(s)
         if self.phi == "call":
             return np.maximum(s - self.strike, 0.0)
         if self.phi == "put":
@@ -212,7 +210,6 @@ def _sample(
     n: int,
     n_samples: int,
     index_offset: int,
-    substream: int,
     policy: str = "propagate",
     radius: float | None = None,
     coupled: bool = False,
@@ -233,7 +230,7 @@ def _sample(
     n_over = 0
     steps = 0
     for idx, incr in bw.increment_batches(
-        seed, n_samples, substream, model.m, n, dt, index_offset
+        seed, n_samples, model.m, n, dt, index_offset
     ):
         res = simulate_batch(config, model, dt, incr, track_extrema=track)
         steps += res.steps * len(idx)
@@ -275,7 +272,6 @@ def mc_estimate(
     policy: str = "propagate",
     radius: float | None = None,
     index_offset: int = 0,
-    substream: int = 0,
 ) -> PriceEstimate:
     """Plain Monte Carlo mean of the discounted payoff at resolution n.
 
@@ -294,7 +290,7 @@ def mc_estimate(
             raise EstimatorError("the discarded-path estimator is scalar-only")
     vals, n_over, steps = _sample(
         config, model, payoff, T=T, seed=seed, n=n, n_samples=n_samples,
-        index_offset=index_offset, substream=substream, policy=policy,
+        index_offset=index_offset, policy=policy,
         radius=radius,
     )
     value, var = util.sample_moments(vals)
@@ -317,7 +313,6 @@ def mlmc_estimate(
     seed: int,
     policy: str = "propagate",
     index_offset: int = 0,
-    substream: int = 0,
 ) -> PriceEstimate:
     """Multilevel Monte Carlo over dyadic resolutions 2^0 .. 2^L.
 
@@ -338,7 +333,7 @@ def mlmc_estimate(
     for level, n_l in enumerate(plan.samples):
         y, n_over_l, steps_l = _sample(
             config, model, payoff, T=T, seed=seed, n=2**level, n_samples=n_l,
-            index_offset=offset, substream=substream, policy=policy,
+            index_offset=offset, policy=policy,
             coupled=level > 0,
         )
         offset += n_l
@@ -388,14 +383,13 @@ def estimate_at(
     seed: int,
     policy: str = "propagate",
     index_offset: int = 0,
-    substream: int = 0,
 ) -> PriceEstimate:
     """One multilevel ("mlmc") or standard-pairing ("standard") estimate at
     accuracy epsilon, on the stream indices from ``index_offset`` on."""
     if method == "mlmc":
         return mlmc_estimate(
             config, model, payoff, T=T, epsilon=epsilon, seed=seed,
-            policy=policy, index_offset=index_offset, substream=substream,
+            policy=policy, index_offset=index_offset,
         )
     if method != "standard":
         raise EstimatorError(f"unknown method {method!r}; use 'mlmc' or 'standard'")
@@ -403,7 +397,6 @@ def estimate_at(
     return mc_estimate(
         config, model, payoff, T=T, seed=seed, n=pairing.n,
         n_samples=pairing.n_samples, policy=policy, index_offset=index_offset,
-        substream=substream,
     )
 
 
@@ -429,7 +422,6 @@ def rmsq_study(
     replications: int,
     seed: int,
     policy: str = "propagate",
-    substream: int = 0,
     mapper=None,
 ) -> RmsqStudy:
     """Empirical rmsq of the multilevel or standard estimator at accuracy eps.
@@ -455,7 +447,7 @@ def rmsq_study(
     def run_one(r: int) -> PriceEstimate:
         return estimate_at(
             method, config, model, payoff, T=T, epsilon=epsilon, seed=seed,
-            policy=policy, index_offset=r * span, substream=substream,
+            policy=policy, index_offset=r * span,
         )
 
     results = (

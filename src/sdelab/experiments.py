@@ -20,19 +20,18 @@ import numpy as np
 
 from . import __version__, brownian as bw
 from . import convergence, estimators, models, oracles, schemes, util
-from .config import ConfigError, ExperimentConfig, SchemeSpec, echo_lines
+from .config import ConfigError, ExperimentConfig, echo_lines
 
 
-def build_stepper_config(
-    spec: SchemeSpec, model: models.Model
-) -> schemes.StepperConfig:
-    """Turn a config-file scheme request into a StepperConfig for ``model``."""
+def build_stepper_config(alias: str, model: models.Model) -> schemes.StepperConfig:
+    """The StepperConfig a config-file scheme alias selects, checked against
+    ``model``."""
+    cfg = schemes.ALIASES[alias]
     try:
-        cfg = spec.row.build(model)
         schemes.make_stepper(cfg, model)
     except schemes.SchemeError as exc:
         raise ConfigError(
-            [f"[scheme]: {spec.label!r} does not apply to model {model.model_id!r}: {exc}"]
+            [f"[scheme]: {alias!r} does not apply to model {model.model_id!r}: {exc}"]
         ) from exc
     return cfg
 
@@ -49,10 +48,6 @@ def _build_payoff(cfg: ExperimentConfig, default_phi: str | None = None):
     if phi is None:
         phi = "call" if cfg.strike is not None else "identity"
     barrier = "lower" in run or "upper" in run
-    if phi == "abs" and not barrier:
-        return estimators.PayoffSpec(
-            kind="absolute_terminal", discount=_discount_rate(cfg)
-        )
     return estimators.PayoffSpec(
         kind="barrier" if barrier else "terminal",
         phi=phi,
@@ -100,7 +95,7 @@ def _run_negstats(cfg, model, seed, out_dir, threads, header):
          "negative_path_fraction"),
         [
             (
-                cfg.schemes[0].label,
+                cfg.schemes[0],
                 stats.n_steps,
                 stats.n_samples,
                 stats.avg_negative_steps,
@@ -119,8 +114,7 @@ def _run_curves(cfg, model, seed, out_dir, threads, header):
     pathwise = cfg.kind == "pathwise"
     ref_cfg = None
     if "ref_scheme" in run:
-        ref = run["ref_scheme"]
-        ref_cfg = build_stepper_config(SchemeSpec(ref, schemes.ALIASES[ref]), model)
+        ref_cfg = build_stepper_config(run["ref_scheme"], model)
     reports = convergence.strong_error_curves(
         [build_stepper_config(s, model) for s in cfg.schemes],
         model,
@@ -136,8 +130,8 @@ def _run_curves(cfg, model, seed, out_dir, threads, header):
         index_offset=run.get("sample_index", 0),
     )
     paths = []
-    for spec, report in zip(cfg.schemes, reports):
-        name = "pathwise.csv" if pathwise else f"converge_{spec.label}.csv"
+    for alias, report in zip(cfg.schemes, reports):
+        name = "pathwise.csv" if pathwise else f"converge_{alias}.csv"
         path = os.path.join(out_dir, name)
         stderrs = (None,) * len(report.errors) if pathwise else report.stderrs
         util.write_csv(
@@ -145,7 +139,7 @@ def _run_curves(cfg, model, seed, out_dir, threads, header):
             ("delta", "error", "stderr", "n_overflow"),
             zip(report.stepsizes, report.errors, stderrs, report.overflow_counts),
             header
-            + ([] if pathwise else [f"scheme = {spec.label}"])
+            + ([] if pathwise else [f"scheme = {alias}"])
             + [f"reference = {report.reference}"],
             _regression_comments(report),
         )

@@ -57,10 +57,11 @@ def _heston_charfunc(u: np.ndarray, p: HestonParams, T: float) -> np.ndarray:
 
 
 def _damped_call_quad(
-    p: HestonParams, strike: float, T: float, nodes: int, truncation: float, alpha: float
+    p: HestonParams, strike: float, T: float, x: np.ndarray, w: np.ndarray,
+    truncation: float, alpha: float,
 ) -> float:
-    """Gauss-Legendre value of the damped-payoff inversion integral."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    """Value of the damped-payoff inversion integral on [0, truncation], from
+    Gauss-Legendre nodes ``x`` and weights ``w`` on [-1, 1]."""
     u = 0.5 * truncation * (x + 1.0)
     w = 0.5 * truncation * w
     k = math.log(strike)
@@ -97,9 +98,11 @@ def heston_call_price(
             f"finite, which fails: rho = {p.rho} > bound {bound.threshold:.6g}; "
             "lower the damping"
         )
-    a = _damped_call_quad(p, strike, T, settings.nodes, settings.truncation, settings.damping)
-    b = _damped_call_quad(p, strike, T, 2 * settings.nodes, settings.truncation, settings.damping)
-    c = _damped_call_quad(p, strike, T, 2 * settings.nodes, 2.0 * settings.truncation, settings.damping)
+    base = np.polynomial.legendre.leggauss(settings.nodes)
+    fine = np.polynomial.legendre.leggauss(2 * settings.nodes)
+    a = _damped_call_quad(p, strike, T, *base, settings.truncation, settings.damping)
+    b = _damped_call_quad(p, strike, T, *fine, settings.truncation, settings.damping)
+    c = _damped_call_quad(p, strike, T, *fine, 2.0 * settings.truncation, settings.damping)
     tol = settings.stability_tol
     if abs(a - b) > tol or abs(b - c) > tol:
         raise OracleError(
@@ -133,13 +136,6 @@ def black_scholes_call(
     return disc * (forward * nd(d1) - strike * nd(d2))
 
 
-def black_scholes_put(
-    s0: float, strike: float, sigma: float, T: float, r: float = 0.0
-) -> float:
-    """Via parity: put = call - s0 + K*exp(-rT)."""
-    return black_scholes_call(s0, strike, sigma, T, r) - s0 + strike * math.exp(-r * T)
-
-
 def gbm_exact_nodes(p: CevParams, T: float, n: int, w: np.ndarray) -> np.ndarray:
     """Exact geometric Brownian motion at grid nodes from W values.
 
@@ -154,41 +150,6 @@ def gbm_exact_nodes(p: CevParams, T: float, n: int, w: np.ndarray) -> np.ndarray
     t = np.arange(n + 1, dtype=np.float64) * (T / n)
     t[-1] = T
     return p.s0 * np.exp((p.mu - 0.5 * p.sigma * p.sigma) * t + p.sigma * w)
-
-
-def cir_mean(p: CirParams, t) -> np.ndarray:
-    """E X_t = lam + (x0 - lam) * exp(-kappa t), the mean-reversion ODE flow."""
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
-        raise OracleError("time must be nonnegative")
-    return p.lam + (p.x0 - p.lam) * np.exp(-p.kappa * t)
-
-
-_ABS_MEAN_PARAMS = ThreeHalvesParams(c1=1.2, c2=0.8, c3=1.0, v0=0.5)
-_ABS_MEAN_T = 4.0
-_ABS_MEAN_VALUE = 0.566217
-
-
-def three_halves_abs_mean_fixture(p: ThreeHalvesParams, T: float) -> float:
-    """E|V_T| for the one pinned parameter set this value is known for.
-
-    The constant is specific to c1=1.2, c2=0.8, c3=1, v0=0.5, T=4; any other
-    request is refused rather than answered wrongly.
-    """
-    q = _ABS_MEAN_PARAMS
-    same = (
-        math.isclose(p.c1, q.c1, rel_tol=1e-12)
-        and math.isclose(p.c2, q.c2, rel_tol=1e-12)
-        and math.isclose(p.c3, q.c3, rel_tol=1e-12)
-        and math.isclose(p.v0, q.v0, rel_tol=1e-12)
-        and math.isclose(T, _ABS_MEAN_T, rel_tol=1e-12)
-    )
-    if not same:
-        raise OracleError(
-            "the absolute-mean fixture is pinned to c1=1.2, c2=0.8, c3=1, "
-            f"v0=0.5, T=4; got c1={p.c1}, c2={p.c2}, c3={p.c3}, v0={p.v0}, T={T}"
-        )
-    return _ABS_MEAN_VALUE
 
 
 def three_halves_inverse_cir(p: ThreeHalvesParams) -> CirParams:

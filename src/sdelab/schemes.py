@@ -24,14 +24,14 @@ b paths, increments (m, b).  ``simulate_batch`` drives a batch of paths and
 is the engine used by the measurement modules.
 
 ``SCHEMES`` is the one table of schemes: each entry builds the scheme's
-stepper and says which models it applies to.  ``ALIASES`` names the scheme
-and option combinations that config files select.
+stepper and says which models and which option it applies to.  ``ALIASES``
+maps the scheme names that config files select to their StepperConfig.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -98,54 +98,28 @@ def extension_absolute_sqrt(p: CirParams) -> AuxiliaryExtension:
     )
 
 
-@dataclass(frozen=True)
-class ProjectionMap:
-    """Measurable map sending points outside D into closure(D)."""
-
-    name: str
-    psi: Callable[[np.ndarray], np.ndarray]
-
-
-def projection_abs() -> ProjectionMap:
-    """psi = |.|, turning the reflected Euler scheme into the symmetrized one."""
-    return ProjectionMap(name="abs", psi=np.abs)
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Controls for the implicit-step equation x - drift(x)*dt = rhs."""
-
-    abs_tol: float = 1e-12
-    max_iter: int = 100
-    bracket_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise SchemeError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_iter < 1:
-            raise SchemeError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.bracket_factor > 1:
-            raise SchemeError(
-                f"bracket expansion factor must exceed 1, got {self.bracket_factor}"
-            )
-
-
-DEFAULT_SOLVER = SolverSettings()
+# controls for the implicit-step equation x - drift(x)*dt = rhs
+_ABS_TOL = 1e-12
+_MAX_ITER = 100
+_BRACKET_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Everything needed to turn a model into a concrete one-step map.
+    """A scheme and the names of its options, resolved against a model by
+    :func:`make_stepper`.
 
+    ``extension`` names an :data:`EXTENSIONS` entry (the modified schemes),
+    ``projection`` a :data:`PROJECTIONS` entry (the reflected scheme), and
     ``truncate_sqrt`` opts the square-root-process implicit schemes into
     evaluating sqrt(x^+) instead of sqrt(x), which is how they are run when
-    the Feller-type conditions fail and iterates may leave the domain.
+    the Feller-type conditions fail and iterates may leave the domain.  A
+    scheme rejects every option it does not read.
     """
 
     scheme_id: str
-    extension: AuxiliaryExtension | None = None
-    projection: ProjectionMap | None = None
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    extension: str | None = None
+    projection: str | None = None
     truncate_sqrt: bool = False
 
     def __post_init__(self) -> None:
@@ -154,16 +128,21 @@ class StepperConfig:
             raise SchemeError(
                 f"unknown scheme {self.scheme_id!r}; known: {', '.join(SCHEMES)}"
             )
-        if entry.option == "extension" and self.extension is None:
-            raise SchemeError(f"{self.scheme_id} requires an AuxiliaryExtension")
-        if entry.option == "projection" and self.projection is None:
-            raise SchemeError(f"{self.scheme_id} requires a ProjectionMap")
-        if self.extension is not None and entry.option != "extension":
-            users = [sid for sid, e in SCHEMES.items() if e.option == "extension"]
-            raise SchemeError(
-                f"extension given but scheme {self.scheme_id} does not use one; "
-                f"use {' or '.join(users)}"
-            )
+        for option in ("extension", "projection", "truncate_sqrt"):
+            if getattr(self, option) not in (None, False) and entry.option != option:
+                users = [sid for sid, e in SCHEMES.items() if e.option == option]
+                raise SchemeError(
+                    f"{option} given but scheme {self.scheme_id} does not read it; "
+                    f"use {' or '.join(users)}"
+                )
+        if entry.option in ("extension", "projection"):
+            known = EXTENSIONS if entry.option == "extension" else PROJECTIONS
+            value = getattr(self, entry.option)
+            if value not in known:
+                raise SchemeError(
+                    f"{self.scheme_id} needs {entry.option} set to one of "
+                    f"{', '.join(known)}; got {value!r}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +237,14 @@ def step_milstein_scalar(model: Model, x, dt: float, dw) -> np.ndarray:
     return euler + 0.5 * b(x) * db(x) * (dw * dw - dt)
 
 
-def step_reflected(model: Model, projection: ProjectionMap, x, dt: float, dw):
-    """Euler step, projected back into closure(D) whenever it leaves D."""
+def step_reflected(model: Model, psi: Callable[[np.ndarray], np.ndarray], x, dt, dw):
+    """Euler step, mapped back into closure(D) by ``psi`` whenever it leaves D."""
     if model.d != 1:
         raise SchemeError("reflected Euler is implemented for scalar models")
     x = np.asarray(x, dtype=np.float64)
     h = step_explicit_euler(model, x, dt, dw)
     inside = model.domain.contains(h)
-    return np.where(inside, h, projection.psi(h))
+    return np.where(inside, h, psi(h))
 
 
 def step_tamed_euler(model: Model, x, dt: float, dw) -> np.ndarray:
@@ -294,7 +273,6 @@ def solve_drift_implicit(
     rhs,
     dt: float,
     domain: DomainDescriptor,
-    settings: SolverSettings = DEFAULT_SOLVER,
     x_init=None,
     closed_form: Callable[[np.ndarray, float], np.ndarray] | None = None,
     drift_prime: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -305,7 +283,7 @@ def solve_drift_implicit(
     a sign change of g(x) = x - dt*drift(x) - rhs inside the domain
     (geometric expansion on (0, inf), additive on R) and drives it home with
     bisection accelerated by Newton/secant candidates.  The result satisfies
-    |g(x*)| <= settings.abs_tol; failure to bracket raises
+    |g(x*)| <= 1e-12; failure to bracket raises
     :class:`SolverError`, which typically signals dt above the scheme's
     well-definedness bound or a non-coercive drift.
     """
@@ -326,7 +304,7 @@ def solve_drift_implicit(
         if positive:
             x0 = np.maximum(x0, 1e-12)
 
-    fac = settings.bracket_factor
+    fac = _BRACKET_FACTOR
     lo = x0.copy()
     hi = x0.copy()
     with np.errstate(all="ignore"):
@@ -361,8 +339,8 @@ def solve_drift_implicit(
         x = 0.5 * (lo + hi)
         gx = g(x)
         dp = drift_prime
-        for _ in range(settings.max_iter):
-            done = np.abs(gx) <= settings.abs_tol
+        for _ in range(_MAX_ITER):
+            done = np.abs(gx) <= _ABS_TOL
             if done.all():
                 break
             # maintain the bracket
@@ -380,11 +358,11 @@ def solve_drift_implicit(
             x = np.where(bad, 0.5 * (lo + hi), cand)
             x = np.where(done, np.where(neg, lo, hi), x)  # hold converged entries
             gx = g(x)
-    if np.any(np.abs(gx) > settings.abs_tol) or not np.all(np.isfinite(x)):
+    if np.any(np.abs(gx) > _ABS_TOL) or not np.all(np.isfinite(x)):
         worst = float(np.max(np.abs(gx)))
         raise SolverError(
-            f"implicit solve did not reach abs_tol={settings.abs_tol} within "
-            f"{settings.max_iter} iterations (worst residual {worst:.3e})"
+            f"implicit solve did not reach abs_tol={_ABS_TOL} within "
+            f"{_MAX_ITER} iterations (worst residual {worst:.3e})"
         )
     return x
 
@@ -400,37 +378,25 @@ def _guard_domain_eval(model: Model, x: np.ndarray, what: str) -> None:
         )
 
 
-def step_split_step_backward(
-    model: Model,
-    x,
-    dt: float,
-    dw,
-    settings: SolverSettings = DEFAULT_SOLVER,
-) -> np.ndarray:
+def step_split_step_backward(model: Model, x, dt: float, dw) -> np.ndarray:
     """x* = x + a(x*)*dt, then x' = x* + sum_j b_j(x*)*dW_j."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     dw = np.asarray(dw, dtype=np.float64)
     xs = solve_drift_implicit(
-        model.drift, x, dt, model.domain, settings,
+        model.drift, x, dt, model.domain,
         x_init=x, closed_form=model.closed_form, drift_prime=model.drift_prime,
     )
     _guard_domain_eval(model, xs, "split-step diffusion stage")
     return _add_noise(model, xs, xs, dw)
 
 
-def step_backward_euler(
-    model: Model,
-    x,
-    dt: float,
-    dw,
-    settings: SolverSettings = DEFAULT_SOLVER,
-) -> np.ndarray:
+def step_backward_euler(model: Model, x, dt: float, dw) -> np.ndarray:
     """x' solves x' = x + a(x')*dt + sum_j b_j(x)*dW_j."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     dw = np.asarray(dw, dtype=np.float64)
     _guard_domain_eval(model, x, "backward Euler diffusion term")
     return solve_drift_implicit(
-        model.drift, _add_noise(model, x, x, dw), dt, model.domain, settings,
+        model.drift, _add_noise(model, x, x, dw), dt, model.domain,
         x_init=x, closed_form=model.closed_form, drift_prime=model.drift_prime,
     )
 
@@ -499,15 +465,16 @@ class _Stepper:
     check_domain: bool = False
 
 
-def _explicit(step_fn):
-    """Stepper factory for an explicit map on the model's own coefficients;
-    simulation raises DomainError when a path leaves a proper domain."""
+def _on_model(step_fn, check_domain: bool = True):
+    """Stepper factory for a map on the model's own coefficients.  With
+    ``check_domain``, simulation raises DomainError when a path leaves a
+    proper domain; the implicit maps guard their own evaluations instead."""
 
     def factory(config: StepperConfig, model: Model) -> _Stepper:
         return _Stepper(
             step=lambda x, dw, dt: step_fn(model, x, dt, dw),
             state0=model.state0,
-            check_domain=not model.domain.is_full,
+            check_domain=check_domain and not model.domain.is_full,
         )
 
     return factory
@@ -517,7 +484,12 @@ def _modified(step_fn):
     """Stepper factory for an explicit map on the extended coefficients."""
 
     def factory(config: StepperConfig, model: Model) -> _Stepper:
-        ext_model = apply_extension(model, config.extension)
+        if not isinstance(model.params, CirParams):
+            raise SchemeError(
+                f"the {config.extension!r} extension needs a square-root (cir) "
+                f"model, got model {model.model_id!r}"
+            )
+        ext_model = apply_extension(model, EXTENSIONS[config.extension](model.params))
         return _Stepper(
             step=lambda x, dw, dt: step_fn(ext_model, x, dt, dw),
             state0=model.state0,
@@ -526,21 +498,10 @@ def _modified(step_fn):
     return factory
 
 
-def _implicit(step_fn):
-    """Stepper factory for a drift-implicit map solved with config.solver."""
-
-    def factory(config: StepperConfig, model: Model) -> _Stepper:
-        return _Stepper(
-            step=lambda x, dw, dt: step_fn(model, x, dt, dw, config.solver),
-            state0=model.state0,
-        )
-
-    return factory
-
-
 def _reflected(config: StepperConfig, model: Model) -> _Stepper:
+    psi = PROJECTIONS[config.projection]
     return _Stepper(
-        step=lambda x, dw, dt: step_reflected(model, config.projection, x, dt, dw),
+        step=lambda x, dw, dt: step_reflected(model, psi, x, dt, dw),
         state0=model.state0,
     )
 
@@ -552,7 +513,7 @@ def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Stepper:
     if lam.alpha <= 0 and not config.truncate_sqrt:
         raise SchemeError(
             "implicit sqrt Euler requires 2*kappa*lam > theta^2 "
-            f"(alpha = {lam.alpha:.6g}); set truncate_sqrt to run anyway"
+            f"(alpha = {lam.alpha:.6g}); scheme implicit_sqrt_truncated runs anyway"
         )
     return _Stepper(
         step=lambda y, dw, dt: step_cir_implicit_sqrt(lam, y, dt, dw, config.truncate_sqrt),
@@ -566,7 +527,7 @@ def _cir_implicit_milstein(config: StepperConfig, model: Model) -> _Stepper:
     if 4.0 * p.kappa * p.lam < p.theta * p.theta and not config.truncate_sqrt:
         raise SchemeError(
             "drift-implicit Milstein loses positivity when 4*kappa*lam < "
-            "theta^2; set truncate_sqrt to run in that regime"
+            "theta^2; scheme dimp_milstein_truncated runs in that regime"
         )
     return _Stepper(
         step=lambda z, dw, dt: step_cir_implicit_milstein(p, z, dt, dw, config.truncate_sqrt),
@@ -588,8 +549,8 @@ def _log_heston(config: StepperConfig, model: Model) -> _Stepper:
     gamma = lam.gamma
     if lam.alpha <= 0 and not config.truncate_sqrt:
         raise SchemeError(
-            "volatility equation violates 2*kappa*lam > theta^2; "
-            "set truncate_sqrt to run anyway"
+            "volatility equation violates 2*kappa*lam > theta^2; running it "
+            "anyway with truncate_sqrt is available from the library only"
         )
 
     def step(x, dw, dt):
@@ -607,8 +568,9 @@ class SchemeEntry:
     """One scheme: how to build its stepper and which models it applies to.
 
     ``requires`` states the ``applies_to`` condition in words, for errors.
-    ``option`` names the StepperConfig field the scheme cannot run without
-    ("extension" or "projection"), if any.
+    ``option`` names the one StepperConfig option the scheme reads, if any:
+    "extension" or "projection", which it cannot run without, or
+    "truncate_sqrt".
     """
 
     factory: Callable[[StepperConfig, Model], _Stepper]
@@ -630,9 +592,9 @@ def _scalar_in_domain(model: Model) -> bool:
 
 
 SCHEMES: dict[str, SchemeEntry] = {
-    "explicit_euler": SchemeEntry(_explicit(step_explicit_euler)),
+    "explicit_euler": SchemeEntry(_on_model(step_explicit_euler)),
     "milstein": SchemeEntry(
-        _explicit(step_milstein_scalar), _scalar_noise,
+        _on_model(step_milstein_scalar), _scalar_noise,
         "models with scalar noise (d = m = 1)",
     ),
     "modified_euler": SchemeEntry(
@@ -649,25 +611,27 @@ SCHEMES: dict[str, SchemeEntry] = {
         "projection",
     ),
     "split_step_backward_euler": SchemeEntry(
-        _implicit(step_split_step_backward), _scalar, "scalar models"
+        _on_model(step_split_step_backward, check_domain=False), _scalar,
+        "scalar models",
     ),
     "backward_euler": SchemeEntry(
-        _implicit(step_backward_euler), _scalar, "scalar models"
+        _on_model(step_backward_euler, check_domain=False), _scalar,
+        "scalar models",
     ),
-    "tamed_euler": SchemeEntry(_explicit(step_tamed_euler)),
+    "tamed_euler": SchemeEntry(_on_model(step_tamed_euler)),
     "cir_implicit_sqrt_euler": SchemeEntry(
         _cir_implicit_sqrt,
         lambda model: isinstance(model.params, (CirParams, LampertiCir)),
-        "CIR or Lamperti-CIR models",
+        "CIR or Lamperti-CIR models", "truncate_sqrt",
     ),
     "cir_implicit_milstein": SchemeEntry(
         _cir_implicit_milstein,
         lambda model: isinstance(model.params, CirParams),
-        "CIR models",
+        "CIR models", "truncate_sqrt",
     ),
     "log_heston_composite": SchemeEntry(
         _log_heston, lambda model: model.model_id == "heston_log",
-        "the log-Heston model",
+        "the log-Heston model", "truncate_sqrt",
     ),
 }
 
@@ -677,53 +641,26 @@ EXTENSIONS: dict[str, Callable[[CirParams], AuxiliaryExtension]] = {
     "absolute": extension_absolute_sqrt,
 }
 
-PROJECTIONS: dict[str, Callable[[], ProjectionMap]] = {"abs": projection_abs}
-
-
-@dataclass(frozen=True)
-class SchemeRow:
-    """A scheme id with its options named as config files name them."""
-
-    scheme_id: str
-    extension: str | None = None
-    projection: str | None = None
-    truncate_sqrt: bool = False
-
-    def build(self, model: Model) -> StepperConfig:
-        """The StepperConfig this row selects for ``model``."""
-        ext = None
-        if self.extension is not None:
-            if not isinstance(model.params, CirParams):
-                raise SchemeError(
-                    f"the {self.extension!r} extension needs a square-root (cir) "
-                    f"model, got model {model.model_id!r}"
-                )
-            ext = EXTENSIONS[self.extension](model.params)
-        return StepperConfig(
-            scheme_id=self.scheme_id,
-            extension=ext,
-            projection=PROJECTIONS[self.projection]() if self.projection else None,
-            truncate_sqrt=self.truncate_sqrt,
-        )
+PROJECTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {"abs": np.abs}
 
 
 # the scheme names config files use
-ALIASES: dict[str, SchemeRow] = {
-    "euler": SchemeRow("explicit_euler"),
-    "milstein": SchemeRow("milstein"),
-    "truncated_euler": SchemeRow("modified_euler", extension="truncate"),
-    "absolute_euler": SchemeRow("modified_euler", extension="absolute"),
-    "truncated_milstein": SchemeRow("modified_milstein", extension="truncate"),
-    "absolute_milstein": SchemeRow("modified_milstein", extension="absolute"),
-    "symmetrized_euler": SchemeRow("reflected_euler", projection="abs"),
-    "tamed_euler": SchemeRow("tamed_euler"),
-    "split_step": SchemeRow("split_step_backward_euler"),
-    "backward_euler": SchemeRow("backward_euler"),
-    "implicit_sqrt": SchemeRow("cir_implicit_sqrt_euler"),
-    "implicit_sqrt_truncated": SchemeRow("cir_implicit_sqrt_euler", truncate_sqrt=True),
-    "dimp_milstein": SchemeRow("cir_implicit_milstein"),
-    "dimp_milstein_truncated": SchemeRow("cir_implicit_milstein", truncate_sqrt=True),
-    "log_heston": SchemeRow("log_heston_composite"),
+ALIASES: dict[str, StepperConfig] = {
+    "euler": StepperConfig("explicit_euler"),
+    "milstein": StepperConfig("milstein"),
+    "truncated_euler": StepperConfig("modified_euler", extension="truncate"),
+    "absolute_euler": StepperConfig("modified_euler", extension="absolute"),
+    "truncated_milstein": StepperConfig("modified_milstein", extension="truncate"),
+    "absolute_milstein": StepperConfig("modified_milstein", extension="absolute"),
+    "symmetrized_euler": StepperConfig("reflected_euler", projection="abs"),
+    "tamed_euler": StepperConfig("tamed_euler"),
+    "split_step": StepperConfig("split_step_backward_euler"),
+    "backward_euler": StepperConfig("backward_euler"),
+    "implicit_sqrt": StepperConfig("cir_implicit_sqrt_euler"),
+    "implicit_sqrt_truncated": StepperConfig("cir_implicit_sqrt_euler", truncate_sqrt=True),
+    "dimp_milstein": StepperConfig("cir_implicit_milstein"),
+    "dimp_milstein_truncated": StepperConfig("cir_implicit_milstein", truncate_sqrt=True),
+    "log_heston": StepperConfig("log_heston_composite"),
 }
 
 
@@ -737,7 +674,7 @@ def default_reference_config(config: StepperConfig, model: Model) -> StepperConf
     """
     if model.model_id == "cir":
         feller = feller_ratio(model.params) >= 1.0
-        return ALIASES["implicit_sqrt" if feller else "truncated_euler"].build(model)
+        return ALIASES["implicit_sqrt" if feller else "truncated_euler"]
     return config
 
 

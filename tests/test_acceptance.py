@@ -32,11 +32,7 @@ M2 = models.build_model(SC2.model_id, SC2.params)
 EULER = schemes.StepperConfig(scheme_id="explicit_euler")
 
 
-def _truncated(params):
-    return schemes.StepperConfig(
-        scheme_id="modified_euler",
-        extension=schemes.extension_truncated_sqrt(params),
-    )
+TRUNCATED = schemes.StepperConfig(scheme_id="modified_euler", extension="truncate")
 
 
 # 1 -------------------------------------------------------------------------
@@ -83,12 +79,9 @@ def test_cost_accounting():
 
 def test_negativity_statistics():
     s1 = cv.negativity_stats(
-        _truncated(SC1.params), M1, T=SC1.T, seed=51, n=512, n_samples=100000
+        TRUNCATED, M1, T=SC1.T, seed=51, n=512, n_samples=100000
     )
-    absolute = schemes.StepperConfig(
-        scheme_id="modified_euler",
-        extension=schemes.extension_absolute_sqrt(SC2.params),
-    )
+    absolute = schemes.StepperConfig(scheme_id="modified_euler", extension="absolute")
     s2 = cv.negativity_stats(absolute, M2, T=SC2.T, seed=51, n=512, n_samples=100000)
     _check(
         "negativity statistics",
@@ -128,7 +121,7 @@ def test_cir_orders_feller_regime():
     isqrt = schemes.StepperConfig(scheme_id="cir_implicit_sqrt_euler")
     dimp = schemes.StepperConfig(scheme_id="cir_implicit_milstein")
     reps = cv.strong_error_curves(
-        [_truncated(SC1.params), isqrt, dimp], M1, T=SC1.T, seed=205,
+        [TRUNCATED, isqrt, dimp], M1, T=SC1.T, seed=205,
         n_list=[2**k for k in range(7, 14)], n_samples=10000, p=1, ref_n=2**15,
     )
     s_tr, s_is, s_di = (r.regression.slope for r in reps)
@@ -147,7 +140,7 @@ def test_cir_orders_degraded_regime():
         scheme_id="cir_implicit_milstein", truncate_sqrt=True
     )
     reps = cv.strong_error_curves(
-        [_truncated(SC2.params), isqrt_t, dimp_t], M2, T=SC2.T, seed=206,
+        [TRUNCATED, isqrt_t, dimp_t], M2, T=SC2.T, seed=206,
         n_list=[2**k for k in range(7, 14)], n_samples=10000, p=1, ref_n=2**15,
     )
     slopes = tuple(r.regression.slope for r in reps)
@@ -164,7 +157,7 @@ def test_cir_orders_degraded_regime():
 def test_moment_explosion():
     pre = models.get_preset("three-halves-mc")
     m = models.build_model(pre.model_id, pre.params)
-    pay = est.PayoffSpec(kind="absolute_terminal")
+    pay = est.PayoffSpec(phi="abs")
 
     def run(n, n_samples):
         return est.mc_estimate(
@@ -243,9 +236,7 @@ def test_positivity_one_steps():
     rng = np.random.default_rng(7)
     lam1 = models.lamperti_cir(SC1.params)
     refl = schemes.make_stepper(
-        schemes.StepperConfig(
-            scheme_id="reflected_euler", projection=schemes.projection_abs()
-        ),
+        schemes.StepperConfig(scheme_id="reflected_euler", projection="abs"),
         M1,
     )
     violations = 0
@@ -304,8 +295,7 @@ def test_implicit_residuals():
         res = xp - (x + toy.diffusion[0](x) * dw) - toy.drift(xp) * dt
         worst = max(worst, float(np.abs(res).max()))
         xs = schemes.solve_drift_implicit(
-            toy.drift, x, dt, toy.domain, schemes.DEFAULT_SOLVER,
-            x_init=x, drift_prime=toy.drift_prime,
+            toy.drift, x, dt, toy.domain, x_init=x, drift_prime=toy.drift_prime,
         )
         xfull = schemes.step_split_step_backward(toy, x, dt, dw)
         res_stage = xs - x - toy.drift(xs) * dt

@@ -51,13 +51,13 @@ def test_increment_block_rows_are_scaled_substreams(monkeypatch):
         np.testing.assert_array_equal(block[j], want)
     # batches cover the index range in order and do not change the values
     monkeypatch.setattr(bw, "_BATCH_FLOATS", 30)  # 3 paths of 2 x 5 per batch
-    parts = list(bw.increment_batches(7, 8, 1, 2, 5, 0.5, index_offset=10))
+    parts = list(bw.increment_batches(7, 8, 2, 5, 0.5, index_offset=10))
     assert [len(i) for i, _ in parts] == [3, 3, 2]
     idx = np.concatenate([i for i, _ in parts])
     np.testing.assert_array_equal(idx, np.arange(10, 18))
     np.testing.assert_array_equal(
         np.concatenate([b for _, b in parts], axis=1),
-        bw.increment_block(7, idx, 1, 2, 5, 0.5),
+        bw.increment_block(7, idx, 0, 2, 5, 0.5),
     )
 
 

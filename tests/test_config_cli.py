@@ -42,7 +42,7 @@ def test_parse_minimal_converge_config():
     assert cfg.kind == "converge" and cfg.seed == 11
     assert cfg.model_id == "cir" and cfg.preset_name == "cir-scenario-1"
     assert cfg.T == 5.0
-    assert [s.label for s in cfg.schemes] == ["truncated_euler", "implicit_sqrt"]
+    assert cfg.schemes == ("truncated_euler", "implicit_sqrt")
     assert cfg.run["n_list"] == (16, 32) and cfg.run["ref_n"] == 128
 
 
@@ -100,30 +100,6 @@ reference = exact
 """
     )
     assert cfg.model_id == "gbm" and cfg.params.s0 == 1.0 and cfg.strike is None
-
-
-def test_scheme_id_form_with_options():
-    cfg = parse_config(
-        """
-[experiment]
-kind = negstats
-seed = 1
-
-[model]
-preset = cir-scenario-1
-
-[scheme]
-scheme_id = modified_euler
-extension = truncate
-
-[run]
-n = 512
-n_samples = 100
-"""
-    )
-    (spec,) = cfg.schemes
-    assert spec.row == schemes.SchemeRow("modified_euler", extension="truncate")
-    assert spec.label == "modified_euler-truncate"
 
 
 def test_validate_kind_needs_no_scheme():
@@ -276,28 +252,6 @@ n_samples = 100
 """
     )
     assert any("requires 'n_list'" in e for e in errs)
-
-
-def test_alias_and_scheme_id_forms_are_exclusive():
-    errs = _errors(
-        """
-[experiment]
-kind = negstats
-seed = 1
-
-[model]
-preset = cir-scenario-1
-
-[scheme]
-scheme = truncated_euler
-scheme_id = modified_euler
-
-[run]
-n = 8
-n_samples = 10
-"""
-    )
-    assert any("not both" in e for e in errs)
 
 
 def test_unknown_alias_and_bad_enums():
@@ -457,6 +411,32 @@ n_samples = 10
     err = capsys.readouterr().err
     assert err.count("config error:") >= 2
     assert "'kapa'" in err and "'n' must be >= 1" in err
+
+
+def test_cli_rejects_scheme_id_key(tmp_path, capsys):
+    # [scheme] lists aliases only; a scheme with options is a library call
+    cfg = _write(
+        tmp_path / "s.cfg",
+        """
+[experiment]
+kind = negstats
+seed = 1
+
+[model]
+preset = cir-scenario-1
+
+[scheme]
+scheme_id = modified_euler
+
+[run]
+n = 8
+n_samples = 10
+""",
+    )
+    rc = cli.main(["negstats", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 10: unknown key 'scheme_id' in [scheme]; known keys: scheme" in err
 
 
 def test_cli_oracle_failure_exits_three(tmp_path, capsys):
@@ -781,6 +761,10 @@ EDGE_RUNS = {
     ),
     "mlmc-oracle-without-heston": (
         "mlmc", "epsilon = 2^-1\nreplications = 2\ntruth = oracle", 2, "truth = oracle",
+    ),
+    "mlmc-truth-without-replications": (
+        "mlmc", "epsilon = 2^-1\ntruth = 1.0", 2,
+        "line 18: 'truth' is read only by a replication study",
     ),
     "price-call-without-strike": (
         "price", "method = mc\nn = 8\nn_samples = 16\npayoff = call", 2, "strike",

@@ -23,9 +23,7 @@ def _cir_sc1():
 
 
 def _truncated_euler():
-    return schemes.StepperConfig(
-        scheme_id="modified_euler", extension=schemes.extension_truncated_sqrt(SC1)
-    )
+    return schemes.StepperConfig(scheme_id="modified_euler", extension="truncate")
 
 
 def _block(values):
@@ -218,10 +216,7 @@ def test_pathwise_gbm_euler_against_exact_solution():
 def test_pathwise_cir_milstein_beats_euler_on_one_path():
     # Scenario I, single driving path: the truncated Milstein scheme shows
     # roughly first-order decay while truncated Euler stays near one half.
-    milstein = schemes.StepperConfig(
-        scheme_id="modified_milstein",
-        extension=schemes.extension_truncated_sqrt(SC1),
-    )
+    milstein = schemes.StepperConfig(scheme_id="modified_milstein", extension="truncate")
     mil, eul = cv.strong_error_curves(
         [milstein, _truncated_euler()],
         _cir_sc1(),
@@ -388,9 +383,7 @@ def test_negativity_counts_truncated_euler():
 
 def test_negativity_symmetrized_scheme_is_exactly_zero():
     st_ = cv.negativity_stats(
-        schemes.StepperConfig(
-            scheme_id="reflected_euler", projection=schemes.projection_abs()
-        ),
+        schemes.StepperConfig(scheme_id="reflected_euler", projection="abs"),
         _cir_sc1(),
         T=5.0,
         seed=51,

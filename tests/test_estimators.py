@@ -15,7 +15,7 @@ GBM = models.build_model("gbm", models.CevParams(mu=0.05, sigma=0.2, gamma=1.0, 
 FROZEN = models.build_model("gbm", models.CevParams(mu=0.0, sigma=0.0, gamma=1.0, s0=2.0))
 CALL = PayoffSpec(kind="terminal", phi="call", strike=1.0, discount=0.05)
 IDENT = PayoffSpec(kind="terminal", phi="identity")
-ABS_T = PayoffSpec(kind="absolute_terminal")
+ABS_T = PayoffSpec(phi="abs")
 
 
 def _three_halves():

@@ -1,4 +1,5 @@
-"""Reference values: Fourier call price, Black-Scholes, exact flows, fixtures."""
+"""Reference values: Fourier call price, Black-Scholes, exact GBM nodes, and
+the 3/2 model's reciprocal square-root process."""
 
 import dataclasses
 import math
@@ -121,14 +122,6 @@ def test_black_scholes_limits():
         orc.black_scholes_call(100.0, 100.0, 0.2, -1.0)
 
 
-def test_black_scholes_put_limits():
-    assert orc.black_scholes_put(100.0, 0.0, 0.2, 1.0, r=0.05) == 0.0
-    strikes = np.linspace(80.0, 120.0, 9)
-    puts = [orc.black_scholes_put(100.0, k, 0.2, 1.0, r=0.05) for k in strikes]
-    assert all(p >= 0.0 for p in puts)
-    assert all(b > a for a, b in zip(puts, puts[1:]))
-
-
 # ---------------------------------------------------------------------------
 # exact flows
 
@@ -153,33 +146,8 @@ def test_gbm_exact_nodes_deterministic_and_shapes():
         orc.gbm_exact_nodes(p, 1.0, 4, np.zeros(4))
 
 
-def test_cir_mean_flow():
-    p = models.CirParams(kappa=5.07, lam=0.0457, theta=0.48, x0=0.05)
-    assert orc.cir_mean(p, 0.0) == 0.05
-    assert math.isclose(float(orc.cir_mean(p, 50.0)), p.lam, rel_tol=1e-8)
-    # mean-reversion ODE m' = kappa (lam - m), checked by central difference
-    h = 1e-5
-    for t in (0.1, 1.0, 3.0):
-        lhs = float(orc.cir_mean(p, t + h) - orc.cir_mean(p, t - h)) / (2.0 * h)
-        rhs = p.kappa * (p.lam - float(orc.cir_mean(p, t)))
-        assert abs(lhs - rhs) <= 1e-8
-    grid = orc.cir_mean(p, np.array([0.0, 1.0, 2.0]))
-    assert grid.shape == (3,) and (np.diff(grid) < 0).all()  # x0 > lam decays
-    with pytest.raises(OracleError):
-        orc.cir_mean(p, -1.0)
-
-
 # ---------------------------------------------------------------------------
-# pinned absolute-mean fixture and its reciprocal square-root process
-
-
-def test_absolute_mean_fixture_is_pinned():
-    p = models.ThreeHalvesParams(c1=1.2, c2=0.8, c3=1.0, v0=0.5)
-    assert orc.three_halves_abs_mean_fixture(p, 4.0) == 0.566217
-    with pytest.raises(OracleError, match="pinned"):
-        orc.three_halves_abs_mean_fixture(dataclasses.replace(p, c1=1.3), 4.0)
-    with pytest.raises(OracleError, match="pinned"):
-        orc.three_halves_abs_mean_fixture(p, 1.0)
+# the 3/2 model's reciprocal square-root process
 
 
 def test_inverse_cir_parameter_map():
@@ -193,7 +161,8 @@ def test_inverse_cir_parameter_map():
 
 def test_reciprocal_process_reproduces_absolute_mean():
     # E|V_T| = E[1/X_T] where X is the reciprocal square-root process; the
-    # positivity-preserving implicit scheme on X cross-checks the fixture.
+    # positivity-preserving implicit scheme on X cross-checks the pinned
+    # value 0.566217 for c1=1.2, c2=0.8, c3=1, v0=0.5, T=4.
     inv = orc.three_halves_inverse_cir(
         models.ThreeHalvesParams(c1=1.2, c2=0.8, c3=1.0, v0=0.5)
     )

@@ -119,7 +119,7 @@ def test_reflected_inside_matches_euler():
     x = np.array([0.05])
     dw = np.array([0.001])
     dt = 5.0 / 512.0
-    ref = schemes.step_reflected(CIR, schemes.projection_abs(), x, dt, dw)
+    ref = schemes.step_reflected(CIR, np.abs, x, dt, dw)
     np.testing.assert_array_equal(ref, schemes.step_explicit_euler(CIR, x, dt, dw))
 
 
@@ -129,12 +129,12 @@ def test_reflected_symmetrizes_negative_excursion():
     dw = np.array([-0.7])  # drives the Euler step negative
     h = schemes.step_explicit_euler(CIR, x, dt, dw)
     assert h[0] < 0
-    out = schemes.step_reflected(CIR, schemes.projection_abs(), x, dt, dw)
+    out = schemes.step_reflected(CIR, np.abs, x, dt, dw)
     assert out[0] == -h[0]
 
 
 def test_reflected_constant_projection():
-    const = schemes.ProjectionMap(name="const(0.07)", psi=lambda x: np.full_like(x, 0.07))
+    const = lambda x: np.full_like(x, 0.07)
     out = schemes.step_reflected(
         CIR, const, np.array([0.04]), 1.0 / 512.0, np.array([-0.7])
     )
@@ -145,10 +145,7 @@ def test_reflected_constant_projection():
 
 
 def test_solve_linear_drift():
-    settings = schemes.SolverSettings()
-    x = schemes.solve_drift_implicit(
-        lambda x: -x, np.array([1.0]), 1.0, models.FULL_LINE, settings
-    )
+    x = schemes.solve_drift_implicit(lambda x: -x, np.array([1.0]), 1.0, models.FULL_LINE)
     assert abs(x[0] - 0.5) <= 1e-12
 
 
@@ -179,11 +176,8 @@ def _bisect_oracle(fn, lo, hi, tol=1e-14):
 
 def test_newton_matches_bisection_on_ait_sahalia(rng):
     dt = 0.01
-    settings = schemes.SolverSettings()
     for rhs in rng.uniform(0.1, 5.0, 20):
-        got = schemes.solve_drift_implicit(
-            AS.drift, np.array([rhs]), dt, AS.domain, settings
-        )[0]
+        got = schemes.solve_drift_implicit(AS.drift, np.array([rhs]), dt, AS.domain)[0]
 
         def g(x, rhs=rhs):
             return x - dt * AS.drift(np.array([x]))[0] - rhs
@@ -276,10 +270,7 @@ def test_implicit_residuals(rng):
     xb = schemes.step_backward_euler(AS, x, dt, dw)
     res_b = xb - x - AS.drift(xb) * dt - AS.diffusion[0](x) * dw
     assert np.abs(res_b).max() <= 1e-12
-    settings = schemes.DEFAULT_SOLVER
-    xs = schemes.solve_drift_implicit(
-        AS.drift, x, dt, AS.domain, settings, x_init=x
-    )
+    xs = schemes.solve_drift_implicit(AS.drift, x, dt, AS.domain, x_init=x)
     res_s = xs - x - AS.drift(xs) * dt
     assert np.abs(res_s).max() <= 1e-12
 
@@ -549,9 +540,7 @@ def _lattice_run(cfg, model, lat):
 
 def test_symmetrized_euler_never_negative():
     lat = bw.sample_lattice(bw.StreamKey(907, 0, 0), T=5.0, m=1, finest_n=512)
-    cfg = schemes.StepperConfig(
-        scheme_id="reflected_euler", projection=schemes.projection_abs()
-    )
+    cfg = schemes.StepperConfig(scheme_id="reflected_euler", projection="abs")
     res = _lattice_run(cfg, CIR, lat)
     assert res.negative_steps[0] == 0
     assert res.recorded.min() >= 0.0
@@ -560,9 +549,7 @@ def test_symmetrized_euler_never_negative():
 
 def test_modified_euler_agrees_with_explicit_on_clean_path():
     # pick a path that never leaves the domain; on it the extension is inert
-    cfg_mod = schemes.StepperConfig(
-        scheme_id="modified_euler", extension=schemes.extension_truncated_sqrt(SC1)
-    )
+    cfg_mod = schemes.StepperConfig(scheme_id="modified_euler", extension="truncate")
     for idx in range(20):
         lat = bw.sample_lattice(bw.StreamKey(31, idx, 0), T=5.0, m=1, finest_n=2048)
         path_mod = _lattice_run(cfg_mod, CIR, lat)
@@ -584,9 +571,7 @@ def test_explicit_euler_raises_on_domain_exit():
 
 
 def test_batch_equals_stacked_single_paths(rng):
-    cfg = schemes.StepperConfig(
-        scheme_id="reflected_euler", projection=schemes.projection_abs()
-    )
+    cfg = schemes.StepperConfig(scheme_id="reflected_euler", projection="abs")
     n, b = 16, 5
     dt = 5.0 / n
     incr = rng.normal(0.0, math.sqrt(dt), (1, b, n))
@@ -612,14 +597,20 @@ def test_record_every_keeps_every_sth_node():
 def test_config_validation_rules():
     with pytest.raises(schemes.SchemeError, match="unknown scheme"):
         schemes.StepperConfig(scheme_id="heun")
-    with pytest.raises(schemes.SchemeError, match="AuxiliaryExtension"):
+    with pytest.raises(schemes.SchemeError, match="needs extension"):
         schemes.StepperConfig(scheme_id="modified_euler")
-    with pytest.raises(schemes.SchemeError, match="ProjectionMap"):
+    with pytest.raises(schemes.SchemeError, match="needs extension"):
+        schemes.StepperConfig(scheme_id="modified_euler", extension="reflect")
+    with pytest.raises(schemes.SchemeError, match="needs projection"):
         schemes.StepperConfig(scheme_id="reflected_euler")
-    with pytest.raises(schemes.SchemeError, match="does not use"):
-        schemes.StepperConfig(
-            scheme_id="explicit_euler", extension=schemes.extension_truncated_sqrt(SC1)
-        )
+    # every option the scheme does not read is rejected
+    for scheme_id, option in (
+        ("explicit_euler", {"extension": "truncate"}),
+        ("explicit_euler", {"truncate_sqrt": True}),
+        ("modified_euler", {"extension": "truncate", "projection": "abs"}),
+    ):
+        with pytest.raises(schemes.SchemeError, match="does not read it"):
+            schemes.StepperConfig(scheme_id=scheme_id, **option)
     heston = models.get_preset("heston-mlmc").build()
     with pytest.raises(schemes.SchemeError, match="scalar noise"):
         schemes.make_stepper(schemes.StepperConfig(scheme_id="milstein"), heston)
@@ -628,20 +619,11 @@ def test_config_validation_rules():
             schemes.make_stepper(schemes.StepperConfig(scheme_id=implicit), heston)
     cev = models.get_preset("cev-set-1").build()
     with pytest.raises(schemes.SchemeError, match="full space"):
-        schemes.make_stepper(
-            schemes.StepperConfig(
-                scheme_id="modified_euler",
-                extension=schemes.extension_truncated_sqrt(SC1),
-            ),
-            cev,
-        )
+        schemes.make_stepper(schemes.ALIASES["truncated_euler"], cev)
+    with pytest.raises(schemes.SchemeError, match="square-root"):
+        schemes.make_stepper(schemes.ALIASES["truncated_euler"], AS)
     with pytest.raises(schemes.SchemeError, match="proper domain"):
-        schemes.make_stepper(
-            schemes.StepperConfig(
-                scheme_id="reflected_euler", projection=schemes.projection_abs()
-            ),
-            cev,
-        )
+        schemes.make_stepper(schemes.ALIASES["symmetrized_euler"], cev)
     with pytest.raises(schemes.SchemeError, match="CIR"):
         schemes.make_stepper(
             schemes.StepperConfig(scheme_id="cir_implicit_milstein"), cev
