@@ -14,7 +14,7 @@ Two policies are enforced everywhere and never silently relaxed:
 * Coefficients are evaluated only where they are defined.  Feeding a square
   root a negative state without configuring an extension is treated as a
   programming error and raises :class:`DomainError`; all truncation behavior
-  is opt-in via :class:`AuxiliaryExtension` or scheme flags.
+  is opt-in via an :data:`EXTENSIONS` entry or scheme flags.
 * Non-finite values freeze a path.  Overflow is data (it reproduces moment
   explosion), so it sets a flag instead of raising; downstream estimators
   decide how to aggregate it.
@@ -56,46 +56,6 @@ class SchemeError(ValueError):
 
 # ---------------------------------------------------------------------------
 # configuration types
-
-
-@dataclass(frozen=True)
-class AuxiliaryExtension:
-    """Coefficient values used outside the domain D.
-
-    The modified schemes run the usual update with a*1_D + f*1_E and
-    b*1_D + g*1_E, where E is the complement of D.  ``g_prime`` is the
-    derivative of g, needed only by the modified Milstein scheme; it defaults
-    to zero, which is exact for the truncation extension g = 0.
-    """
-
-    name: str
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
-    g_prime: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def extension_truncated_sqrt(p: CirParams) -> AuxiliaryExtension:
-    """Keep the drift, kill the diffusion left of zero: the truncated Euler
-    scheme's auxiliary coefficients f = a, g = 0."""
-    kappa, lam = p.kappa, p.lam
-    return AuxiliaryExtension(
-        name="truncate",
-        f=lambda x: kappa * (lam - x),
-        g=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-        g_prime=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-    )
-
-
-def extension_absolute_sqrt(p: CirParams) -> AuxiliaryExtension:
-    """Mirror the diffusion left of zero: f = a, g(x) = theta*sqrt(-x), which
-    turns the diffusion coefficient into theta*sqrt(|x|)."""
-    kappa, lam, theta = p.kappa, p.lam, p.theta
-    return AuxiliaryExtension(
-        name="absolute",
-        f=lambda x: kappa * (lam - x),
-        g=lambda x: theta * np.sqrt(-np.asarray(x, dtype=np.float64)),
-        g_prime=lambda x: -theta / (2.0 * np.sqrt(-np.asarray(x, dtype=np.float64))),
-    )
 
 
 # controls for the implicit-step equation x - drift(x)*dt = rhs
@@ -149,56 +109,35 @@ class StepperConfig:
 # coefficient extension
 
 
-def apply_extension(model: Model, ext: AuxiliaryExtension) -> Model:
-    """Extend a model with a proper domain to all of R (scalar models).
+def _extended_cir(model: Model, name: str) -> Model:
+    """The square-root model extended to all of R by ``EXTENSIONS[name]``.
 
-    The new coefficients are a*1_D + f*1_E and b*1_D + g*1_E.  The diffusion
-    derivative on the boundary of D is taken as the one-sided limit from
-    inside; where that limit diverges (as for sqrt at 0) it falls back to 0.
+    The diffusion becomes b on x > 0 and g elsewhere; the drift is kept
+    (f = a for both extensions).  The diffusion derivative is b' on x > 0,
+    g' on x < 0, and 0 at x = 0, where sqrt has no finite one-sided limit.
     """
-    if model.domain.is_full:
-        raise SchemeError(f"model {model.model_id!r} already lives on full space")
-    if model.d != 1:
-        raise SchemeError("coefficient extensions are implemented for scalar models")
-
-    a, b, db = model.drift, model.diffusion[0], model.diffusion_jacobian[0]
-    f, g = ext.f, ext.g
-    g_prime = ext.g_prime or (lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)))
-
-    # boundary value of the extended derivative: one-sided limit from D,
-    # probed at two scales; 0 where the probes disagree (diverging limit)
-    with np.errstate(all="ignore"):
-        v1 = float(np.asarray(db(np.array([1e-100]))).reshape(-1)[0])
-        v2 = float(np.asarray(db(np.array([1e-200]))).reshape(-1)[0])
-    if math.isfinite(v1) and math.isfinite(v2) and abs(v1 - v2) <= 1e-9 * max(1.0, abs(v1)):
-        boundary_db = v1
-    else:
-        boundary_db = 0.0
-
-    def _blend(inside_fn, outside_fn, x):
-        x = np.asarray(x, dtype=np.float64)
-        with np.errstate(all="ignore"):
-            inside = x > 0
-            return np.where(inside, inside_fn(x), outside_fn(x))
-
-    def ext_drift(x):
-        return _blend(a, f, x)
+    if not isinstance(model.params, CirParams):
+        raise SchemeError(
+            f"the {name!r} extension needs a square-root (cir) model, "
+            f"got model {model.model_id!r}"
+        )
+    theta = model.params.theta
+    g, g_prime = EXTENSIONS[name]
+    b, db = model.diffusion[0], model.diffusion_jacobian[0]
 
     def ext_diff(x):
-        return _blend(b, g, x)
+        x = np.asarray(x, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            return np.where(x > 0, b(x), g(theta, x))
 
     def ext_ddiff(x):
         x = np.asarray(x, dtype=np.float64)
         with np.errstate(all="ignore"):
-            vals = np.where(x > 0, db(x), g_prime(x))
-        return np.where(x == 0.0, boundary_db, vals)
+            vals = np.where(x > 0, db(x), g_prime(theta, x))
+        return np.where(x == 0.0, 0.0, vals)
 
     return replace(
-        model,
-        drift=ext_drift,
-        diffusion=(ext_diff,),
-        diffusion_jacobian=(ext_ddiff,),
-        domain=FULL_LINE,
+        model, diffusion=(ext_diff,), diffusion_jacobian=(ext_ddiff,), domain=FULL_LINE
     )
 
 
@@ -484,12 +423,7 @@ def _modified(step_fn):
     """Stepper factory for an explicit map on the extended coefficients."""
 
     def factory(config: StepperConfig, model: Model) -> _Stepper:
-        if not isinstance(model.params, CirParams):
-            raise SchemeError(
-                f"the {config.extension!r} extension needs a square-root (cir) "
-                f"model, got model {model.model_id!r}"
-            )
-        ext_model = apply_extension(model, EXTENSIONS[config.extension](model.params))
+        ext_model = _extended_cir(model, config.extension)
         return _Stepper(
             step=lambda x, dw, dt: step_fn(ext_model, x, dt, dw),
             state0=model.state0,
@@ -636,9 +570,14 @@ SCHEMES: dict[str, SchemeEntry] = {
 }
 
 
-EXTENSIONS: dict[str, Callable[[CirParams], AuxiliaryExtension]] = {
-    "truncate": extension_truncated_sqrt,
-    "absolute": extension_absolute_sqrt,
+# square-root extensions: (g, g') as functions of (theta, x) for x <= 0;
+# truncate kills the diffusion, absolute makes it theta*sqrt(|x|)
+EXTENSIONS: dict[str, tuple[Callable, Callable]] = {
+    "truncate": (lambda theta, x: 0.0, lambda theta, x: 0.0),
+    "absolute": (
+        lambda theta, x: theta * np.sqrt(-x),
+        lambda theta, x: -theta / (2.0 * np.sqrt(-x)),
+    ),
 }
 
 PROJECTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {"abs": np.abs}

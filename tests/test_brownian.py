@@ -9,37 +9,32 @@ from hypothesis import example, given, strategies as st
 from sdelab import brownian as bw
 
 
-def test_derive_stream_is_pure():
-    key = bw.StreamKey(seed=123, sample_index=7, substream=1)
-    a = bw.derive_stream(key).standard_normal(100)
-    b = bw.derive_stream(key).standard_normal(100)
-    np.testing.assert_array_equal(a, b)
+def _philox_normals(seed, index, substream, count):
+    """The stream contract: Philox keyed by [seed, index << 8 | substream]."""
+    key = np.array([seed, (index << 8) | substream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(count)
 
 
 def test_sample_index_streams_decorrelated():
-    k0 = bw.StreamKey(seed=5, sample_index=0, substream=0)
-    k1 = bw.StreamKey(seed=5, sample_index=1, substream=0)
-    x = bw.derive_stream(k0).standard_normal(10_000)
-    y = bw.derive_stream(k1).standard_normal(10_000)
+    x, y = bw.batch_standard_normals(5, [0, 1], 0, 10_000)
     assert abs(np.corrcoef(x, y)[0, 1]) < 0.05
 
 
 def test_substreams_distinct():
-    k0 = bw.StreamKey(seed=5, sample_index=0, substream=0)
-    k1 = bw.StreamKey(seed=5, sample_index=0, substream=1)
     assert not np.array_equal(
-        bw.derive_stream(k0).standard_normal(8),
-        bw.derive_stream(k1).standard_normal(8),
+        bw.batch_standard_normals(5, [0], 0, 8), bw.batch_standard_normals(5, [0], 1, 8)
     )
 
 
 def test_batch_rows_equal_single_streams():
-    idx = [0, 3, 17, 2**40]
-    batch = bw.batch_standard_normals(99, idx, substream=2, count=37)
-    assert batch.shape == (4, 37)
+    idx = [0, 3, 17, 2**40, 2**56 - 1]
+    batch = bw.batch_standard_normals(2**64 - 1, idx, substream=255, count=37)
+    assert batch.shape == (5, 37)
     for row, i in zip(batch, idx):
-        key = bw.StreamKey(seed=99, sample_index=i, substream=2)
-        np.testing.assert_array_equal(row, bw.derive_stream(key).standard_normal(37))
+        np.testing.assert_array_equal(row, _philox_normals(2**64 - 1, i, 255, 37))
+    batch = bw.batch_standard_normals(99, np.array(idx), substream=2, count=37)
+    for row, i in zip(batch, idx):
+        np.testing.assert_array_equal(row, _philox_normals(99, i, 2, 37))
 
 
 def test_increment_block_rows_are_scaled_substreams(monkeypatch):
@@ -62,16 +57,26 @@ def test_increment_block_rows_are_scaled_substreams(monkeypatch):
 
 
 def test_stream_key_validation():
-    with pytest.raises(ValueError):
-        bw.StreamKey(seed=-1, sample_index=0, substream=0)
-    with pytest.raises(ValueError):
-        bw.StreamKey(seed=0, sample_index=-2, substream=0)
+    for seed, idx, sub in [
+        (-1, [0], 0), (2**64, [0], 0), (0, [0, -2], 0), (0, [2**56], 0), (0, [0], 256),
+    ]:
+        with pytest.raises(bw.LatticeError):
+            bw.batch_standard_normals(seed, idx, sub, 4)
+    with pytest.raises(bw.LatticeError, match="substream"):  # row 1 is substream 256
+        bw.increment_block(0, [0], substream=255, m=2, n=4, dt=1.0)
 
 
 def test_lattice_rejects_non_power_of_two():
-    key = bw.StreamKey(1, 0, 0)
     with pytest.raises(bw.LatticeError):
-        bw.sample_lattice(key, T=1.0, m=1, finest_n=12)
+        bw.sample_lattice(1, 0, T=1.0, m=1, finest_n=12)
+    with pytest.raises(bw.LatticeError):
+        bw.sample_lattice(1, 0, T=1.0, m=0, finest_n=4)
+
+
+def test_sample_lattice_is_the_increment_block_row():
+    lat = bw.sample_lattice(13, 4, T=3.0, m=2, finest_n=16)
+    block = bw.increment_block(13, [2, 4, 9], 0, 2, 16, 3.0 / 16)
+    np.testing.assert_array_equal(lat, block[:, 1])
 
 
 def test_single_increment_variance():
@@ -82,24 +87,22 @@ def test_single_increment_variance():
 
 
 def test_increment_mean_clt_bound():
-    lat = bw.sample_lattice(bw.StreamKey(11, 0, 0), T=1.0, m=1, finest_n=2**20)
+    lat = bw.sample_lattice(11, 0, T=1.0, m=1, finest_n=2**20)
     sigma = math.sqrt(1.0 / 2**20)
-    assert abs(lat.increments.mean()) < 4 * sigma / math.sqrt(2**20)
+    assert abs(lat.mean()) < 4 * sigma / math.sqrt(2**20)
 
 
 def test_dimensions_uncorrelated():
-    lat = bw.sample_lattice(bw.StreamKey(13, 4, 0), T=1.0, m=2, finest_n=2**14)
-    rho = np.corrcoef(lat.increments[0], lat.increments[1])[0, 1]
+    lat = bw.sample_lattice(13, 4, T=1.0, m=2, finest_n=2**14)
+    rho = np.corrcoef(lat[0], lat[1])[0, 1]
     assert abs(rho) < 0.05
 
 
 def test_increments_at_identity_and_sums():
-    lat = bw.sample_lattice(bw.StreamKey(3, 1, 0), T=2.0, m=1, finest_n=4)
-    np.testing.assert_array_equal(bw.increments_at(lat, 4), lat.increments)
+    lat = bw.sample_lattice(3, 1, T=2.0, m=1, finest_n=4)
+    np.testing.assert_array_equal(bw.increments_at(lat, 4), lat)
     coarse = bw.increments_at(lat, 2)
-    np.testing.assert_array_equal(
-        coarse, lat.increments[:, ::2] + lat.increments[:, 1::2]
-    )
+    np.testing.assert_array_equal(coarse, lat[:, ::2] + lat[:, 1::2])
     # same W_T at every resolution: the pairwise tower makes the total sum
     # bit-identical no matter which level it is taken from
     w_T = bw.increments_at(lat, 1)
@@ -133,7 +136,7 @@ def test_aggregation_tower_is_exact(log_n, log_k, seed, base):
 
 
 def test_brownian_path_endpoint_shared_across_resolutions():
-    lat = bw.sample_lattice(bw.StreamKey(17, 2, 0), T=3.0, m=1, finest_n=64)
+    lat = bw.sample_lattice(17, 2, T=3.0, m=1, finest_n=64)
     # block sums agree bit-for-bit at every resolution
     w_T = bw.increments_at(lat, 1)[0, 0]
     for n in (1, 4, 16, 64):
@@ -141,8 +144,8 @@ def test_brownian_path_endpoint_shared_across_resolutions():
 
 
 def test_normalized_increments_pass_ks():
-    lat = bw.sample_lattice(bw.StreamKey(41, 0, 0), T=2.0, m=1, finest_n=2**14)
-    z = np.sort(lat.increments[0][:10_000] / math.sqrt(2.0 / 2**14))
+    lat = bw.sample_lattice(41, 0, T=2.0, m=1, finest_n=2**14)
+    z = np.sort(lat[0][:10_000] / math.sqrt(2.0 / 2**14))
     n = len(z)
     cdf = 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
     grid = np.arange(1, n + 1) / n

@@ -98,14 +98,13 @@ def test_max_node_error_constant_offset():
 def test_max_node_error_uses_shared_nodes_only():
     # the curve at n compares against the reference at every (ref_n/n)-th
     # node; a one-sample curve at index_offset k runs on sample k's lattice
-    key = bw.StreamKey(seed=3, sample_index=5, substream=0)
     (rep,) = cv.strong_error_curves(
         [EULER], GBM, T=1.0, seed=3, n_list=[8], n_samples=1, p=1,
         ref_config=EULER, ref_n=32, index_offset=5,
     )
-    lat = bw.sample_lattice(key, T=1.0, m=1, finest_n=32)
+    lat = bw.sample_lattice(3, 5, T=1.0, m=1, finest_n=32)
     ref = schemes.simulate_batch(
-        EULER, GBM, 1.0 / 32, lat.increments[:, None, :], record_every=1
+        EULER, GBM, 1.0 / 32, lat[:, None, :], record_every=1
     ).recorded[0, ::4, 0]
     approx = schemes.simulate_batch(
         EULER, GBM, 1.0 / 8, bw.increments_at(lat, 8)[:, None, :], record_every=1

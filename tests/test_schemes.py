@@ -91,25 +91,35 @@ def test_milstein_gbm_one_step_order():
 
 
 def test_truncated_extension_zeroes_diffusion_outside():
-    ext = schemes.apply_extension(CIR, schemes.extension_truncated_sqrt(SC1))
+    ext = schemes._extended_cir(CIR, "truncate")
     assert ext.domain.is_full
     x = np.array([-0.01])
     assert ext.diffusion[0](x)[0] == 0.0
+    assert ext.diffusion_jacobian[0](x)[0] == 0.0
     assert math.isclose(ext.drift(x)[0], 5.07 * (0.0457 + 0.01), rel_tol=1e-15)
 
 
 def test_absolute_extension_reflects_diffusion():
-    ext = schemes.apply_extension(CIR, schemes.extension_absolute_sqrt(SC1))
+    ext = schemes._extended_cir(CIR, "absolute")
     out = ext.diffusion[0](np.array([-0.01]))[0]
     assert math.isclose(out, 0.48 * 0.1, rel_tol=1e-15)
+    slope = ext.diffusion_jacobian[0](np.array([-0.01]))[0]
+    assert math.isclose(slope, -0.48 / 0.2, rel_tol=1e-15)
 
 
 def test_extension_is_identity_inside(rng):
     x = rng.uniform(0.01, 2.0, 200)
-    for ext in (schemes.extension_truncated_sqrt(SC1), schemes.extension_absolute_sqrt(SC1)):
-        m = schemes.apply_extension(CIR, ext)
+    for name in schemes.EXTENSIONS:
+        m = schemes._extended_cir(CIR, name)
         np.testing.assert_array_equal(m.drift(x), CIR.drift(x))
         np.testing.assert_array_equal(m.diffusion[0](x), CIR.diffusion[0](x))
+        np.testing.assert_array_equal(
+            m.diffusion_jacobian[0](x), CIR.diffusion_jacobian[0](x)
+        )
+        # sqrt has no finite slope at 0, so the extended derivative is 0 there
+        assert m.diffusion_jacobian[0](np.array([0.0]))[0] == 0.0
+    with pytest.raises(schemes.SchemeError, match="square-root"):
+        schemes._extended_cir(GBM, "truncate")
 
 
 # --- reflection ----------------------------------------------------------------
@@ -531,17 +541,17 @@ def test_simulate_overflow_freezes_path():
     assert not np.isfinite(res.terminal[0, 0])
 
 
-def _lattice_run(cfg, model, lat):
+def _lattice_run(cfg, model, lat, T):
     """One recorded path on the lattice's finest grid."""
     return schemes.simulate_batch(
-        cfg, model, lat.T / lat.finest_n, lat.increments[:, None, :], record_every=1
+        cfg, model, T / lat.shape[-1], lat[:, None, :], record_every=1
     )
 
 
 def test_symmetrized_euler_never_negative():
-    lat = bw.sample_lattice(bw.StreamKey(907, 0, 0), T=5.0, m=1, finest_n=512)
+    lat = bw.sample_lattice(907, 0, T=5.0, m=1, finest_n=512)
     cfg = schemes.StepperConfig(scheme_id="reflected_euler", projection="abs")
-    res = _lattice_run(cfg, CIR, lat)
+    res = _lattice_run(cfg, CIR, lat, 5.0)
     assert res.negative_steps[0] == 0
     assert res.recorded.min() >= 0.0
     assert res.recorded[0, 0, 0] == SC1.x0
@@ -551,11 +561,11 @@ def test_modified_euler_agrees_with_explicit_on_clean_path():
     # pick a path that never leaves the domain; on it the extension is inert
     cfg_mod = schemes.StepperConfig(scheme_id="modified_euler", extension="truncate")
     for idx in range(20):
-        lat = bw.sample_lattice(bw.StreamKey(31, idx, 0), T=5.0, m=1, finest_n=2048)
-        path_mod = _lattice_run(cfg_mod, CIR, lat)
+        lat = bw.sample_lattice(31, idx, T=5.0, m=1, finest_n=2048)
+        path_mod = _lattice_run(cfg_mod, CIR, lat, 5.0)
         if path_mod.negative_steps[0] == 0:
             path_exp = _lattice_run(
-                schemes.StepperConfig(scheme_id="explicit_euler"), CIR, lat
+                schemes.StepperConfig(scheme_id="explicit_euler"), CIR, lat, 5.0
             )
             np.testing.assert_array_equal(path_mod.recorded, path_exp.recorded)
             break
@@ -582,10 +592,10 @@ def test_batch_equals_stacked_single_paths(rng):
 
 
 def test_record_every_keeps_every_sth_node():
-    lat = bw.sample_lattice(bw.StreamKey(77, 0, 0), T=2.0, m=1, finest_n=4)
+    lat = bw.sample_lattice(77, 0, T=2.0, m=1, finest_n=4)
     cfg = schemes.StepperConfig(scheme_id="tamed_euler")
     m = models.build_model("cubic_toy", models.CubicToyParams(sigma=1.0, x0=0.5))
-    incr = lat.increments[:, None, :]
+    incr = lat[:, None, :]
     every = schemes.simulate_batch(cfg, m, 0.5, incr, record_every=1)
     second = schemes.simulate_batch(cfg, m, 0.5, incr, record_every=2)
     np.testing.assert_array_equal(second.recorded, every.recorded[:, ::2])
