@@ -14,17 +14,6 @@ from .config import EXPERIMENT_KINDS, ConfigError, parse_config_file
 from .experiments import run_experiment
 from .oracles import OracleError
 
-_DESCRIPTIONS = {
-    "negstats": "negative-step statistics of extension-based Euler schemes",
-    "pathwise": "error vs stepsize along one fixed Brownian path",
-    "converge": "strong-error curves and empirical convergence orders",
-    "explode": "Monte Carlo estimates across a stepsize/sample grid "
-               "(moment-explosion study)",
-    "mlmc": "multilevel / standard Monte Carlo cost and accuracy tables",
-    "price": "a single Monte Carlo price estimate",
-    "validate": "parameter diagnostics (no simulation)",
-}
-
 
 def _u64(text: str) -> int:
     value = int(text, 10)
@@ -42,8 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "config file and write CSV artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in EXPERIMENT_KINDS:
-        p = sub.add_parser(kind, help=_DESCRIPTIONS[kind])
+    for kind, help_text in EXPERIMENT_KINDS.items():
+        p = sub.add_parser(kind, help=help_text)
         p.add_argument(
             "--config", required=True, metavar="PATH",
             help="experiment config file (strict key = value format)",

@@ -22,15 +22,17 @@ from typing import Callable, NamedTuple
 from . import models, schemes
 from .brownian import MAX_SAMPLE_INDEX
 
-EXPERIMENT_KINDS = (
-    "negstats",
-    "pathwise",
-    "converge",
-    "explode",
-    "mlmc",
-    "price",
-    "validate",
-)
+# experiment kind -> the help text of its CLI subcommand
+EXPERIMENT_KINDS = {
+    "negstats": "negative-step statistics of extension-based Euler schemes",
+    "pathwise": "error vs stepsize along one fixed Brownian path",
+    "converge": "strong-error curves and empirical convergence orders",
+    "explode": "Monte Carlo estimates across a stepsize/sample grid "
+               "(moment-explosion study)",
+    "mlmc": "multilevel / standard Monte Carlo cost and accuracy tables",
+    "price": "a single Monte Carlo price estimate",
+    "validate": "parameter diagnostics (no simulation)",
+}
 
 
 class ConfigError(ValueError):
@@ -393,9 +395,14 @@ def parse_config(text: str) -> ExperimentConfig:
         resolved = _resolve_model(model_raw, model_vals, errors)
 
     schemes = _resolve_schemes(scheme_raw, scheme_vals, errors)
-    if kind is not None and kind != "validate" and not schemes:
+    if kind == "validate" and "scheme" in scheme_raw:
+        errors.append(
+            f"line {_line_of(scheme_raw, 'scheme')}: experiment 'validate' runs "
+            "no scheme; drop the [scheme] section"
+        )
+    elif kind is not None and kind != "validate" and not schemes:
         errors.append(f"[scheme]: experiment {kind!r} needs at least one scheme")
-    if kind is not None and kind not in ("converge",) and len(schemes) > 1:
+    elif kind is not None and kind not in ("converge",) and len(schemes) > 1:
         errors.append(
             f"[scheme]: experiment {kind!r} takes exactly one scheme, "
             f"got {len(schemes)}"
@@ -447,14 +454,16 @@ def _check_run_values(kind, run, run_raw, resolved, errors):
     if "radius" in run and "policy" in run:
         bad("policy", "'policy' has no effect with 'radius': paths that leave "
             "the radius or overflow count as zero")
-    if kind == "price":
-        method = run.get("method")
-        if method in ("mc", "mc_discarded"):
-            for key in ("n", "n_samples"):
-                if key not in run:
-                    errors.append(f"[run]: method {method!r} requires {key!r}")
-        elif method in ("mlmc", "standard") and "epsilon" not in run:
-            errors.append(f"[run]: method {method!r} requires 'epsilon'")
+    method = run.get("method")
+    if kind == "price" and method in ("mc", "mc_discarded", "mlmc", "standard"):
+        grid = ("n", "n_samples")
+        fixed = method in ("mc", "mc_discarded")
+        for key in grid if fixed else ("epsilon",):
+            if key not in run:
+                errors.append(f"[run]: method {method!r} requires {key!r}")
+        for key in ("epsilon",) if fixed else grid:
+            if key in run:
+                bad(key, f"method {method!r} does not read {key!r}; drop it")
     if kind == "mlmc":
         if "epsilon" not in run and "epsilon_list" not in run:
             errors.append("[run]: experiment 'mlmc' needs 'epsilon' or 'epsilon_list'")
@@ -463,7 +472,7 @@ def _check_run_values(kind, run, run_raw, resolved, errors):
         if "truth" in run and "replications" not in run:
             bad("truth", "'truth' is read only by a replication study; set "
                 "'replications' or drop 'truth'")
-        if run.get("method") in ("mc", "mc_discarded"):
+        if method in ("mc", "mc_discarded"):
             bad("method", "experiment 'mlmc' supports 'method' = mlmc or standard; "
                 "use experiment 'price' for single fixed-grid estimates")
     if run.get("truth") == "oracle" and resolved is not None:
@@ -473,6 +482,18 @@ def _check_run_values(kind, run, run_raw, resolved, errors):
                 "(the Fourier call-price oracle)")
     if kind == "explode" and "n_samples" not in run and "n_samples_list" not in run:
         errors.append("[run]: experiment 'explode' needs 'n_samples' or 'n_samples_list'")
+    for key, other in (("n_samples", "n_samples_list"), ("epsilon", "epsilon_list")):
+        if key in run and other in run:
+            bad(key, f"{key!r} has no effect with {other!r}; drop one of the two")
+    if run.get("reference") == "exact" and "ref_scheme" in run:
+        bad("ref_scheme", "'ref_scheme' has no effect with reference = exact")
+    for key, other in (("l1", "l2"), ("l2", "l1")):
+        if key in run and other not in run:
+            bad(key, f"{key!r} is read only together with {other!r}")
+    if "moment_p_list" in run and resolved is not None and not isinstance(
+        resolved[1], (models.CirParams, models.HestonParams)
+    ):
+        bad("moment_p_list", f"model {resolved[0]!r} has no moment diagnostic")
 
 
 def parse_config_file(path: str) -> ExperimentConfig:

@@ -77,8 +77,6 @@ class ErrorReport:
 class NegativityStats:
     """Average negative steps per path and fraction of paths going negative."""
 
-    n_steps: int
-    n_samples: int
     avg_negative_steps: float
     negative_path_fraction: float
 
@@ -271,8 +269,6 @@ def negativity_stats(
         total_neg += int(res.negative_steps.sum())
         neg_paths += int((res.negative_steps > 0).sum())
     return NegativityStats(
-        n_steps=n,
-        n_samples=n_samples,
         avg_negative_steps=total_neg / n_samples,
         negative_path_fraction=neg_paths / n_samples,
     )

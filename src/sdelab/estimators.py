@@ -25,7 +25,6 @@ class EstimatorError(ValueError):
     """Ill-posed estimator request."""
 
 
-PAYOFF_KINDS = ("terminal", "barrier")
 PHI_NAMES = ("call", "put", "identity", "abs")
 
 
@@ -33,13 +32,12 @@ PHI_NAMES = ("call", "put", "identity", "abs")
 class PayoffSpec:
     """Discounted payoff of a simulated path.
 
-    ``terminal`` applies ``phi`` to the terminal price observable;
-    ``barrier`` multiplies the
-    terminal payoff by the indicator that the running price observable stayed
-    inside [lower, upper].  ``discount`` is the rate r in e^(-rT).
+    ``phi`` applies to the terminal price observable.  A payoff with a
+    ``lower`` or ``upper`` bound is a barrier payoff: it multiplies that by
+    the indicator that the running price observable stayed inside
+    [lower, upper].  ``discount`` is the rate r in e^(-rT).
     """
 
-    kind: str = "terminal"
     phi: str = "identity"
     strike: float | None = None
     lower: float | None = None
@@ -47,10 +45,6 @@ class PayoffSpec:
     discount: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in PAYOFF_KINDS:
-            raise EstimatorError(
-                f"unknown payoff kind {self.kind!r}; known: {', '.join(PAYOFF_KINDS)}"
-            )
         if self.phi not in PHI_NAMES:
             raise EstimatorError(
                 f"unknown payoff function {self.phi!r}; known: {', '.join(PHI_NAMES)}"
@@ -60,7 +54,7 @@ class PayoffSpec:
                 raise EstimatorError(
                     f"{self.phi} payoff needs a nonnegative strike, got {self.strike}"
                 )
-        if self.kind == "barrier":
+        if self.needs_extrema:
             lo = 0.0 if self.lower is None else self.lower
             hi = math.inf if self.upper is None else self.upper
             if not 0 <= lo <= hi:
@@ -71,7 +65,7 @@ class PayoffSpec:
 
     @property
     def needs_extrema(self) -> bool:
-        return self.kind == "barrier"
+        return self.lower is not None or self.upper is not None
 
     def _apply_phi(self, s: np.ndarray) -> np.ndarray:
         if self.phi == "call":
@@ -91,7 +85,7 @@ class PayoffSpec:
     ) -> np.ndarray:
         """Discounted payoff values from observables (all in price units)."""
         out = self._apply_phi(np.asarray(terminal_obs, dtype=np.float64))
-        if self.kind == "barrier":
+        if self.needs_extrema:
             if runmin_obs is None or runmax_obs is None:
                 raise EstimatorError("barrier payoff needs running extrema")
             alive = np.ones_like(out, dtype=bool)
@@ -233,7 +227,7 @@ def _sample(
         seed, n_samples, model.m, n, dt, index_offset
     ):
         res = simulate_batch(config, model, dt, incr, track_extrema=track)
-        steps += res.steps * len(idx)
+        steps += n * len(idx)
         vals = _payoff_values(model, payoff, T, res)
         over = res.overflow
         if coupled:
@@ -244,7 +238,7 @@ def _sample(
                 bw.aggregate_to(incr, n // 2),
                 track_extrema=track,
             )
-            steps += coarse.steps * len(idx)
+            steps += n // 2 * len(idx)
             vals = vals - _payoff_values(model, payoff, T, coarse)
             over = over | coarse.overflow
         n_over += int(over.sum())

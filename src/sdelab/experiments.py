@@ -47,9 +47,7 @@ def _build_payoff(cfg: ExperimentConfig, default_phi: str | None = None):
     phi = run.get("payoff", default_phi)
     if phi is None:
         phi = "call" if cfg.strike is not None else "identity"
-    barrier = "lower" in run or "upper" in run
     return estimators.PayoffSpec(
-        kind="barrier" if barrier else "terminal",
         phi=phi,
         strike=cfg.strike if phi in ("call", "put") else None,
         lower=run.get("lower"),
@@ -96,8 +94,8 @@ def _run_negstats(cfg, model, seed, out_dir, threads, header):
         [
             (
                 cfg.schemes[0],
-                stats.n_steps,
-                stats.n_samples,
+                cfg.run["n"],
+                cfg.run["n_samples"],
                 stats.avg_negative_steps,
                 stats.negative_path_fraction,
             )

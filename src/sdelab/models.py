@@ -1,11 +1,14 @@
-"""Model zoo: drift/diffusion fields, domains, and well-posedness diagnostics.
+"""Model zoo: drift/diffusion fields, state spaces, and well-posedness diagnostics.
 
 Each model is packaged as a :class:`Model` with vectorized coefficient
 evaluators and analytic diffusion derivatives (no automatic differentiation:
 the formulas are few and the derivative of ``sqrt`` & friends is where all
 the numerical subtlety lives, so it is spelled out).  Models are defined on
 their natural domain only -- how to evaluate a square root left of zero is a
-scheme-level decision, configured explicitly there.
+scheme-level decision, configured explicitly there.  The domain is one bit:
+``Model.positive`` is set for the processes that live on the positive
+half-line or orthant (square-root, Ait-Sahalia, Heston), and every other
+model lives on all of R^d.
 
 The diagnostics mirror the standard well-posedness conditions for these
 equations: the Feller ratio 2*kappa*lambda/theta**2 for square-root
@@ -38,56 +41,6 @@ class SolverError(RuntimeError):
 def _require(cond: bool, what: str) -> None:
     if not cond:
         raise ModelError(what)
-
-
-# ---------------------------------------------------------------------------
-# domains
-
-
-@dataclass(frozen=True)
-class DomainDescriptor:
-    """State space of a model: all of R^d, (0,inf), or the positive orthant."""
-
-    kind: str  # "full_space" | "positive_half_line" | "positive_orthant"
-    dim: int = 1
-
-    _KINDS = ("full_space", "positive_half_line", "positive_orthant")
-
-    def __post_init__(self) -> None:
-        _require(self.kind in self._KINDS, f"unknown domain kind {self.kind!r}")
-        _require(self.dim >= 1, f"domain dimension must be >= 1, got {self.dim}")
-        if self.kind == "positive_half_line":
-            _require(self.dim == 1, "positive_half_line is one-dimensional")
-
-    @property
-    def is_full(self) -> bool:
-        return self.kind == "full_space"
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise membership in the open domain.
-
-        ``x`` has shape (d, ...) for d-dimensional state; the result drops
-        the leading axis.
-        """
-        x = np.asarray(x)
-        if self.is_full:
-            return np.ones(x.shape[1:] if x.ndim > 1 else x.shape, dtype=bool)
-        if self.kind == "positive_half_line":
-            return (x > 0) if x.ndim <= 1 else (x[0] > 0)
-        return (x > 0).all(axis=0) if x.ndim > 1 else bool((x > 0).all())
-
-    def violates_closure(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise test for leaving the closed domain (strictly outside)."""
-        x = np.asarray(x)
-        if self.is_full:
-            return np.zeros(x.shape[1:] if x.ndim > 1 else x.shape, dtype=bool)
-        if self.kind == "positive_half_line":
-            return (x < 0) if x.ndim <= 1 else (x[0] < 0)
-        return (x < 0).any(axis=0) if x.ndim > 1 else bool((x < 0).any())
-
-
-FULL_LINE = DomainDescriptor("full_space", 1)
-POSITIVE_HALF_LINE = DomainDescriptor("positive_half_line", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +196,15 @@ Params = (
 
 @dataclass(frozen=True)
 class Model:
-    """An SDE dX = a(X) dt + sum_j b_j(X) dW^j with domain metadata.
+    """An SDE dX = a(X) dt + sum_j b_j(X) dW^j on R^d or, when ``positive``,
+    on the open positive half-line or orthant.
 
     Evaluators are vectorized: for d == 1 they map arrays elementwise; for
     d > 1 they map arrays of shape (d, ...) to arrays of the same shape.
     ``diffusion_jacobian[j]`` is b_j' for scalar models and empty otherwise
-    (Milstein is scalar-only).  ``price_observable`` maps recorded state
-    values to the scalar used by payoffs (identity for scalar models, exp of
-    the log-price for the log-Heston system).  The implicit schemes use
+    (Milstein is scalar-only).  ``observable`` maps a state block of shape
+    (d, ...) to the scalar used by payoffs (coordinate 0, or exp of the
+    log-price for the log-Heston system).  The implicit schemes use
     ``drift_prime`` (a') and ``closed_form(rhs, dt)`` (the root of
     x - a(x)*dt = rhs) where the drift admits them.
     """
@@ -261,19 +215,12 @@ class Model:
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: tuple[Callable[[np.ndarray], np.ndarray], ...]
     diffusion_jacobian: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    domain: DomainDescriptor
+    positive: bool
     params: Params
     state0: tuple[float, ...]
-    price_observable: Callable[[np.ndarray], np.ndarray] | None = None
+    observable: Callable[[np.ndarray], np.ndarray] = lambda state: state[0]
     drift_prime: Callable[[np.ndarray], np.ndarray] | None = None
     closed_form: Callable[[np.ndarray, float], np.ndarray] | None = None
-
-    def observable(self, state: np.ndarray) -> np.ndarray:
-        """Scalar observable of a state block of shape (d, ...)."""
-        state = np.asarray(state)
-        if self.price_observable is not None:
-            return self.price_observable(state)
-        return state[0] if state.ndim > 1 or self.d > 1 else state
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +247,7 @@ def _cir_model(p: CirParams) -> Model:
 
     return Model(
         model_id="cir", d=1, m=1, drift=drift, diffusion=(diff,),
-        diffusion_jacobian=(ddiff,), domain=POSITIVE_HALF_LINE, params=p,
+        diffusion_jacobian=(ddiff,), positive=True, params=p,
         state0=(float(p.x0),), drift_prime=drift_prime, closed_form=closed_form,
     )
 
@@ -325,7 +272,7 @@ def _cev_model(p: CevParams) -> Model:
 
     return Model(
         model_id="cev", d=1, m=1, drift=drift, diffusion=(diff,),
-        diffusion_jacobian=(ddiff,), domain=FULL_LINE, params=p,
+        diffusion_jacobian=(ddiff,), positive=False, params=p,
         state0=(float(p.s0),),
     )
 
@@ -354,7 +301,7 @@ def _gbm_model(p: CevParams) -> Model:
 
     return Model(
         model_id="gbm", d=1, m=1, drift=drift, diffusion=(diff,),
-        diffusion_jacobian=(ddiff,), domain=FULL_LINE, params=p,
+        diffusion_jacobian=(ddiff,), positive=False, params=p,
         state0=(float(p.s0),), drift_prime=drift_prime, closed_form=closed_form,
     )
 
@@ -378,7 +325,7 @@ def _ait_sahalia_model(p: AitSahaliaParams) -> Model:
 
     return Model(
         model_id="ait_sahalia", d=1, m=1, drift=drift, diffusion=(diff,),
-        diffusion_jacobian=(ddiff,), domain=POSITIVE_HALF_LINE, params=p,
+        diffusion_jacobian=(ddiff,), positive=True, params=p,
         state0=(float(p.x0),), drift_prime=drift_prime,
     )
 
@@ -400,7 +347,7 @@ def _three_halves_model(p: ThreeHalvesParams) -> Model:
 
     return Model(
         model_id="three_halves_vol", d=1, m=1, drift=drift, diffusion=(diff,),
-        diffusion_jacobian=(ddiff,), domain=FULL_LINE, params=p,
+        diffusion_jacobian=(ddiff,), positive=False, params=p,
         state0=(float(p.v0),), drift_prime=drift_prime,
     )
 
@@ -422,7 +369,7 @@ def _cubic_toy_model(p: CubicToyParams) -> Model:
 
     return Model(
         model_id="cubic_toy", d=1, m=1, drift=drift, diffusion=(diff,),
-        diffusion_jacobian=(ddiff,), domain=FULL_LINE, params=p,
+        diffusion_jacobian=(ddiff,), positive=False, params=p,
         state0=(float(p.x0),), drift_prime=drift_prime,
     )
 
@@ -476,7 +423,7 @@ def _lamperti_model(p: LampertiCir) -> Model:
 
     return Model(
         model_id="cir_lamperti", d=1, m=1, drift=drift, diffusion=(diff,),
-        diffusion_jacobian=(ddiff,), domain=POSITIVE_HALF_LINE, params=p,
+        diffusion_jacobian=(ddiff,), positive=True, params=p,
         state0=(float(p.y0),), drift_prime=drift_prime,
         closed_form=lamperti_implicit(p),
     )
@@ -508,14 +455,11 @@ def _heston_log_model(p: HestonParams) -> Model:
         y = x[1]
         return np.stack([rho * y, np.full_like(y, theta / 2.0)])
 
-    def observable(state):
-        return np.exp(state[0])
-
     return Model(
         model_id="heston_log", d=2, m=2, drift=drift, diffusion=(b1, b2),
-        diffusion_jacobian=(), domain=DomainDescriptor("full_space", 2),
-        params=p, state0=(math.log(p.s0), math.sqrt(p.v0)),
-        price_observable=observable,
+        diffusion_jacobian=(), positive=False, params=p,
+        state0=(math.log(p.s0), math.sqrt(p.v0)),
+        observable=lambda state: np.exp(state[0]),
     )
 
 
@@ -543,8 +487,8 @@ def _heston_model(p: HestonParams) -> Model:
 
     return Model(
         model_id="heston", d=2, m=2, drift=drift, diffusion=(b1, b2),
-        diffusion_jacobian=(), domain=DomainDescriptor("positive_orthant", 2),
-        params=p, state0=(float(p.s0), float(p.v0)),
+        diffusion_jacobian=(), positive=True, params=p,
+        state0=(float(p.s0), float(p.v0)),
     )
 
 
@@ -660,9 +604,9 @@ def lamperti_cir(p: CirParams) -> LampertiCir:
 
 @dataclass(frozen=True)
 class Preset:
-    """A named experiment setup: model, parameters, horizon, optional strike."""
+    """An experiment setup, named by its key in ``PRESETS``: model,
+    parameters, horizon, optional strike."""
 
-    name: str
     model_id: str
     params: Params
     T: float
@@ -674,23 +618,23 @@ class Preset:
 
 PRESETS: dict[str, Preset] = {
     "cir-scenario-1": Preset(
-        name="cir-scenario-1", model_id="cir",
+        model_id="cir",
         params=CirParams(kappa=5.07, lam=0.0457, theta=0.48, x0=0.05), T=5.0,
     ),
     "cir-scenario-2": Preset(
-        name="cir-scenario-2", model_id="cir",
+        model_id="cir",
         params=CirParams(kappa=2.0, lam=0.09, theta=1.0, x0=0.09), T=5.0,
     ),
     "cev-set-1": Preset(
-        name="cev-set-1", model_id="cev",
+        model_id="cev",
         params=CevParams(mu=0.1, sigma=0.3, gamma=0.75, s0=0.2), T=1.0,
     ),
     "cev-set-2": Preset(
-        name="cev-set-2", model_id="cev",
+        model_id="cev",
         params=CevParams(mu=0.2, sigma=0.5, gamma=0.55, s0=0.5), T=1.0,
     ),
     "heston-mlmc": Preset(
-        name="heston-mlmc", model_id="heston_log",
+        model_id="heston_log",
         params=HestonParams(
             mu=0.0319, kappa=5.07, lam=0.0457, theta=0.48, rho=-0.7,
             s0=100.0, v0=0.05, r=0.0319,
@@ -698,7 +642,7 @@ PRESETS: dict[str, Preset] = {
         T=1.0, strike=105.0,
     ),
     "three-halves-mc": Preset(
-        name="three-halves-mc", model_id="three_halves_vol",
+        model_id="three_halves_vol",
         params=ThreeHalvesParams(c1=1.2, c2=0.8, c3=1.0, v0=0.5), T=4.0,
     ),
 }

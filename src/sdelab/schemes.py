@@ -11,10 +11,11 @@ scheme for the Heston model.
 
 Two policies are enforced everywhere and never silently relaxed:
 
-* Coefficients are evaluated only where they are defined.  Feeding a square
-  root a negative state without configuring an extension is treated as a
-  programming error and raises :class:`DomainError`; all truncation behavior
-  is opt-in via an :data:`EXTENSIONS` entry or scheme flags.
+* Coefficients are evaluated only where they are defined.  On a model whose
+  ``positive`` flag is set, a state that leaves the positive half-line or
+  orthant without a configured extension is treated as a programming error
+  and raises :class:`DomainError`; all truncation behavior is opt-in via an
+  :data:`EXTENSIONS` entry or scheme flags.
 * Non-finite values freeze a path.  Overflow is data (it reproduces moment
   explosion), so it sets a flag instead of raising; downstream estimators
   decide how to aggregate it.
@@ -38,9 +39,7 @@ import numpy as np
 
 from .models import (
     CirParams,
-    DomainDescriptor,
     DomainError,
-    FULL_LINE,
     LampertiCir,
     Model,
     SolverError,
@@ -137,7 +136,7 @@ def _extended_cir(model: Model, name: str) -> Model:
         return np.where(x == 0.0, 0.0, vals)
 
     return replace(
-        model, diffusion=(ext_diff,), diffusion_jacobian=(ext_ddiff,), domain=FULL_LINE
+        model, diffusion=(ext_diff,), diffusion_jacobian=(ext_ddiff,), positive=False
     )
 
 
@@ -177,13 +176,13 @@ def step_milstein_scalar(model: Model, x, dt: float, dw) -> np.ndarray:
 
 
 def step_reflected(model: Model, psi: Callable[[np.ndarray], np.ndarray], x, dt, dw):
-    """Euler step, mapped back into closure(D) by ``psi`` whenever it leaves D."""
+    """Euler step, mapped back into [0, inf) by ``psi`` whenever a positive
+    model's step leaves (0, inf)."""
     if model.d != 1:
         raise SchemeError("reflected Euler is implemented for scalar models")
     x = np.asarray(x, dtype=np.float64)
     h = step_explicit_euler(model, x, dt, dw)
-    inside = model.domain.contains(h)
-    return np.where(inside, h, psi(h))
+    return np.where(h > 0, h, psi(h)) if model.positive else h
 
 
 def step_tamed_euler(model: Model, x, dt: float, dw) -> np.ndarray:
@@ -211,15 +210,16 @@ def solve_drift_implicit(
     drift: Callable[[np.ndarray], np.ndarray],
     rhs,
     dt: float,
-    domain: DomainDescriptor,
+    positive: bool,
     x_init=None,
     closed_form: Callable[[np.ndarray, float], np.ndarray] | None = None,
     drift_prime: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Solve x - drift(x)*dt = rhs for x in the domain, vectorized over rhs.
+    """Solve x - drift(x)*dt = rhs for x in (0, inf) when ``positive`` and in
+    R otherwise, vectorized over rhs.
 
     Uses the registered closed form when one is supplied; otherwise brackets
-    a sign change of g(x) = x - dt*drift(x) - rhs inside the domain
+    a sign change of g(x) = x - dt*drift(x) - rhs inside that domain
     (geometric expansion on (0, inf), additive on R) and drives it home with
     bisection accelerated by Newton/secant candidates.  The result satisfies
     |g(x*)| <= 1e-12; failure to bracket raises
@@ -233,7 +233,6 @@ def solve_drift_implicit(
     def g(x):
         return x - dt * drift(x) - rhs
 
-    positive = domain.kind == "positive_half_line"
     if x_init is None:
         x0 = np.maximum(rhs, 1.0) if positive else rhs.copy()
     else:
@@ -307,10 +306,7 @@ def solve_drift_implicit(
 
 
 def _guard_domain_eval(model: Model, x: np.ndarray, what: str) -> None:
-    if model.domain.is_full:
-        return
-    ok = model.domain.contains(x if model.d > 1 else np.asarray(x))
-    if not np.all(ok):
+    if model.positive and not (x > 0).all():
         raise DomainError(
             f"{what}: state left the domain of model {model.model_id!r} and no "
             "extension/projection/truncation is configured for this scheme"
@@ -322,7 +318,7 @@ def step_split_step_backward(model: Model, x, dt: float, dw) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     dw = np.asarray(dw, dtype=np.float64)
     xs = solve_drift_implicit(
-        model.drift, x, dt, model.domain,
+        model.drift, x, dt, model.positive,
         x_init=x, closed_form=model.closed_form, drift_prime=model.drift_prime,
     )
     _guard_domain_eval(model, xs, "split-step diffusion stage")
@@ -335,7 +331,7 @@ def step_backward_euler(model: Model, x, dt: float, dw) -> np.ndarray:
     dw = np.asarray(dw, dtype=np.float64)
     _guard_domain_eval(model, x, "backward Euler diffusion term")
     return solve_drift_implicit(
-        model.drift, _add_noise(model, x, x, dw), dt, model.domain,
+        model.drift, _add_noise(model, x, x, dw), dt, model.positive,
         x_init=x, closed_form=model.closed_form, drift_prime=model.drift_prime,
     )
 
@@ -406,14 +402,15 @@ class _Stepper:
 
 def _on_model(step_fn, check_domain: bool = True):
     """Stepper factory for a map on the model's own coefficients.  With
-    ``check_domain``, simulation raises DomainError when a path leaves a
-    proper domain; the implicit maps guard their own evaluations instead."""
+    ``check_domain``, simulation raises DomainError when a path of a positive
+    model goes negative; the implicit maps guard their own evaluations
+    instead."""
 
     def factory(config: StepperConfig, model: Model) -> _Stepper:
         return _Stepper(
             step=lambda x, dw, dt: step_fn(model, x, dt, dw),
             state0=model.state0,
-            check_domain=check_domain and not model.domain.is_full,
+            check_domain=check_domain and model.positive,
         )
 
     return factory
@@ -522,7 +519,7 @@ def _scalar_noise(model: Model) -> bool:
 
 
 def _scalar_in_domain(model: Model) -> bool:
-    return model.d == 1 and not model.domain.is_full
+    return model.d == 1 and model.positive
 
 
 SCHEMES: dict[str, SchemeEntry] = {
@@ -643,7 +640,6 @@ class BatchResult:
     first_bad: np.ndarray  # (b,) int step index, -1 if clean
     runmax: np.ndarray | None  # (b,) signed max of emitted coordinate 0
     runmin: np.ndarray | None  # (b,) signed min of emitted coordinate 0
-    steps: int
 
 
 def simulate_batch(
@@ -688,12 +684,11 @@ def simulate_batch(
         runmax = row0.copy()
         runmin = row0.copy()
 
-    domain = model.domain
     check = stepper.check_domain
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n):
             x = stepper.step(x, incr[:, :, k], dt)
-            if check and domain.violates_closure(x).any():
+            if check and (x < 0).any():
                 raise DomainError(
                     f"scheme {config.scheme_id!r} left the domain of model "
                     f"{model.model_id!r} at step {k + 1}; use a scheme that "
@@ -725,6 +720,5 @@ def simulate_batch(
         first_bad=first_bad,
         runmax=runmax,
         runmin=runmin,
-        steps=n,
     )
 

@@ -207,9 +207,7 @@ def test_mlmc_rmsq():
     pre = models.get_preset("heston-mlmc")
     m = models.build_model(pre.model_id, pre.params)
     cfg = schemes.StepperConfig(scheme_id="log_heston_composite")
-    pay = est.PayoffSpec(
-        kind="terminal", phi="call", strike=pre.strike, discount=pre.params.r
-    )
+    pay = est.PayoffSpec(phi="call", strike=pre.strike, discount=pre.params.r)
     paper = {2**-4: 0.6853, 2**-5: 0.3528, 2**-6: 0.1814}
     vals = []
     ok = True
@@ -295,7 +293,7 @@ def test_implicit_residuals():
         res = xp - (x + toy.diffusion[0](x) * dw) - toy.drift(xp) * dt
         worst = max(worst, float(np.abs(res).max()))
         xs = schemes.solve_drift_implicit(
-            toy.drift, x, dt, toy.domain, x_init=x, drift_prime=toy.drift_prime,
+            toy.drift, x, dt, toy.positive, x_init=x, drift_prime=toy.drift_prime,
         )
         xfull = schemes.step_split_step_backward(toy, x, dt, dw)
         res_stage = xs - x - toy.drift(xs) * dt

@@ -576,15 +576,51 @@ method = mc
 n = 16
 n_samples = 300
 """,
+    "price-barrier": """
+[experiment]
+kind = price
+seed = 2
+
+[model]
+preset = heston-mlmc
+
+[scheme]
+scheme = log_heston
+
+[run]
+method = mc
+n = 16
+n_samples = 300
+lower = 85
+upper = 125
+""",
+    "explode-radius": """
+[experiment]
+kind = explode
+seed = 7
+
+[model]
+preset = three-halves-mc
+
+[scheme]
+scheme = euler
+
+[run]
+n_list = 64, 256
+n_samples = 300
+payoff = abs
+radius = 2.0
+""",
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_MULTI_BATCH_CONFIGS))
+@pytest.mark.parametrize("name", sorted(_MULTI_BATCH_CONFIGS))
 def test_cli_output_is_byte_identical_across_batch_widths(
-    kind, tmp_path, capsys, monkeypatch
+    name, tmp_path, capsys, monkeypatch
 ):
     # one batch of every sample, then batches of a few paths each
-    cfg = _write(tmp_path / "b.cfg", _MULTI_BATCH_CONFIGS[kind])
+    cfg = _write(tmp_path / "b.cfg", _MULTI_BATCH_CONFIGS[name])
+    kind = name.split("-")[0]
     outputs = []
     for budget in (2**23, 2**9):
         monkeypatch.setattr(bw, "_BATCH_FLOATS", budget)
@@ -754,6 +790,51 @@ EDGE_RUNS = {
         "explode", "n_list = 2, 4\nn_samples = 8\nradius = 0.1\npolicy = exclude",
         2, "'policy'",
     ),
+    "explode-n_samples-and-list": (
+        "explode", "n_list = 2, 4\nn_samples = 5\nn_samples_list = 10, 20", 2,
+        "line 18: 'n_samples' has no effect with 'n_samples_list'",
+    ),
+    "mlmc-epsilon-and-list": (
+        "mlmc", "epsilon = 2^-1\nepsilon_list = 2^-1, 2^-2", 2,
+        "line 17: 'epsilon' has no effect with 'epsilon_list'",
+    ),
+    "price-standard-n": (
+        "price", "method = standard\nepsilon = 2^-1\nn = 8", 2,
+        "line 19: method 'standard' does not read 'n'",
+    ),
+    "price-mlmc-n_samples": (
+        "price", "method = mlmc\nepsilon = 2^-1\nn_samples = 16", 2,
+        "line 19: method 'mlmc' does not read 'n_samples'",
+    ),
+    "price-mc-epsilon": (
+        "price", "method = mc\nn = 8\nn_samples = 16\nepsilon = 2^-1", 2,
+        "line 20: method 'mc' does not read 'epsilon'",
+    ),
+    "price-mc_discarded-epsilon": (
+        "price", "method = mc_discarded\nn = 8\nn_samples = 16\nradius = 1.0\n"
+        "epsilon = 2^-1", 2, "line 21: method 'mc_discarded' does not read 'epsilon'",
+    ),
+    "converge-exact-ref_scheme": (
+        "converge", "n_list = 2, 4\nn_samples = 4\nreference = exact\nref_scheme = euler",
+        2, "line 20: 'ref_scheme' has no effect with reference = exact",
+    ),
+    "pathwise-exact-ref_scheme": (
+        "pathwise", "n_list = 2, 4\nreference = exact\nref_scheme = euler", 2,
+        "line 19: 'ref_scheme' has no effect with reference = exact",
+    ),
+    "validate-l1-only": (
+        "validate", "l1 = 1.0", 2, "line 17: 'l1' is read only together with 'l2'",
+    ),
+    "validate-l2-only": (
+        "validate", "l2 = 1.0", 2, "line 17: 'l2' is read only together with 'l1'",
+    ),
+    "validate-moment_p_list-gbm": (
+        "validate", "moment_p_list = 2", 2, "line 17: model 'gbm' has no moment diagnostic",
+    ),
+    "validate-scheme": (
+        "validate", "l1 = 1.0\nl2 = 1.0\n\n[scheme]\nscheme = euler", 2,
+        "line 21: experiment 'validate' runs no scheme",
+    ),
     # checked when the config is parsed, before anything runs
     "mlmc-method-mc": (
         "mlmc", "method = mc\nepsilon = 2^-1", 2,
@@ -780,9 +861,11 @@ EDGE_RUNS = {
     "kind, run_block, code, needle", list(EDGE_RUNS.values()), ids=list(EDGE_RUNS)
 )
 def test_cli_exit_code_of_edge_configs(tmp_path, capsys, kind, run_block, code, needle):
+    # validate runs no scheme: its rows put a [scheme] section in run_block
+    scheme_block = "" if kind == "validate" else "scheme = euler"
     text = (
         f"[experiment]\nkind = {kind}\nseed = 5\n\n[model]\n{SWEEP_MODELS['gbm']}\n\n"
-        f"[scheme]\nscheme = euler\n\n[run]\n{run_block}\n"
+        f"[scheme]\n{scheme_block}\n\n[run]\n{run_block}\n"
     )
     cfg = _write(tmp_path / "edge.cfg", text)
     rc = cli.main([kind, "--config", cfg, "--out", str(tmp_path / "out")])

@@ -13,8 +13,8 @@ EULER = schemes.StepperConfig(scheme_id="explicit_euler")
 
 GBM = models.build_model("gbm", models.CevParams(mu=0.05, sigma=0.2, gamma=1.0, s0=1.0))
 FROZEN = models.build_model("gbm", models.CevParams(mu=0.0, sigma=0.0, gamma=1.0, s0=2.0))
-CALL = PayoffSpec(kind="terminal", phi="call", strike=1.0, discount=0.05)
-IDENT = PayoffSpec(kind="terminal", phi="identity")
+CALL = PayoffSpec(phi="call", strike=1.0, discount=0.05)
+IDENT = PayoffSpec(phi="identity")
 ABS_T = PayoffSpec(phi="abs")
 
 
@@ -29,31 +29,32 @@ def _three_halves():
 
 def test_payoff_validation():
     with pytest.raises(EstimatorError):
-        PayoffSpec(kind="asian")
+        PayoffSpec(phi="digital")
     with pytest.raises(EstimatorError):
-        PayoffSpec(kind="terminal", phi="digital")
+        PayoffSpec(phi="call")  # no strike
     with pytest.raises(EstimatorError):
-        PayoffSpec(kind="terminal", phi="call")  # no strike
+        PayoffSpec(phi="put", strike=-3.0)
     with pytest.raises(EstimatorError):
-        PayoffSpec(kind="terminal", phi="put", strike=-3.0)
-    with pytest.raises(EstimatorError):
-        PayoffSpec(kind="barrier", phi="identity", lower=2.0, upper=1.0)
+        PayoffSpec(phi="identity", lower=2.0, upper=1.0)
 
 
 def test_payoff_evaluation():
     s = np.array([0.5, 1.0, 2.0])
-    call = PayoffSpec(kind="terminal", phi="call", strike=1.0)
+    call = PayoffSpec(phi="call", strike=1.0)
     assert np.array_equal(call.evaluate(s, 1.0), [0.0, 0.0, 1.0])
-    put = PayoffSpec(kind="terminal", phi="put", strike=1.0)
+    put = PayoffSpec(phi="put", strike=1.0)
     assert np.array_equal(put.evaluate(s, 1.0), [0.5, 0.0, 0.0])
     assert np.array_equal(ABS_T.evaluate(np.array([-2.0, 3.0]), 1.0), [2.0, 3.0])
 
-    disc = PayoffSpec(kind="terminal", phi="identity", discount=0.1)
+    disc = PayoffSpec(phi="identity", discount=0.1)
     assert math.isclose(disc.evaluate(np.array([1.0]), 2.0)[0], math.exp(-0.2))
 
 
 def test_barrier_payoff_uses_running_extrema():
-    spec = PayoffSpec(kind="barrier", phi="identity", lower=0.5, upper=2.0)
+    # a bound makes a payoff a barrier payoff
+    assert not PayoffSpec(phi="identity").needs_extrema
+    assert PayoffSpec(phi="identity", upper=2.0).needs_extrema
+    spec = PayoffSpec(phi="identity", lower=0.5, upper=2.0)
     assert spec.needs_extrema
     s = np.array([1.0, 1.0, 1.0])
     rmin = np.array([0.6, 0.4, 0.6])

@@ -1,11 +1,12 @@
 """Model zoo: coefficient correctness, parameter guards, diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sdelab import models
+from sdelab import models, schemes
 
 
 SC1 = models.CirParams(kappa=5.07, lam=0.0457, theta=0.48, x0=0.05)
@@ -18,8 +19,7 @@ AS = models.AitSahaliaParams(
 def test_build_cir_scenario_1():
     m = models.build_model("cir", SC1)
     assert m.d == 1 and m.m == 1
-    assert m.domain.kind == "positive_half_line"
-    assert m.domain.contains(np.array([SC1.x0])).all()
+    assert m.positive
 
 
 def test_cev_gamma_out_of_range_rejected():
@@ -196,15 +196,36 @@ def test_lamperti_drift_one_sided_lipschitz(rng):
     assert np.all(lhs <= lam.beta * (x - y) ** 2 + 1e-12)
 
 
-def test_domain_descriptors():
-    half = models.POSITIVE_HALF_LINE
-    assert not half.is_full
-    assert half.contains(np.array([0.5])).all()
-    assert not half.contains(np.array([0.0])).any()
-    assert half.violates_closure(np.array([-1.0])).all()
-    assert not half.violates_closure(np.array([0.0])).any()
-    assert models.FULL_LINE.is_full
-    assert models.FULL_LINE.contains(np.array([-5.0])).all()
+def test_positive_flag():
+    # square-root, Ait-Sahalia and Heston processes live on the positive
+    # half-line or orthant; every other model lives on all of R^d
+    heston = models.HestonParams(
+        mu=0.05, kappa=2.0, lam=0.09, theta=0.3, rho=-0.5, s0=100.0, v0=0.09
+    )
+    gbm = models.CevParams(mu=0.1, sigma=0.3, gamma=1.0, s0=1.0)
+    params = {
+        "cir": SC1, "cir_lamperti": models.lamperti_cir(SC1), "ait_sahalia": AS,
+        "heston": heston, "heston_log": heston, "cev": gbm, "gbm": gbm,
+        "three_halves_vol": models.ThreeHalvesParams(c1=1.2, c2=0.8, c3=1.0, v0=0.5),
+        "cubic_toy": models.CubicToyParams(sigma=1.0, x0=1.0),
+    }
+    assert set(params) == set(models.MODEL_IDS)
+    built = {mid: models.build_model(mid, p) for mid, p in params.items()}
+    assert {mid for mid, m in built.items() if m.positive} == {
+        "cir", "cir_lamperti", "ait_sahalia", "heston",
+    }
+    # a coefficient evaluation needs the open half-line ...
+    schemes._guard_domain_eval(built["cir"], np.array([[0.5]]), "stage")
+    with pytest.raises(models.DomainError):
+        schemes._guard_domain_eval(built["cir"], np.array([[0.0]]), "stage")
+    schemes._guard_domain_eval(built["cev"], np.array([[-5.0]]), "stage")
+    # ... while a path may touch 0 and only a negative state leaves the domain
+    at_zero = dataclasses.replace(built["cir"], drift=np.zeros_like, state0=(0.0,))
+    euler = schemes.StepperConfig("explicit_euler")
+    res = schemes.simulate_batch(euler, at_zero, 0.1, np.ones((1, 3, 4)))
+    assert (res.terminal == 0.0).all()
+    with pytest.raises(models.DomainError):
+        schemes.simulate_batch(euler, built["cir"], 0.1, np.full((1, 1, 1), -1.0))
 
 
 def test_presets_build():

@@ -92,7 +92,7 @@ def test_milstein_gbm_one_step_order():
 
 def test_truncated_extension_zeroes_diffusion_outside():
     ext = schemes._extended_cir(CIR, "truncate")
-    assert ext.domain.is_full
+    assert not ext.positive
     x = np.array([-0.01])
     assert ext.diffusion[0](x)[0] == 0.0
     assert ext.diffusion_jacobian[0](x)[0] == 0.0
@@ -155,7 +155,7 @@ def test_reflected_constant_projection():
 
 
 def test_solve_linear_drift():
-    x = schemes.solve_drift_implicit(lambda x: -x, np.array([1.0]), 1.0, models.FULL_LINE)
+    x = schemes.solve_drift_implicit(lambda x: -x, np.array([1.0]), 1.0, False)
     assert abs(x[0] - 0.5) <= 1e-12
 
 
@@ -187,7 +187,7 @@ def _bisect_oracle(fn, lo, hi, tol=1e-14):
 def test_newton_matches_bisection_on_ait_sahalia(rng):
     dt = 0.01
     for rhs in rng.uniform(0.1, 5.0, 20):
-        got = schemes.solve_drift_implicit(AS.drift, np.array([rhs]), dt, AS.domain)[0]
+        got = schemes.solve_drift_implicit(AS.drift, np.array([rhs]), dt, AS.positive)[0]
 
         def g(x, rhs=rhs):
             return x - dt * AS.drift(np.array([x]))[0] - rhs
@@ -280,7 +280,7 @@ def test_implicit_residuals(rng):
     xb = schemes.step_backward_euler(AS, x, dt, dw)
     res_b = xb - x - AS.drift(xb) * dt - AS.diffusion[0](x) * dw
     assert np.abs(res_b).max() <= 1e-12
-    xs = schemes.solve_drift_implicit(AS.drift, x, dt, AS.domain, x_init=x)
+    xs = schemes.solve_drift_implicit(AS.drift, x, dt, AS.positive, x_init=x)
     res_s = xs - x - AS.drift(xs) * dt
     assert np.abs(res_s).max() <= 1e-12
 

@@ -11,7 +11,7 @@ from sdelab import cli
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 PINNED_NUMPY = "2.4.6"  # the version scripts/tables.sha256 was written with
 
-# the configs that run in seconds; the converge and mlmc ones take minutes
+# the configs that run in seconds; the cir converge and mlmc ones take minutes
 FAST_CONFIGS = (
     "validate_scenario1",
     "validate_scenario2",
@@ -20,6 +20,8 @@ FAST_CONFIGS = (
     "negstats_scenario1",
     "negstats_scenario2",
     "explode_three_halves",
+    "converge_cev_set1",
+    "converge_cev_set2",
 )
 
 
