@@ -1,10 +1,13 @@
 """Reproducible Brownian increments on dyadic grids.
 
 Every random number in the package is drawn by :func:`batch_standard_normals`
-from a counter-based Philox stream keyed by (seed, sample index, substream).
-Streams are pure functions of that key: no global state, no wall-clock
-seeding, and the draws of one key are byte-identical across runs, machines
-with the same numpy build, and thread counts.
+from counter-based Philox streams, one keyed by (seed, block, substream) for
+each block of 64 sample indices and read time-major: sample i takes
+positions i % 64 + 64*t.  A sample's normals are therefore a prefix of one
+fixed sequence, whatever the count and whichever samples share the batch.
+Streams are pure functions of their key: no global state, no wall-clock
+seeding, and the draws are byte-identical across runs, machines with the
+same numpy build, and thread counts.
 
 Increments live on a dyadic lattice at a power-of-two resolution.  Coarser
 resolutions are obtained by summing adjacent pairs, one halving at a time, so
@@ -24,11 +27,16 @@ import numpy as np
 #: Identifier of the uniform-bits -> N(0,1) transform in use.  Recorded in
 #: experiment metadata so archived results can be matched to the generator
 #: that produced them.
-GAUSSIAN_TRANSFORM = "philox4x64-ziggurat"
+GAUSSIAN_TRANSFORM = "philox4x64-ziggurat-block64"
 
 _MAX_SUBSTREAM = 1 << 8
 MAX_SAMPLE_INDEX = 1 << 56
 _MAX_SEED = 1 << 64
+_BLOCK = 64  # sample indices per Philox stream
+# Steps per draw: a 64 KiB buffer stays under glibc's initial 128 KiB mmap
+# threshold, since freeing an mmapped temporary raises that threshold and
+# lets later arrays fragment the heap.
+_CHUNK = 128
 
 _BATCH_FLOATS = 1 << 23  # per-batch increment budget, keeps blocks ~64 MB
 
@@ -38,36 +46,46 @@ class LatticeError(ValueError):
 
 
 def batch_standard_normals(
-    seed: int, sample_indices: Sequence[int], substream: int, count: int
+    seed: int, sample_indices: Sequence[int], substream: int, count: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw ``count`` N(0,1) variates for each sample index, one stream per row.
+    """Draw ``count`` N(0,1) variates for each sample index, one row each.
 
-    Row ``r`` is the start of the Philox stream keyed by the words
-    ``[seed, sample_indices[r] << 8 | substream]``; the range checks make
-    that packing injective.  One bit generator is rekeyed per row, which is
-    several times cheaper than building a Generator per sample.
+    Indices are grouped in blocks of ``_BLOCK``: block ``k`` is one Philox
+    stream keyed by the words ``[seed, k << 8 | substream]`` (the range
+    checks make that packing injective), read time-major, so sample ``i``
+    takes positions ``i % _BLOCK + _BLOCK * t``.  Each row is thus a prefix
+    of a fixed sequence, whatever the count and the other indices drawn with
+    it.  Blocks are drawn whole, ``_CHUNK`` steps at a time, and sliced.
+    ``out`` receives the (len(sample_indices), count) result when given.
     """
     seed, substream = int(seed), int(substream)
-    idx = [int(i) for i in sample_indices]
+    idx = np.asarray(sample_indices)
     if not 0 <= seed < _MAX_SEED:
         raise LatticeError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if idx and not 0 <= min(idx) <= max(idx) < MAX_SAMPLE_INDEX:
-        bad = min(idx) if min(idx) < 0 else max(idx)
+    if idx.size and not 0 <= idx.min() <= idx.max() < MAX_SAMPLE_INDEX:
+        bad = idx.min() if idx.min() < 0 else idx.max()
         raise LatticeError(f"sample_index must lie in [0, 2**56), got {bad}")
     if not 0 <= substream < _MAX_SUBSTREAM:
         raise LatticeError(f"substream must lie in [0, 256), got {substream}")
+    idx = idx.astype(np.int64)
+    if out is None:
+        out = np.empty((len(idx), count))
+    order = np.argsort(idx, kind="stable")
+    cuts = np.flatnonzero(np.diff(idx[order] // _BLOCK)) + 1
     bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bg)
-    state = bg.state
-    out = np.empty((len(idx), count))
-    for r, i in enumerate(idx):
-        state["state"]["key"] = np.array([seed, i << 8 | substream], dtype=np.uint64)
-        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
+    state = bg.state  # counter zero, buffer empty: only the key changes
+    buf = np.empty((_CHUNK, _BLOCK))
+    for rows in np.split(order, cuts) if len(idx) else ():
+        block, cols = divmod(idx[rows], _BLOCK)
+        key = [seed, int(block[0]) << 8 | substream]
+        state["state"]["key"] = np.array(key, dtype=np.uint64)
         bg.state = state
-        gen.standard_normal(out=out[r])
+        for t in range(0, count, _CHUNK):
+            chunk = buf[: min(_CHUNK, count - t)]
+            gen.standard_normal(out=chunk)
+            out[rows, t : t + len(chunk)] = chunk[:, cols].T
     return out
 
 
@@ -83,7 +101,7 @@ def increment_block(
     out = np.empty((m, len(sample_indices), n))
     scale = math.sqrt(dt)
     for j in range(m):
-        out[j] = batch_standard_normals(seed, sample_indices, substream + j, n)
+        batch_standard_normals(seed, sample_indices, substream + j, n, out=out[j])
         out[j] *= scale
     return out
 

@@ -490,6 +490,9 @@ def _check_run_values(kind, run, run_raw, resolved, errors):
     for key, other in (("l1", "l2"), ("l2", "l1")):
         if key in run and other not in run:
             bad(key, f"{key!r} is read only together with {other!r}")
+    if "l1" in run and "l2" in run and max(1 + 2 * run["l1"], 4 * run["l2"]) <= 0:
+        bad("l1", "the implicit step bound 1/max(1 + 2*l1, 4*l2) needs "
+            "1 + 2*l1 > 0 or l2 > 0")
     if "moment_p_list" in run and resolved is not None and not isinstance(
         resolved[1], (models.CirParams, models.HestonParams)
     ):

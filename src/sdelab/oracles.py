@@ -10,12 +10,13 @@ returning silently wrong numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CevParams, CirParams, HestonParams, ThreeHalvesParams, heston_moment_bound
+from .models import CevParams, HestonParams, heston_moment_bound
 
 
 class OracleError(RuntimeError):
@@ -54,6 +55,28 @@ def _heston_charfunc(u: np.ndarray, p: HestonParams, T: float) -> np.ndarray:
     cc = (kappa * lam / (theta * theta)) * ((beta - d) * T - 2.0 * log_ratio)
     dd = ((beta - d) / (theta * theta)) * (1.0 - edt) / (1.0 - g * edt)
     return np.exp(iu * (math.log(p.s0) + p.mu * T) + cc + dd * v0)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
+
+    Newton's method on the three-term Legendre recurrence, started from the
+    guesses -cos(pi*(k - 1/4)/(n + 1/2)); it converges in a few sweeps.
+    """
+    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    step = np.inf
+    while step > 1e-15:
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        dx = p / dp
+        x = x - dx
+        step = np.max(np.abs(dx))
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _damped_call_quad(
@@ -98,8 +121,8 @@ def heston_call_price(
             f"finite, which fails: rho = {p.rho} > bound {bound.threshold:.6g}; "
             "lower the damping"
         )
-    base = np.polynomial.legendre.leggauss(settings.nodes)
-    fine = np.polynomial.legendre.leggauss(2 * settings.nodes)
+    base = _gauss_legendre(settings.nodes)
+    fine = _gauss_legendre(2 * settings.nodes)
     a = _damped_call_quad(p, strike, T, *base, settings.truncation, settings.damping)
     b = _damped_call_quad(p, strike, T, *fine, settings.truncation, settings.damping)
     c = _damped_call_quad(p, strike, T, *fine, 2.0 * settings.truncation, settings.damping)
@@ -111,29 +134,6 @@ def heston_call_price(
             "increase nodes/truncation or reduce damping"
         )
     return c
-
-
-def black_scholes_call(
-    s0: float, strike: float, sigma: float, T: float, r: float = 0.0
-) -> float:
-    """Lognormal call price; degenerate volatility collapses to the forward."""
-    if s0 <= 0:
-        raise OracleError(f"spot must be positive, got {s0}")
-    if strike < 0:
-        raise OracleError(f"strike must be nonnegative, got {strike}")
-    if T < 0:
-        raise OracleError(f"maturity must be nonnegative, got {T}")
-    disc = math.exp(-r * T)
-    forward = s0 * math.exp(r * T)
-    if strike == 0.0:
-        return s0
-    vol = sigma * math.sqrt(T)
-    if vol < 1e-15:
-        return disc * max(forward - strike, 0.0)
-    d1 = (math.log(forward / strike) + 0.5 * vol * vol) / vol
-    d2 = d1 - vol
-    nd = lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-    return disc * (forward * nd(d1) - strike * nd(d2))
 
 
 def gbm_exact_nodes(p: CevParams, T: float, n: int, w: np.ndarray) -> np.ndarray:
@@ -150,17 +150,3 @@ def gbm_exact_nodes(p: CevParams, T: float, n: int, w: np.ndarray) -> np.ndarray
     t = np.arange(n + 1, dtype=np.float64) * (T / n)
     t[-1] = T
     return p.s0 * np.exp((p.mu - 0.5 * p.sigma * p.sigma) * t + p.sigma * w)
-
-
-def three_halves_inverse_cir(p: ThreeHalvesParams) -> CirParams:
-    """The reciprocal 1/V of the volatility equation is a square-root process.
-
-    Ito's formula on X = 1/V gives dX = (c1 + c3^2 - c1 c2 X) dt - c3 sqrt(X) dW,
-    i.e. CIR with kappa = c1 c2, lam = (c1 + c3^2)/(c1 c2), theta = c3, started
-    at 1/v0.  Useful for validating V-moments through a positivity-preserving
-    scheme on X.
-    """
-    kappa = p.c1 * p.c2
-    return CirParams(
-        kappa=kappa, lam=(p.c1 + p.c3 * p.c3) / kappa, theta=p.c3, x0=1.0 / p.v0
-    )

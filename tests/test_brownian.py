@@ -1,18 +1,21 @@
 """Brownian kernel: determinism, increment blocks, dyadic coupling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdelab import brownian as bw
 
 
-def _philox_normals(seed, index, substream, count):
-    """The stream contract: Philox keyed by [seed, index << 8 | substream]."""
-    key = np.array([seed, (index << 8) | substream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(count)
+def _block_normals(seed, index, substream, count):
+    """The stream contract: sample i reads column i % 64 of the Philox stream
+    keyed by [seed, (i // 64) << 8 | substream], laid out (count, 64)."""
+    key = np.array([seed, (index // 64) << 8 | substream], dtype=np.uint64)
+    z = np.random.Generator(np.random.Philox(key=key)).standard_normal(64 * count)
+    return z.reshape(count, 64)[:, index % 64]
 
 
 def test_sample_index_streams_decorrelated():
@@ -27,14 +30,36 @@ def test_substreams_distinct():
 
 
 def test_batch_rows_equal_single_streams():
-    idx = [0, 3, 17, 2**40, 2**56 - 1]
+    idx = [0, 3, 17, 63, 64, 2**40, 2**56 - 1, 3]
     batch = bw.batch_standard_normals(2**64 - 1, idx, substream=255, count=37)
-    assert batch.shape == (5, 37)
+    assert batch.shape == (8, 37)
     for row, i in zip(batch, idx):
-        np.testing.assert_array_equal(row, _philox_normals(2**64 - 1, i, 255, 37))
-    batch = bw.batch_standard_normals(99, np.array(idx), substream=2, count=37)
+        np.testing.assert_array_equal(row, _block_normals(2**64 - 1, i, 255, 37))
+    # 300 steps span three of the draw's 128-step chunks
+    batch = bw.batch_standard_normals(99, np.array(idx), substream=2, count=300)
     for row, i in zip(batch, idx):
-        np.testing.assert_array_equal(row, _philox_normals(99, i, 2, 37))
+        np.testing.assert_array_equal(row, _block_normals(99, i, 2, 300))
+
+
+@settings(derandomize=True, max_examples=60)
+@given(
+    offset=st.integers(min_value=64, max_value=2**40),
+    picks=st.lists(st.integers(min_value=-64, max_value=255), min_size=1, max_size=40),
+    counts=st.tuples(st.integers(1, 300), st.integers(1, 300)),
+)
+# rmsq_study's replication r starts at r*span; span = 10080 at eps = 2^-5 is
+# 32 mod 64, so the end of one replication and the start of the next, drawn
+# at different counts, share a block
+@example(offset=10080, picks=list(range(-32, 32)), counts=(64, 1))
+def test_rows_are_prefixes_of_one_aligned_draw(offset, picks, counts):
+    # any subset, order or offset of indices, at any count, reads the rows of
+    # one large block-aligned draw, cut to that count
+    idx = offset + np.array(picks)
+    lo = (offset - 64) // 64 * 64
+    full = bw.batch_standard_normals(11, np.arange(lo, lo + 448), 4, max(counts))
+    for count in counts:
+        got = bw.batch_standard_normals(11, idx, 4, count)
+        np.testing.assert_array_equal(got, full[idx - lo, :count])
 
 
 def test_increment_block_rows_are_scaled_substreams(monkeypatch):
@@ -54,6 +79,20 @@ def test_increment_block_rows_are_scaled_substreams(monkeypatch):
         np.concatenate([b for _, b in parts], axis=1),
         bw.increment_block(7, idx, 0, 2, 5, 0.5),
     )
+
+
+def test_increment_block_draws_in_place_in_small_chunks():
+    # the normals go straight into the (m, b, n) result, at most 64 KiB at a
+    # time: no (b, n) temporary, and none past glibc's 128 KiB mmap threshold
+    dt = 1.0 / 2**15
+    bw.increment_block(5, range(256), 0, 1, 4, dt)  # first call loads modules
+    tracemalloc.start()
+    try:
+        out = bw.increment_block(5, range(256), 0, 1, 2**15, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 256 * 1024
 
 
 def test_stream_key_validation():

@@ -355,7 +355,7 @@ def test_cli_validate_writes_csv_and_exits_zero(tmp_path, capsys):
     text = open(out_path).read()
     head = text.splitlines()
     assert head[0].startswith("# sdelab ")
-    assert head[1] == "# gaussian-transform = philox4x64-ziggurat"
+    assert head[1] == "# gaussian-transform = philox4x64-ziggurat-block64"
     assert "# seed = 3" in text and "# model = cir" in text
     assert "threads" not in text
     assert "feller_ratio,2.0112760416666666" in text
@@ -827,6 +827,13 @@ EDGE_RUNS = {
     ),
     "validate-l2-only": (
         "validate", "l2 = 1.0", 2, "line 17: 'l2' is read only together with 'l1'",
+    ),
+    # the step bound 1/max(1 + 2*l1, 4*l2) exists only for a positive max
+    "validate-step-bound-zero": (
+        "validate", "l1 = -0.5\nl2 = 0", 2, "line 17: the implicit step bound",
+    ),
+    "validate-step-bound-negative": (
+        "validate", "l1 = -2\nl2 = -1", 2, "line 17: the implicit step bound",
     ),
     "validate-moment_p_list-gbm": (
         "validate", "moment_p_list = 2", 2, "line 17: model 'gbm' has no moment diagnostic",

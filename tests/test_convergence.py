@@ -198,13 +198,14 @@ def test_pathwise_self_comparison_is_zero():
 
 
 def test_pathwise_gbm_euler_against_exact_solution():
+    # the order over many paths: a one-path slope is too noisy for the band
     (rep,) = cv.strong_error_curves(
         [EULER],
         GBM,
         T=1.0,
         seed=12,
         n_list=[2**k for k in range(4, 11)],
-        n_samples=1,
+        n_samples=1000,
         p=1,
         reference="exact",
     )
@@ -283,19 +284,30 @@ def test_strong_errors_decrease_with_information():
 def test_overflow_policy_exclude_vs_propagate():
     preset = models.get_preset("three-halves-mc")
     model = models.build_model(preset.model_id, preset.params)
+    tamed = schemes.StepperConfig(scheme_id="tamed_euler")
     kw = dict(
         T=preset.T,
         seed=777,
         n_list=[64],
         n_samples=2000,
-        ref_config=schemes.StepperConfig(scheme_id="tamed_euler"),
+        ref_config=tamed,
         ref_n=256,
     )
     keep = cv.strong_error_curves([EULER], model, policy="exclude", **kw)[0]
     prop = cv.strong_error_curves([EULER], model, policy="propagate", **kw)[0]
-    assert keep.overflow_counts == (9,) and prop.overflow_counts == (9,)
+    # the same increments, simulated here: the overflowed paths and the
+    # root-mean-square node deviation of the others
+    incr = bw.increment_block(777, range(2000), 0, 1, 256, preset.T / 256)
+    ref = schemes.simulate_batch(tamed, model, preset.T / 256, incr, record_every=4)
+    euler = schemes.simulate_batch(
+        EULER, model, preset.T / 64, bw.aggregate_to(incr, 64), record_every=1
+    )
+    bad = euler.overflow | ref.overflow
+    dev = np.abs(euler.recorded[0][:, ~bad] - ref.recorded[0][:, ~bad]).max(axis=0)
+    assert bad.any() and not ref.overflow.any()
+    assert keep.overflow_counts == prop.overflow_counts == (int(bad.sum()),)
     assert math.isfinite(keep.errors[0])
-    assert math.isclose(keep.errors[0], 1.913742590270859e111, rel_tol=1e-12)
+    assert math.isclose(keep.errors[0], math.sqrt(np.mean(dev**2)), rel_tol=1e-12)
     assert prop.errors == (math.inf,)
     assert prop.regression is None
     assert keep.valid and prop.valid  # the reference itself never overflowed
@@ -321,14 +333,19 @@ def test_reference_overflow_invalidates_report():
 
 
 def test_overflow_in_scheme_and_reference_counts_the_path_once():
-    # on this 3/2-model path both the Euler scheme and its reference overflow
+    # some of these 3/2-model paths overflow in both the Euler scheme and its
+    # reference; each overflowed path counts once
     preset = models.get_preset("three-halves-mc")
     model = models.build_model(preset.model_id, preset.params)
     (rep,) = cv.strong_error_curves(
-        [EULER], model, T=preset.T, seed=1865, n_list=[16], n_samples=1, p=1,
+        [EULER], model, T=preset.T, seed=1865, n_list=[16], n_samples=2000, p=1,
         ref_n=64,
     )
-    assert rep.overflow_counts == (1,)
+    incr = bw.increment_block(1865, range(2000), 0, 1, 64, preset.T / 64)
+    ref = schemes.simulate_batch(EULER, model, preset.T / 64, incr)
+    euler = schemes.simulate_batch(EULER, model, preset.T / 16, bw.aggregate_to(incr, 16))
+    assert (euler.overflow & ref.overflow).any()
+    assert rep.overflow_counts == (int((euler.overflow | ref.overflow).sum()),)
     assert rep.errors == (math.inf,) and not rep.valid
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sdelab import brownian as bw
 from sdelab import estimators as est
 from sdelab import models, schemes, util
 from sdelab.estimators import EstimatorError, PayoffSpec
@@ -233,14 +234,30 @@ def test_mlmc_correction_variance_decays_with_level():
 
 
 def test_mlmc_overflow_propagates_or_excludes():
+    # at eps = 2^-5 the coarse 3/2-model levels overflow on a few dozen paths
     model = _three_halves()
-    prop = est.mlmc_estimate(EULER, model, ABS_T, T=4.0, epsilon=0.125, seed=1)
+    eps, T, seed = 2**-5, 4.0, 1
+    prop = est.mlmc_estimate(EULER, model, ABS_T, T=T, epsilon=eps, seed=seed)
     excl = est.mlmc_estimate(
-        EULER, model, ABS_T, T=4.0, epsilon=0.125, seed=1, policy="exclude"
+        EULER, model, ABS_T, T=T, epsilon=eps, seed=seed, policy="exclude"
     )
-    assert math.isinf(prop.value) and prop.n_overflow == 1
-    assert math.isfinite(excl.value) and excl.n_overflow == 1
-    assert prop.total_steps == excl.total_steps == est.mlmc_plan(0.125, 4.0).total_steps
+    # each level's overflowed paths, simulated here from the same increments
+    counts, offset = [], 0
+    for level, n_l in enumerate(est.mlmc_plan(eps, T).samples):
+        n = 2**level
+        incr = bw.increment_block(seed, range(offset, offset + n_l), 0, 1, n, T / n)
+        over = schemes.simulate_batch(EULER, model, T / n, incr).overflow
+        if level:
+            coarse = bw.aggregate_to(incr, n // 2)
+            over = over | schemes.simulate_batch(EULER, model, 2 * T / n, coarse).overflow
+        counts.append(int(over.sum()))
+        offset += n_l
+    assert sum(counts) > 0
+    for r in (prop, excl):
+        assert [ls.n_overflow for ls in r.levels] == counts
+        assert r.n_overflow == sum(counts)
+    assert math.isinf(prop.value) and math.isfinite(excl.value)
+    assert prop.total_steps == excl.total_steps == est.mlmc_plan(eps, T).total_steps
 
 
 def test_mlmc_plan_never_yields_an_empty_level():

@@ -9,7 +9,7 @@ import pytest
 
 from sdelab import brownian as bw
 from sdelab import models, oracles as orc, schemes
-from sdelab.oracles import FourierSettings, OracleError
+from sdelab.oracles import FourierSettings, OracleError, _gauss_legendre
 
 HESTON = models.HestonParams(
     mu=0.0319,
@@ -21,6 +21,46 @@ HESTON = models.HestonParams(
     v0=0.05,
     r=0.0319,
 )
+
+
+# Closed forms that only the tests use as references.
+
+
+def black_scholes_call(
+    s0: float, strike: float, sigma: float, T: float, r: float = 0.0
+) -> float:
+    """Lognormal call price; degenerate volatility collapses to the forward."""
+    if s0 <= 0:
+        raise OracleError(f"spot must be positive, got {s0}")
+    if strike < 0:
+        raise OracleError(f"strike must be nonnegative, got {strike}")
+    if T < 0:
+        raise OracleError(f"maturity must be nonnegative, got {T}")
+    disc = math.exp(-r * T)
+    forward = s0 * math.exp(r * T)
+    if strike == 0.0:
+        return s0
+    vol = sigma * math.sqrt(T)
+    if vol < 1e-15:
+        return disc * max(forward - strike, 0.0)
+    d1 = (math.log(forward / strike) + 0.5 * vol * vol) / vol
+    d2 = d1 - vol
+    nd = lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    return disc * (forward * nd(d1) - strike * nd(d2))
+
+
+def three_halves_inverse_cir(p: models.ThreeHalvesParams) -> models.CirParams:
+    """The reciprocal 1/V of the volatility equation is a square-root process.
+
+    Ito's formula on X = 1/V gives dX = (c1 + c3^2 - c1 c2 X) dt - c3 sqrt(X) dW,
+    i.e. CIR with kappa = c1 c2, lam = (c1 + c3^2)/(c1 c2), theta = c3, started
+    at 1/v0.  Useful for validating V-moments through a positivity-preserving
+    scheme on X.
+    """
+    kappa = p.c1 * p.c2
+    return models.CirParams(
+        kappa=kappa, lam=(p.c1 + p.c3 * p.c3) / kappa, theta=p.c3, x0=1.0 / p.v0
+    )
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +93,7 @@ def test_heston_zero_strike_is_discounted_forward():
 
 def test_heston_degenerate_vol_matches_black_scholes():
     deg = dataclasses.replace(HESTON, theta=1e-4, v0=HESTON.lam)
-    bs = orc.black_scholes_call(100.0, 105.0, math.sqrt(HESTON.lam), 1.0, r=HESTON.r)
+    bs = black_scholes_call(100.0, 105.0, math.sqrt(HESTON.lam), 1.0, r=HESTON.r)
     assert abs(orc.heston_call_price(deg, 105.0, 1.0) - bs) <= 1e-4
 
 
@@ -96,30 +136,40 @@ def test_heston_call_monotone_and_convex_in_strike():
     assert (second > -1e-9).all()
 
 
+@pytest.mark.parametrize("n", [64, 1024, 2048])
+def test_gauss_legendre_matches_numpy(n):
+    x, w = _gauss_legendre(n)
+    want_x, _ = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x, want_x, rtol=0, atol=1e-14)
+    assert abs(w.sum() - 2.0) <= 1e-14
+    assert not x.flags.writeable and not w.flags.writeable
+    assert _gauss_legendre(n) is _gauss_legendre(n)
+
+
 # ---------------------------------------------------------------------------
 # Black-Scholes
 
 
 def test_black_scholes_frozen_value():
     assert math.isclose(
-        orc.black_scholes_call(100.0, 100.0, 0.2, 1.0, r=0.05),
+        black_scholes_call(100.0, 100.0, 0.2, 1.0, r=0.05),
         10.450583572185579,
         rel_tol=1e-12,
     )
 
 
 def test_black_scholes_limits():
-    assert orc.black_scholes_call(100.0, 0.0, 0.2, 1.0, r=0.05) == 100.0
+    assert black_scholes_call(100.0, 0.0, 0.2, 1.0, r=0.05) == 100.0
     intrinsic = math.exp(-0.05) * (100.0 * math.exp(0.05) - 90.0)
     assert math.isclose(
-        orc.black_scholes_call(100.0, 90.0, 0.0, 1.0, r=0.05), intrinsic, rel_tol=1e-15
+        black_scholes_call(100.0, 90.0, 0.0, 1.0, r=0.05), intrinsic, rel_tol=1e-15
     )
     with pytest.raises(OracleError):
-        orc.black_scholes_call(0.0, 100.0, 0.2, 1.0)
+        black_scholes_call(0.0, 100.0, 0.2, 1.0)
     with pytest.raises(OracleError):
-        orc.black_scholes_call(100.0, -1.0, 0.2, 1.0)
+        black_scholes_call(100.0, -1.0, 0.2, 1.0)
     with pytest.raises(OracleError):
-        orc.black_scholes_call(100.0, 100.0, 0.2, -1.0)
+        black_scholes_call(100.0, 100.0, 0.2, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +201,7 @@ def test_gbm_exact_nodes_deterministic_and_shapes():
 
 
 def test_inverse_cir_parameter_map():
-    inv = orc.three_halves_inverse_cir(
+    inv = three_halves_inverse_cir(
         models.ThreeHalvesParams(c1=1.2, c2=0.8, c3=1.0, v0=0.5)
     )
     assert math.isclose(inv.kappa, 0.96, rel_tol=1e-15)
@@ -163,7 +213,7 @@ def test_reciprocal_process_reproduces_absolute_mean():
     # E|V_T| = E[1/X_T] where X is the reciprocal square-root process; the
     # positivity-preserving implicit scheme on X cross-checks the pinned
     # value 0.566217 for c1=1.2, c2=0.8, c3=1, v0=0.5, T=4.
-    inv = orc.three_halves_inverse_cir(
+    inv = three_halves_inverse_cir(
         models.ThreeHalvesParams(c1=1.2, c2=0.8, c3=1.0, v0=0.5)
     )
     cir = models.build_model("cir", inv)
