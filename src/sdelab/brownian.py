@@ -47,7 +47,7 @@ class LatticeError(ValueError):
 
 def batch_standard_normals(
     seed: int, sample_indices: Sequence[int], substream: int, count: int,
-    out: np.ndarray | None = None,
+    out: np.ndarray | None = None, streams: dict | None = None,
 ) -> np.ndarray:
     """Draw ``count`` N(0,1) variates for each sample index, one row each.
 
@@ -58,6 +58,9 @@ def batch_standard_normals(
     of a fixed sequence, whatever the count and the other indices drawn with
     it.  Blocks are drawn whole, ``_CHUNK`` steps at a time, and sliced.
     ``out`` receives the (len(sample_indices), count) result when given.
+    ``streams``, a dict kept by the caller for one seed and substream, holds
+    each block's generator state between calls, so that each call continues
+    the rows where the previous call with that dict stopped.
     """
     seed, substream = int(seed), int(substream)
     idx = np.asarray(sample_indices)
@@ -75,17 +78,22 @@ def batch_standard_normals(
     cuts = np.flatnonzero(np.diff(idx[order] // _BLOCK)) + 1
     bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bg)
-    state = bg.state  # counter zero, buffer empty: only the key changes
+    fresh = bg.state  # counter zero, buffer empty: only the key changes
+    run = (np.diff(idx) == 1).all()  # consecutive indices: slices, not gathers
     buf = np.empty((_CHUNK, _BLOCK))
     for rows in np.split(order, cuts) if len(idx) else ():
         block, cols = divmod(idx[rows], _BLOCK)
-        key = [seed, int(block[0]) << 8 | substream]
-        state["state"]["key"] = np.array(key, dtype=np.uint64)
-        bg.state = state
+        if run:
+            rows, cols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+        k = int(block[0])
+        fresh["state"]["key"] = np.array([seed, k << 8 | substream], dtype=np.uint64)
+        bg.state = fresh if streams is None else streams.get(k, fresh)
         for t in range(0, count, _CHUNK):
             chunk = buf[: min(_CHUNK, count - t)]
             gen.standard_normal(out=chunk)
             out[rows, t : t + len(chunk)] = chunk[:, cols].T
+        if streams is not None:
+            streams[k] = bg.state
     return out
 
 
@@ -96,14 +104,32 @@ def increment_block(
 
     Row j holds the normals of substream ``substream + j`` for each sample
     index, scaled by sqrt(dt).  Every simulating experiment draws its noise
-    here, so this decides how the noise of a sample is addressed and scaled.
+    here or in :func:`increment_chunks`, so this decides how the noise of a
+    sample is addressed and scaled.
     """
-    out = np.empty((m, len(sample_indices), n))
-    scale = math.sqrt(dt)
-    for j in range(m):
-        batch_standard_normals(seed, sample_indices, substream + j, n, out=out[j])
-        out[j] *= scale
-    return out
+    return next(increment_chunks(seed, sample_indices, m, n, dt, n, substream))
+
+
+def increment_chunks(
+    seed: int, sample_indices: Sequence[int], m: int, n: int, dt: float,
+    chunk: int, substream: int = 0,
+) -> Iterator[np.ndarray]:
+    """Yield ``increment_block(seed, sample_indices, substream, m, n, dt)``
+    ``chunk`` steps at a time (the last may be shorter), each row resuming
+    its stream, in memory O(m * b * chunk).  Every chunk is a view of one
+    time-major buffer, valid until the next chunk is drawn.
+    """
+    streams = [{} if chunk < n else None for _ in range(m)]  # None: one chunk
+    buf = np.empty((m, min(chunk, n), len(sample_indices)))
+    for t in range(0, n, chunk):
+        out = buf[:, : min(chunk, n - t)].transpose(0, 2, 1)
+        for j in range(m):
+            batch_standard_normals(
+                seed, sample_indices, substream + j, out.shape[-1], out=out[j],
+                streams=streams[j],
+            )
+            out[j] *= math.sqrt(dt)
+        yield out
 
 
 def increment_batches(

@@ -113,10 +113,7 @@ def _dist_max(rec: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Per-path max node deviation for recorded blocks (d, nodes, b)."""
     with np.errstate(over="ignore", invalid="ignore"):
         diff = ref - rec
-        if diff.shape[0] == 1:
-            dist = np.abs(diff[0], out=diff[0])  # in place: one block, not three
-        else:
-            dist = np.sqrt((diff**2).sum(axis=0))
+        dist = np.abs(diff[0]) if len(diff) == 1 else np.sqrt((diff**2).sum(axis=0))
     dist[~np.isfinite(dist)] = np.inf
     return dist.max(axis=0)
 
@@ -144,6 +141,7 @@ def strong_error_curves(
     Brownian motion only) compares against the closed-form solution on the
     same Brownian path instead of a scheme.  A pathwise curve is the case
     ``n_samples=1, p=1``: the error along the one path ``index_offset``.
+    Memory is O(width x chunk), not O(width x ref_n): no path is held whole.
     """
     if policy not in ("propagate", "exclude"):
         raise MeasurementError(f"unknown overflow policy {policy!r}")
@@ -170,50 +168,60 @@ def strong_error_curves(
 
     m = model.m
     nc, nn = len(configs), len(ns)
-    pows: list[list[list[np.ndarray]]] = [[[] for _ in ns] for _ in configs]
-    over = np.zeros((nc, nn), dtype=np.int64)
-    ref_overflowed = 0
+    dist = np.zeros((nc, nn, n_samples))  # max node deviation of each path
+    bad = np.zeros((nc, nn, n_samples), dtype=bool)
+    ref_bad = np.zeros(n_samples, dtype=bool)
 
+    # Walk time in chunks of whole coarsest steps and brownian draws, carrying
+    # states and running max errors across them; one chunk fills the budget.
     dt_ref = T / ref_n
-    for idx, incr in bw.increment_batches(
-        seed, n_samples, m, ref_n, dt_ref, index_offset
-    ):
-        if reference == "scheme":
-            stride = ref_n // n_top
-            rres = simulate_batch(ref_config, model, dt_ref, incr, record_every=stride)
-            ref_top = rres.recorded  # (d, n_top+1, b)
-            ref_bad = rres.overflow
-        else:
-            incr_top = bw.aggregate_to(incr, n_top) if ref_n != n_top else incr
-            w = np.zeros((len(idx), n_top + 1))
-            np.cumsum(incr_top[0], axis=-1, out=w[:, 1:])
-            ref_top = gbm_exact_nodes(model.params, T, n_top, w).T[None]  # (1, n+1, b)
-            ref_bad = np.zeros(len(idx), dtype=bool)
-        ref_overflowed += int(ref_bad.sum())
-
-        for j_n, n in enumerate(ns):
-            incr_n = bw.aggregate_to(incr, n) if n != ref_n else incr
-            for j_c, cfg in enumerate(configs):
-                res = simulate_batch(cfg, model, T / n, incr_n, record_every=1)
-                ref_sub = ref_top[:, :: n_top // n, :]
-                errs = _dist_max(res.recorded, ref_sub)
-                bad = res.overflow | ref_bad
-                over[j_c, j_n] += int(bad.sum())
-                if policy == "exclude":
-                    errs = errs[~bad]
-                else:
-                    errs = np.where(bad, np.inf, errs)
-                with np.errstate(over="ignore"):
-                    pows[j_c][j_n].append(errs**p)
+    chunk = min(ref_n, math.lcm(ref_n // ns[0], bw._CHUNK))
+    width = min(n_samples, max(1, bw._BATCH_FLOATS // (m * chunk)))
+    stride = ref_n // n_top
+    for start in range(0, n_samples, width):
+        paths = slice(start, min(start + width, n_samples))
+        idx = np.arange(paths.start, paths.stop) + index_offset
+        ref_state, w_end, states = None, np.zeros(len(idx)), {}
+        chunks = bw.increment_chunks(seed, idx, m, ref_n, dt_ref, chunk)
+        for t0, fine in zip(range(0, ref_n, chunk), chunks):
+            grids, incr = {}, fine
+            for n in reversed(ns):  # each grid from the next finer one
+                grids[n] = incr = bw.aggregate_to(incr, fine.shape[-1] * n // ref_n)
+            if reference == "scheme":
+                rres = simulate_batch(
+                    ref_config, model, dt_ref, fine, record_every=stride,
+                    state=ref_state, first_step=t0,
+                )
+                ref_state, ref_top = rres.state, rres.recorded  # (d, nodes, b)
+                ref_bad[paths] |= rres.overflow
+            else:  # W at the chunk's nodes, summed in path order
+                w = np.cumsum(np.column_stack([w_end, grids[n_top][0]]), axis=-1)
+                w_end, nodes = w[:, -1], slice(t0 // stride, t0 // stride + w.shape[-1])
+                ref_top = gbm_exact_nodes(model.params, T, n_top, w, nodes).T[None]
+            for j_c, j_n in np.ndindex(nc, nn):
+                n = ns[j_n]
+                res = simulate_batch(
+                    configs[j_c], model, T / n, grids[n], record_every=1,
+                    state=states.get((j_c, j_n)), first_step=t0 * n // ref_n,
+                )
+                states[j_c, j_n] = res.state
+                d_max = _dist_max(res.recorded, ref_top[:, :: n_top // n, :])
+                np.maximum(dist[j_c, j_n, paths], d_max, out=dist[j_c, j_n, paths])
+                bad[j_c, j_n, paths] |= res.overflow
+    bad |= ref_bad
 
     reports = []
     steps = tuple(T / n for n in ns)
-    valid = ref_overflowed == 0
+    valid = not ref_bad.any()
     ref_name = "exact" if reference == "exact" else f"{ref_config.scheme_id}@n={ref_n}"
     for j_c in range(nc):
         errors, stderrs = [], []
         for j_n in range(nn):
-            ep = np.concatenate(pows[j_c][j_n])
+            ep = np.where(bad[j_c, j_n], np.inf, dist[j_c, j_n])
+            if policy == "exclude":
+                ep = ep[~bad[j_c, j_n]]
+            with np.errstate(over="ignore"):
+                ep = ep**p
             mean_p, var = util.sample_moments(ep)
             se = math.inf
             if math.isfinite(mean_p):
@@ -236,7 +244,7 @@ def strong_error_curves(
                 p=p,
                 regression=reg,
                 stderrs=tuple(stderrs),
-                overflow_counts=tuple(int(v) for v in over[j_c]),
+                overflow_counts=tuple(int(v) for v in bad[j_c].sum(axis=-1)),
                 valid=valid,
                 reference=ref_name,
             )

@@ -136,17 +136,22 @@ def heston_call_price(
     return c
 
 
-def gbm_exact_nodes(p: CevParams, T: float, n: int, w: np.ndarray) -> np.ndarray:
+def gbm_exact_nodes(
+    p: CevParams, T: float, n: int, w: np.ndarray, nodes: slice = slice(None)
+) -> np.ndarray:
     """Exact geometric Brownian motion at grid nodes from W values.
 
-    ``w`` holds W(t_k) for t_k = k*T/n along the last axis (n+1 entries);
-    the result is s0 * exp((mu - sigma^2/2) t_k + sigma W(t_k)), same shape.
+    ``w`` holds W(t_k) for t_k = k*T/n along the last axis, for the nodes k
+    in ``range(n + 1)[nodes]`` (all n+1 by default); the result is
+    s0 * exp((mu - sigma^2/2) t_k + sigma W(t_k)), same shape.
     """
     if p.gamma != 1.0:
         raise OracleError("exact solution requires the log-linear case gamma = 1")
     w = np.asarray(w, dtype=np.float64)
-    if w.shape[-1] != n + 1:
-        raise OracleError(f"need n+1 = {n + 1} node values, got {w.shape[-1]}")
-    t = np.arange(n + 1, dtype=np.float64) * (T / n)
-    t[-1] = T
+    ks = range(n + 1)[nodes]
+    if w.shape[-1] != len(ks):
+        raise OracleError(f"need {len(ks)} node values, got {w.shape[-1]}")
+    t = np.arange(ks.start, ks.stop, ks.step, dtype=np.float64) * (T / n)
+    if ks and ks[-1] == n:
+        t[-1] = T
     return p.s0 * np.exp((p.mu - 0.5 * p.sigma * p.sigma) * t + p.sigma * w)

@@ -339,23 +339,6 @@ def step_backward_euler(model: Model, x, dt: float, dw) -> np.ndarray:
 # --- square-root process specials ------------------------------------------
 
 
-def step_cir_implicit_sqrt(
-    lamperti: LampertiCir, y, dt: float, dw, truncate: bool = False
-) -> np.ndarray:
-    """Drift-implicit Euler for Y = sqrt(X): closed-form positive root of
-
-        y' = y + (alpha/y' + beta*y')*dt + gamma*dW.
-
-    For alpha > 0 the output is strictly positive for any input; the CIR
-    approximation is y'^2.  ``truncate`` enables the sqrt(x^+) convention
-    needed when alpha < 0.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    dw = np.asarray(dw, dtype=np.float64)
-    solve = lamperti_implicit(lamperti, truncate=truncate)
-    return solve(y + lamperti.gamma * dw, dt)
-
-
 def step_cir_implicit_milstein(
     p: CirParams, z, dt: float, dw, truncate: bool = False
 ) -> np.ndarray:
@@ -438,7 +421,10 @@ def _reflected(config: StepperConfig, model: Model) -> _Stepper:
 
 
 def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Stepper:
-    """Runs in Lamperti coordinates y = sqrt(x); a CIR model records y^2."""
+    """Drift-implicit Euler for Y = sqrt(X): the closed-form positive root of
+    y' = y + (alpha/y' + beta*y')*dt + gamma*dW, positive for any input when
+    alpha > 0 (``truncate_sqrt`` clips the radicand when alpha < 0).  A CIR
+    model records y^2."""
     cir = isinstance(model.params, CirParams)
     lam = lamperti_cir(model.params) if cir else model.params
     if lam.alpha <= 0 and not config.truncate_sqrt:
@@ -446,8 +432,9 @@ def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Stepper:
             "implicit sqrt Euler requires 2*kappa*lam > theta^2 "
             f"(alpha = {lam.alpha:.6g}); scheme implicit_sqrt_truncated runs anyway"
         )
+    solve = lamperti_implicit(lam, truncate=config.truncate_sqrt)
     return _Stepper(
-        step=lambda y, dw, dt: step_cir_implicit_sqrt(lam, y, dt, dw, config.truncate_sqrt),
+        step=lambda y, dw, dt: solve(y + lam.gamma * dw, dt),
         state0=(lam.y0,),
         emit=(lambda y: y * y) if cir else None,
     )
@@ -635,6 +622,7 @@ class BatchResult:
 
     recorded: np.ndarray | None  # (d, n_rec+1, b) emitted values, or None
     terminal: np.ndarray  # (d, b) emitted values at T
+    state: np.ndarray  # (d, b) scheme state after the last step, to resume from
     negative_steps: np.ndarray  # (b,) int
     overflow: np.ndarray  # (b,) bool
     first_bad: np.ndarray  # (b,) int step index, -1 if clean
@@ -649,6 +637,8 @@ def simulate_batch(
     incr: np.ndarray,
     record_every: int | None = None,
     track_extrema: bool = False,
+    state: np.ndarray | None = None,
+    first_step: int = 0,
 ) -> BatchResult:
     """Drive a batch of paths through the configured scheme.
 
@@ -656,7 +646,9 @@ def simulate_batch(
     ``record_every = s`` stores emitted values at nodes 0, s, 2s, ..., n
     (n must be divisible by s).  Non-finite states freeze their path's flags
     but the iteration continues for the rest of the batch; the frozen values
-    stay non-finite (all maps here propagate them).
+    stay non-finite (all maps here propagate them).  ``state`` resumes paths
+    from an earlier result's ``state`` after ``first_step`` steps, from which
+    ``first_bad`` and errors count; flags and counts cover ``incr`` only.
     """
     stepper = make_stepper(config, model)
     m, b, n = incr.shape
@@ -668,57 +660,62 @@ def simulate_batch(
         raise SchemeError(f"record_every={record_every} must divide n={n}")
 
     d = model.d
-    x = np.repeat(np.array(stepper.state0, dtype=np.float64)[:, None], b, axis=1)
+    x = state
+    if x is None:
+        x = np.repeat(np.array(stepper.state0, dtype=np.float64)[:, None], b, axis=1)
     emit = stepper.emit or (lambda s: s)
 
+    vals = emit(x)
     rec = None
     if record_every is not None:
-        n_rec = n // record_every
-        rec = np.empty((d, n_rec + 1, b))
-        rec[:, 0, :] = emit(x)
+        rec = np.empty((d, n // record_every + 1, b))
+        rec[:, 0, :] = vals
     neg = np.zeros(b, dtype=np.int64)
     first_bad = np.full(b, -1, dtype=np.int64)
     runmax = runmin = None
     if track_extrema:
-        row0 = emit(x)[0]
-        runmax = row0.copy()
-        runmin = row0.copy()
+        runmax, runmin = vals[0].copy(), vals[0].copy()
 
+    # step a pass of states into a 64 KiB buffer (under glibc's mmap
+    # threshold, like brownian's draws), then do the bookkeeping once
+    span = max(1, 8192 // (d * b))
+    buf = np.empty((d, min(span, n), b))
     check = stepper.check_domain
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(n):
-            x = stepper.step(x, incr[:, :, k], dt)
-            if check and (x < 0).any():
-                raise DomainError(
-                    f"scheme {config.scheme_id!r} left the domain of model "
-                    f"{model.model_id!r} at step {k + 1}; use a scheme that "
-                    "extends the coefficients, projects back into the domain, "
-                    "or truncates"
-                )
-            finite = np.isfinite(x).all(axis=0) if d > 1 else np.isfinite(x[0])
-            newly_bad = ~finite & (first_bad < 0)
-            if newly_bad.any():
-                first_bad[newly_bad] = k + 1
-            vals = emit(x)
-            row = vals[0] if d == 1 else None
-            if d == 1:
-                neg += row < 0
-            else:
-                neg += (vals < 0).any(axis=0)
+        for k0 in range(0, n, span):
+            states = buf[:, : min(span, n - k0)]
+            for j in range(states.shape[1]):
+                x = stepper.step(x, incr[:, :, k0 + j], dt)
+                if check and (x < 0).any():
+                    raise DomainError(
+                        f"scheme {config.scheme_id!r} left the domain of model "
+                        f"{model.model_id!r} at step {first_step + k0 + j + 1}; "
+                        "use a scheme that extends the coefficients, projects "
+                        "back into the domain, or truncates"
+                    )
+                states[:, j] = x
+            finite = np.isfinite(states).all(axis=0)  # (steps, b)
+            newly = ~finite.all(axis=0) & (first_bad < 0)
+            if newly.any():
+                first_bad[newly] = first_step + k0 + 1 + finite[:, newly].argmin(axis=0)
+            vals = emit(states)
+            neg += (vals < 0).any(axis=0).sum(axis=0)
             if track_extrema:
-                r0 = row if d == 1 else vals[0]
-                np.maximum(runmax, r0, out=runmax)
-                np.minimum(runmin, r0, out=runmin)
-            if rec is not None and (k + 1) % record_every == 0:
-                rec[:, (k + 1) // record_every, :] = vals
+                np.maximum(runmax, vals[0].max(axis=0), out=runmax)
+                np.minimum(runmin, vals[0].min(axis=0), out=runmin)
+            if rec is not None:
+                j0 = -(k0 + 1) % record_every  # first step of the pass on a node
+                kept = vals[:, j0::record_every]
+                node = (k0 + j0 + 1) // record_every
+                rec[:, node : node + kept.shape[1], :] = kept
 
     return BatchResult(
         recorded=rec,
         terminal=emit(x),
+        state=x,
         negative_steps=neg,
         overflow=first_bad >= 0,
         first_bad=first_bad,
         runmax=runmax,
         runmin=runmin,
     )
-

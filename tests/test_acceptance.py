@@ -233,7 +233,9 @@ def test_mlmc_rmsq():
 
 def test_positivity_one_steps():
     rng = np.random.default_rng(7)
-    lam1 = models.lamperti_cir(SC1.params)
+    isqrt = schemes.make_stepper(
+        schemes.StepperConfig(scheme_id="cir_implicit_sqrt_euler"), M1
+    )
     refl = schemes.make_stepper(
         schemes.StepperConfig(scheme_id="reflected_euler", projection="abs"),
         M1,
@@ -243,7 +245,7 @@ def test_positivity_one_steps():
     for dt in (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0):
         x = rng.uniform(1e-6, 2.0, 10000)
         dw = rng.standard_normal(10000) * math.sqrt(dt)
-        violations += int((schemes.step_cir_implicit_sqrt(lam1, np.sqrt(x), dt, dw) <= 0).sum())
+        violations += int((isqrt.step(np.sqrt(x)[None], dw[None], dt) <= 0).sum())
         violations += int((schemes.step_cir_implicit_milstein(SC1.params, x, dt, dw) <= 0).sum())
         violations += int((refl.step(x[None, :], dw[None, :], dt) < 0).sum())
     _check("positivity one-steps", violations == 0, "10^5 draws per scheme")
@@ -269,12 +271,15 @@ def test_domination():
 def test_implicit_residuals():
     rng = np.random.default_rng(7)
     lam1 = models.lamperti_cir(SC1.params)
+    isqrt = schemes.make_stepper(
+        schemes.StepperConfig(scheme_id="cir_implicit_sqrt_euler"), M1
+    )
     p1 = SC1.params
     worst = 0.0
     for dt in (0.001, 0.01, 0.1, 0.25):
         y = rng.uniform(0.02, 2.0, 10000)
         dw = rng.standard_normal(10000) * math.sqrt(dt)
-        yp = schemes.step_cir_implicit_sqrt(lam1, y, dt, dw)
+        yp = isqrt.step(y[None], dw[None], dt)[0]
         res = yp - (y + lam1.gamma * dw) - (lam1.alpha / yp + lam1.beta * yp) * dt
         worst = max(worst, float(np.abs(res).max()))
         zin = rng.uniform(1e-4, 2.0, 10000)

@@ -81,6 +81,22 @@ def test_increment_block_rows_are_scaled_substreams(monkeypatch):
     )
 
 
+def test_increment_chunks_concatenate_to_the_block():
+    # every chunk length, over indices that span three blocks from an
+    # unaligned start, with two noise dimensions and more steps than one
+    # 128-step draw: the rows continue across chunks, whatever their length
+    idx = 37 + np.arange(100)
+    n, dt = 300, 0.5
+    want = np.stack([
+        [_block_normals(3, i, j, n) * math.sqrt(dt) for i in idx] for j in range(2)
+    ])
+    np.testing.assert_array_equal(bw.increment_block(3, idx, 0, 2, n, dt), want)
+    for chunk in range(1, n + 1):
+        parts = [c.copy() for c in bw.increment_chunks(3, idx, 2, n, dt, chunk)]
+        assert [p.shape[-1] for p in parts[:-1]] == [chunk] * (len(parts) - 1)
+        np.testing.assert_array_equal(np.concatenate(parts, axis=-1), want)
+
+
 def test_increment_block_draws_in_place_in_small_chunks():
     # the normals go straight into the (m, b, n) result, at most 64 KiB at a
     # time: no (b, n) temporary, and none past glibc's 128 KiB mmap threshold

@@ -513,6 +513,46 @@ n_list = 4, 8
 n_samples = 300
 ref_n = 32
 """,
+    "converge-exclude": """
+[experiment]
+kind = converge
+seed = 777
+
+[model]
+preset = three-halves-mc
+
+[scheme]
+scheme = euler
+
+[run]
+n_list = 16, 64
+n_samples = 100
+ref_scheme = tamed_euler
+ref_n = 256
+policy = exclude
+""",
+    "pathwise-exact": """
+[experiment]
+kind = pathwise
+seed = 12
+
+[model]
+model = gbm
+mu = 0.05
+sigma = 0.2
+gamma = 1.0
+s0 = 1.0
+T = 1.0
+
+[scheme]
+scheme = euler
+
+[run]
+n_list = 2^2, 2^3, 2^4, 2^5
+ref_n = 2^7
+reference = exact
+sample_index = 70
+""",
     "explode": """
 [experiment]
 kind = explode
@@ -618,17 +658,28 @@ radius = 2.0
 def test_cli_output_is_byte_identical_across_batch_widths(
     name, tmp_path, capsys, monkeypatch
 ):
-    # one batch of every sample, then batches of a few paths each
+    # (increment budget, draw chunk in steps): one batch of every sample,
+    # then batches of a few paths drawn one step at a time.  A curve walks
+    # time in chunks of one coarsest step or _CHUNK fine steps, whichever is
+    # longer, and keeps no whole path, so curves also run on budgets below
+    # one path, one sample at a time, in short chunks and in one whole chunk.
     cfg = _write(tmp_path / "b.cfg", _MULTI_BATCH_CONFIGS[name])
     kind = name.split("-")[0]
+    settings = [(2**23, 128), (2**9, 1)]
+    if kind in ("converge", "pathwise"):
+        settings += [(2**3, 1), (2**3, 2**12)]
     outputs = []
-    for budget in (2**23, 2**9):
+    for budget, chunk in settings:
         monkeypatch.setattr(bw, "_BATCH_FLOATS", budget)
-        out = tmp_path / str(budget)
+        monkeypatch.setattr(bw, "_CHUNK", chunk)
+        out = tmp_path / f"{budget}-{chunk}"
         assert cli.main([kind, "--config", cfg, "--out", str(out)]) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
     capsys.readouterr()
-    assert outputs[0] and outputs[0] == outputs[1]
+    assert outputs[0] and all(o == outputs[0] for o in outputs[1:])
+    if name == "converge-exclude":  # paths were excluded, not just none found
+        lines = outputs[0]["converge_euler.csv"].decode().splitlines()
+        assert any(int(l.split(",")[-1]) > 0 for l in lines if l[:1].isdigit())
 
 
 def test_cli_pathwise_csv_has_regression_comment(tmp_path, capsys):

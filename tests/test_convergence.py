@@ -1,6 +1,7 @@
 """Error measurement: regression fits, node errors, coupled curves, negativity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,28 @@ def test_overflow_in_scheme_and_reference_counts_the_path_once():
     assert (euler.overflow & ref.overflow).any()
     assert rep.overflow_counts == (int((euler.overflow | ref.overflow).sum()),)
     assert rep.errors == (math.inf,) and not rep.valid
+
+
+def test_error_curves_hold_one_time_chunk_not_the_path():
+    # cir_converge's shape: three schemes, 256 paths, a 2^15-step reference
+    # and grids 2^7..2^13.  Holding the (1, 256, 2^15) increment block alone
+    # takes 64 MiB; the curves walk time in chunks and keep no path records.
+    model = _cir_sc1()
+    configs = [
+        _truncated_euler(),
+        schemes.StepperConfig(scheme_id="cir_implicit_sqrt_euler"),
+        schemes.StepperConfig(scheme_id="cir_implicit_milstein"),
+    ]
+    kw = dict(T=5.0, seed=7, n_list=[2**k for k in range(7, 14)], p=1, ref_n=2**15)
+    cv.strong_error_curves(configs, model, n_samples=2, **kw)  # loads modules
+    tracemalloc.start()
+    try:
+        reps = cv.strong_error_curves(configs, model, n_samples=256, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.valid and r.regression is not None for r in reps)
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from sdelab import brownian as bw
 SC1 = models.CirParams(kappa=5.07, lam=0.0457, theta=0.48, x0=0.05)
 CIR = models.build_model("cir", SC1)
 LAM1 = models.lamperti_cir(SC1)
+ISQRT = schemes.StepperConfig(scheme_id="cir_implicit_sqrt_euler")
 AS_PARAMS = models.AitSahaliaParams(
     a_m1=1.0, a_0=1.0, a_1=1.0, a_2=1.0, sigma=0.5, r=2.0, rho=1.4, x0=1.0
 )
@@ -330,11 +331,20 @@ def test_tamed_increment_bounded(x, dt):
 # --- square-root process specials --------------------------------------------------
 
 
+def _isqrt_step(model, y, dt, dw, config=ISQRT):
+    """One implicit square-root Euler step, in Lamperti coordinates, of the
+    stepper that simulations use."""
+    step = schemes.make_stepper(config, model).step
+    return step(np.atleast_1d(y)[None], np.atleast_1d(dw)[None], dt)[0]
+
+
 def test_implicit_sqrt_degenerate_is_positive_part(rng):
     lam = models.LampertiCir(alpha=0.0, beta=0.0, gamma=0.24, y0=0.3)
     y = rng.uniform(-0.5, 0.5, 200)
     dw = rng.normal(0.0, 0.3, 200)
-    out = schemes.step_cir_implicit_sqrt(lam, y, 0.01, dw)
+    # alpha = 0 runs only truncated; the radicand (rhs/2)^2 never needs it
+    truncated = schemes.ALIASES["implicit_sqrt_truncated"]
+    out = _isqrt_step(models.build_model("cir_lamperti", lam), y, 0.01, dw, truncated)
     np.testing.assert_array_equal(out, np.maximum(y + 0.24 * dw, 0.0))
 
 
@@ -342,22 +352,20 @@ def test_implicit_sqrt_satisfies_defining_equation(rng):
     dt = 5.0 / 512.0
     y = rng.uniform(0.05, 1.0, 1000)
     dw = rng.normal(0.0, math.sqrt(dt), 1000)
-    yp = schemes.step_cir_implicit_sqrt(LAM1, y, dt, dw)
+    yp = _isqrt_step(CIR, y, dt, dw)
     res = yp - y - (LAM1.alpha / yp + LAM1.beta * yp) * dt - LAM1.gamma * dw
     assert np.abs(res).max() <= 1e-12
 
 
 def test_implicit_sqrt_scenario_1_value():
-    out = schemes.step_cir_implicit_sqrt(
-        LAM1, np.array([math.sqrt(0.05)]), 5.0 / 512.0, np.array([0.0])
-    )
+    out = _isqrt_step(CIR, math.sqrt(0.05), 5.0 / 512.0, 0.0)
     assert abs(out[0] - 0.22194) < 1e-5
 
 
 def test_implicit_sqrt_positive_for_any_input(rng):
     y = rng.uniform(-3.0, 3.0, 100_000)
     dw = rng.normal(0.0, 0.3, 100_000)
-    out = schemes.step_cir_implicit_sqrt(LAM1, y, 5.0 / 512.0, dw)
+    out = _isqrt_step(CIR, y, 5.0 / 512.0, dw)
     assert np.all(out > 0)
 
 
@@ -366,8 +374,8 @@ def test_implicit_sqrt_monotone_in_state(rng):
     y1 = rng.uniform(0.0, 2.0, 10_000)
     y2 = y1 + rng.uniform(0.0, 1.0, 10_000)
     dw = rng.normal(0.0, math.sqrt(dt), 10_000)
-    out1 = schemes.step_cir_implicit_sqrt(LAM1, y1, dt, dw)
-    out2 = schemes.step_cir_implicit_sqrt(LAM1, y2, dt, dw)
+    out1 = _isqrt_step(CIR, y1, dt, dw)
+    out2 = _isqrt_step(CIR, y2, dt, dw)
     assert np.all(out2 >= out1)
 
 
@@ -438,7 +446,7 @@ def test_domination_of_milstein_over_sqrt_euler(rng):
     worst = 0.0
     for k in range(n):
         z = schemes.step_cir_implicit_milstein(SC1, z, dt, dw[:, k])
-        y = schemes.step_cir_implicit_sqrt(LAM1, y, dt, dw[:, k])
+        y = _isqrt_step(CIR, y, dt, dw[:, k])
         worst = min(worst, float((z - y * y).min()))
     assert worst >= -1e-12
 
