@@ -33,10 +33,12 @@ _MAX_SUBSTREAM = 1 << 8
 MAX_SAMPLE_INDEX = 1 << 56
 _MAX_SEED = 1 << 64
 _BLOCK = 64  # sample indices per Philox stream
-# Steps per draw: a 64 KiB buffer stays under glibc's initial 128 KiB mmap
-# threshold, since freeing an mmapped temporary raises that threshold and
-# lets later arrays fragment the heap.
-_CHUNK = 128
+#: Floats in one reused work buffer.  64 KiB stays under glibc's initial
+#: 128 KiB mmap threshold, since freeing an mmapped temporary raises that
+#: threshold and lets later arrays fragment the heap.  Draws and the
+#: bookkeeping of ``schemes.simulate_batch`` both size their buffers by it.
+BUFFER_FLOATS = 1 << 13
+_CHUNK = BUFFER_FLOATS // _BLOCK  # steps per draw
 
 _BATCH_FLOATS = 1 << 23  # per-batch increment budget, keeps blocks ~64 MB
 
@@ -79,12 +81,9 @@ def batch_standard_normals(
     bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bg)
     fresh = bg.state  # counter zero, buffer empty: only the key changes
-    run = (np.diff(idx) == 1).all()  # consecutive indices: slices, not gathers
     buf = np.empty((_CHUNK, _BLOCK))
     for rows in np.split(order, cuts) if len(idx) else ():
         block, cols = divmod(idx[rows], _BLOCK)
-        if run:
-            rows, cols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
         k = int(block[0])
         fresh["state"]["key"] = np.array([seed, k << 8 | substream], dtype=np.uint64)
         bg.state = fresh if streams is None else streams.get(k, fresh)
@@ -133,22 +132,25 @@ def increment_chunks(
 
 
 def increment_batches(
-    seed: int, n_samples: int, m: int, n: int, dt: float, index_offset: int = 0
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(sample_indices, increment_block)`` over samples
-    ``index_offset .. index_offset + n_samples - 1`` in index order, in
-    batches of at most ``_BATCH_FLOATS`` increments.  A path that alone
-    exceeds the budget raises LatticeError.
+    seed: int, n_samples: int, m: int, n: int, dt: float, index_offset: int = 0,
+    chunk: int | None = None,
+) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
+    """Yield ``(sample_indices, chunks)`` over samples ``index_offset ..
+    index_offset + n_samples - 1`` in index order; ``chunks`` is the batch's
+    :func:`increment_chunks` of ``chunk`` steps rounded up to whole draws
+    (default and at most ``n``).  A batch holds as many paths as fit one
+    chunk each in ``_BATCH_FLOATS`` increments; if one does not, LatticeError.
     """
-    if n * m > _BATCH_FLOATS:
+    chunk = n if chunk is None else min(n, math.lcm(chunk, _CHUNK))
+    if chunk * m > _BATCH_FLOATS:
         raise LatticeError(
-            f"one path of {n} steps x {m} noise dimensions exceeds the "
-            f"{_BATCH_FLOATS} increments a batch may hold"
+            f"one path needs {chunk} steps x {m} noise dimensions in a batch, "
+            f"more than the {_BATCH_FLOATS} increments a batch may hold"
         )
-    batch = min(n_samples, _BATCH_FLOATS // (n * m))
+    batch = min(n_samples, _BATCH_FLOATS // (chunk * m))
     for start in range(0, n_samples, batch):
         idx = np.arange(start, min(start + batch, n_samples)) + index_offset
-        yield idx, increment_block(seed, idx, 0, m, n, dt)
+        yield idx, increment_chunks(seed, idx, m, n, dt, chunk)
 
 
 def is_power_of_two(n: int) -> bool:

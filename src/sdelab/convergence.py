@@ -172,18 +172,16 @@ def strong_error_curves(
     bad = np.zeros((nc, nn, n_samples), dtype=bool)
     ref_bad = np.zeros(n_samples, dtype=bool)
 
-    # Walk time in chunks of whole coarsest steps and brownian draws, carrying
-    # states and running max errors across them; one chunk fills the budget.
+    # Walk time in chunks of whole coarsest steps, carrying states and
+    # running max errors across them; one chunk per path fills the budget.
     dt_ref = T / ref_n
-    chunk = min(ref_n, math.lcm(ref_n // ns[0], bw._CHUNK))
-    width = min(n_samples, max(1, bw._BATCH_FLOATS // (m * chunk)))
     stride = ref_n // n_top
-    for start in range(0, n_samples, width):
-        paths = slice(start, min(start + width, n_samples))
-        idx = np.arange(paths.start, paths.stop) + index_offset
-        ref_state, w_end, states = None, np.zeros(len(idx)), {}
-        chunks = bw.increment_chunks(seed, idx, m, ref_n, dt_ref, chunk)
-        for t0, fine in zip(range(0, ref_n, chunk), chunks):
+    for idx, chunks in bw.increment_batches(
+        seed, n_samples, m, ref_n, dt_ref, index_offset, chunk=ref_n // ns[0]
+    ):
+        paths = slice(idx[0] - index_offset, idx[-1] + 1 - index_offset)
+        ref_state, w_end, states, t0 = None, np.zeros(len(idx)), {}, 0
+        for fine in chunks:
             grids, incr = {}, fine
             for n in reversed(ns):  # each grid from the next finer one
                 grids[n] = incr = bw.aggregate_to(incr, fine.shape[-1] * n // ref_n)
@@ -208,6 +206,7 @@ def strong_error_curves(
                 d_max = _dist_max(res.recorded, ref_top[:, :: n_top // n, :])
                 np.maximum(dist[j_c, j_n, paths], d_max, out=dist[j_c, j_n, paths])
                 bad[j_c, j_n, paths] |= res.overflow
+            t0 += fine.shape[-1]
     bad |= ref_bad
 
     reports = []
@@ -272,7 +271,7 @@ def negativity_stats(
     dt = T / n
     total_neg = 0
     neg_paths = 0
-    for _, incr in bw.increment_batches(seed, n_samples, 1, n, dt):
+    for _, (incr,) in bw.increment_batches(seed, n_samples, 1, n, dt):
         res = simulate_batch(config, model, dt, incr)
         total_neg += int(res.negative_steps.sum())
         neg_paths += int((res.negative_steps > 0).sum())

@@ -223,7 +223,7 @@ def _sample(
     chunks = []
     n_over = 0
     steps = 0
-    for idx, incr in bw.increment_batches(
+    for idx, (incr,) in bw.increment_batches(
         seed, n_samples, model.m, n, dt, index_offset
     ):
         res = simulate_batch(config, model, dt, incr, track_extrema=track)

@@ -37,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import brownian as bw
 from .models import (
     CirParams,
     DomainError,
@@ -676,9 +677,9 @@ def simulate_batch(
     if track_extrema:
         runmax, runmin = vals[0].copy(), vals[0].copy()
 
-    # step a pass of states into a 64 KiB buffer (under glibc's mmap
-    # threshold, like brownian's draws), then do the bookkeeping once
-    span = max(1, 8192 // (d * b))
+    # step a pass of states into a buffer of bw.BUFFER_FLOATS, then do the
+    # bookkeeping once per pass (once per step when d * b fills the buffer)
+    span = max(1, bw.BUFFER_FLOATS // (d * b))
     buf = np.empty((d, min(span, n), b))
     check = stepper.check_domain
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -69,16 +69,25 @@ def test_increment_block_rows_are_scaled_substreams(monkeypatch):
     for j in range(2):
         want = bw.batch_standard_normals(99, idx, 3 + j, 5) * math.sqrt(0.25)
         np.testing.assert_array_equal(block[j], want)
-    # batches cover the index range in order and do not change the values
+    # batches cover the index range in order and do not change the values,
+    # whole or cut into chunks; a batch holds one chunk of each path
     monkeypatch.setattr(bw, "_BATCH_FLOATS", 30)  # 3 paths of 2 x 5 per batch
-    parts = list(bw.increment_batches(7, 8, 2, 5, 0.5, index_offset=10))
-    assert [len(i) for i, _ in parts] == [3, 3, 2]
-    idx = np.concatenate([i for i, _ in parts])
-    np.testing.assert_array_equal(idx, np.arange(10, 18))
-    np.testing.assert_array_equal(
-        np.concatenate([b for _, b in parts], axis=1),
-        bw.increment_block(7, idx, 0, 2, 5, 0.5),
-    )
+    monkeypatch.setattr(bw, "_CHUNK", 1)
+    want = bw.increment_block(7, np.arange(10, 18), 0, 2, 5, 0.5)
+    for chunk, widths in [(None, [3, 3, 2]), (5, [3, 3, 2]), (2, [7, 1]), (1, [8])]:
+        parts = [
+            (i, np.concatenate([c.copy() for c in chunks], axis=-1))
+            for i, chunks in bw.increment_batches(7, 8, 2, 5, 0.5, 10, chunk)
+        ]
+        assert [len(i) for i, _ in parts] == widths
+        np.testing.assert_array_equal(np.concatenate([i for i, _ in parts]), np.arange(10, 18))
+        np.testing.assert_array_equal(np.concatenate([b for _, b in parts], axis=1), want)
+    # chunks are rounded up to whole draws; one chunk over the budget is an error
+    monkeypatch.setattr(bw, "_CHUNK", 4)
+    _, chunks = next(bw.increment_batches(7, 1, 1, 40, 0.5, chunk=3))
+    assert [c.shape[-1] for c in chunks] == [12, 12, 12, 4]
+    with pytest.raises(bw.LatticeError, match="one path needs 16 steps x 2 noise"):
+        next(bw.increment_batches(7, 8, 2, 40, 0.5, chunk=16))
 
 
 def test_increment_chunks_concatenate_to_the_block():

@@ -660,14 +660,15 @@ def test_cli_output_is_byte_identical_across_batch_widths(
 ):
     # (increment budget, draw chunk in steps): one batch of every sample,
     # then batches of a few paths drawn one step at a time.  A curve walks
-    # time in chunks of one coarsest step or _CHUNK fine steps, whichever is
-    # longer, and keeps no whole path, so curves also run on budgets below
-    # one path, one sample at a time, in short chunks and in one whole chunk.
+    # time in chunks of one coarsest step rounded up to whole draws, and
+    # keeps no whole path, so curves also run on budgets below one path
+    # (a few coarsest steps of 8, 16 and 32 fine steps here) and in one
+    # whole chunk per path.
     cfg = _write(tmp_path / "b.cfg", _MULTI_BATCH_CONFIGS[name])
     kind = name.split("-")[0]
     settings = [(2**23, 128), (2**9, 1)]
     if kind in ("converge", "pathwise"):
-        settings += [(2**3, 1), (2**3, 2**12)]
+        settings += [(2**5, 1), (2**9, 2**12)]
     outputs = []
     for budget, chunk in settings:
         monkeypatch.setattr(bw, "_BATCH_FLOATS", budget)
@@ -911,6 +912,13 @@ EDGE_RUNS = {
     # one path over the batch budget is a config error, not a failed allocation
     "negstats-over-budget": (
         "negstats", "n = 2^40\nn_samples = 10", 2, "1099511627776 steps",
+    ),
+    # a curve needs one coarsest step, ref_n / min(n_list) fine steps, per path
+    "converge-over-budget": (
+        "converge", "n_list = 1\nn_samples = 4\nref_n = 2^30", 2, "1073741824 steps",
+    ),
+    "pathwise-over-budget": (
+        "pathwise", "n_list = 2, 4\nref_n = 2^25", 2, "16777216 steps",
     ),
 }
 

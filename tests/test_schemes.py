@@ -537,7 +537,7 @@ def test_simulate_tamed_cubic_stays_bounded():
     assert not res.overflow[0]
 
 
-def test_simulate_overflow_freezes_path():
+def test_simulate_overflow_freezes_path(monkeypatch):
     cfg = schemes.StepperConfig(scheme_id="explicit_euler")
     incr = np.zeros((1, 1, 10))
     res = schemes.simulate_batch(cfg, CUBIC, 0.1, incr, record_every=1)
@@ -547,6 +547,34 @@ def test_simulate_overflow_freezes_path():
     assert np.isfinite(vals[: k]).all()
     assert not np.isfinite(vals[k:]).any()
     assert not np.isfinite(res.terminal[0, 0])
+    # paths that blow up at steps 6, 8 and 9, and two that stay finite:
+    # first_bad is the node of the first non-finite recorded value
+    x0 = np.array([[10.0, 5.0, 4.5, 4.2, 1.0]])
+    incr = np.zeros((1, 5, 14))
+    whole = schemes.simulate_batch(cfg, CUBIC, 0.1, incr, record_every=1, state=x0)
+    np.testing.assert_array_equal(whole.first_bad, [6, 8, 9, -1, -1])
+    bad = ~np.isfinite(whole.recorded[0])
+    np.testing.assert_array_equal(bad.argmax(axis=0)[:3], [6, 8, 9])
+    assert not bad[:, 3:].any()
+    # bookkeeping passes of 1, 2, 3 and 5 steps give the same results
+    for span in (1, 2, 3, 5):
+        monkeypatch.setattr(bw, "BUFFER_FLOATS", span * 5)
+        res = schemes.simulate_batch(cfg, CUBIC, 0.1, incr, record_every=1, state=x0)
+        np.testing.assert_array_equal(res.first_bad, whole.first_bad)
+        np.testing.assert_array_equal(res.recorded, whole.recorded)
+    # resumed in pieces, each piece counts first_bad from the whole path's start
+    state, first_bad, nodes = x0, np.full(5, -1), [x0[:, None]]
+    for k0, k1 in [(0, 4), (4, 7), (7, 14)]:
+        res = schemes.simulate_batch(
+            cfg, CUBIC, 0.1, incr[:, :, k0:k1], record_every=1, state=state, first_step=k0
+        )
+        new = (first_bad < 0) & res.overflow
+        first_bad[new] = res.first_bad[new]
+        assert (res.first_bad[res.overflow] > k0).all()
+        state = res.state
+        nodes.append(res.recorded[:, 1:])
+    np.testing.assert_array_equal(first_bad, whole.first_bad)
+    np.testing.assert_array_equal(np.concatenate(nodes, axis=1), whole.recorded)
 
 
 def _lattice_run(cfg, model, lat, T):
