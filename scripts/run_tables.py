@@ -5,9 +5,7 @@ Each config reproduces one table of the study: negativity statistics,
 strong-order regressions (CIR and CEV), the moment-explosion table for the
 3/2 model, MLMC cost and rmsq tables, a Fourier-priced Heston run, and the
 parameter diagnostics. Seeds live in the config files so reruns are
-byte-identical. --threads spreads work over workers only for the explode
-study and for the mlmc replication (rmsq) studies; every other config runs
-serially, and results never change.
+byte-identical.
 """
 
 import argparse
@@ -15,7 +13,7 @@ import pathlib
 import sys
 import time
 
-from sdelab import cli
+from sdelab import cli, config
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent / "configs"
 
@@ -23,7 +21,6 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent / "configs"
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="tables", help="output directory (default: tables)")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--only", default="", help="substring filter on config names")
     args = ap.parse_args(argv)
 
@@ -37,14 +34,11 @@ def main(argv=None) -> int:
     out_root = pathlib.Path(args.out)
     failures = 0
     for cfg in configs:
-        kind = cfg.name.split("_", 1)[0]
+        kind = config.parse_config_file(str(cfg)).kind
         out_dir = out_root / cfg.stem
         out_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.time()
-        rc = cli.main([
-            kind, "--config", str(cfg), "--out", str(out_dir),
-            "--threads", str(args.threads),
-        ])
+        rc = cli.main([kind, "--config", str(cfg), "--out", str(out_dir)])
         status = "ok" if rc == 0 else f"exit {rc}"
         print(f"{cfg.stem:32s} {status:8s} {time.time() - t0:7.1f}s", file=sys.stderr)
         failures += rc != 0

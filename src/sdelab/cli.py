@@ -46,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="output directory for CSV files (default: config, else '.')",
         )
         p.add_argument(
-            "--threads", type=int, default=1, metavar="N",
-            help="worker threads; affects wall time only, never results",
+            "--threads", type=int, choices=(1,), default=1,
+            help="accepted for the benchmark's command line; has no effect",
         )
     return parser
 
@@ -71,10 +71,8 @@ def main(argv: list[str] | None = None) -> int:
                     "[experiment]; runs are never seeded from the clock"
                 ]
             )
-        if args.threads < 1:
-            raise ConfigError([f"--threads must be >= 1, got {args.threads}"])
         out_dir = args.out if args.out is not None else (cfg.out or ".")
-        paths = run_experiment(cfg, seed=seed, out_dir=out_dir, threads=args.threads)
+        paths = run_experiment(cfg, seed=seed, out_dir=out_dir)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)

@@ -510,9 +510,8 @@ def parse_config_file(path: str) -> ExperimentConfig:
 
 def echo_lines(cfg: ExperimentConfig, seed: int) -> list[str]:
     """Resolved configuration as deterministic key = value lines, used as the
-    metadata block of every output file (overrides already applied).  Thread
-    count is deliberately absent: it never affects results, and files from
-    runs that differ only in worker count must compare byte-identical."""
+    metadata block of every output file (overrides already applied).  Only
+    what determines the results is echoed, so the output directory is not."""
     lines = [
         f"experiment = {cfg.kind}",
         f"seed = {seed}",

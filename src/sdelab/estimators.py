@@ -416,16 +416,11 @@ def rmsq_study(
     replications: int,
     seed: int,
     policy: str = "propagate",
-    mapper=None,
 ) -> RmsqStudy:
     """Empirical rmsq of the multilevel or standard estimator at accuracy eps.
 
     Replication r uses stream indices [r*span, (r+1)*span), so replications
-    are independent and the study is reproducible and parallelizable without
-    any shared state.  ``mapper`` (an ordered map like
-    ``util.parallel_map_ordered``) distributes replications over workers;
-    the result is identical for any mapper because accumulation follows
-    replication order.
+    are independent and the study is reproducible without any shared state.
     """
     if replications < 1:
         raise EstimatorError("replications must be >= 1")
@@ -438,17 +433,13 @@ def rmsq_study(
         span = pairing.n_samples
         steps_per = pairing.total_steps
 
-    def run_one(r: int) -> PriceEstimate:
-        return estimate_at(
+    results = [
+        estimate_at(
             method, config, model, payoff, T=T, epsilon=epsilon, seed=seed,
             policy=policy, index_offset=r * span,
         )
-
-    results = (
-        [run_one(r) for r in range(replications)]
-        if mapper is None
-        else mapper(run_one, range(replications))
-    )
+        for r in range(replications)
+    ]
     estimates = [est.value for est in results]
     n_over = sum(est.n_overflow for est in results)
     arr = np.asarray(estimates)

@@ -3,16 +3,13 @@
 Every file starts with a '#' metadata block (library version, seed, the
 resolved configuration, and the Gaussian-transform identifier of the RNG),
 so a result can always be traced back to the exact run that produced it.
-Floats are written with repr, all parallel work is accumulated in
-submission order, and every estimator reduces its per-sample values once,
-in sample-index order, which makes outputs byte-identical for a fixed seed
-no matter how many worker threads are used or how wide the sample batches
-are.
+Floats are written with repr, and every estimator reduces its per-sample
+values once, in sample-index order, which makes outputs byte-identical for
+a fixed seed no matter how wide the sample batches are.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from typing import Callable
 
@@ -76,7 +73,7 @@ def _regression_comments(report: convergence.ErrorReport) -> list[str]:
     ]
 
 
-def _run_negstats(cfg, model, seed, out_dir, threads, header):
+def _run_negstats(cfg, model, seed, out_dir, header):
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     stats = convergence.negativity_stats(
         scheme_cfg,
@@ -105,7 +102,7 @@ def _run_negstats(cfg, model, seed, out_dir, threads, header):
     return [path]
 
 
-def _run_curves(cfg, model, seed, out_dir, threads, header):
+def _run_curves(cfg, model, seed, out_dir, header):
     """converge, and pathwise as its case of one path: one sample at
     ``sample_index``, p = 1, and no standard error (one path has none)."""
     run = cfg.run
@@ -145,33 +142,20 @@ def _run_curves(cfg, model, seed, out_dir, threads, header):
     return paths
 
 
-def _run_explode(cfg, model, seed, out_dir, threads, header):
+def _run_explode(cfg, model, seed, out_dir, header):
     run = cfg.run
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     payoff = _build_payoff(cfg, default_phi="abs")
     n_samples_list = run.get("n_samples_list") or (run["n_samples"],)
-    jobs = [(n, N) for n in run["n_list"] for N in n_samples_list]
-    radius = run.get("radius")
-
-    def run_one(job):
-        n, N = job
-        return estimators.mc_estimate(
-            scheme_cfg,
-            model,
-            payoff,
-            T=cfg.T,
-            seed=seed,
-            n=n,
-            n_samples=N,
-            policy=run.get("policy", "propagate"),
-            radius=radius,
-        )
-
-    results = util.parallel_map_ordered(run_one, jobs, threads)
-    rows = [
-        (cfg.T / n, N, est.value, est.stderr, est.n_overflow)
-        for (n, N), est in zip(jobs, results)
-    ]
+    rows = []
+    for n in run["n_list"]:
+        for N in n_samples_list:
+            est = estimators.mc_estimate(
+                scheme_cfg, model, payoff, T=cfg.T, seed=seed, n=n,
+                n_samples=N, policy=run.get("policy", "propagate"),
+                radius=run.get("radius"),
+            )
+            rows.append((cfg.T / n, N, est.value, est.stderr, est.n_overflow))
     path = os.path.join(out_dir, "explode.csv")
     util.write_csv(
         path,
@@ -182,7 +166,7 @@ def _run_explode(cfg, model, seed, out_dir, threads, header):
     return [path]
 
 
-def _run_mlmc(cfg, model, seed, out_dir, threads, header):
+def _run_mlmc(cfg, model, seed, out_dir, header):
     run = cfg.run
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     payoff = _build_payoff(cfg)
@@ -190,7 +174,6 @@ def _run_mlmc(cfg, model, seed, out_dir, threads, header):
     eps_list = run.get("epsilon_list") or (run["epsilon"],)
     replications = run.get("replications")
     policy = run.get("policy", "propagate")
-    mapper = functools.partial(util.parallel_map_ordered, threads=threads)
 
     # evaluated once, before any simulation: the oracle is the costly part
     truth = run.get("truth")
@@ -212,7 +195,6 @@ def _run_mlmc(cfg, model, seed, out_dir, threads, header):
                 replications=replications,
                 seed=seed,
                 policy=policy,
-                mapper=mapper,
             )
             mean_est = float(np.mean(study.estimates))
             rows.append((eps, levels, study.steps_per_replication, mean_est,
@@ -235,7 +217,7 @@ def _run_mlmc(cfg, model, seed, out_dir, threads, header):
     return [path]
 
 
-def _run_price(cfg, model, seed, out_dir, threads, header):
+def _run_price(cfg, model, seed, out_dir, header):
     run = cfg.run
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     payoff = _build_payoff(cfg)
@@ -264,7 +246,7 @@ def _run_price(cfg, model, seed, out_dir, threads, header):
     return [path]
 
 
-def _run_validate(cfg, model, seed, out_dir, threads, header):
+def _run_validate(cfg, model, seed, out_dir, header):
     run = cfg.run
     p = cfg.params
     rows: list[tuple[str, object]] = []
@@ -307,13 +289,13 @@ _RUNNERS: dict[str, Callable] = {
 
 
 def run_experiment(
-    cfg: ExperimentConfig, *, seed: int, out_dir: str, threads: int = 1
+    cfg: ExperimentConfig, *, seed: int, out_dir: str
 ) -> list[str]:
     """Run one experiment, write its CSV artifacts, return their paths."""
     try:
         model = models.build_model(cfg.model_id, cfg.params)
         os.makedirs(out_dir, exist_ok=True)
-        return _RUNNERS[cfg.kind](cfg, model, seed, out_dir, threads, _header(cfg, seed))
+        return _RUNNERS[cfg.kind](cfg, model, seed, out_dir, _header(cfg, seed))
     except (
         bw.LatticeError,
         models.ModelError,

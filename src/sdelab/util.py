@@ -3,29 +3,9 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def parallel_map_ordered(
-    fn: Callable[[T], R], items: Iterable[T], threads: int = 1
-) -> list[R]:
-    """Map ``fn`` over ``items``, returning results in submission order.
-
-    With ``threads <= 1`` this is a plain loop.  With more threads the work
-    is fanned out but the result list is always ordered like the input, so
-    anything accumulated from it is identical for every thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def sample_moments(values: np.ndarray) -> tuple[float, float]:

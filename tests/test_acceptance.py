@@ -1,10 +1,12 @@
 """End-to-end acceptance gate.
 
 One test per contract item, each printing a single pass/fail line (run with
--s to see them live). Sample sizes are the real ones, so this file is the
-slow part of the suite: the replicated multilevel study dominates at a few
-minutes, everything else is seconds. Seeds are fixed; the asserted bands are
-the contract bands, not seed-tuned.
+-s to see them live). Sample sizes are the real ones. The checks on the
+study tables read the CSVs of the ``scripts/configs`` runs, which the
+``study`` fixture makes once per session and ``test_tables.py`` byte-checks,
+so no study runs twice; the replicated multilevel study and the two CIR
+regressions dominate, everything else is seconds. Seeds are fixed; the
+asserted bands are the contract bands, not seed-tuned.
 """
 
 import dataclasses
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from sdelab import brownian as bw, cli, convergence as cv, estimators as est
+from sdelab import brownian as bw, convergence as cv, estimators as est
 from sdelab import models, oracles as orc, schemes
 from test_oracles import black_scholes_call
 
@@ -28,12 +30,24 @@ def _check(name, ok, detail=""):
 SC1 = models.get_preset("cir-scenario-1")
 SC2 = models.get_preset("cir-scenario-2")
 M1 = models.build_model(SC1.model_id, SC1.params)
-M2 = models.build_model(SC2.model_id, SC2.params)
 
 EULER = schemes.StepperConfig(scheme_id="explicit_euler")
 
 
-TRUNCATED = schemes.StepperConfig(scheme_id="modified_euler", extension="truncate")
+def _rows(path):
+    """The data rows of a study CSV, as dicts of column name to cell text."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    columns = lines[0].split(",")
+    return [dict(zip(columns, line.split(","))) for line in lines[1:]]
+
+
+def _slope(path):
+    """The fitted order from a converge CSV's trailing regression comment."""
+    (line,) = [
+        line for line in path.read_text().splitlines()
+        if line.startswith("# regression: slope = ")
+    ]
+    return float(line.split()[4])
 
 
 # 1 -------------------------------------------------------------------------
@@ -78,36 +92,30 @@ def test_cost_accounting():
 # 3 -------------------------------------------------------------------------
 
 
-def test_negativity_statistics():
-    s1 = cv.negativity_stats(
-        TRUNCATED, M1, T=SC1.T, seed=51, n=512, n_samples=100000
+def test_negativity_statistics(study):
+    (avg1, frac1), (avg2, frac2) = (
+        (float(row["avg_negative_steps"]), float(row["negative_path_fraction"]))
+        for stem in ("negstats_scenario1", "negstats_scenario2")
+        for row in _rows(study(stem) / "negstats.csv")
     )
-    absolute = schemes.StepperConfig(scheme_id="modified_euler", extension="absolute")
-    s2 = cv.negativity_stats(absolute, M2, T=SC2.T, seed=51, n=512, n_samples=100000)
     _check(
         "negativity statistics",
-        0.86 <= s1.avg_negative_steps <= 0.97
-        and 0.48 <= s1.negative_path_fraction <= 0.50
-        and 70.0 <= s2.avg_negative_steps <= 79.0
-        and s2.negative_path_fraction >= 0.995,
-        f"truncated {s1.avg_negative_steps:.4f}/{s1.negative_path_fraction:.4f}, "
-        f"absolute {s2.avg_negative_steps:.4f}/{s2.negative_path_fraction:.4f}",
+        0.86 <= avg1 <= 0.97
+        and 0.48 <= frac1 <= 0.50
+        and 70.0 <= avg2 <= 79.0
+        and frac2 >= 0.995,
+        f"truncated {avg1:.4f}/{frac1:.4f}, absolute {avg2:.4f}/{frac2:.4f}",
     )
 
 
 # 4 -------------------------------------------------------------------------
 
 
-def test_cev_orders():
+def test_cev_orders(study):
     slopes = {}
-    for name, lo, hi in (("cev-set-1", 0.42, 0.57), ("cev-set-2", 0.44, 0.58)):
-        pre = models.get_preset(name)
-        m = models.build_model(pre.model_id, pre.params)
-        rep = cv.strong_error_curves(
-            [EULER], m, T=pre.T, seed=104,
-            n_list=[2**k for k in range(4, 11)], n_samples=10000, p=1,
-        )[0]
-        slopes[name] = (rep.regression.slope, lo <= rep.regression.slope <= hi)
+    for name, lo, hi in (("cev_set1", 0.42, 0.57), ("cev_set2", 0.44, 0.58)):
+        slope = _slope(study(f"converge_{name}") / "converge_euler.csv")
+        slopes[name] = (slope, lo <= slope <= hi)
     _check(
         "cev convergence orders",
         all(ok for _, ok in slopes.values()),
@@ -118,14 +126,12 @@ def test_cev_orders():
 # 5 -------------------------------------------------------------------------
 
 
-def test_cir_orders_feller_regime():
-    isqrt = schemes.StepperConfig(scheme_id="cir_implicit_sqrt_euler")
-    dimp = schemes.StepperConfig(scheme_id="cir_implicit_milstein")
-    reps = cv.strong_error_curves(
-        [TRUNCATED, isqrt, dimp], M1, T=SC1.T, seed=205,
-        n_list=[2**k for k in range(7, 14)], n_samples=10000, p=1, ref_n=2**15,
+def test_cir_orders_feller_regime(study):
+    out = study("converge_cir_scenario1")
+    s_tr, s_is, s_di = (
+        _slope(out / f"converge_{alias}.csv")
+        for alias in ("truncated_euler", "implicit_sqrt", "dimp_milstein")
     )
-    s_tr, s_is, s_di = (r.regression.slope for r in reps)
     _check(
         "cir strong orders (feller regime)",
         0.45 <= s_tr <= 0.70 and 0.80 <= s_is <= 1.05 and 0.80 <= s_di <= 1.05,
@@ -133,18 +139,14 @@ def test_cir_orders_feller_regime():
     )
 
 
-def test_cir_orders_degraded_regime():
-    isqrt_t = schemes.StepperConfig(
-        scheme_id="cir_implicit_sqrt_euler", truncate_sqrt=True
+def test_cir_orders_degraded_regime(study):
+    out = study("converge_cir_scenario2")
+    slopes = tuple(
+        _slope(out / f"converge_{alias}.csv")
+        for alias in (
+            "truncated_euler", "implicit_sqrt_truncated", "dimp_milstein_truncated"
+        )
     )
-    dimp_t = schemes.StepperConfig(
-        scheme_id="cir_implicit_milstein", truncate_sqrt=True
-    )
-    reps = cv.strong_error_curves(
-        [TRUNCATED, isqrt_t, dimp_t], M2, T=SC2.T, seed=206,
-        n_list=[2**k for k in range(7, 14)], n_samples=10000, p=1, ref_n=2**15,
-    )
-    slopes = tuple(r.regression.slope for r in reps)
     _check(
         "cir strong orders (degraded regime)",
         all(s < 0.45 for s in slopes),
@@ -155,28 +157,23 @@ def test_cir_orders_degraded_regime():
 # 6 -------------------------------------------------------------------------
 
 
-def test_moment_explosion():
-    pre = models.get_preset("three-halves-mc")
-    m = models.build_model(pre.model_id, pre.params)
-    pay = est.PayoffSpec(phi="abs")
-
-    def run(n, n_samples):
-        return est.mc_estimate(
-            EULER, m, pay, T=pre.T, seed=0, n=n, n_samples=n_samples
-        )
-
-    fine = run(4096, 1000)  # stepsize 2^-10
-    coarse = run(4, 1000)  # stepsize 1
-    inf_a = run(16, 10000)  # stepsize 2^-2
-    inf_b = run(64, 10000)  # stepsize 2^-4
+def test_moment_explosion(study):
+    T = models.get_preset("three-halves-mc").T
+    value = {
+        (round(T / float(row["delta"])), int(row["n_samples"])): float(row["estimate"])
+        for row in _rows(study("explode_three_halves") / "explode.csv")
+    }
+    fine = value[4096, 1000]  # stepsize 2^-10
+    coarse = value[4, 1000]  # stepsize 1
+    inf_a = value[16, 10000]  # stepsize 2^-2
+    inf_b = value[64, 10000]  # stepsize 2^-4
     _check(
         "moment explosion",
-        0.53 <= fine.value <= 0.58
-        and (coarse.value > 5.0 or math.isinf(coarse.value))
-        and math.isinf(inf_a.value)
-        and math.isinf(inf_b.value),
-        f"fine {fine.value:.4f}, coarse {coarse.value:.3f}, "
-        f"mid ({inf_a.value}, {inf_b.value})",
+        0.53 <= fine <= 0.58
+        and (coarse > 5.0 or math.isinf(coarse))
+        and math.isinf(inf_a)
+        and math.isinf(inf_b),
+        f"fine {fine:.4f}, coarse {coarse:.3f}, mid ({inf_a}, {inf_b})",
     )
 
 
@@ -204,21 +201,15 @@ def test_fourier_oracle():
 # 8 -------------------------------------------------------------------------
 
 
-def test_mlmc_rmsq():
-    pre = models.get_preset("heston-mlmc")
-    m = models.build_model(pre.model_id, pre.params)
-    cfg = schemes.StepperConfig(scheme_id="log_heston_composite")
-    pay = est.PayoffSpec(phi="call", strike=pre.strike, discount=pre.params.r)
+def test_mlmc_rmsq(study):
+    # 200 replications per accuracy, measured against the Fourier price
+    rmsq = {
+        float(row["epsilon"]): float(row["rmsq_if_study"])
+        for row in _rows(study("mlmc_heston_rmsq") / "mlmc.csv")
+    }
     paper = {2**-4: 0.6853, 2**-5: 0.3528, 2**-6: 0.1814}
-    vals = []
-    ok = True
-    for eps, target in paper.items():
-        study = est.rmsq_study(
-            "mlmc", cfg, m, pay, T=pre.T, epsilon=eps,
-            truth=7.46253, replications=200, seed=88,
-        )
-        vals.append(study.rmsq)
-        ok &= abs(study.rmsq / target - 1.0) <= 0.35
+    vals = [rmsq[eps] for eps in paper]
+    ok = all(abs(v / target - 1.0) <= 0.35 for v, target in zip(vals, paper.values()))
     r1, r2 = vals[0] / vals[1], vals[1] / vals[2]
     ok &= 1.6 <= r1 <= 2.4 and 1.6 <= r2 <= 2.4
     _check(
@@ -362,48 +353,4 @@ def test_gbm_oracle_orders():
         "gbm oracle orders",
         abs(s_e - 0.5) <= 0.1 and abs(s_m - 1.0) <= 0.15,
         f"euler {s_e:.4f}, milstein {s_m:.4f}",
-    )
-
-
-# 10 ------------------------------------------------------------------------
-
-
-def test_thread_determinism(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        """
-[experiment]
-kind = converge
-seed = 17
-
-[model]
-preset = cir-scenario-1
-
-[scheme]
-scheme = truncated_euler, implicit_sqrt
-
-[run]
-n_list = 2^4, 2^5, 2^6
-n_samples = 500
-ref_n = 2^8
-"""
-    )
-    outs = []
-    for threads in (1, 3):
-        d = tmp_path / f"t{threads}"
-        rc = cli.main(
-            ["converge", "--config", str(cfg), "--out", str(d), "--threads", str(threads)]
-        )
-        assert rc == 0
-        outs.append(
-            tuple(
-                (p.name, p.read_bytes())
-                for p in sorted(d.glob("*.csv"))
-            )
-        )
-    capsys.readouterr()
-    _check(
-        "thread determinism",
-        len(outs[0]) == 2 and outs[0] == outs[1],
-        f"{len(outs[0])} files byte-compared",
     )

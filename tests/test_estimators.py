@@ -7,7 +7,7 @@ import pytest
 
 from sdelab import brownian as bw
 from sdelab import estimators as est
-from sdelab import models, schemes, util
+from sdelab import models, schemes
 from sdelab.estimators import EstimatorError, PayoffSpec
 
 EULER = schemes.StepperConfig(scheme_id="explicit_euler")
@@ -303,21 +303,6 @@ def test_rmsq_equals_absolute_bias_for_deterministic_estimates():
         seed=9,
     )
     assert study.rmsq == 0.5
-
-
-def test_rmsq_study_is_mapper_independent():
-    kw = dict(T=1.0, epsilon=2**-3, truth=0.1, replications=4, seed=9)
-    serial = est.rmsq_study("mlmc", EULER, GBM, CALL, **kw)
-    threaded = est.rmsq_study(
-        "mlmc",
-        EULER,
-        GBM,
-        CALL,
-        mapper=lambda f, it: util.parallel_map_ordered(f, it, threads=4),
-        **kw,
-    )
-    assert serial.estimates == threaded.estimates
-    assert serial.rmsq == threaded.rmsq
 
 
 def test_rmsq_study_guards():

@@ -1,4 +1,4 @@
-"""Byte pins: the fast study configs reproduce scripts/tables.sha256 exactly."""
+"""Byte pins: every study config reproduces scripts/tables.sha256 exactly."""
 
 import hashlib
 import pathlib
@@ -6,46 +6,30 @@ import pathlib
 import numpy as np
 import pytest
 
-from sdelab import cli
-
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
 PINNED_NUMPY = "2.4.6"  # the version scripts/tables.sha256 was written with
-
-# the configs that run in seconds; the cir converge and mlmc ones take minutes
-FAST_CONFIGS = (
-    "validate_scenario1",
-    "validate_scenario2",
-    "pathwise_gbm",
-    "price_heston",
-    "negstats_scenario1",
-    "negstats_scenario2",
-    "explode_three_halves",
-    "converge_cev_set1",
-    "converge_cev_set2",
-)
+STEMS = sorted(p.stem for p in CONFIGS.glob("*.cfg"))
 
 
 def _pinned_digests() -> dict[str, str]:
     digests = {}
-    for line in (SCRIPTS / "tables.sha256").read_text().splitlines():
+    for line in (CONFIGS.parent / "tables.sha256").read_text().splitlines():
         digest, name = line.split()
         digests[name] = digest
     return digests
+
+
+def test_pinned_digests_name_exactly_the_configs():
+    assert sorted({name.split("/")[0] for name in _pinned_digests()}) == STEMS
 
 
 @pytest.mark.skipif(
     np.__version__ != PINNED_NUMPY,
     reason=f"tables.sha256 pins numpy {PINNED_NUMPY} output, found {np.__version__}",
 )
-@pytest.mark.parametrize("stem", FAST_CONFIGS)
-def test_config_csvs_match_pinned_digests(stem, tmp_path, capsys):
-    kind = stem.split("_", 1)[0]
-    out = tmp_path / stem
-    rc = cli.main(
-        [kind, "--config", str(SCRIPTS / "configs" / f"{stem}.cfg"), "--out", str(out)]
-    )
-    capsys.readouterr()
-    assert rc == 0
+@pytest.mark.parametrize("stem", STEMS)
+def test_config_csvs_match_pinned_digests(stem, study):
+    out = study(stem)
     pinned = {
         name: digest
         for name, digest in _pinned_digests().items()
