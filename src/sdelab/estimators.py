@@ -1,12 +1,14 @@
-"""Monte Carlo price estimators: plain, discarded-path, and multilevel.
+"""Monte Carlo price estimators on one level plan.
 
-Sampling is fully deterministic given (seed, index_offset): plain MC uses
-one Brownian stream per sample index, the multilevel estimator assigns each
-(level, sample) pair a fresh index from contiguous blocks, and replication
-studies stride their offsets so no stream is ever reused.  Overflowed paths
-are never hidden: the default policy propagates them as +inf (reproducing
-moment explosion), "exclude" drops and counts them, and the discarded-path
-estimator zeroes every path whose running maximum leaves the chosen radius.
+A :class:`Plan` lays out the levels of the multilevel telescoping sum, and
+plain Monte Carlo is its one-level case; :func:`mlmc_estimate` is the one
+estimation loop.  Sampling is fully deterministic given (seed,
+index_offset): each (level, sample) pair takes a fresh stream index from
+contiguous blocks, and replication studies stride their offsets so no
+stream is ever reused.  Overflowed paths are never hidden: the default
+policy propagates them as +inf (reproducing moment explosion), "exclude"
+drops and counts them, and the discarded-path estimator zeroes every path
+whose running maximum leaves the chosen radius.
 """
 
 from __future__ import annotations
@@ -118,23 +120,41 @@ class PriceEstimate:
     n_samples: int
     total_steps: int
     n_overflow: int
-    levels: tuple[LevelStat, ...] | None = None
+    levels: tuple[LevelStat, ...]
 
 
 @dataclass(frozen=True)
-class MlmcPlan:
-    """Level/sample layout for target accuracy epsilon:
+class Plan:
+    """Level layout of one estimate (Giles, Oper. Res. 2008).
 
-        L = ceil(log2(T/eps)),  N_l = ceil(L * eps^-2 * T * 2^-l).
-
-    A level-l path costs 2^l fine steps plus, for l >= 1, 2^(l-1) coupled
-    coarse steps.
+    Level l runs ``samples[l]`` paths on the n0*2^l-step grid; each level
+    l >= 1 subtracts the payoff on the n0*2^(l-1)-step grid driven by the
+    same, aggregated, increments.  Plain Monte Carlo is the one-level plan.
     """
 
-    levels: int
+    n0: int
     samples: tuple[int, ...]
-    level_steps: tuple[int, ...]
-    total_steps: int
+
+    def __post_init__(self) -> None:
+        if self.n0 < 1 or not self.samples or min(self.samples) < 1:
+            raise EstimatorError(
+                f"a plan needs n0 >= 1 and every level n_samples >= 1; got "
+                f"n0={self.n0}, samples={self.samples}"
+            )
+
+    @property
+    def levels(self) -> int:
+        """Index L of the finest level; 0 for plain Monte Carlo."""
+        return len(self.samples) - 1
+
+    @property
+    def level_steps(self) -> tuple[int, ...]:
+        """Steps of one level-l sample: n0*2^l fine plus n0*2^(l-1) coarse."""
+        return tuple(self.n0 * (2**l + 2**l // 2) for l in range(len(self.samples)))
+
+    @property
+    def total_steps(self) -> int:
+        return sum(n * c for n, c in zip(self.samples, self.level_steps))
 
     @property
     def sample_span(self) -> int:
@@ -142,56 +162,57 @@ class MlmcPlan:
         return sum(self.samples)
 
 
-def mlmc_plan(epsilon: float, T: float) -> MlmcPlan:
+def mlmc_plan(epsilon: float, T: float) -> Plan:
+    """Multilevel plan for accuracy epsilon on grids 2^0 .. 2^L:
+
+        L = ceil(log2(T/eps)),  N_l = ceil(L * eps^-2 * T * 2^-l).
+    """
     if not 0 < epsilon <= T / 2:
         raise EstimatorError(
             f"epsilon must lie in (0, T/2] so that at least one refinement "
             f"level exists; got epsilon={epsilon}, T={T}"
         )
     levels = math.ceil(math.log2(T / epsilon))
-    samples = tuple(
+    return Plan(1, tuple(
         math.ceil(levels * T / (epsilon * epsilon) * 2.0 ** (-l))
         for l in range(levels + 1)
-    )
-    level_steps = tuple(
-        (2**l + 2 ** (l - 1)) if l >= 1 else 1 for l in range(levels + 1)
-    )
-    total = sum(n * c for n, c in zip(samples, level_steps))
-    return MlmcPlan(
-        levels=levels,
-        samples=samples,
-        level_steps=level_steps,
-        total_steps=total,
-    )
+    ))
 
 
-@dataclass(frozen=True)
-class StandardPlan:
-    """Step/sample pairing for plain MC at target accuracy epsilon:
-    n = ceil(T/eps) steps, N = ceil(T/eps^2) samples."""
-
-    n: int
-    n_samples: int
-    total_steps: int
-
-
-def mc_standard_pairing(epsilon: float, T: float) -> StandardPlan:
+def mc_standard_pairing(epsilon: float, T: float) -> Plan:
+    """Plain MC at accuracy epsilon: n = ceil(T/eps) steps, N = ceil(T/eps^2)
+    samples."""
     if not 0 < epsilon <= T:
         raise EstimatorError(f"epsilon must lie in (0, T], got {epsilon}")
-    n = math.ceil(T / epsilon)
-    n_samples = math.ceil(T / (epsilon * epsilon))
-    return StandardPlan(n=n, n_samples=n_samples, total_steps=n * n_samples)
+    return Plan(math.ceil(T / epsilon), (math.ceil(T / (epsilon * epsilon)),))
+
+
+def plan_for(method: str, epsilon: float, T: float) -> Plan:
+    """The multilevel ("mlmc") or standard-pairing ("standard") plan at
+    accuracy epsilon."""
+    if method == "mlmc":
+        return mlmc_plan(epsilon, T)
+    if method != "standard":
+        raise EstimatorError(f"unknown method {method!r}; use 'mlmc' or 'standard'")
+    return mc_standard_pairing(epsilon, T)
 
 
 def _payoff_values(
-    model: Model, payoff: PayoffSpec, T: float, res: BatchResult
+    model: Model, payoff: PayoffSpec, T: float, res: BatchResult,
+    radius: float | None,
 ) -> np.ndarray:
-    """Discounted payoff of each simulated path in ``res``."""
+    """Discounted payoff of each simulated path in ``res``; with ``radius``,
+    zero where the running max |X| left the ball or the path overflowed."""
     rmin = rmax = None
     if res.runmin is not None:  # extrema of coordinate 0; observables are monotone
         rmin = model.observable(res.runmin[None])
         rmax = model.observable(res.runmax[None])
-    return payoff.evaluate(model.observable(res.terminal), T, rmin, rmax)
+    vals = payoff.evaluate(model.observable(res.terminal), T, rmin, rmax)
+    if radius is None:
+        return vals
+    sup = np.maximum(np.abs(res.runmax), np.abs(res.runmin))
+    sup = np.where(res.overflow, np.inf, sup)
+    return np.where(sup <= radius, vals, 0.0)
 
 
 def _sample(
@@ -204,20 +225,18 @@ def _sample(
     n: int,
     n_samples: int,
     index_offset: int,
-    policy: str = "propagate",
-    radius: float | None = None,
-    coupled: bool = False,
+    policy: str,
+    radius: float | None,
+    coupled: bool,
 ) -> tuple[np.ndarray, int, int]:
     """Per-sample payoff values at resolution n, in sample-index order.
 
-    With ``coupled`` (an MLMC level l >= 1) each value is the fine payoff
-    minus the payoff on the n/2-step grid driven by the same, aggregated,
-    increments.  ``radius`` zeroes paths that leave the ball; otherwise
-    overflowed paths become +inf ("propagate") or are dropped ("exclude").
-    Returns the values, the overflow count and the steps taken.
+    With ``coupled`` (a level l >= 1) each value is the fine payoff minus the
+    payoff on the n/2-step grid driven by the same, aggregated, increments.
+    ``radius`` zeroes each path that leaves the ball; otherwise overflowed
+    paths become +inf ("propagate") or are dropped ("exclude").  Returns the
+    values, the overflow count and the steps taken.
     """
-    if policy not in ("propagate", "exclude"):
-        raise EstimatorError(f"unknown overflow policy {policy!r}")
     track = payoff.needs_extrema or radius is not None
     dt = T / n
     chunks = []
@@ -228,7 +247,7 @@ def _sample(
     ):
         res = simulate_batch(config, model, dt, incr, track_extrema=track)
         steps += n * len(idx)
-        vals = _payoff_values(model, payoff, T, res)
+        vals = _payoff_values(model, payoff, T, res, radius)
         over = res.overflow
         if coupled:
             coarse = simulate_batch(
@@ -239,17 +258,14 @@ def _sample(
                 track_extrema=track,
             )
             steps += n // 2 * len(idx)
-            vals = vals - _payoff_values(model, payoff, T, coarse)
+            # inf - inf where both paths overflowed; the policy below
+            # replaces or drops every overflowed value
+            with np.errstate(invalid="ignore"):
+                vals = vals - _payoff_values(model, payoff, T, coarse, radius)
             over = over | coarse.overflow
         n_over += int(over.sum())
-        if radius is not None:
-            sup = np.maximum(np.abs(res.runmax), np.abs(res.runmin))
-            sup = np.where(over, np.inf, sup)
-            vals = np.where(sup <= radius, vals, 0.0)
-        elif policy == "exclude":
-            vals = vals[~over]
-        else:
-            vals = np.where(over, np.inf, vals)
+        if radius is None:
+            vals = vals[~over] if policy == "exclude" else np.where(over, np.inf, vals)
         chunks.append(vals)
     return np.concatenate(chunks), n_over, steps
 
@@ -267,33 +283,10 @@ def mc_estimate(
     radius: float | None = None,
     index_offset: int = 0,
 ) -> PriceEstimate:
-    """Plain Monte Carlo mean of the discounted payoff at resolution n.
-
-    With ``radius`` set, paths whose running maximum |X| exceeds it are
-    zeroed out instead of applying ``policy``.  Overflowed paths always count
-    as outside the radius, so the estimate stays finite where the plain
-    estimator explodes; ``radius=inf`` keeps every path and reproduces the
-    plain estimate exactly.
-    """
-    if n_samples < 1:
-        raise EstimatorError("n_samples must be >= 1")
-    if radius is not None:
-        if not radius >= 0:
-            raise EstimatorError(f"radius must be nonnegative, got {radius}")
-        if model.d != 1:
-            raise EstimatorError("the discarded-path estimator is scalar-only")
-    vals, n_over, steps = _sample(
-        config, model, payoff, T=T, seed=seed, n=n, n_samples=n_samples,
-        index_offset=index_offset, policy=policy,
-        radius=radius,
-    )
-    value, var = util.sample_moments(vals)
-    return PriceEstimate(
-        value=value,
-        stderr=math.sqrt(var / max(len(vals), 1)),
-        n_samples=n_samples,
-        total_steps=steps,
-        n_overflow=n_over,
+    """Plain Monte Carlo at resolution n: the one-level plan ``Plan(n, (n_samples,))``."""
+    return mlmc_estimate(
+        config, model, payoff, Plan(n, (n_samples,)), T=T, seed=seed,
+        policy=policy, radius=radius, index_offset=index_offset,
     )
 
 
@@ -301,96 +294,57 @@ def mlmc_estimate(
     config: StepperConfig,
     model: Model,
     payoff: PayoffSpec,
+    plan: Plan,
     *,
     T: float,
-    epsilon: float,
     seed: int,
     policy: str = "propagate",
+    radius: float | None = None,
     index_offset: int = 0,
 ) -> PriceEstimate:
-    """Multilevel Monte Carlo over dyadic resolutions 2^0 .. 2^L.
+    """Telescoping Monte Carlo estimate of the discounted payoff on ``plan``.
 
-    Level 0 averages the payoff on the one-step grid; level l >= 1 averages
-    the payoff difference between resolutions 2^l and 2^(l-1), both driven by
-    the same Brownian increments (the coarse path aggregates the fine ones).
-    Every (level, sample) pair consumes its own stream index, so levels are
-    independent and the whole estimate is reproducible from (seed, offset).
+    The value is the sum of the level means, the stderr the root of the sum
+    of var_l / N_l.  Every (level, sample) pair consumes its own stream
+    index, from ``index_offset`` on, so levels are independent and the whole
+    estimate is reproducible from (seed, offset).  With ``radius`` set, a
+    path whose running maximum |X| exceeds it, or that overflowed, pays zero
+    instead of applying ``policy``; ``radius=inf`` keeps every path.
     """
-    plan = mlmc_plan(epsilon, T)
-    total = 0.0
-    var_sum = 0.0
+    if policy not in ("propagate", "exclude"):
+        raise EstimatorError(f"unknown overflow policy {policy!r}")
+    if radius is not None:
+        if not radius >= 0:
+            raise EstimatorError(f"radius must be nonnegative, got {radius}")
+        if model.d != 1:
+            raise EstimatorError("the discarded-path estimator is scalar-only")
     stats: list[LevelStat] = []
-    n_over = 0
+    var_sum = 0.0
     steps = 0
-    any_inf = False
     offset = index_offset
     for level, n_l in enumerate(plan.samples):
+        n = plan.n0 * 2**level
         y, n_over_l, steps_l = _sample(
-            config, model, payoff, T=T, seed=seed, n=2**level, n_samples=n_l,
-            index_offset=offset, policy=policy,
+            config, model, payoff, T=T, seed=seed, n=n, n_samples=n_l,
+            index_offset=offset, policy=policy, radius=radius,
             coupled=level > 0,
         )
+        mean_l, var_l = util.sample_moments(y)
+        var_sum += var_l / max(len(y), 1)
+        stats.append(LevelStat(level, n, n_l, mean_l, var_l, n_over_l))
         offset += n_l
         steps += steps_l
-        n_over += n_over_l
-        mean_l, var_l = util.sample_moments(y)
-        if math.isfinite(mean_l):
-            total += mean_l
-            var_sum += var_l / len(y)
-        else:
-            any_inf = True
-        stats.append(
-            LevelStat(
-                level=level,
-                n_fine=2**level,
-                n_samples=n_l,
-                mean=mean_l,
-                variance=var_l,
-                n_overflow=n_over_l,
-            )
-        )
-
     if steps != plan.total_steps:
         raise RuntimeError(
             f"step accounting bug: simulated {steps}, plan says {plan.total_steps}"
         )
-    value = math.inf if any_inf else total
-    stderr = math.inf if any_inf else math.sqrt(var_sum)
     return PriceEstimate(
-        value=value,
-        stderr=stderr,
+        value=sum((s.mean for s in stats[1:]), stats[0].mean),
+        stderr=math.sqrt(var_sum),
         n_samples=plan.sample_span,
         total_steps=steps,
-        n_overflow=n_over,
+        n_overflow=sum(s.n_overflow for s in stats),
         levels=tuple(stats),
-    )
-
-
-def estimate_at(
-    method: str,
-    config: StepperConfig,
-    model: Model,
-    payoff: PayoffSpec,
-    *,
-    T: float,
-    epsilon: float,
-    seed: int,
-    policy: str = "propagate",
-    index_offset: int = 0,
-) -> PriceEstimate:
-    """One multilevel ("mlmc") or standard-pairing ("standard") estimate at
-    accuracy epsilon, on the stream indices from ``index_offset`` on."""
-    if method == "mlmc":
-        return mlmc_estimate(
-            config, model, payoff, T=T, epsilon=epsilon, seed=seed,
-            policy=policy, index_offset=index_offset,
-        )
-    if method != "standard":
-        raise EstimatorError(f"unknown method {method!r}; use 'mlmc' or 'standard'")
-    pairing = mc_standard_pairing(epsilon, T)
-    return mc_estimate(
-        config, model, payoff, T=T, seed=seed, n=pairing.n,
-        n_samples=pairing.n_samples, policy=policy, index_offset=index_offset,
     )
 
 
@@ -399,55 +353,41 @@ class RmsqStudy:
     """Replicated root-mean-square error of an estimator against a truth."""
 
     rmsq: float
-    steps_per_replication: int
     n_overflow: int
     estimates: tuple[float, ...]
 
 
 def rmsq_study(
-    method: str,
     config: StepperConfig,
     model: Model,
     payoff: PayoffSpec,
+    plan: Plan,
     *,
     T: float,
-    epsilon: float,
     truth: float,
     replications: int,
     seed: int,
     policy: str = "propagate",
 ) -> RmsqStudy:
-    """Empirical rmsq of the multilevel or standard estimator at accuracy eps.
+    """Empirical rmsq of the estimate on ``plan`` over independent replications.
 
     Replication r uses stream indices [r*span, (r+1)*span), so replications
     are independent and the study is reproducible without any shared state.
     """
     if replications < 1:
         raise EstimatorError("replications must be >= 1")
-    if method == "mlmc":
-        plan = mlmc_plan(epsilon, T)
-        span = plan.sample_span
-        steps_per = plan.total_steps
-    else:
-        pairing = mc_standard_pairing(epsilon, T)
-        span = pairing.n_samples
-        steps_per = pairing.total_steps
-
     results = [
-        estimate_at(
-            method, config, model, payoff, T=T, epsilon=epsilon, seed=seed,
-            policy=policy, index_offset=r * span,
+        mlmc_estimate(
+            config, model, payoff, plan, T=T, seed=seed, policy=policy,
+            index_offset=r * plan.sample_span,
         )
         for r in range(replications)
     ]
-    estimates = [est.value for est in results]
-    n_over = sum(est.n_overflow for est in results)
-    arr = np.asarray(estimates)
+    arr = np.asarray([est.value for est in results])
     with np.errstate(invalid="ignore", over="ignore"):
         rmsq = float(np.sqrt(np.mean((arr - truth) ** 2)))
     return RmsqStudy(
         rmsq=rmsq,
-        steps_per_replication=steps_per,
-        n_overflow=n_over,
-        estimates=tuple(float(e) for e in estimates),
+        n_overflow=sum(est.n_overflow for est in results),
+        estimates=tuple(float(e) for e in arr),
     )

@@ -172,8 +172,9 @@ def _run_mlmc(cfg, model, seed, out_dir, header):
     payoff = _build_payoff(cfg)
     method = run.get("method", "mlmc")
     eps_list = run.get("epsilon_list") or (run["epsilon"],)
+    plans = [estimators.plan_for(method, eps, cfg.T) for eps in eps_list]
     replications = run.get("replications")
-    policy = run.get("policy", "propagate")
+    kw = dict(T=cfg.T, seed=seed, policy=run.get("policy", "propagate"))
 
     # evaluated once, before any simulation: the oracle is the costly part
     truth = run.get("truth")
@@ -181,29 +182,18 @@ def _run_mlmc(cfg, model, seed, out_dir, header):
         truth = oracles.heston_call_price(cfg.params, cfg.strike, cfg.T)
 
     rows = []
-    for eps in eps_list:
-        levels = estimators.mlmc_plan(eps, cfg.T).levels if method == "mlmc" else None
+    for eps, plan in zip(eps_list, plans):
+        levels = plan.levels if method == "mlmc" else None
         if replications:
             study = estimators.rmsq_study(
-                method,
-                scheme_cfg,
-                model,
-                payoff,
-                T=cfg.T,
-                epsilon=eps,
-                truth=truth,
-                replications=replications,
-                seed=seed,
-                policy=policy,
+                scheme_cfg, model, payoff, plan, truth=truth,
+                replications=replications, **kw,
             )
-            mean_est = float(np.mean(study.estimates))
-            rows.append((eps, levels, study.steps_per_replication, mean_est,
-                         study.rmsq, study.n_overflow))
+            rows.append((eps, levels, plan.total_steps,
+                         float(np.mean(study.estimates)), study.rmsq,
+                         study.n_overflow))
         else:
-            est = estimators.estimate_at(
-                method, scheme_cfg, model, payoff, T=cfg.T, epsilon=eps,
-                seed=seed, policy=policy,
-            )
+            est = estimators.mlmc_estimate(scheme_cfg, model, payoff, plan, **kw)
             rows.append((eps, levels, est.total_steps, est.value, None,
                          est.n_overflow))
     path = os.path.join(out_dir, "mlmc.csv")
@@ -222,18 +212,15 @@ def _run_price(cfg, model, seed, out_dir, header):
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     payoff = _build_payoff(cfg)
     method = run["method"]
-    policy = run.get("policy", "propagate")
+    kw = dict(T=cfg.T, seed=seed, policy=run.get("policy", "propagate"))
     if method in ("mc", "mc_discarded"):
         est = estimators.mc_estimate(
-            scheme_cfg, model, payoff, T=cfg.T, seed=seed,
-            n=run["n"], n_samples=run["n_samples"], policy=policy,
-            radius=run.get("radius"),
+            scheme_cfg, model, payoff, n=run["n"], n_samples=run["n_samples"],
+            radius=run.get("radius"), **kw,
         )
     else:
-        est = estimators.estimate_at(
-            method, scheme_cfg, model, payoff, T=cfg.T, epsilon=run["epsilon"],
-            seed=seed, policy=policy,
-        )
+        plan = estimators.plan_for(method, run["epsilon"], cfg.T)
+        est = estimators.mlmc_estimate(scheme_cfg, model, payoff, plan, **kw)
     path = os.path.join(out_dir, "price.csv")
     util.write_csv(
         path,

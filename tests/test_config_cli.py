@@ -1,9 +1,13 @@
 """Config parsing (strict, line-numbered) and the CLI contract."""
 
+import contextlib
+import io
 import math
 import os
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdelab import brownian as bw, cli, config as cfgmod, models, schemes
 from sdelab.config import ConfigError, parse_config
@@ -823,6 +827,119 @@ def test_every_model_alias_and_kind_exits_cleanly(tmp_path, capsys):
                     tracebacks.append(f"{label} {alias} {kind}: exit {rc}")
     capsys.readouterr()
     assert not tracebacks, f"{len(tracebacks)} runs failed:\n" + "\n".join(tracebacks)
+
+
+def test_mlmc_levels_where_both_paths_overflow_warn_nothing(tmp_path, capsys):
+    # at eps = 2^-5 some coupled 3/2-model levels overflow on the fine and
+    # the coarse grid alike; inf - inf there is data, not a warning
+    text = (
+        "[experiment]\nkind = mlmc\nseed = 1\n\n[model]\npreset = three-halves-mc\n\n"
+        "[scheme]\nscheme = euler\n\n[run]\nepsilon = 2^-5\npayoff = abs\n"
+    )
+    cfg = _write(tmp_path / "mlmc.cfg", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["mlmc", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 0 and capsys.readouterr().err == ""
+    with open(tmp_path / "out" / "mlmc.csv") as fh:
+        row = [line for line in fh if not line.startswith("#")][1].strip()
+    assert row == "0.03125,7,329728,inf,,26"
+
+
+# Boundary values per [run] key.  Step counts, sample sizes and accuracies
+# stay small enough that a run takes milliseconds.
+_INT = ("0", "1", "-1", "2", "2^3")
+_FLOAT = ("0", "1", "-1", "2^-1", "2^-3", "2^1023", "2^1024", "inf", "nan")
+
+
+def _lists(values):
+    """The empty list, each value alone, and one two-element list."""
+    return ("", *values, ", ".join(values[3:5]))
+
+
+RUN_VALUES = {
+    "n": _INT,
+    "n_samples": _INT,
+    "n_list": _lists(_INT),
+    "n_samples_list": _lists(_INT),
+    "p": _INT,
+    "ref_n": _INT,
+    "ref_scheme": (*sorted(schemes.ALIASES), "bogus"),
+    "reference": ("scheme", "exact", "bogus"),
+    "sample_index": _INT + (str(bw.MAX_SAMPLE_INDEX - 1), str(bw.MAX_SAMPLE_INDEX)),
+    "policy": ("propagate", "exclude", "drop"),
+    "payoff": ("identity", "call", "put", "abs", "digital"),
+    "lower": _FLOAT,
+    "upper": _FLOAT,
+    "radius": _FLOAT,
+    "method": ("mc", "mc_discarded", "mlmc", "standard", "quasi"),
+    "epsilon": _FLOAT,
+    "epsilon_list": _lists(_FLOAT),
+    "replications": _INT,
+    "truth": ("oracle", *_FLOAT),
+    "moment_p_list": _lists(_FLOAT),
+    "l1": _FLOAT,
+    "l2": _FLOAT,
+}
+
+
+def _applicable_aliases(model_block):
+    """The aliases whose scheme applies to the model; every alias if the
+    model block does not build (the sweep above covers the rest)."""
+    try:
+        cfg = parse_config(f"[experiment]\nkind = validate\n\n[model]\n{model_block}\n")
+        model = models.build_model(cfg.model_id, cfg.params)
+    except (ConfigError, models.ModelError):
+        return sorted(schemes.ALIASES)
+    ok = []
+    for alias, stepper in sorted(schemes.ALIASES.items()):
+        try:
+            schemes.make_stepper(stepper, model)
+        except schemes.SchemeError:
+            continue
+        ok.append(alias)
+    return ok
+
+
+SWEEP_ALIASES = {label: _applicable_aliases(block) for label, block in SWEEP_MODELS.items()}
+
+
+@st.composite
+def _boundary_configs(draw):
+    """(kind, config text): a kind, a model block, an alias that applies to
+    it, and a boundary value for each [run] key the kind requires and, one
+    time in three, for each other key it accepts."""
+    kind = draw(st.sampled_from(sorted(cfgmod.EXPERIMENT_KINDS)))
+    label = draw(st.sampled_from(sorted(SWEEP_MODELS)))
+    alias = draw(st.sampled_from(SWEEP_ALIASES[label]))
+    run = [
+        f"{key} = {draw(st.sampled_from(RUN_VALUES[key]))}"
+        for key, row in cfgmod._RUN_KEYS.items()
+        if kind in row.required_by or (kind in row.kinds and draw(st.integers(0, 2)) == 0)
+    ]
+    scheme = "" if kind == "validate" else f"[scheme]\nscheme = {alias}\n\n"
+    return kind, (
+        f"[experiment]\nkind = {kind}\nseed = 5\n\n[model]\n{SWEEP_MODELS[label]}\n\n"
+        f"{scheme}[run]\n" + "\n".join(run) + "\n"
+    )
+
+
+def test_run_values_cover_every_run_key():
+    assert set(RUN_VALUES) == set(cfgmod._RUN_KEYS)
+
+
+@settings(max_examples=1500, derandomize=True, database=None)
+@given(case=_boundary_configs())
+def test_boundary_run_values_never_end_in_a_traceback(tmp_path_factory, case):
+    kind, text = case
+    work = tmp_path_factory.getbasetemp() / "boundary"
+    work.mkdir(exist_ok=True)
+    cfg = _write(work / "run.cfg", text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        rc = cli.main([kind, "--config", cfg, "--out", str(work / "out")])
+    assert rc in (0, 2, 3), text
 
 
 # (kind, [run] block, exit code, text the error must contain)

@@ -351,20 +351,16 @@ def test_overflow_in_scheme_and_reference_counts_the_path_once():
 
 
 def test_error_curves_hold_one_time_chunk_not_the_path():
-    # cir_converge's shape: three schemes, 256 paths, a 2^15-step reference
-    # and grids 2^7..2^13.  Holding the (1, 256, 2^15) increment block alone
-    # takes 64 MiB; the curves walk time in chunks and keep no path records.
+    # cir_converge's shape: 256 paths on a 2^15-step reference.  Holding the
+    # (1, 256, 2^15) increment block alone takes 64 MiB; the curves walk
+    # time in chunks and keep no path records.
     model = _cir_sc1()
-    configs = [
-        _truncated_euler(),
-        schemes.StepperConfig(scheme_id="cir_implicit_sqrt_euler"),
-        schemes.StepperConfig(scheme_id="cir_implicit_milstein"),
-    ]
-    kw = dict(T=5.0, seed=7, n_list=[2**k for k in range(7, 14)], p=1, ref_n=2**15)
-    cv.strong_error_curves(configs, model, n_samples=2, **kw)  # loads modules
+    configs = [schemes.StepperConfig(scheme_id="cir_implicit_sqrt_euler")]
+    kw = dict(T=5.0, seed=7, n_list=[2**7, 2**8], p=1)
+    cv.strong_error_curves(configs, model, n_samples=2, ref_n=2**9, **kw)  # loads modules
     tracemalloc.start()
     try:
-        reps = cv.strong_error_curves(configs, model, n_samples=256, **kw)
+        reps = cv.strong_error_curves(configs, model, n_samples=256, ref_n=2**15, **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

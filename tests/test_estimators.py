@@ -7,7 +7,7 @@ import pytest
 
 from sdelab import brownian as bw
 from sdelab import estimators as est
-from sdelab import models, schemes
+from sdelab import models, schemes, util
 from sdelab.estimators import EstimatorError, PayoffSpec
 
 EULER = schemes.StepperConfig(scheme_id="explicit_euler")
@@ -98,8 +98,7 @@ def test_standard_pairing_reproduces_cost_column():
     for k, cost in zip(range(3, 9), costs):
         pairing = est.mc_standard_pairing(2.0**-k, 1.0)
         assert pairing.total_steps == cost
-    p5 = est.mc_standard_pairing(2**-5, 1.0)
-    assert p5.n == 32 and p5.n_samples == 1024
+    assert est.mc_standard_pairing(2**-5, 1.0) == est.Plan(32, (1024,))
 
 
 def test_plan_domains():
@@ -210,20 +209,20 @@ def test_mc_sample_indices_partition_cleanly():
 
 
 def test_mlmc_constant_payoff_telescopes_exactly():
-    r = est.mlmc_estimate(EULER, FROZEN, IDENT, T=1.0, epsilon=2**-3, seed=3)
+    r = est.mlmc_estimate(EULER, FROZEN, IDENT, est.mlmc_plan(2**-3, 1.0), T=1.0, seed=3)
     assert r.value == 2.0 and r.stderr == 0.0
     assert [ls.mean for ls in r.levels] == [2.0, 0.0, 0.0, 0.0]
     assert r.total_steps == est.mlmc_plan(2**-3, 1.0).total_steps
 
 
 def test_mlmc_agrees_with_fine_level_mc():
-    ml = est.mlmc_estimate(EULER, GBM, CALL, T=1.0, epsilon=2**-3, seed=70)
+    ml = est.mlmc_estimate(EULER, GBM, CALL, est.mlmc_plan(2**-3, 1.0), T=1.0, seed=70)
     mc = est.mc_estimate(EULER, GBM, CALL, T=1.0, seed=71, n=8, n_samples=4096)
     assert abs(ml.value - mc.value) <= 3.0 * (ml.stderr + mc.stderr)
 
 
 def test_mlmc_correction_variance_decays_with_level():
-    r = est.mlmc_estimate(EULER, GBM, CALL, T=1.0, epsilon=2**-5, seed=72)
+    r = est.mlmc_estimate(EULER, GBM, CALL, est.mlmc_plan(2**-5, 1.0), T=1.0, seed=72)
     variances = [ls.variance for ls in r.levels]
     assert all(variances[i + 1] < variances[i] for i in range(1, len(variances) - 1))
     slope = np.polyfit(
@@ -237,13 +236,12 @@ def test_mlmc_overflow_propagates_or_excludes():
     # at eps = 2^-5 the coarse 3/2-model levels overflow on a few dozen paths
     model = _three_halves()
     eps, T, seed = 2**-5, 4.0, 1
-    prop = est.mlmc_estimate(EULER, model, ABS_T, T=T, epsilon=eps, seed=seed)
-    excl = est.mlmc_estimate(
-        EULER, model, ABS_T, T=T, epsilon=eps, seed=seed, policy="exclude"
-    )
+    plan = est.mlmc_plan(eps, T)
+    prop = est.mlmc_estimate(EULER, model, ABS_T, plan, T=T, seed=seed)
+    excl = est.mlmc_estimate(EULER, model, ABS_T, plan, T=T, seed=seed, policy="exclude")
     # each level's overflowed paths, simulated here from the same increments
     counts, offset = [], 0
-    for level, n_l in enumerate(est.mlmc_plan(eps, T).samples):
+    for level, n_l in enumerate(plan.samples):
         n = 2**level
         incr = bw.increment_block(seed, range(offset, offset + n_l), 0, 1, n, T / n)
         over = schemes.simulate_batch(EULER, model, T / n, incr).overflow
@@ -257,7 +255,46 @@ def test_mlmc_overflow_propagates_or_excludes():
         assert [ls.n_overflow for ls in r.levels] == counts
         assert r.n_overflow == sum(counts)
     assert math.isinf(prop.value) and math.isfinite(excl.value)
-    assert prop.total_steps == excl.total_steps == est.mlmc_plan(eps, T).total_steps
+    assert prop.total_steps == excl.total_steps == plan.total_steps
+
+
+def test_estimates_recompute_by_hand_from_the_plan():
+    # level l: samples[l] paths on n0*2^l steps minus the coupled n0*2^(l-1)
+    # grid; stream indices run on across levels; value = sum of level means
+    T, seed = 1.0, 13
+    for plan in (est.mlmc_plan(2**-1, T), est.mc_standard_pairing(2**-3, T)):
+        means, errs, offset = [], [], 0
+        for level, n_l in enumerate(plan.samples):
+            n = plan.n0 * 2**level
+            incr = bw.increment_block(seed, range(offset, offset + n_l), 0, 1, n, T / n)
+            fine = schemes.simulate_batch(EULER, GBM, T / n, incr)
+            y = CALL.evaluate(GBM.observable(fine.terminal), T)
+            if level:
+                coarse = schemes.simulate_batch(
+                    EULER, GBM, 2 * T / n, bw.aggregate_to(incr, n // 2)
+                )
+                y = y - CALL.evaluate(GBM.observable(coarse.terminal), T)
+            mean, var = util.sample_moments(y)
+            means.append(mean)
+            errs.append(var / n_l)
+            offset += n_l
+        r = est.mlmc_estimate(EULER, GBM, CALL, plan, T=T, seed=seed)
+        assert r.value == sum(means[1:], means[0])
+        assert r.stderr == math.sqrt(sum(errs))
+        assert (r.n_samples, r.total_steps) == (plan.sample_span, plan.total_steps)
+    assert est.mlmc_plan(2**-1, T) == est.Plan(1, (4, 2))
+    assert est.mc_standard_pairing(2**-3, T) == est.Plan(8, (64,))
+
+
+def test_mlmc_radius_zeroes_each_grid_by_its_own_path():
+    # a ball that holds every path changes nothing; one smaller than the
+    # start zeroes the fine and the coarse payoff alike, so every level is 0
+    plan = est.mlmc_plan(2**-3, 1.0)
+    plain = est.mlmc_estimate(EULER, GBM, CALL, plan, T=1.0, seed=4)
+    ball = est.mlmc_estimate(EULER, GBM, CALL, plan, T=1.0, seed=4, radius=math.inf)
+    assert (ball.value, ball.stderr) == (plain.value, plain.stderr)
+    tiny = est.mlmc_estimate(EULER, GBM, CALL, plan, T=1.0, seed=4, radius=0.5)
+    assert [ls.mean for ls in tiny.levels] == [0.0] * (plan.levels + 1)
 
 
 def test_mlmc_plan_never_yields_an_empty_level():
@@ -274,45 +311,28 @@ def test_mlmc_plan_never_yields_an_empty_level():
 
 
 def test_rmsq_of_exact_estimator_is_zero():
+    plan = est.mc_standard_pairing(2**-3, 1.0)
     study = est.rmsq_study(
-        "standard",
-        EULER,
-        FROZEN,
-        IDENT,
-        T=1.0,
-        epsilon=2**-3,
-        truth=2.0,
-        replications=3,
-        seed=9,
+        EULER, FROZEN, IDENT, plan, T=1.0, truth=2.0, replications=3, seed=9
     )
     assert study.rmsq == 0.0
     assert study.estimates == (2.0, 2.0, 2.0)
-    assert study.steps_per_replication == 512
+    assert plan.total_steps == 512
 
 
 def test_rmsq_equals_absolute_bias_for_deterministic_estimates():
     study = est.rmsq_study(
-        "standard",
-        EULER,
-        FROZEN,
-        IDENT,
-        T=1.0,
-        epsilon=2**-3,
-        truth=1.5,
-        replications=4,
-        seed=9,
+        EULER, FROZEN, IDENT, est.mc_standard_pairing(2**-3, 1.0), T=1.0,
+        truth=1.5, replications=4, seed=9,
     )
     assert study.rmsq == 0.5
 
 
 def test_rmsq_study_guards():
     with pytest.raises(EstimatorError, match="method"):
-        est.rmsq_study(
-            "quasi", EULER, GBM, CALL, T=1.0, epsilon=0.25, truth=0.1,
-            replications=2, seed=1,
-        )
+        est.plan_for("quasi", 0.25, 1.0)
     with pytest.raises(EstimatorError):
         est.rmsq_study(
-            "mlmc", EULER, GBM, CALL, T=1.0, epsilon=0.25, truth=0.1,
-            replications=0, seed=1,
+            EULER, GBM, CALL, est.plan_for("mlmc", 0.25, 1.0), T=1.0,
+            truth=0.1, replications=0, seed=1,
         )
