@@ -41,6 +41,7 @@ BUFFER_FLOATS = 1 << 13
 _CHUNK = BUFFER_FLOATS // _BLOCK  # steps per draw
 
 _BATCH_FLOATS = 1 << 23  # per-batch increment budget, keeps blocks ~64 MB
+_WALK_FLOATS = 1 << 32  # work bound, ~13x the largest study's 10^4 x 2^15 steps
 
 
 class LatticeError(ValueError):
@@ -96,27 +97,16 @@ def batch_standard_normals(
     return out
 
 
-def increment_block(
-    seed: int, sample_indices: Sequence[int], substream: int, m: int, n: int, dt: float
-) -> np.ndarray:
-    """Brownian increments of shape (m, b, n) over steps of length ``dt``.
-
-    Row j holds the normals of substream ``substream + j`` for each sample
-    index, scaled by sqrt(dt).  Every simulating experiment draws its noise
-    here or in :func:`increment_chunks`, so this decides how the noise of a
-    sample is addressed and scaled.
-    """
-    return next(increment_chunks(seed, sample_indices, m, n, dt, n, substream))
-
-
 def increment_chunks(
     seed: int, sample_indices: Sequence[int], m: int, n: int, dt: float,
     chunk: int, substream: int = 0,
 ) -> Iterator[np.ndarray]:
-    """Yield ``increment_block(seed, sample_indices, substream, m, n, dt)``
-    ``chunk`` steps at a time (the last may be shorter), each row resuming
-    its stream, in memory O(m * b * chunk).  Every chunk is a view of one
-    time-major buffer, valid until the next chunk is drawn.
+    """Yield the (m, b, n) increments over steps of length ``dt``, ``chunk``
+    steps at a time (the last may be shorter), in memory O(m * b * chunk).
+    Row j holds the normals of substream ``substream + j`` for each sample
+    index, scaled by sqrt(dt), each chunk resuming the rows; every simulating
+    experiment draws its noise here.  A chunk is a view of one time-major
+    buffer, valid until the next chunk is drawn.
     """
     streams = [{} if chunk < n else None for _ in range(m)]  # None: one chunk
     buf = np.empty((m, min(chunk, n), len(sample_indices)))
@@ -133,19 +123,25 @@ def increment_chunks(
 
 def increment_batches(
     seed: int, n_samples: int, m: int, n: int, dt: float, index_offset: int = 0,
-    chunk: int | None = None,
+    *, chunk: int,
 ) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
     """Yield ``(sample_indices, chunks)`` over samples ``index_offset ..
     index_offset + n_samples - 1`` in index order; ``chunks`` is the batch's
-    :func:`increment_chunks` of ``chunk`` steps rounded up to whole draws
-    (default and at most ``n``).  A batch holds as many paths as fit one
-    chunk each in ``_BATCH_FLOATS`` increments; if one does not, LatticeError.
+    :func:`increment_chunks` of ``chunk`` steps rounded up to whole draws (at
+    most ``n``), as many paths as fit one chunk each in ``_BATCH_FLOATS``
+    increments.  LatticeError if one chunk does not, or the walk needs more
+    than ``_WALK_FLOATS``.
     """
-    chunk = n if chunk is None else min(n, math.lcm(chunk, _CHUNK))
+    chunk = min(n, math.lcm(chunk, _CHUNK))
     if chunk * m > _BATCH_FLOATS:
         raise LatticeError(
             f"one path needs {chunk} steps x {m} noise dimensions in a batch, "
             f"more than the {_BATCH_FLOATS} increments a batch may hold"
+        )
+    if n_samples * n * m > _WALK_FLOATS:
+        raise LatticeError(
+            f"{n_samples} paths x {n} steps x {m} noise dimensions are more "
+            f"than the {_WALK_FLOATS} increments one walk may draw"
         )
     batch = min(n_samples, _BATCH_FLOATS // (chunk * m))
     for start in range(0, n_samples, batch):
@@ -161,7 +157,7 @@ def sample_lattice(
     seed: int, sample_index: int, T: float, m: int, finest_n: int
 ) -> np.ndarray:
     """Increments of shape (m, finest_n) of one sample's m-dimensional
-    Brownian motion on [0, T]: the ``increment_block`` row of that sample.
+    Brownian motion on [0, T]: that sample's row of :func:`increment_chunks`.
 
     Nothing in the package calls this or :func:`increments_at`; both stay
     because ``perfbench/tracer.py`` wraps them by name."""
@@ -169,7 +165,7 @@ def sample_lattice(
         raise LatticeError(f"finest_n must be a power of two, got {finest_n}")
     if m < 1:
         raise LatticeError(f"dimension m must be >= 1, got {m}")
-    return increment_block(seed, [sample_index], 0, m, finest_n, T / finest_n)[:, 0]
+    return next(increment_chunks(seed, [sample_index], m, finest_n, T / finest_n, finest_n))[:, 0]
 
 
 def halve_pairs(arr: np.ndarray) -> np.ndarray:

@@ -61,7 +61,10 @@ def _parse_float(text: str) -> float:
     m = re.fullmatch(r"([+-]?\d+)\^([+-]?\d+)", text)
     if m:
         return float(m.group(1)) ** int(m.group(2))
-    return float(text)
+    value = float(text)
+    if value != value:  # nan, the one float unequal to itself
+        raise ValueError(f"not a number: {text!r}")
+    return value
 
 
 def _parse_int(text: str) -> int:

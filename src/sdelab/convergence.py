@@ -180,34 +180,33 @@ def strong_error_curves(
         seed, n_samples, m, ref_n, dt_ref, index_offset, chunk=ref_n // ns[0]
     ):
         paths = slice(idx[0] - index_offset, idx[-1] + 1 - index_offset)
-        ref_state, w_end, states, t0 = None, np.zeros(len(idx)), {}, 0
+        rres, w_end, carry, t0 = None, np.zeros(len(idx)), {}, 0
         for fine in chunks:
             grids, incr = {}, fine
             for n in reversed(ns):  # each grid from the next finer one
                 grids[n] = incr = bw.aggregate_to(incr, fine.shape[-1] * n // ref_n)
             if reference == "scheme":
                 rres = simulate_batch(
-                    ref_config, model, dt_ref, fine, record_every=stride,
-                    state=ref_state, first_step=t0,
+                    ref_config, model, dt_ref, fine, record_every=stride, carry=rres
                 )
-                ref_state, ref_top = rres.state, rres.recorded  # (d, nodes, b)
-                ref_bad[paths] |= rres.overflow
+                ref_top = rres.recorded  # (d, nodes, b)
             else:  # W at the chunk's nodes, summed in path order
                 w = np.cumsum(np.column_stack([w_end, grids[n_top][0]]), axis=-1)
                 w_end, nodes = w[:, -1], slice(t0 // stride, t0 // stride + w.shape[-1])
                 ref_top = gbm_exact_nodes(model.params, T, n_top, w, nodes).T[None]
             for j_c, j_n in np.ndindex(nc, nn):
                 n = ns[j_n]
-                res = simulate_batch(
+                res = carry[j_c, j_n] = simulate_batch(
                     configs[j_c], model, T / n, grids[n], record_every=1,
-                    state=states.get((j_c, j_n)), first_step=t0 * n // ref_n,
+                    carry=carry.get((j_c, j_n)),
                 )
-                states[j_c, j_n] = res.state
                 d_max = _dist_max(res.recorded, ref_top[:, :: n_top // n, :])
+                res.recorded = None  # a carry keeps no node values alive
                 np.maximum(dist[j_c, j_n, paths], d_max, out=dist[j_c, j_n, paths])
-                bad[j_c, j_n, paths] |= res.overflow
             t0 += fine.shape[-1]
-    bad |= ref_bad
+        ref_bad[paths] = False if rres is None else rres.overflow
+        for (j_c, j_n), res in carry.items():
+            bad[j_c, j_n, paths] = res.overflow | ref_bad[paths]
 
     reports = []
     steps = tuple(T / n for n in ns)
@@ -271,8 +270,10 @@ def negativity_stats(
     dt = T / n
     total_neg = 0
     neg_paths = 0
-    for _, (incr,) in bw.increment_batches(seed, n_samples, 1, n, dt):
-        res = simulate_batch(config, model, dt, incr)
+    for _, chunks in bw.increment_batches(seed, n_samples, 1, n, dt, chunk=1):
+        res = None
+        for incr in chunks:
+            res = simulate_batch(config, model, dt, incr, carry=res)
         total_neg += int(res.negative_steps.sum())
         neg_paths += int((res.negative_steps > 0).sum())
     return NegativityStats(

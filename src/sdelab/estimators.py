@@ -239,25 +239,25 @@ def _sample(
     """
     track = payoff.needs_extrema or radius is not None
     dt = T / n
-    chunks = []
+    values = []
     n_over = 0
     steps = 0
-    for idx, (incr,) in bw.increment_batches(
-        seed, n_samples, model.m, n, dt, index_offset
+    for idx, incrs in bw.increment_batches(
+        seed, n_samples, model.m, n, dt, index_offset, chunk=2  # coarse halves it
     ):
-        res = simulate_batch(config, model, dt, incr, track_extrema=track)
-        steps += n * len(idx)
+        res = coarse = None
+        for incr in incrs:
+            res = simulate_batch(config, model, dt, incr, track_extrema=track, carry=res)
+            if coupled:
+                half = bw.aggregate_to(incr, incr.shape[-1] // 2)
+                coarse = simulate_batch(
+                    config, model, T / (n // 2), half, track_extrema=track, carry=coarse
+                )
         vals = _payoff_values(model, payoff, T, res, radius)
         over = res.overflow
+        steps += res.steps * len(idx)
         if coupled:
-            coarse = simulate_batch(
-                config,
-                model,
-                T / (n // 2),
-                bw.aggregate_to(incr, n // 2),
-                track_extrema=track,
-            )
-            steps += n // 2 * len(idx)
+            steps += coarse.steps * len(idx)
             # inf - inf where both paths overflowed; the policy below
             # replaces or drops every overflowed value
             with np.errstate(invalid="ignore"):
@@ -266,8 +266,8 @@ def _sample(
         n_over += int(over.sum())
         if radius is None:
             vals = vals[~over] if policy == "exclude" else np.where(over, np.inf, vals)
-        chunks.append(vals)
-    return np.concatenate(chunks), n_over, steps
+        values.append(vals)
+    return np.concatenate(values), n_over, steps
 
 
 def mc_estimate(

@@ -619,16 +619,17 @@ def make_stepper(config: StepperConfig, model: Model) -> _Stepper:
 
 @dataclass
 class BatchResult:
-    """Vectorized simulation output for a block of paths."""
+    """Vectorized simulation output for a block of paths' first ``steps`` steps."""
 
-    recorded: np.ndarray | None  # (d, n_rec+1, b) emitted values, or None
-    terminal: np.ndarray  # (d, b) emitted values at T
+    recorded: np.ndarray | None  # (d, n_rec+1, b) emitted values of this chunk, or None
+    terminal: np.ndarray  # (d, b) emitted values after the last step
     state: np.ndarray  # (d, b) scheme state after the last step, to resume from
     negative_steps: np.ndarray  # (b,) int
     overflow: np.ndarray  # (b,) bool
     first_bad: np.ndarray  # (b,) int step index, -1 if clean
     runmax: np.ndarray | None  # (b,) signed max of emitted coordinate 0
     runmin: np.ndarray | None  # (b,) signed min of emitted coordinate 0
+    steps: int
 
 
 def simulate_batch(
@@ -638,8 +639,7 @@ def simulate_batch(
     incr: np.ndarray,
     record_every: int | None = None,
     track_extrema: bool = False,
-    state: np.ndarray | None = None,
-    first_step: int = 0,
+    carry: BatchResult | None = None,
 ) -> BatchResult:
     """Drive a batch of paths through the configured scheme.
 
@@ -647,9 +647,10 @@ def simulate_batch(
     ``record_every = s`` stores emitted values at nodes 0, s, 2s, ..., n
     (n must be divisible by s).  Non-finite states freeze their path's flags
     but the iteration continues for the rest of the batch; the frozen values
-    stay non-finite (all maps here propagate them).  ``state`` resumes paths
-    from an earlier result's ``state`` after ``first_step`` steps, from which
-    ``first_bad`` and errors count; flags and counts cover ``incr`` only.
+    stay non-finite (all maps here propagate them).  ``carry``, the result
+    of the same paths' previous chunk, resumes them and is left unchanged:
+    the result covers the path so far (first_bad and errors count from its
+    start, flags and counts merge), and only ``recorded`` covers ``incr``.
     """
     stepper = make_stepper(config, model)
     m, b, n = incr.shape
@@ -661,21 +662,19 @@ def simulate_batch(
         raise SchemeError(f"record_every={record_every} must divide n={n}")
 
     d = model.d
-    x = state
-    if x is None:
-        x = np.repeat(np.array(stepper.state0, dtype=np.float64)[:, None], b, axis=1)
     emit = stepper.emit or (lambda s: s)
+    if carry is None:  # a zero-step result: the paths at their start
+        x = np.repeat(np.array(stepper.state0, dtype=np.float64)[:, None], b, axis=1)
+        v = emit(x)[0]
+        carry = BatchResult(None, emit(x), x, np.zeros(b, dtype=np.int64),
+                            np.zeros(b, dtype=bool), np.full(b, -1, dtype=np.int64), v, v, 0)
+    x, t0, neg, first_bad = carry.state, carry.steps, carry.negative_steps, carry.first_bad
+    runmax, runmin = (carry.runmax, carry.runmin) if track_extrema else (None, None)
 
-    vals = emit(x)
     rec = None
     if record_every is not None:
         rec = np.empty((d, n // record_every + 1, b))
-        rec[:, 0, :] = vals
-    neg = np.zeros(b, dtype=np.int64)
-    first_bad = np.full(b, -1, dtype=np.int64)
-    runmax = runmin = None
-    if track_extrema:
-        runmax, runmin = vals[0].copy(), vals[0].copy()
+        rec[:, 0, :] = carry.terminal
 
     # step a pass of states into a buffer of bw.BUFFER_FLOATS, then do the
     # bookkeeping once per pass (once per step when d * b fills the buffer)
@@ -690,7 +689,7 @@ def simulate_batch(
                 if check and (x < 0).any():
                     raise DomainError(
                         f"scheme {config.scheme_id!r} left the domain of model "
-                        f"{model.model_id!r} at step {first_step + k0 + j + 1}; "
+                        f"{model.model_id!r} at step {t0 + k0 + j + 1}; "
                         "use a scheme that extends the coefficients, projects "
                         "back into the domain, or truncates"
                     )
@@ -698,12 +697,12 @@ def simulate_batch(
             finite = np.isfinite(states).all(axis=0)  # (steps, b)
             newly = ~finite.all(axis=0) & (first_bad < 0)
             if newly.any():
-                first_bad[newly] = first_step + k0 + 1 + finite[:, newly].argmin(axis=0)
+                first_bad = np.where(newly, t0 + k0 + 1 + finite.argmin(axis=0), first_bad)
             vals = emit(states)
-            neg += (vals < 0).any(axis=0).sum(axis=0)
+            neg = neg + (vals < 0).any(axis=0).sum(axis=0)
             if track_extrema:
-                np.maximum(runmax, vals[0].max(axis=0), out=runmax)
-                np.minimum(runmin, vals[0].min(axis=0), out=runmin)
+                runmax = np.maximum(runmax, vals[0].max(axis=0))
+                runmin = np.minimum(runmin, vals[0].min(axis=0))
             if rec is not None:
                 j0 = -(k0 + 1) % record_every  # first step of the pass on a node
                 kept = vals[:, j0::record_every]
@@ -719,4 +718,5 @@ def simulate_batch(
         first_bad=first_bad,
         runmax=runmax,
         runmin=runmin,
+        steps=t0 + n,
     )

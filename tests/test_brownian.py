@@ -62,9 +62,14 @@ def test_rows_are_prefixes_of_one_aligned_draw(offset, picks, counts):
         np.testing.assert_array_equal(got, full[idx - lo, :count])
 
 
+def _block(seed, sample_indices, substream, m, n, dt):
+    """The whole (m, b, n) increment block, drawn as one chunk."""
+    return next(bw.increment_chunks(seed, sample_indices, m, n, dt, n, substream))
+
+
 def test_increment_block_rows_are_scaled_substreams(monkeypatch):
     idx = np.array([4, 9, 2**50])
-    block = bw.increment_block(99, idx, substream=3, m=2, n=5, dt=0.25)
+    block = _block(99, idx, substream=3, m=2, n=5, dt=0.25)
     assert block.shape == (2, 3, 5)
     for j in range(2):
         want = bw.batch_standard_normals(99, idx, 3 + j, 5) * math.sqrt(0.25)
@@ -73,11 +78,11 @@ def test_increment_block_rows_are_scaled_substreams(monkeypatch):
     # whole or cut into chunks; a batch holds one chunk of each path
     monkeypatch.setattr(bw, "_BATCH_FLOATS", 30)  # 3 paths of 2 x 5 per batch
     monkeypatch.setattr(bw, "_CHUNK", 1)
-    want = bw.increment_block(7, np.arange(10, 18), 0, 2, 5, 0.5)
-    for chunk, widths in [(None, [3, 3, 2]), (5, [3, 3, 2]), (2, [7, 1]), (1, [8])]:
+    want = _block(7, np.arange(10, 18), 0, 2, 5, 0.5)
+    for chunk, widths in [(5, [3, 3, 2]), (2, [7, 1]), (1, [8])]:
         parts = [
             (i, np.concatenate([c.copy() for c in chunks], axis=-1))
-            for i, chunks in bw.increment_batches(7, 8, 2, 5, 0.5, 10, chunk)
+            for i, chunks in bw.increment_batches(7, 8, 2, 5, 0.5, 10, chunk=chunk)
         ]
         assert [len(i) for i, _ in parts] == widths
         np.testing.assert_array_equal(np.concatenate([i for i, _ in parts]), np.arange(10, 18))
@@ -87,6 +92,14 @@ def test_increment_block_rows_are_scaled_substreams(monkeypatch):
     _, chunks = next(bw.increment_batches(7, 1, 1, 40, 0.5, chunk=3))
     assert [c.shape[-1] for c in chunks] == [12, 12, 12, 4]
     with pytest.raises(bw.LatticeError, match="one path needs 16 steps x 2 noise"):
+        next(bw.increment_batches(7, 8, 2, 40, 0.5, chunk=16))
+    # so is a walk over the work bound, which is checked after the chunk
+    monkeypatch.setattr(bw, "_WALK_FLOATS", 8 * 40 * 2)
+    next(bw.increment_batches(7, 8, 2, 40, 0.5, chunk=4))
+    monkeypatch.setattr(bw, "_WALK_FLOATS", 8 * 40 * 2 - 1)
+    with pytest.raises(bw.LatticeError, match="8 paths x 40 steps x 2 noise"):
+        next(bw.increment_batches(7, 8, 2, 40, 0.5, chunk=4))
+    with pytest.raises(bw.LatticeError, match="one path needs 16 steps"):
         next(bw.increment_batches(7, 8, 2, 40, 0.5, chunk=16))
 
 
@@ -99,7 +112,7 @@ def test_increment_chunks_concatenate_to_the_block():
     want = np.stack([
         [_block_normals(3, i, j, n) * math.sqrt(dt) for i in idx] for j in range(2)
     ])
-    np.testing.assert_array_equal(bw.increment_block(3, idx, 0, 2, n, dt), want)
+    np.testing.assert_array_equal(_block(3, idx, 0, 2, n, dt), want)
     for chunk in range(1, n + 1):
         parts = [c.copy() for c in bw.increment_chunks(3, idx, 2, n, dt, chunk)]
         assert [p.shape[-1] for p in parts[:-1]] == [chunk] * (len(parts) - 1)
@@ -110,10 +123,10 @@ def test_increment_block_draws_in_place_in_small_chunks():
     # the normals go straight into the (m, b, n) result, at most 64 KiB at a
     # time: no (b, n) temporary, and none past glibc's 128 KiB mmap threshold
     dt = 1.0 / 2**15
-    bw.increment_block(5, range(256), 0, 1, 4, dt)  # first call loads modules
+    _block(5, range(256), 0, 1, 4, dt)  # first call loads modules
     tracemalloc.start()
     try:
-        out = bw.increment_block(5, range(256), 0, 1, 2**15, dt)
+        out = _block(5, range(256), 0, 1, 2**15, dt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -127,7 +140,7 @@ def test_stream_key_validation():
         with pytest.raises(bw.LatticeError):
             bw.batch_standard_normals(seed, idx, sub, 4)
     with pytest.raises(bw.LatticeError, match="substream"):  # row 1 is substream 256
-        bw.increment_block(0, [0], substream=255, m=2, n=4, dt=1.0)
+        _block(0, [0], substream=255, m=2, n=4, dt=1.0)
 
 
 def test_lattice_rejects_non_power_of_two():
@@ -139,7 +152,7 @@ def test_lattice_rejects_non_power_of_two():
 
 def test_sample_lattice_is_the_increment_block_row():
     lat = bw.sample_lattice(13, 4, T=3.0, m=2, finest_n=16)
-    block = bw.increment_block(13, [2, 4, 9], 0, 2, 16, 3.0 / 16)
+    block = _block(13, [2, 4, 9], 0, 2, 16, 3.0 / 16)
     np.testing.assert_array_equal(lat, block[:, 1])
 
 

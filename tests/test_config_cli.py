@@ -668,18 +668,15 @@ def test_cli_output_is_byte_identical_across_batch_widths(
     name, tmp_path, capsys, monkeypatch
 ):
     # (increment budget, draw chunk in steps): one batch of every sample,
-    # then batches of a few paths drawn one step at a time.  A curve walks
-    # time in chunks of one coarsest step rounded up to whole draws, and
-    # keeps no whole path, so curves also run on budgets below one path
-    # (a few coarsest steps of 8, 16 and 32 fine steps here) and in one
-    # whole chunk per path.
+    # batches of a few paths drawn one step at a time, budgets below one
+    # path, and one whole chunk per path.  Every kind walks time in chunks
+    # rounded up to whole draws and keeps no whole path: a curve's chunk is
+    # one coarsest step (8, 16 or 32 fine steps here), an estimate's two
+    # steps, which a coupled level halves, and negstats' one step.
     cfg = _write(tmp_path / "b.cfg", _MULTI_BATCH_CONFIGS[name])
     kind = name.split("-")[0]
-    settings = [(2**23, 128), (2**9, 1)]
-    if kind in ("converge", "pathwise"):
-        settings += [(2**5, 1), (2**9, 2**12)]
     outputs = []
-    for budget, chunk in settings:
+    for budget, chunk in [(2**23, 128), (2**9, 1), (2**5, 1), (2**9, 2**12)]:
         monkeypatch.setattr(bw, "_BATCH_FLOATS", budget)
         monkeypatch.setattr(bw, "_CHUNK", chunk)
         out = tmp_path / f"{budget}-{chunk}"
@@ -1042,17 +1039,44 @@ EDGE_RUNS = {
     "pathwise-over-budget": (
         "pathwise", "n_list = 2, 4\nref_n = 2^25", 2, "16777216 steps",
     ),
+    # a walk of more increments than the work bound ends at once: here
+    # ref_n = 4 * 2^40 steps, drawn in chunks that each fit the budget
+    "pathwise-runaway": (
+        "pathwise", "n_list = 2^40\nsample_index = 72057594037927935", 2,
+        "1 paths x 4398046511104 steps",
+    ),
+    "converge-runaway": (
+        "converge", "n_list = 2^40\nn_samples = 2", 2, "2 paths x 4398046511104 steps",
+    ),
+    # nan is no value: the run would compute with it
+    "validate-l1-nan": (
+        "validate", "l1 = nan\nl2 = 1", 2, "line 17: bad value for 'l1'",
+    ),
+    "validate-l2-nan": (
+        "validate", "l1 = 1\nl2 = nan", 2, "line 18: bad value for 'l2'",
+    ),
+    "mlmc-truth-nan": (
+        "mlmc", "epsilon = 2^-2\nreplications = 2\ntruth = nan", 2,
+        "line 19: bad value for 'truth'",
+    ),
+    "pathwise-mu-nan": ("pathwise", "n_list = 2, 4", 2, "line 7: bad value for 'mu'"),
+}
+
+# (model block, scheme alias) of the rows that do not run euler on gbm
+EDGE_SETUPS = {
+    "pathwise-runaway": ("preset = cev-set-1", "tamed_euler"),
+    "pathwise-mu-nan": (SWEEP_MODELS["gbm"].replace("mu = 0.05", "mu = nan"), "euler"),
 }
 
 
-@pytest.mark.parametrize(
-    "kind, run_block, code, needle", list(EDGE_RUNS.values()), ids=list(EDGE_RUNS)
-)
-def test_cli_exit_code_of_edge_configs(tmp_path, capsys, kind, run_block, code, needle):
+@pytest.mark.parametrize("name", list(EDGE_RUNS), ids=list(EDGE_RUNS))
+def test_cli_exit_code_of_edge_configs(tmp_path, capsys, name):
+    kind, run_block, code, needle = EDGE_RUNS[name]
+    model_block, alias = EDGE_SETUPS.get(name, (SWEEP_MODELS["gbm"], "euler"))
     # validate runs no scheme: its rows put a [scheme] section in run_block
-    scheme_block = "" if kind == "validate" else "scheme = euler"
+    scheme_block = "" if kind == "validate" else f"scheme = {alias}"
     text = (
-        f"[experiment]\nkind = {kind}\nseed = 5\n\n[model]\n{SWEEP_MODELS['gbm']}\n\n"
+        f"[experiment]\nkind = {kind}\nseed = 5\n\n[model]\n{model_block}\n\n"
         f"[scheme]\n{scheme_block}\n\n[run]\n{run_block}\n"
     )
     cfg = _write(tmp_path / "edge.cfg", text)

@@ -298,7 +298,7 @@ def test_overflow_policy_exclude_vs_propagate():
     prop = cv.strong_error_curves([EULER], model, policy="propagate", **kw)[0]
     # the same increments, simulated here: the overflowed paths and the
     # root-mean-square node deviation of the others
-    incr = bw.increment_block(777, range(2000), 0, 1, 256, preset.T / 256)
+    incr = next(bw.increment_chunks(777, range(2000), 1, 256, preset.T / 256, 256))
     ref = schemes.simulate_batch(tamed, model, preset.T / 256, incr, record_every=4)
     euler = schemes.simulate_batch(
         EULER, model, preset.T / 64, bw.aggregate_to(incr, 64), record_every=1
@@ -342,7 +342,7 @@ def test_overflow_in_scheme_and_reference_counts_the_path_once():
         [EULER], model, T=preset.T, seed=1865, n_list=[16], n_samples=2000, p=1,
         ref_n=64,
     )
-    incr = bw.increment_block(1865, range(2000), 0, 1, 64, preset.T / 64)
+    incr = next(bw.increment_chunks(1865, range(2000), 1, 64, preset.T / 64, 64))
     ref = schemes.simulate_batch(EULER, model, preset.T / 64, incr)
     euler = schemes.simulate_batch(EULER, model, preset.T / 16, bw.aggregate_to(incr, 16))
     assert (euler.overflow & ref.overflow).any()

@@ -1,6 +1,7 @@
 """Monte Carlo estimators: payoffs, level plans, MLMC coupling, rmsq studies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,25 @@ def test_mc_three_halves_fine_grid_mean():
     assert 0.53 < r.value < 0.58  # true terminal absolute mean is 0.566217
 
 
+def test_estimator_walk_holds_one_time_chunk_not_the_path():
+    # 2048 paths of 4096 steps: the (1, 2048, 4096) increment block alone
+    # takes 64 MiB; the estimator walks time in chunks, carrying each path
+    model, kw = _three_halves(), dict(T=4.0, seed=60, n=2**12)
+    est.mc_estimate(EULER, model, ABS_T, n_samples=2, **kw)  # loads modules
+    tracemalloc.start()
+    try:
+        r = est.mc_estimate(EULER, model, ABS_T, n_samples=2048, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # the same estimate as from the whole block, simulated here
+    incr = next(bw.increment_chunks(60, range(2048), 1, 2**12, 4.0 / 2**12, 2**12))
+    whole = schemes.simulate_batch(EULER, model, 4.0 / 2**12, incr)
+    y = ABS_T.evaluate(model.observable(whole.terminal), 4.0)
+    assert not whole.overflow.any() and r.value == util.sample_moments(y)[0]
+
+
 def test_mc_three_halves_coarse_grid_explodes():
     model = _three_halves()
     r = est.mc_estimate(EULER, model, ABS_T, T=4.0, seed=0, n=4, n_samples=1000)
@@ -243,7 +263,8 @@ def test_mlmc_overflow_propagates_or_excludes():
     counts, offset = [], 0
     for level, n_l in enumerate(plan.samples):
         n = 2**level
-        incr = bw.increment_block(seed, range(offset, offset + n_l), 0, 1, n, T / n)
+        idx = range(offset, offset + n_l)
+        incr = next(bw.increment_chunks(seed, idx, 1, n, T / n, n))
         over = schemes.simulate_batch(EULER, model, T / n, incr).overflow
         if level:
             coarse = bw.aggregate_to(incr, n // 2)
@@ -266,7 +287,8 @@ def test_estimates_recompute_by_hand_from_the_plan():
         means, errs, offset = [], [], 0
         for level, n_l in enumerate(plan.samples):
             n = plan.n0 * 2**level
-            incr = bw.increment_block(seed, range(offset, offset + n_l), 0, 1, n, T / n)
+            idx = range(offset, offset + n_l)
+            incr = next(bw.increment_chunks(seed, idx, 1, n, T / n, n))
             fine = schemes.simulate_batch(EULER, GBM, T / n, incr)
             y = CALL.evaluate(GBM.observable(fine.terminal), T)
             if level:

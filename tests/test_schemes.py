@@ -550,8 +550,12 @@ def test_simulate_overflow_freezes_path(monkeypatch):
     # paths that blow up at steps 6, 8 and 9, and two that stay finite:
     # first_bad is the node of the first non-finite recorded value
     x0 = np.array([[10.0, 5.0, 4.5, 4.2, 1.0]])
+    start = schemes.BatchResult(  # zero steps taken: the paths at x0
+        None, x0, x0, np.zeros(5, dtype=np.int64), np.zeros(5, dtype=bool),
+        np.full(5, -1), None, None, 0,
+    )
     incr = np.zeros((1, 5, 14))
-    whole = schemes.simulate_batch(cfg, CUBIC, 0.1, incr, record_every=1, state=x0)
+    whole = schemes.simulate_batch(cfg, CUBIC, 0.1, incr, record_every=1, carry=start)
     np.testing.assert_array_equal(whole.first_bad, [6, 8, 9, -1, -1])
     bad = ~np.isfinite(whole.recorded[0])
     np.testing.assert_array_equal(bad.argmax(axis=0)[:3], [6, 8, 9])
@@ -559,21 +563,20 @@ def test_simulate_overflow_freezes_path(monkeypatch):
     # bookkeeping passes of 1, 2, 3 and 5 steps give the same results
     for span in (1, 2, 3, 5):
         monkeypatch.setattr(bw, "BUFFER_FLOATS", span * 5)
-        res = schemes.simulate_batch(cfg, CUBIC, 0.1, incr, record_every=1, state=x0)
+        res = schemes.simulate_batch(cfg, CUBIC, 0.1, incr, record_every=1, carry=start)
         np.testing.assert_array_equal(res.first_bad, whole.first_bad)
         np.testing.assert_array_equal(res.recorded, whole.recorded)
-    # resumed in pieces, each piece counts first_bad from the whole path's start
-    state, first_bad, nodes = x0, np.full(5, -1), [x0[:, None]]
+    # resumed in pieces, first_bad counts from the whole path's start and
+    # keeps the earliest step; only the nodes cover each piece alone
+    res, nodes = start, [x0[:, None]]
     for k0, k1 in [(0, 4), (4, 7), (7, 14)]:
         res = schemes.simulate_batch(
-            cfg, CUBIC, 0.1, incr[:, :, k0:k1], record_every=1, state=state, first_step=k0
+            cfg, CUBIC, 0.1, incr[:, :, k0:k1], record_every=1, carry=res
         )
-        new = (first_bad < 0) & res.overflow
-        first_bad[new] = res.first_bad[new]
-        assert (res.first_bad[res.overflow] > k0).all()
-        state = res.state
+        assert res.steps == k1 and res.recorded.shape[1] == k1 - k0 + 1
         nodes.append(res.recorded[:, 1:])
-    np.testing.assert_array_equal(first_bad, whole.first_bad)
+    np.testing.assert_array_equal(res.first_bad, whole.first_bad)
+    np.testing.assert_array_equal(res.overflow, whole.overflow)
     np.testing.assert_array_equal(np.concatenate(nodes, axis=1), whole.recorded)
 
 
