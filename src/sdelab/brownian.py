@@ -121,6 +121,15 @@ def increment_chunks(
         yield out
 
 
+def check_work(floats: int, what: str) -> None:
+    """LatticeError if ``what``, which draws ``floats`` increments, is over
+    the work bound ``_WALK_FLOATS``."""
+    if floats > _WALK_FLOATS:
+        raise LatticeError(
+            f"{what}: {floats} increments, more than the work bound of {_WALK_FLOATS}"
+        )
+
+
 def increment_batches(
     seed: int, n_samples: int, m: int, n: int, dt: float, index_offset: int = 0,
     *, chunk: int,
@@ -138,11 +147,7 @@ def increment_batches(
             f"one path needs {chunk} steps x {m} noise dimensions in a batch, "
             f"more than the {_BATCH_FLOATS} increments a batch may hold"
         )
-    if n_samples * n * m > _WALK_FLOATS:
-        raise LatticeError(
-            f"{n_samples} paths x {n} steps x {m} noise dimensions are more "
-            f"than the {_WALK_FLOATS} increments one walk may draw"
-        )
+    check_work(n_samples * n * m, f"{n_samples} paths x {n} steps x {m} noise dimensions")
     batch = min(n_samples, _BATCH_FLOATS // (chunk * m))
     for start in range(0, n_samples, batch):
         idx = np.arange(start, min(start + batch, n_samples)) + index_offset

@@ -110,12 +110,15 @@ def fit_order(stepsizes: Sequence[float], errors: Sequence[float]) -> Regression
 
 
 def _dist_max(rec: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Per-path max node deviation for recorded blocks (d, nodes, b)."""
+    """Per-path max node deviation for recorded blocks (d, nodes, b); a path
+    with a non-finite deviation at any node gets inf.  The max propagates
+    nan, so mapping nan to inf after it touches only the (b,) result."""
     with np.errstate(over="ignore", invalid="ignore"):
         diff = ref - rec
         dist = np.abs(diff[0]) if len(diff) == 1 else np.sqrt((diff**2).sum(axis=0))
-    dist[~np.isfinite(dist)] = np.inf
-    return dist.max(axis=0)
+        worst = dist.max(axis=0)
+    worst[np.isnan(worst)] = np.inf
+    return worst
 
 
 def strong_error_curves(

@@ -175,6 +175,13 @@ def _run_mlmc(cfg, model, seed, out_dir, header):
     plans = [estimators.plan_for(method, eps, cfg.T) for eps in eps_list]
     replications = run.get("replications")
     kw = dict(T=cfg.T, seed=seed, policy=run.get("policy", "propagate"))
+    if replications:  # the whole study under the work bound of one walk
+        steps = sum(plan.total_steps for plan in plans)
+        bw.check_work(
+            replications * steps * model.m,
+            f"[run]: replications = {replications} repeats {steps} steps x "
+            f"{model.m} noise dimensions",
+        )
 
     # evaluated once, before any simulation: the oracle is the costly part
     truth = run.get("truth")

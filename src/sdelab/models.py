@@ -19,6 +19,7 @@ positive strong solution and a solvable drift-implicit step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -228,7 +229,8 @@ class Model:
 
 
 def _cir_model(p: CirParams) -> Model:
-    kappa, lam, theta = p.kappa, p.lam, p.theta
+    # 0-d operands: a ufunc converts a Python float operand on every call
+    kappa, lam, theta = (np.array(v) for v in (p.kappa, p.lam, p.theta))
 
     def drift(x):
         return kappa * (lam - x)
@@ -374,36 +376,51 @@ def _cubic_toy_model(p: CubicToyParams) -> Model:
     )
 
 
-def lamperti_implicit(
-    p: LampertiCir, truncate: bool = False
-) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Closed form of y - (alpha/y + beta*y)*dt = rhs, positive root:
+def lamperti_root(
+    p: LampertiCir, dt: float, truncate: bool = False
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map rhs -> y solving y - (alpha/y + beta*y)*dt = rhs at one dt,
+    its positive root:
 
         y = rhs/(2*(1-beta*dt)) + sqrt(rhs^2/(4*(1-beta*dt)^2) + alpha*dt/(1-beta*dt))
 
-    With alpha > 0 the root is strictly positive for every rhs.  With
-    ``truncate`` the (possibly negative, when alpha < 0) radicand is clipped
-    at zero, which is the sqrt(x^+) convention used outside the Feller regime.
+    The dt-only constants are computed once, here.  With alpha > 0 the root
+    is strictly positive for every rhs.  ``truncate`` clips the (possibly
+    negative, when alpha < 0) radicand at zero, which is the sqrt(x^+)
+    convention used outside the Feller regime; otherwise a negative radicand
+    raises DomainError.  The radicand is rhs^2/(...) plus the dt-only shift,
+    so it is tested only when that shift is negative.
     """
+    denom = 1.0 - p.beta * dt
+    if denom <= 0:
+        raise SolverError(f"implicit sqrt step ill-posed: 1 - beta*dt = {denom} <= 0")
+    two_denom = np.array(2.0 * denom)
+    shift = np.array(p.alpha * dt / denom)
+    zero = np.array(0.0)
+    check = not truncate and shift < 0
 
-    def solve(rhs: np.ndarray, dt: float) -> np.ndarray:
-        denom = 1.0 - p.beta * dt
-        if denom <= 0:
-            raise SolverError(
-                f"implicit sqrt step ill-posed: 1 - beta*dt = {denom} <= 0"
-            )
-        half = rhs / (2.0 * denom)
-        radicand = half * half + p.alpha * dt / denom
+    def root(rhs: np.ndarray) -> np.ndarray:
+        half = rhs / two_denom
+        radicand = half * half + shift
         if truncate:
-            radicand = np.maximum(radicand, 0.0)
-        elif np.any(radicand < 0):
+            radicand = np.maximum(radicand, zero)
+        elif check and np.any(radicand < 0):
             raise DomainError(
                 "negative radicand in implicit sqrt step (alpha < 0 regime); "
                 "enable truncate_sqrt to run outside the Feller condition"
             )
         return half + np.sqrt(radicand)
 
-    return solve
+    return root
+
+
+def lamperti_implicit(
+    p: LampertiCir, truncate: bool = False
+) -> Callable[[np.ndarray, float], np.ndarray]:
+    """``solve(rhs, dt)``: :func:`lamperti_root` at ``dt``, each dt's root
+    built once."""
+    root_at = functools.lru_cache(maxsize=64)(lambda dt: lamperti_root(p, dt, truncate))
+    return lambda rhs, dt: root_at(float(dt))(rhs)
 
 
 def _lamperti_model(p: LampertiCir) -> Model:

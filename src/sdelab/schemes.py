@@ -46,12 +46,16 @@ from .models import (
     SolverError,
     feller_ratio,
     lamperti_cir,
-    lamperti_implicit,
+    lamperti_root,
 )
 
 
 class SchemeError(ValueError):
     """Invalid scheme configuration for the given model."""
+
+
+# 0-d operands: a ufunc converts a Python float operand on every call
+_ZERO, _HALF = np.array(0.0), np.array(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +116,10 @@ class StepperConfig:
 def _extended_cir(model: Model, name: str) -> Model:
     """The square-root model extended to all of R by ``EXTENSIONS[name]``.
 
-    The diffusion becomes b on x > 0 and g elsewhere; the drift is kept
-    (f = a for both extensions).  The diffusion derivative is b' on x > 0,
-    g' on x < 0, and 0 at x = 0, where sqrt has no finite one-sided limit.
+    The diffusion becomes b(pi(x)) for the extension's projection pi onto
+    [0, inf), which is b on x > 0; the drift is kept (f = a for both
+    extensions).  The diffusion derivative is b' on x > 0, g' on x < 0, and
+    0 at x = 0, where sqrt has no finite one-sided limit.
     """
     if not isinstance(model.params, CirParams):
         raise SchemeError(
@@ -122,13 +127,11 @@ def _extended_cir(model: Model, name: str) -> Model:
             f"got model {model.model_id!r}"
         )
     theta = model.params.theta
-    g, g_prime = EXTENSIONS[name]
+    project, g_prime = EXTENSIONS[name]
     b, db = model.diffusion[0], model.diffusion_jacobian[0]
 
     def ext_diff(x):
-        x = np.asarray(x, dtype=np.float64)
-        with np.errstate(all="ignore"):
-            return np.where(x > 0, b(x), g(theta, x))
+        return b(project(x))
 
     def ext_ddiff(x):
         x = np.asarray(x, dtype=np.float64)
@@ -173,7 +176,7 @@ def step_milstein_scalar(model: Model, x, dt: float, dw) -> np.ndarray:
     b = model.diffusion[0]
     db = model.diffusion_jacobian[0]
     euler = x + model.drift(x) * dt + b(x) * dw
-    return euler + 0.5 * b(x) * db(x) * (dw * dw - dt)
+    return euler + _HALF * b(x) * db(x) * (dw * dw - dt)
 
 
 def step_reflected(model: Model, psi: Callable[[np.ndarray], np.ndarray], x, dt, dw):
@@ -340,6 +343,22 @@ def step_backward_euler(model: Model, x, dt: float, dw) -> np.ndarray:
 # --- square-root process specials ------------------------------------------
 
 
+def _cir_milstein(
+    p: CirParams, dt: float, truncate: bool
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The unchecked drift-implicit Milstein map (z, dW) -> z' at one dt."""
+    half_theta = 0.5 * p.theta
+    theta_half = np.array(half_theta)
+    shift = np.array((p.kappa * p.lam - half_theta * half_theta) * dt)
+    scale = np.array(1.0 + p.kappa * dt)
+
+    def step(z, dw):
+        sq = np.sqrt(np.maximum(z, _ZERO) if truncate else z) + theta_half * dw
+        return (sq * sq + shift) / scale
+
+    return step
+
+
 def step_cir_implicit_milstein(
     p: CirParams, z, dt: float, dw, truncate: bool = False
 ) -> np.ndarray:
@@ -353,20 +372,12 @@ def step_cir_implicit_milstein(
     """
     z = np.asarray(z, dtype=np.float64)
     dw = np.asarray(dw, dtype=np.float64)
-    if truncate:
-        root = np.sqrt(np.maximum(z, 0.0))
-    else:
-        if np.any(z < 0):
-            raise DomainError(
-                "negative state passed to the drift-implicit Milstein step; "
-                "enable truncate_sqrt to run outside the Feller regime"
-            )
-        root = np.sqrt(z)
-    half_theta = 0.5 * p.theta
-    sq = root + half_theta * dw
-    return (sq * sq + (p.kappa * p.lam - half_theta * half_theta) * dt) / (
-        1.0 + p.kappa * dt
-    )
+    if not truncate and np.any(z < 0):
+        raise DomainError(
+            "negative state passed to the drift-implicit Milstein step; "
+            "enable truncate_sqrt to run outside the Feller regime"
+        )
+    return _cir_milstein(p, dt, truncate)(z, dw)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +386,30 @@ def step_cir_implicit_milstein(
 
 @dataclass(frozen=True)
 class _Stepper:
-    """Internal bundle: initial state, one-step map on (d, b) blocks, and the
-    transform from internal state to recorded path values."""
+    """Internal bundle for one step size: initial state, one-step map
+    (x, dW) -> x' on (d, b) blocks, and the transform from internal state to
+    recorded path values."""
 
-    step: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray]
     state0: tuple[float, ...]
     emit: Callable[[np.ndarray], np.ndarray] | None = None  # state -> values
     check_domain: bool = False
+
+
+# A scheme's factory checks that it applies to the model and returns its
+# stepper builder dt -> _Stepper, which computes the dt-only constants once.
+_Builder = Callable[[float], _Stepper]
+
+
+def _bind(step_fn, model: Model, check_domain: bool = False) -> _Builder:
+    """Builder of the stepper x' = step_fn(model, x, dt, dW)."""
+
+    def at(dt: float) -> _Stepper:
+        dt = np.array(dt)
+        return _Stepper(lambda x, dw: step_fn(model, x, dt, dw), model.state0,
+                        check_domain=check_domain)
+
+    return at
 
 
 def _on_model(step_fn, check_domain: bool = True):
@@ -389,39 +417,20 @@ def _on_model(step_fn, check_domain: bool = True):
     ``check_domain``, simulation raises DomainError when a path of a positive
     model goes negative; the implicit maps guard their own evaluations
     instead."""
-
-    def factory(config: StepperConfig, model: Model) -> _Stepper:
-        return _Stepper(
-            step=lambda x, dw, dt: step_fn(model, x, dt, dw),
-            state0=model.state0,
-            check_domain=check_domain and model.positive,
-        )
-
-    return factory
+    return lambda config, model: _bind(step_fn, model, check_domain and model.positive)
 
 
 def _modified(step_fn):
     """Stepper factory for an explicit map on the extended coefficients."""
-
-    def factory(config: StepperConfig, model: Model) -> _Stepper:
-        ext_model = _extended_cir(model, config.extension)
-        return _Stepper(
-            step=lambda x, dw, dt: step_fn(ext_model, x, dt, dw),
-            state0=model.state0,
-        )
-
-    return factory
+    return lambda config, model: _bind(step_fn, _extended_cir(model, config.extension))
 
 
-def _reflected(config: StepperConfig, model: Model) -> _Stepper:
+def _reflected(config: StepperConfig, model: Model) -> _Builder:
     psi = PROJECTIONS[config.projection]
-    return _Stepper(
-        step=lambda x, dw, dt: step_reflected(model, psi, x, dt, dw),
-        state0=model.state0,
-    )
+    return _bind(lambda model, x, dt, dw: step_reflected(model, psi, x, dt, dw), model)
 
 
-def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Stepper:
+def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Builder:
     """Drift-implicit Euler for Y = sqrt(X): the closed-form positive root of
     y' = y + (alpha/y' + beta*y')*dt + gamma*dW, positive for any input when
     alpha > 0 (``truncate_sqrt`` clips the radicand when alpha < 0).  A CIR
@@ -433,28 +442,27 @@ def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Stepper:
             "implicit sqrt Euler requires 2*kappa*lam > theta^2 "
             f"(alpha = {lam.alpha:.6g}); scheme implicit_sqrt_truncated runs anyway"
         )
-    solve = lamperti_implicit(lam, truncate=config.truncate_sqrt)
-    return _Stepper(
-        step=lambda y, dw, dt: solve(y + lam.gamma * dw, dt),
-        state0=(lam.y0,),
-        emit=(lambda y: y * y) if cir else None,
-    )
+    gamma = np.array(lam.gamma)
+
+    def at(dt: float) -> _Stepper:
+        root = lamperti_root(lam, dt, config.truncate_sqrt)
+        return _Stepper(lambda y, dw: root(y + gamma * dw), (lam.y0,),
+                        (lambda y: y * y) if cir else None)
+
+    return at
 
 
-def _cir_implicit_milstein(config: StepperConfig, model: Model) -> _Stepper:
+def _cir_implicit_milstein(config: StepperConfig, model: Model) -> _Builder:
     p = model.params
     if 4.0 * p.kappa * p.lam < p.theta * p.theta and not config.truncate_sqrt:
         raise SchemeError(
             "drift-implicit Milstein loses positivity when 4*kappa*lam < "
             "theta^2; scheme dimp_milstein_truncated runs in that regime"
         )
-    return _Stepper(
-        step=lambda z, dw, dt: step_cir_implicit_milstein(p, z, dt, dw, config.truncate_sqrt),
-        state0=model.state0,
-    )
+    return lambda dt: _Stepper(_cir_milstein(p, dt, config.truncate_sqrt), model.state0)
 
 
-def _log_heston(config: StepperConfig, model: Model) -> _Stepper:
+def _log_heston(config: StepperConfig, model: Model) -> _Builder:
     """Composite step for (H, Y) = (log-price, sqrt-variance):
 
         H' = H + (mu - Y^2/2)*dt + Y*(sqrt(1-rho^2)*dW1 + rho*dW2)
@@ -462,24 +470,28 @@ def _log_heston(config: StepperConfig, model: Model) -> _Stepper:
     """
     p = model.params
     lam = lamperti_cir(p.vol_cir())
-    rho, rho_bar = p.rho, math.sqrt(1.0 - p.rho * p.rho)
-    mu = p.mu
-    solve = lamperti_implicit(lam, truncate=config.truncate_sqrt)
-    gamma = lam.gamma
     if lam.alpha <= 0 and not config.truncate_sqrt:
         raise SchemeError(
             "volatility equation violates 2*kappa*lam > theta^2; running it "
             "anyway with truncate_sqrt is available from the library only"
         )
+    mu, rho, rho_bar, gamma = (
+        np.array(v) for v in (p.mu, p.rho, math.sqrt(1.0 - p.rho * p.rho), lam.gamma)
+    )
 
-    def step(x, dw, dt):
-        h, y = x[0], x[1]
-        dw1, dw2 = dw[0], dw[1]
-        h_new = h + (mu - 0.5 * y * y) * dt + y * (rho_bar * dw1 + rho * dw2)
-        y_new = solve(y + gamma * dw2, dt)
-        return np.stack([h_new, y_new])
+    def at(dt: float) -> _Stepper:
+        root = lamperti_root(lam, dt, config.truncate_sqrt)
+        dt = np.array(dt)
 
-    return _Stepper(step=step, state0=model.state0)
+        def step(x, dw):
+            h, y = x[0], x[1]
+            dw1, dw2 = dw[0], dw[1]
+            h_new = h + (mu - _HALF * y * y) * dt + y * (rho_bar * dw1 + rho * dw2)
+            return np.stack([h_new, root(y + gamma * dw2)])
+
+        return _Stepper(step, model.state0)
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -492,7 +504,7 @@ class SchemeEntry:
     "truncate_sqrt".
     """
 
-    factory: Callable[[StepperConfig, Model], _Stepper]
+    factory: Callable[[StepperConfig, Model], _Builder]
     applies_to: Callable[[Model], bool] = lambda model: True
     requires: str = ""
     option: str | None = None
@@ -555,14 +567,12 @@ SCHEMES: dict[str, SchemeEntry] = {
 }
 
 
-# square-root extensions: (g, g') as functions of (theta, x) for x <= 0;
-# truncate kills the diffusion, absolute makes it theta*sqrt(|x|)
+# square-root extensions: (pi, g'), the projection onto [0, inf) whose
+# composite b(pi(x)) is the diffusion, and its derivative g'(theta, x) for
+# x < 0; truncate kills the diffusion, absolute makes it theta*sqrt(|x|)
 EXTENSIONS: dict[str, tuple[Callable, Callable]] = {
-    "truncate": (lambda theta, x: 0.0, lambda theta, x: 0.0),
-    "absolute": (
-        lambda theta, x: theta * np.sqrt(-x),
-        lambda theta, x: -theta / (2.0 * np.sqrt(-x)),
-    ),
+    "truncate": (lambda x: np.maximum(x, _ZERO), lambda theta, x: 0.0),
+    "absolute": (np.abs, lambda theta, x: -theta / (2.0 * np.sqrt(-x))),
 }
 
 PROJECTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {"abs": np.abs}
@@ -602,8 +612,9 @@ def default_reference_config(config: StepperConfig, model: Model) -> StepperConf
     return config
 
 
-def make_stepper(config: StepperConfig, model: Model) -> _Stepper:
-    """The scheme's one-step map for ``model``; SchemeError if it does not apply."""
+def make_stepper(config: StepperConfig, model: Model) -> _Builder:
+    """The scheme's stepper builder dt -> _Stepper for ``model``; SchemeError
+    if the scheme does not apply."""
     entry = SCHEMES[config.scheme_id]
     if not entry.applies_to(model):
         raise SchemeError(
@@ -630,6 +641,7 @@ class BatchResult:
     runmax: np.ndarray | None  # (b,) signed max of emitted coordinate 0
     runmin: np.ndarray | None  # (b,) signed min of emitted coordinate 0
     steps: int
+    stepper: _Stepper | None = None  # the walk's stepper, built by its first chunk
 
 
 def simulate_batch(
@@ -648,11 +660,12 @@ def simulate_batch(
     (n must be divisible by s).  Non-finite states freeze their path's flags
     but the iteration continues for the rest of the batch; the frozen values
     stay non-finite (all maps here propagate them).  ``carry``, the result
-    of the same paths' previous chunk, resumes them and is left unchanged:
-    the result covers the path so far (first_bad and errors count from its
-    start, flags and counts merge), and only ``recorded`` covers ``incr``.
+    of the same paths' previous chunk under the same scheme, model and dt,
+    resumes them and is left unchanged: the result covers the path so far
+    (first_bad and errors count from its start, flags and counts merge), and
+    only ``recorded`` covers ``incr``.  The stepper is built once per walk,
+    by its first chunk, and carried in the result.
     """
-    stepper = make_stepper(config, model)
     m, b, n = incr.shape
     if m != model.m:
         raise SchemeError(
@@ -662,7 +675,8 @@ def simulate_batch(
         raise SchemeError(f"record_every={record_every} must divide n={n}")
 
     d = model.d
-    emit = stepper.emit or (lambda s: s)
+    stepper = getattr(carry, "stepper", None) or make_stepper(config, model)(dt)
+    step, emit = stepper.step, stepper.emit or (lambda s: s)
     if carry is None:  # a zero-step result: the paths at their start
         x = np.repeat(np.array(stepper.state0, dtype=np.float64)[:, None], b, axis=1)
         v = emit(x)[0]
@@ -677,23 +691,24 @@ def simulate_batch(
         rec[:, 0, :] = carry.terminal
 
     # step a pass of states into a buffer of bw.BUFFER_FLOATS, then do the
-    # bookkeeping once per pass (once per step when d * b fills the buffer)
+    # bookkeeping, the domain check included, once per pass (once per step
+    # when d * b fills the buffer)
     span = max(1, bw.BUFFER_FLOATS // (d * b))
     buf = np.empty((d, min(span, n), b))
-    check = stepper.check_domain
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k0 in range(0, n, span):
             states = buf[:, : min(span, n - k0)]
             for j in range(states.shape[1]):
-                x = stepper.step(x, incr[:, :, k0 + j], dt)
-                if check and (x < 0).any():
+                states[:, j] = x = step(x, incr[:, :, k0 + j])
+            if stepper.check_domain:
+                left = (states < 0).any(axis=(0, 2))  # (steps,)
+                if left.any():
                     raise DomainError(
                         f"scheme {config.scheme_id!r} left the domain of model "
-                        f"{model.model_id!r} at step {t0 + k0 + j + 1}; "
+                        f"{model.model_id!r} at step {t0 + k0 + int(left.argmax()) + 1}; "
                         "use a scheme that extends the coefficients, projects "
                         "back into the domain, or truncates"
                     )
-                states[:, j] = x
             finite = np.isfinite(states).all(axis=0)  # (steps, b)
             newly = ~finite.all(axis=0) & (first_bad < 0)
             if newly.any():
@@ -719,4 +734,5 @@ def simulate_batch(
         runmax=runmax,
         runmin=runmin,
         steps=t0 + n,
+        stepper=stepper,
     )

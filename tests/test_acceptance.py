@@ -13,6 +13,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from sdelab import brownian as bw, convergence as cv, estimators as est
 from sdelab import models, oracles as orc, schemes
@@ -126,6 +127,7 @@ def test_cev_orders(study):
 # 5 -------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_cir_orders_feller_regime(study):
     out = study("converge_cir_scenario1")
     s_tr, s_is, s_di = (
@@ -139,6 +141,7 @@ def test_cir_orders_feller_regime(study):
     )
 
 
+@pytest.mark.slow
 def test_cir_orders_degraded_regime(study):
     out = study("converge_cir_scenario2")
     slopes = tuple(
@@ -201,6 +204,7 @@ def test_fourier_oracle():
 # 8 -------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_mlmc_rmsq(study):
     # 200 replications per accuracy, measured against the Fourier price
     rmsq = {
@@ -236,9 +240,9 @@ def test_positivity_one_steps():
     for dt in (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0):
         x = rng.uniform(1e-6, 2.0, 10000)
         dw = rng.standard_normal(10000) * math.sqrt(dt)
-        violations += int((isqrt.step(np.sqrt(x)[None], dw[None], dt) <= 0).sum())
+        violations += int((isqrt(dt).step(np.sqrt(x)[None], dw[None]) <= 0).sum())
         violations += int((schemes.step_cir_implicit_milstein(SC1.params, x, dt, dw) <= 0).sum())
-        violations += int((refl.step(x[None, :], dw[None, :], dt) < 0).sum())
+        violations += int((refl(dt).step(x[None, :], dw[None, :]) < 0).sum())
     _check("positivity one-steps", violations == 0, "10^5 draws per scheme")
 
 
@@ -270,7 +274,7 @@ def test_implicit_residuals():
     for dt in (0.001, 0.01, 0.1, 0.25):
         y = rng.uniform(0.02, 2.0, 10000)
         dw = rng.standard_normal(10000) * math.sqrt(dt)
-        yp = isqrt.step(y[None], dw[None], dt)[0]
+        yp = isqrt(dt).step(y[None], dw[None])[0]
         res = yp - (y + lam1.gamma * dw) - (lam1.alpha / yp + lam1.beta * yp) * dt
         worst = max(worst, float(np.abs(res).max()))
         zin = rng.uniform(1e-4, 2.0, 10000)

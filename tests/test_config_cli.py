@@ -1048,6 +1048,11 @@ EDGE_RUNS = {
     "converge-runaway": (
         "converge", "n_list = 2^40\nn_samples = 2", 2, "2 paths x 4398046511104 steps",
     ),
+    # a replication study is bounded as a whole, before the oracle runs
+    "mlmc-replications-runaway": (
+        "mlmc", "epsilon = 2^-1\nreplications = 2^40\ntruth = 1.0", 2,
+        "replications = 1099511627776 repeats 10 steps x 2 noise dimensions",
+    ),
     # nan is no value: the run would compute with it
     "validate-l1-nan": (
         "validate", "l1 = nan\nl2 = 1", 2, "line 17: bad value for 'l1'",
@@ -1065,6 +1070,7 @@ EDGE_RUNS = {
 # (model block, scheme alias) of the rows that do not run euler on gbm
 EDGE_SETUPS = {
     "pathwise-runaway": ("preset = cev-set-1", "tamed_euler"),
+    "mlmc-replications-runaway": ("preset = heston-mlmc", "log_heston"),
     "pathwise-mu-nan": (SWEEP_MODELS["gbm"].replace("mu = 0.05", "mu = nan"), "euler"),
 }
 

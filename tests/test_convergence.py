@@ -368,6 +368,32 @@ def test_error_curves_hold_one_time_chunk_not_the_path():
     assert peak < 16 * 2**20
 
 
+def test_error_curve_walk_builds_each_stepper_once(monkeypatch):
+    # one batch of 4 paths in 4 time chunks of 128 reference steps: the
+    # reference and each (scheme, grid) pair build their stepper in the
+    # first chunk and carry it through the other three
+    builds, calls = [], []
+    make, simulate = schemes.make_stepper, cv.simulate_batch
+
+    def counting_make(config, model):
+        builds.append(config.scheme_id)
+        return make(config, model)
+
+    def counting_simulate(*args, **kwargs):
+        calls.append(args[0].scheme_id)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "make_stepper", counting_make)
+    monkeypatch.setattr(cv, "simulate_batch", counting_simulate)
+    configs = [_truncated_euler(), schemes.ALIASES["dimp_milstein"]]
+    cv.strong_error_curves(
+        configs, _cir_sc1(), T=1.0, seed=3, n_list=[4, 8], n_samples=4, ref_n=512
+    )
+    pairs = len(configs) * 2
+    assert len(calls) == 4 * (pairs + 1)
+    assert len(builds) == pairs + 1
+
+
 # ---------------------------------------------------------------------------
 # input validation
 

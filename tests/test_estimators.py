@@ -157,6 +157,28 @@ def test_estimator_walk_holds_one_time_chunk_not_the_path():
     assert not whole.overflow.any() and r.value == util.sample_moments(y)[0]
 
 
+def test_estimator_walk_builds_each_stepper_once(monkeypatch):
+    # levels of 128, 256 and 512 fine steps walk 1, 2 and 4 chunks of 128;
+    # each grid of a level (fine, and coarse for l >= 1) builds one stepper
+    builds, calls = [], []
+    make, simulate = schemes.make_stepper, est.simulate_batch
+
+    def counting_make(config, model):
+        builds.append(config.scheme_id)
+        return make(config, model)
+
+    def counting_simulate(*args, **kwargs):
+        calls.append(args[2])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "make_stepper", counting_make)
+    monkeypatch.setattr(est, "simulate_batch", counting_simulate)
+    plan = est.Plan(128, (2, 2, 2))
+    est.mlmc_estimate(EULER, GBM, IDENT, plan, T=1.0, seed=4)
+    assert len(calls) == 1 + 2 * 2 + 2 * 4
+    assert len(builds) == 1 + 2 + 2
+
+
 def test_mc_three_halves_coarse_grid_explodes():
     model = _three_halves()
     r = est.mc_estimate(EULER, model, ABS_T, T=4.0, seed=0, n=4, n_samples=1000)

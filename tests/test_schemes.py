@@ -1,6 +1,8 @@
 """One-step maps: exact values, implicit equations, positivity, taming."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +110,43 @@ def test_absolute_extension_reflects_diffusion():
     assert math.isclose(slope, -0.48 / 0.2, rel_tol=1e-15)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_extension_projection_form_matches_the_where_form():
+    # b(pi(x)) against the branch form np.where(x > 0, b(x), g(theta, x)),
+    # compared as bits: assert_array_equal takes -0.0 and 0.0 as equal
+    x = np.array([-1.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, np.inf, -np.inf, np.nan])
+    b, theta, dt, dw = CIR.diffusion[0], SC1.theta, 0.01, np.full(9, 0.1)
+    with np.errstate(all="ignore"):
+        branch = {
+            "truncate": np.where(x > 0, b(x), 0.0),
+            "absolute": np.where(x > 0, b(x), theta * np.sqrt(-x)),
+        }
+    # the forms differ only where the branch form gives truncate's nan a
+    # zero diffusion, and absolute's 0.0 the zero -0.0 (sqrt(-0.0)) and
+    # its nan a negative sign
+    differ = {"truncate": [8], "absolute": [3, 8]}
+    for name in schemes.EXTENSIONS:
+        ext = schemes._extended_cir(CIR, name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no square root left of zero
+            got = ext.diffusion[0](x)
+        same = np.ones(len(x), dtype=bool)
+        same[differ[name]] = False
+        np.testing.assert_array_equal(_bits(got)[same], _bits(branch[name])[same])
+        # there, x + a(x)*dt > 0 absorbs the zero's sign and nan stays nan:
+        # the Euler and Milstein states are the same bits (nan up to sign)
+        branched = dataclasses.replace(ext, diffusion=(lambda v, f=branch[name]: f,))
+        for step in (schemes.step_explicit_euler, schemes.step_milstein_scalar):
+            with np.errstate(all="ignore"):
+                got_x, want_x = step(ext, x, dt, dw), step(branched, x, dt, dw)
+            assert np.array_equal(np.isnan(got_x), np.isnan(want_x))
+            fin = ~np.isnan(got_x)
+            np.testing.assert_array_equal(_bits(got_x)[fin], _bits(want_x)[fin])
+
+
 def test_extension_is_identity_inside(rng):
     x = rng.uniform(0.01, 2.0, 200)
     for name in schemes.EXTENSIONS:
@@ -160,10 +199,34 @@ def test_solve_linear_drift():
     assert abs(x[0] - 0.5) <= 1e-12
 
 
+def test_lamperti_implicit_keeps_its_guard_for_direct_calls():
+    # alpha < 0: the radicand goes negative for small |rhs|; the steppers
+    # never see this regime untruncated, a direct call still rejects it
+    lam = models.LampertiCir(alpha=-0.01, beta=-1.0, gamma=0.24, y0=0.3)
+    with pytest.raises(models.DomainError, match="negative radicand"):
+        models.lamperti_implicit(lam)(np.array([0.0, 1.0]), 0.01)
+    out = models.lamperti_implicit(lam, truncate=True)(np.array([0.0, 1.0]), 0.01)
+    assert out[0] == 0.0 and out[1] > 0
+
+
+def test_lamperti_implicit_builds_each_dt_once(monkeypatch, rng):
+    built, real = [], models.lamperti_root
+    monkeypatch.setattr(
+        models, "lamperti_root", lambda p, dt, truncate: built.append(dt) or real(p, dt, truncate)
+    )
+    solve = models.lamperti_implicit(LAM1)
+    rhs = rng.normal(0.0, 0.5, 50)
+    dts = (0.01, 0.02, np.array(0.01), 0.02)
+    got = [solve(rhs, dt) for dt in dts]
+    assert built == [0.01, 0.02]  # a 0-d dt finds the float's root
+    for out, dt in zip(got, dts):
+        np.testing.assert_array_equal(out, real(LAM1, float(dt))(rhs))
+
+
 def test_lamperti_closed_form_matches_display(rng):
     dt = 5.0 / 512.0
     rhs = rng.normal(0.0, 0.5, 200)
-    got = schemes.lamperti_implicit(LAM1)(rhs, dt)
+    got = models.lamperti_implicit(LAM1)(rhs, dt)
     denom = 1.0 - LAM1.beta * dt
     want = rhs / (2.0 * denom) + np.sqrt(
         rhs**2 / (4.0 * denom**2) + LAM1.alpha * dt / denom
@@ -334,8 +397,8 @@ def test_tamed_increment_bounded(x, dt):
 def _isqrt_step(model, y, dt, dw, config=ISQRT):
     """One implicit square-root Euler step, in Lamperti coordinates, of the
     stepper that simulations use."""
-    step = schemes.make_stepper(config, model).step
-    return step(np.atleast_1d(y)[None], np.atleast_1d(dw)[None], dt)[0]
+    step = schemes.make_stepper(config, model)(dt).step
+    return step(np.atleast_1d(y)[None], np.atleast_1d(dw)[None])[0]
 
 
 def test_implicit_sqrt_degenerate_is_positive_part(rng):
@@ -461,7 +524,7 @@ LOG_HESTON = schemes.StepperConfig(scheme_id="log_heston_composite")
 def _log_heston_step(p, h, y, dt, dw1, dw2):
     """One composite step from (h, y) through the scheme's stepper."""
     stepper = schemes.make_stepper(LOG_HESTON, models.build_model("heston_log", p))
-    out = stepper.step(np.array([[h], [y]]), np.array([[dw1], [dw2]]), dt)
+    out = stepper(dt).step(np.array([[h], [y]]), np.array([[dw1], [dw2]]))
     return out[0, 0], out[1, 0]
 
 
@@ -617,6 +680,30 @@ def test_explicit_euler_raises_on_domain_exit():
     incr = np.array([[[-0.7]]])  # one brutal negative increment
     with pytest.raises(schemes.DomainError):
         schemes.simulate_batch(cfg, CIR, 5.0 / 512.0, incr)
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["start", "carry-at-7"])
+@pytest.mark.parametrize("k", [5, 4, 7], ids=["mid-pass", "first-of-pass", "last-of-pass"])
+def test_domain_check_names_the_first_negative_step(monkeypatch, k, resumed):
+    # passes of 4 steps over 2 paths: steps 0-3, 4-7 and 8-11 of the chunk;
+    # path 1 leaves the domain on chunk step k, and the pass is checked
+    # only after all of its steps are taken
+    monkeypatch.setattr(bw, "BUFFER_FLOATS", 4 * 2)
+    cfg, dt = schemes.ALIASES["euler"], 0.01
+    carry, t0 = None, 0
+    if resumed:
+        carry, t0 = schemes.simulate_batch(cfg, CIR, dt, np.zeros((1, 2, 7))), 7
+    incr = np.zeros((1, 2, 12))
+    incr[0, 1, k] = -1.0
+    # the reference: check after every step, one step at a time
+    x = np.full((1, 2), SC1.x0) if carry is None else carry.state
+    for j in range(incr.shape[-1]):
+        x = schemes.step_explicit_euler(CIR, x, dt, incr[:, :, j])
+        if (x < 0).any():
+            break
+    assert j == k
+    with pytest.raises(schemes.DomainError, match=f"at step {t0 + j + 1};"):
+        schemes.simulate_batch(cfg, CIR, dt, incr, carry=carry)
 
 
 def test_batch_equals_stacked_single_paths(rng):

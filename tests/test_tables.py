@@ -9,6 +9,10 @@ import pytest
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
 PINNED_NUMPY = "2.4.6"  # the version scripts/tables.sha256 was written with
 STEMS = sorted(p.stem for p in CONFIGS.glob("*.cfg"))
+# the studies that take most of the suite's time (2^15-step references,
+# 200 replications per accuracy): deselect them with -m "not slow"
+SLOW = {"converge_cir_scenario1", "converge_cir_scenario2", "mlmc_heston_costs",
+        "mlmc_heston_rmsq"}
 
 
 def _pinned_digests() -> dict[str, str]:
@@ -27,7 +31,9 @@ def test_pinned_digests_name_exactly_the_configs():
     np.__version__ != PINNED_NUMPY,
     reason=f"tables.sha256 pins numpy {PINNED_NUMPY} output, found {np.__version__}",
 )
-@pytest.mark.parametrize("stem", STEMS)
+@pytest.mark.parametrize(
+    "stem", [pytest.param(s, marks=pytest.mark.slow) if s in SLOW else s for s in STEMS]
+)
 def test_config_csvs_match_pinned_digests(stem, study):
     out = study(stem)
     pinned = {
