@@ -77,17 +77,24 @@ def batch_standard_normals(
     idx = idx.astype(np.int64)
     if out is None:
         out = np.empty((len(idx), count))
+    # the runs of one block in sorted order, found once; a run whose rows and
+    # columns both step by one is written as a slice, any other by index
     order = np.argsort(idx, kind="stable")
-    cuts = np.flatnonzero(np.diff(idx[order] // _BLOCK)) + 1
-    bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    block, col = np.divmod(idx[order], _BLOCK)
+    starts = np.flatnonzero(np.diff(block, prepend=-1))
+    ends = np.append(starts[1:], len(idx))
+    jumps = np.cumsum((np.diff(order, prepend=0) != 1) | (np.diff(col, prepend=0) != 1))
+    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bg)
     fresh = bg.state  # counter zero, buffer empty: only the key changes
+    key = fresh["state"]["key"]
     buf = np.empty((_CHUNK, _BLOCK))
-    for rows in np.split(order, cuts) if len(idx) else ():
-        block, cols = divmod(idx[rows], _BLOCK)
-        k = int(block[0])
-        fresh["state"]["key"] = np.array([seed, k << 8 | substream], dtype=np.uint64)
+    for k, s, e in zip(block[starts].tolist(), starts.tolist(), ends.tolist()):
+        key[1] = k << 8 | substream
         bg.state = fresh if streams is None else streams.get(k, fresh)
+        rows, cols = order[s:e], col[s:e]
+        if jumps[e - 1] == jumps[s]:
+            rows, cols = slice(rows[0], rows[0] + e - s), slice(cols[0], cols[0] + e - s)
         for t in range(0, count, _CHUNK):
             chunk = buf[: min(_CHUNK, count - t)]
             gen.standard_normal(out=chunk)

@@ -110,12 +110,13 @@ def fit_order(stepsizes: Sequence[float], errors: Sequence[float]) -> Regression
 
 
 def _dist_max(rec: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Per-path max node deviation for recorded blocks (d, nodes, b); a path
-    with a non-finite deviation at any node gets inf.  The max propagates
-    nan, so mapping nan to inf after it touches only the (b,) result."""
+    """Per-path max node deviation for recorded blocks (d, nodes, b), worked
+    out in ``rec``; a path with a non-finite deviation at any node gets inf.
+    The max propagates nan, so mapping nan to inf touches only the result."""
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = ref - rec
-        dist = np.abs(diff[0]) if len(diff) == 1 else np.sqrt((diff**2).sum(axis=0))
+        np.subtract(ref, rec, out=rec)
+        dist = (np.abs(rec, out=rec)[0] if len(rec) == 1
+                else np.sqrt(np.square(rec, out=rec).sum(axis=0)))
         worst = dist.max(axis=0)
     worst[np.isnan(worst)] = np.inf
     return worst
@@ -273,12 +274,16 @@ def negativity_stats(
     dt = T / n
     total_neg = 0
     neg_paths = 0
-    for _, chunks in bw.increment_batches(seed, n_samples, 1, n, dt, chunk=1):
-        res = None
+    for idx, chunks in bw.increment_batches(seed, n_samples, 1, n, dt, chunk=1):
+        res, neg = None, 0
+        span = max(1, bw.BUFFER_FLOATS // len(idx))  # steps whose nodes fill 64 KiB
         for incr in chunks:
-            res = simulate_batch(config, model, dt, incr, carry=res)
-        total_neg += int(res.negative_steps.sum())
-        neg_paths += int((res.negative_steps > 0).sum())
+            for k in range(0, incr.shape[-1], span):
+                piece = incr[:, :, k : k + span]
+                res = simulate_batch(config, model, dt, piece, record_every=1, carry=res)
+                neg = neg + (res.recorded[:, 1:] < 0).any(axis=0).sum(axis=0)
+        total_neg += int(neg.sum())
+        neg_paths += int((neg > 0).sum())
     return NegativityStats(
         avg_negative_steps=total_neg / n_samples,
         negative_path_fraction=neg_paths / n_samples,

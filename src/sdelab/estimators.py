@@ -228,19 +228,24 @@ def _sample(
     policy: str,
     radius: float | None,
     coupled: bool,
-) -> tuple[np.ndarray, int, int]:
-    """Per-sample payoff values at resolution n, in sample-index order.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-sample payoff values at resolution n in sample-index order, their
+    overflow flags and the steps taken.
 
     With ``coupled`` (a level l >= 1) each value is the fine payoff minus the
     payoff on the n/2-step grid driven by the same, aggregated, increments.
-    ``radius`` zeroes each path that leaves the ball; otherwise overflowed
-    paths become +inf ("propagate") or are dropped ("exclude").  Returns the
-    values, the overflow count and the steps taken.
+    ``radius`` zeroes each path that leaves the ball.
     """
+    if policy not in ("propagate", "exclude"):
+        raise EstimatorError(f"unknown overflow policy {policy!r}")
+    if radius is not None:
+        if not radius >= 0:
+            raise EstimatorError(f"radius must be nonnegative, got {radius}")
+        if model.d != 1:
+            raise EstimatorError("the discarded-path estimator is scalar-only")
     track = payoff.needs_extrema or radius is not None
     dt = T / n
-    values = []
-    n_over = 0
+    values, overs = [], []
     steps = 0
     for idx, incrs in bw.increment_batches(
         seed, n_samples, model.m, n, dt, index_offset, chunk=2  # coarse halves it
@@ -258,16 +263,25 @@ def _sample(
         steps += res.steps * len(idx)
         if coupled:
             steps += coarse.steps * len(idx)
-            # inf - inf where both paths overflowed; the policy below
+            # inf - inf where both paths overflowed; the overflow policy
             # replaces or drops every overflowed value
             with np.errstate(invalid="ignore"):
                 vals = vals - _payoff_values(model, payoff, T, coarse, radius)
             over = over | coarse.overflow
-        n_over += int(over.sum())
-        if radius is None:
-            vals = vals[~over] if policy == "exclude" else np.where(over, np.inf, vals)
         values.append(vals)
-    return np.concatenate(values), n_over, steps
+        overs.append(over)
+    return np.concatenate(values), np.concatenate(overs), steps
+
+
+def _level(
+    level: int, n: int, y: np.ndarray, over: np.ndarray, policy: str, radius: float | None
+) -> tuple[LevelStat, float]:
+    """A level's summary and the variance of its mean, from per-sample values
+    and overflow flags; the overflow policy applies unless ``radius`` is set."""
+    if radius is None:
+        y = y[~over] if policy == "exclude" else np.where(over, np.inf, y)
+    mean, var = util.sample_moments(y)
+    return LevelStat(level, n, len(over), mean, var, int(over.sum())), var / max(len(y), 1)
 
 
 def mc_estimate(
@@ -311,27 +325,19 @@ def mlmc_estimate(
     path whose running maximum |X| exceeds it, or that overflowed, pays zero
     instead of applying ``policy``; ``radius=inf`` keeps every path.
     """
-    if policy not in ("propagate", "exclude"):
-        raise EstimatorError(f"unknown overflow policy {policy!r}")
-    if radius is not None:
-        if not radius >= 0:
-            raise EstimatorError(f"radius must be nonnegative, got {radius}")
-        if model.d != 1:
-            raise EstimatorError("the discarded-path estimator is scalar-only")
     stats: list[LevelStat] = []
     var_sum = 0.0
     steps = 0
     offset = index_offset
     for level, n_l in enumerate(plan.samples):
         n = plan.n0 * 2**level
-        y, n_over_l, steps_l = _sample(
+        y, over, steps_l = _sample(
             config, model, payoff, T=T, seed=seed, n=n, n_samples=n_l,
-            index_offset=offset, policy=policy, radius=radius,
-            coupled=level > 0,
+            index_offset=offset, policy=policy, radius=radius, coupled=level > 0,
         )
-        mean_l, var_l = util.sample_moments(y)
-        var_sum += var_l / max(len(y), 1)
-        stats.append(LevelStat(level, n, n_l, mean_l, var_l, n_over_l))
+        stat, var_mean = _level(level, n, y, over, policy, radius)
+        stats.append(stat)
+        var_sum += var_mean
         offset += n_l
         steps += steps_l
     if steps != plan.total_steps:
@@ -346,6 +352,22 @@ def mlmc_estimate(
         n_overflow=sum(s.n_overflow for s in stats),
         levels=tuple(stats),
     )
+
+
+def mc_prefix_estimates(
+    config: StepperConfig, model: Model, payoff: PayoffSpec, *, T: float, seed: int, n: int,
+    n_samples_list: tuple[int, ...], policy: str = "propagate", radius: float | None = None,
+) -> list[PriceEstimate]:
+    """``mc_estimate`` at each N of ``n_samples_list``, from one walk of the
+    largest N.  A sample's value does not depend on the samples walked with
+    it, so the estimate at N reduces the first N values of that walk."""
+    y, over, _ = _sample(
+        config, model, payoff, T=T, seed=seed, n=n, n_samples=max(n_samples_list),
+        index_offset=0, policy=policy, radius=radius, coupled=False,
+    )
+    stats = [_level(0, n, y[:N], over[:N], policy, radius) for N in n_samples_list]
+    return [PriceEstimate(s.mean, math.sqrt(v), s.n_samples, s.n_samples * n, s.n_overflow, (s,))
+            for s, v in stats]
 
 
 @dataclass(frozen=True)

@@ -149,13 +149,12 @@ def _run_explode(cfg, model, seed, out_dir, header):
     n_samples_list = run.get("n_samples_list") or (run["n_samples"],)
     rows = []
     for n in run["n_list"]:
-        for N in n_samples_list:
-            est = estimators.mc_estimate(
-                scheme_cfg, model, payoff, T=cfg.T, seed=seed, n=n,
-                n_samples=N, policy=run.get("policy", "propagate"),
-                radius=run.get("radius"),
-            )
-            rows.append((cfg.T / n, N, est.value, est.stderr, est.n_overflow))
+        ests = estimators.mc_prefix_estimates(
+            scheme_cfg, model, payoff, T=cfg.T, seed=seed, n=n,
+            n_samples_list=n_samples_list, policy=run.get("policy", "propagate"),
+            radius=run.get("radius"),
+        )
+        rows += [(cfg.T / n, e.n_samples, e.value, e.stderr, e.n_overflow) for e in ests]
     path = os.path.join(out_dir, "explode.csv")
     util.write_csv(
         path,

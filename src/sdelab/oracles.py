@@ -65,15 +65,21 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     guesses -cos(pi*(k - 1/4)/(n + 1/2)); it converges in a few sweeps.
     """
     x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    step = np.inf
+    dp, live, step = np.empty(n), np.arange(n), np.inf
     while step > 1e-15:
-        p_prev, p = np.ones(n), x
-        for j in range(2, n + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        dx = p / dp
-        x = x - dx
+        xl = x[live]
+        p_prev, p, q = np.ones(len(live)), xl.copy(), np.empty(len(live))
+        for j in range(2, n + 1):  # p = ((2j - 1) x p - (j - 1) p_prev) / j
+            np.multiply(xl, 2 * j - 1, out=q)
+            q *= p
+            q -= np.multiply(p_prev, j - 1, out=p_prev)
+            q /= j
+            p_prev, p, q = p, q, p_prev
+        dp[live] = dpl = n * (xl * p - p_prev) / (xl * xl - 1.0)
+        dx = p / dpl
+        x[live] = xl - dx
         step = np.max(np.abs(dx))
+        live = live[x[live] != xl]  # a node a sweep leaves never moves again
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     x.flags.writeable = w.flags.writeable = False
     return x, w

@@ -635,9 +635,7 @@ class BatchResult:
     recorded: np.ndarray | None  # (d, n_rec+1, b) emitted values of this chunk, or None
     terminal: np.ndarray  # (d, b) emitted values after the last step
     state: np.ndarray  # (d, b) scheme state after the last step, to resume from
-    negative_steps: np.ndarray  # (b,) int
-    overflow: np.ndarray  # (b,) bool
-    first_bad: np.ndarray  # (b,) int step index, -1 if clean
+    overflow: np.ndarray  # (b,) bool: the path's state is non-finite
     runmax: np.ndarray | None  # (b,) signed max of emitted coordinate 0
     runmin: np.ndarray | None  # (b,) signed min of emitted coordinate 0
     steps: int
@@ -657,14 +655,14 @@ def simulate_batch(
 
     ``incr`` has shape (m, b, n): per noise dimension, per path, per step.
     ``record_every = s`` stores emitted values at nodes 0, s, 2s, ..., n
-    (n must be divisible by s).  Non-finite states freeze their path's flags
-    but the iteration continues for the rest of the batch; the frozen values
-    stay non-finite (all maps here propagate them).  ``carry``, the result
+    (n must be divisible by s), ``track_extrema`` the running extrema of
+    coordinate 0.  No scheme here takes a non-finite state it can reach back
+    to a finite one, so ``overflow`` is read from the end state.  ``carry``, the result
     of the same paths' previous chunk under the same scheme, model and dt,
     resumes them and is left unchanged: the result covers the path so far
-    (first_bad and errors count from its start, flags and counts merge), and
-    only ``recorded`` covers ``incr``.  The stepper is built once per walk,
-    by its first chunk, and carried in the result.
+    (errors count steps from its start, flags and extrema merge), and only
+    ``recorded`` covers ``incr``.  The stepper is built once per walk, by
+    its first chunk, and carried in the result.
     """
     m, b, n = incr.shape
     if m != model.m:
@@ -680,9 +678,8 @@ def simulate_batch(
     if carry is None:  # a zero-step result: the paths at their start
         x = np.repeat(np.array(stepper.state0, dtype=np.float64)[:, None], b, axis=1)
         v = emit(x)[0]
-        carry = BatchResult(None, emit(x), x, np.zeros(b, dtype=np.int64),
-                            np.zeros(b, dtype=bool), np.full(b, -1, dtype=np.int64), v, v, 0)
-    x, t0, neg, first_bad = carry.state, carry.steps, carry.negative_steps, carry.first_bad
+        carry = BatchResult(None, emit(x), x, np.zeros(b, dtype=bool), v, v, 0)
+    x, t0 = carry.state, carry.steps
     runmax, runmin = (carry.runmax, carry.runmin) if track_extrema else (None, None)
 
     rec = None
@@ -690,47 +687,43 @@ def simulate_batch(
         rec = np.empty((d, n // record_every + 1, b))
         rec[:, 0, :] = carry.terminal
 
-    # step a pass of states into a buffer of bw.BUFFER_FLOATS, then do the
-    # bookkeeping, the domain check included, once per pass (once per step
-    # when d * b fills the buffer)
-    span = max(1, bw.BUFFER_FLOATS // (d * b))
-    buf = np.empty((d, min(span, n), b))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k0 in range(0, n, span):
-            states = buf[:, : min(span, n - k0)]
-            for j in range(states.shape[1]):
-                states[:, j] = x = step(x, incr[:, :, k0 + j])
-            if stepper.check_domain:
-                left = (states < 0).any(axis=(0, 2))  # (steps,)
-                if left.any():
-                    raise DomainError(
-                        f"scheme {config.scheme_id!r} left the domain of model "
-                        f"{model.model_id!r} at step {t0 + k0 + int(left.argmax()) + 1}; "
-                        "use a scheme that extends the coefficients, projects "
-                        "back into the domain, or truncates"
-                    )
-            finite = np.isfinite(states).all(axis=0)  # (steps, b)
-            newly = ~finite.all(axis=0) & (first_bad < 0)
-            if newly.any():
-                first_bad = np.where(newly, t0 + k0 + 1 + finite.argmin(axis=0), first_bad)
-            vals = emit(states)
-            neg = neg + (vals < 0).any(axis=0).sum(axis=0)
-            if track_extrema:
-                runmax = np.maximum(runmax, vals[0].max(axis=0))
-                runmin = np.minimum(runmin, vals[0].min(axis=0))
-            if rec is not None:
-                j0 = -(k0 + 1) % record_every  # first step of the pass on a node
-                kept = vals[:, j0::record_every]
-                node = (k0 + j0 + 1) // record_every
-                rec[:, node : node + kept.shape[1], :] = kept
+        if rec is None and not track_extrema and not stepper.check_domain:
+            for k in range(n):
+                x = step(x, incr[:, :, k])
+        else:
+            # step a pass of states into a buffer of bw.BUFFER_FLOATS, then
+            # check, track and record them (per step when d * b fills it)
+            span = max(1, bw.BUFFER_FLOATS // (d * b))
+            buf = np.empty((d, min(span, n), b))
+            for k0 in range(0, n, span):
+                states = buf[:, : min(span, n - k0)]
+                for j in range(states.shape[1]):
+                    states[:, j] = x = step(x, incr[:, :, k0 + j])
+                if stepper.check_domain:
+                    left = (states < 0).any(axis=(0, 2))  # (steps,)
+                    if left.any():
+                        raise DomainError(
+                            f"scheme {config.scheme_id!r} left the domain of model "
+                            f"{model.model_id!r} at step {t0 + k0 + int(left.argmax()) + 1}; "
+                            "use a scheme that extends the coefficients, projects "
+                            "back into the domain, or truncates"
+                        )
+                vals = emit(states)  # a no-op where the domain is checked
+                if track_extrema:
+                    runmax = np.maximum(runmax, vals[0].max(axis=0))
+                    runmin = np.minimum(runmin, vals[0].min(axis=0))
+                if rec is not None:
+                    j0 = -(k0 + 1) % record_every  # first step of the pass on a node
+                    kept = vals[:, j0::record_every]
+                    node = (k0 + j0 + 1) // record_every
+                    rec[:, node : node + kept.shape[1], :] = kept
 
     return BatchResult(
         recorded=rec,
         terminal=emit(x),
         state=x,
-        negative_steps=neg,
-        overflow=first_bad >= 0,
-        first_bad=first_bad,
+        overflow=carry.overflow | ~np.isfinite(x).all(axis=0),
         runmax=runmax,
         runmin=runmin,
         steps=t0 + n,

@@ -9,7 +9,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdelab import brownian as bw, cli, config as cfgmod, models, schemes
+from sdelab import brownian as bw, cli, config as cfgmod, estimators, models, schemes, util
 from sdelab.config import ConfigError, parse_config
 
 MINIMAL_CONVERGE = """
@@ -503,6 +503,60 @@ payoff = abs
     b1 = open(d1 / "explode.csv", "rb").read()
     assert b0 == b1
     assert b"threads" not in b1
+
+
+@pytest.mark.parametrize(
+    "n_samples_list, policy, radius",
+    [((300, 100, 40), "propagate", None), ((40, 300, 40), "exclude", None),
+     ((100, 300), "propagate", 2.0)],
+    ids=["propagate-descending", "exclude-repeated", "radius"],
+)
+def test_explode_reduces_each_n_samples_over_one_walk_per_grid(
+    n_samples_list, policy, radius, tmp_path, capsys, monkeypatch
+):
+    # each grid is walked once, at the largest N; the row of each N equals a
+    # separate estimate over samples 0 .. N - 1, byte for byte
+    cfg = _write(tmp_path / "e.cfg", f"""
+[experiment]
+kind = explode
+seed = 5
+
+[model]
+preset = three-halves-mc
+
+[scheme]
+scheme = euler
+
+[run]
+n_list = 4, 64
+payoff = abs
+n_samples_list = {", ".join(map(str, n_samples_list))}
+{f"radius = {radius}" if radius else f"policy = {policy}"}
+""")
+    walks, walk = [], bw.increment_batches
+    monkeypatch.setattr(
+        bw, "increment_batches", lambda *a, **kw: walks.append(a[1]) or walk(*a, **kw)
+    )
+    assert cli.main(["explode", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert walks == [300, 300]
+    monkeypatch.setattr(bw, "increment_batches", walk)
+    preset = models.get_preset("three-halves-mc")
+    model, euler = preset.build(), schemes.ALIASES["euler"]
+    payoff = estimators.PayoffSpec(phi="abs")
+    want = []
+    for n in (4, 64):
+        for N in n_samples_list:
+            e = estimators.mc_estimate(
+                euler, model, payoff, T=preset.T, seed=5, n=n, n_samples=N,
+                policy=policy, radius=radius,
+            )
+            row = (preset.T / n, N, e.value, e.stderr, e.n_overflow)
+            want.append(",".join(util.format_value(v) for v in row))
+    lines = open(tmp_path / "explode.csv").read().splitlines()
+    assert [l for l in lines if l[:1].isdigit()] == want
+    # overflowed paths are in the data, so the policy is exercised
+    assert any(int(l.split(",")[-1]) > 0 for l in want)
 
 
 _MULTI_BATCH_CONFIGS = {

@@ -146,6 +146,28 @@ def test_gauss_legendre_matches_numpy(n):
     assert _gauss_legendre(n) is _gauss_legendre(n)
 
 
+def _gauss_legendre_all_nodes(n):
+    """The plain Newton loop: every node in every sweep."""
+    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    step = np.inf
+    while step > 1e-15:
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        dx = p / dp
+        x = x - dx
+        step = np.max(np.abs(dx))
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 2048])
+def test_gauss_legendre_sweeping_moving_nodes_is_bit_identical(n):
+    x, w = _gauss_legendre(n)
+    want_x, want_w = _gauss_legendre_all_nodes(n)
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Black-Scholes
 

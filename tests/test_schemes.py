@@ -1,6 +1,7 @@
 """One-step maps: exact values, implicit equations, positivity, taming."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -605,42 +606,91 @@ def test_simulate_overflow_freezes_path(monkeypatch):
     incr = np.zeros((1, 1, 10))
     res = schemes.simulate_batch(cfg, CUBIC, 0.1, incr, record_every=1)
     assert res.overflow[0]
-    k = int(res.first_bad[0])
     vals = res.recorded[0, :, 0]
-    assert np.isfinite(vals[: k]).all()
-    assert not np.isfinite(vals[k:]).any()
+    k = int(np.isfinite(vals).argmin())  # the first non-finite node
+    assert k > 0 and not np.isfinite(vals[k:]).any()
     assert not np.isfinite(res.terminal[0, 0])
     # paths that blow up at steps 6, 8 and 9, and two that stay finite:
-    # first_bad is the node of the first non-finite recorded value
+    # a path stays non-finite from its first non-finite node on
     x0 = np.array([[10.0, 5.0, 4.5, 4.2, 1.0]])
     start = schemes.BatchResult(  # zero steps taken: the paths at x0
-        None, x0, x0, np.zeros(5, dtype=np.int64), np.zeros(5, dtype=bool),
-        np.full(5, -1), None, None, 0,
+        None, x0, x0, np.zeros(5, dtype=bool), None, None, 0,
     )
     incr = np.zeros((1, 5, 14))
     whole = schemes.simulate_batch(cfg, CUBIC, 0.1, incr, record_every=1, carry=start)
-    np.testing.assert_array_equal(whole.first_bad, [6, 8, 9, -1, -1])
+    np.testing.assert_array_equal(whole.overflow, [True, True, True, False, False])
     bad = ~np.isfinite(whole.recorded[0])
     np.testing.assert_array_equal(bad.argmax(axis=0)[:3], [6, 8, 9])
+    np.testing.assert_array_equal(bad, np.logical_or.accumulate(bad, axis=0))
     assert not bad[:, 3:].any()
-    # bookkeeping passes of 1, 2, 3 and 5 steps give the same results
+    # bookkeeping passes of 1, 2, 3 and 5 steps give the same results, and
+    # a call that records nothing flags the same paths
     for span in (1, 2, 3, 5):
         monkeypatch.setattr(bw, "BUFFER_FLOATS", span * 5)
         res = schemes.simulate_batch(cfg, CUBIC, 0.1, incr, record_every=1, carry=start)
-        np.testing.assert_array_equal(res.first_bad, whole.first_bad)
+        np.testing.assert_array_equal(res.overflow, whole.overflow)
         np.testing.assert_array_equal(res.recorded, whole.recorded)
-    # resumed in pieces, first_bad counts from the whole path's start and
-    # keeps the earliest step; only the nodes cover each piece alone
+    bare = schemes.simulate_batch(cfg, CUBIC, 0.1, incr, carry=start)
+    assert bare.recorded is None
+    np.testing.assert_array_equal(bare.overflow, whole.overflow)
+    # resumed in pieces, a path is flagged from the piece it overflows in
+    # on; only the nodes cover each piece alone
     res, nodes = start, [x0[:, None]]
     for k0, k1 in [(0, 4), (4, 7), (7, 14)]:
         res = schemes.simulate_batch(
             cfg, CUBIC, 0.1, incr[:, :, k0:k1], record_every=1, carry=res
         )
         assert res.steps == k1 and res.recorded.shape[1] == k1 - k0 + 1
+        np.testing.assert_array_equal(res.overflow, bad[k1])
         nodes.append(res.recorded[:, 1:])
-    np.testing.assert_array_equal(res.first_bad, whole.first_bad)
-    np.testing.assert_array_equal(res.overflow, whole.overflow)
     np.testing.assert_array_equal(np.concatenate(nodes, axis=1), whole.recorded)
+
+
+# one parameter set per model, for checks over every (scheme, model) pair
+_HESTON = models.HestonParams(
+    mu=0.05, kappa=2.0, lam=0.09, theta=0.3, rho=-0.5, s0=100.0, v0=0.09
+)
+_EVERY_MODEL = {
+    "cir": SC1, "cir_lamperti": LAM1, "ait_sahalia": AS_PARAMS,
+    "heston": _HESTON, "heston_log": _HESTON,
+    "cev": models.CevParams(mu=0.1, sigma=0.3, gamma=0.75, s0=0.2),
+    "gbm": models.CevParams(mu=0.1, sigma=0.3, gamma=1.0, s0=1.0),
+    "three_halves_vol": models.ThreeHalvesParams(c1=1.2, c2=0.8, c3=1.0, v0=0.5),
+    "cubic_toy": models.CubicToyParams(sigma=1.0, x0=1.0),
+}
+
+
+@pytest.mark.parametrize("alias", sorted(schemes.ALIASES))
+def test_every_scheme_keeps_a_non_finite_state_non_finite(alias):
+    # simulate_batch reads overflow from the end state alone, which is exact
+    # only if no step maps a non-finite state back to a finite one: every
+    # admitted (scheme, model) pair maps a state with +-inf or nan in any
+    # coordinate to a non-finite state, or stops the run with an error
+    assert set(_EVERY_MODEL) == set(models.MODEL_IDS)
+    cfg = schemes.ALIASES[alias]
+    admitted = 0
+    for model_id, params in _EVERY_MODEL.items():
+        model = models.build_model(model_id, params)
+        try:
+            stepper = schemes.make_stepper(cfg, model)(0.01)
+        except schemes.SchemeError:
+            continue
+        admitted += 1
+        for i, bad in itertools.product(range(model.d), (np.inf, -np.inf, np.nan)):
+            if alias == "dimp_milstein_truncated" and bad == -np.inf:
+                # sqrt(max(z, 0)) makes z = -inf finite, but no state reaches
+                # it: every step's output is at least shift/scale > -inf
+                continue
+            x = np.array(stepper.state0, dtype=np.float64)[:, None].repeat(3, axis=1)
+            x[i] = bad
+            dw = np.array([[0.0, 0.3, -0.3]] * model.m)
+            with np.errstate(all="ignore"):
+                try:
+                    out = stepper.step(x, dw)
+                except (schemes.DomainError, schemes.SolverError):
+                    continue  # the run ends here: no state to carry
+            assert not np.isfinite(out).all(axis=0).any(), (model_id, i, bad, out)
+    assert admitted
 
 
 def _lattice_run(cfg, model, lat, T):
@@ -654,7 +704,6 @@ def test_symmetrized_euler_never_negative():
     lat = bw.sample_lattice(907, 0, T=5.0, m=1, finest_n=512)
     cfg = schemes.StepperConfig(scheme_id="reflected_euler", projection="abs")
     res = _lattice_run(cfg, CIR, lat, 5.0)
-    assert res.negative_steps[0] == 0
     assert res.recorded.min() >= 0.0
     assert res.recorded[0, 0, 0] == SC1.x0
 
@@ -665,7 +714,7 @@ def test_modified_euler_agrees_with_explicit_on_clean_path():
     for idx in range(20):
         lat = bw.sample_lattice(31, idx, T=5.0, m=1, finest_n=2048)
         path_mod = _lattice_run(cfg_mod, CIR, lat, 5.0)
-        if path_mod.negative_steps[0] == 0:
+        if (path_mod.recorded >= 0).all():
             path_exp = _lattice_run(
                 schemes.StepperConfig(scheme_id="explicit_euler"), CIR, lat, 5.0
             )
