@@ -145,8 +145,8 @@ def increment_batches(
     index_offset + n_samples - 1`` in index order; ``chunks`` is the batch's
     :func:`increment_chunks` of ``chunk`` steps rounded up to whole draws (at
     most ``n``), as many paths as fit one chunk each in ``_BATCH_FLOATS``
-    increments.  LatticeError if one chunk does not, or the walk needs more
-    than ``_WALK_FLOATS``.
+    increments.  LatticeError, raised by the call and not by the first batch,
+    if one chunk does not, or the walk needs more than ``_WALK_FLOATS``.
     """
     chunk = min(n, math.lcm(chunk, _CHUNK))
     if chunk * m > _BATCH_FLOATS:
@@ -156,9 +156,13 @@ def increment_batches(
         )
     check_work(n_samples * n * m, f"{n_samples} paths x {n} steps x {m} noise dimensions")
     batch = min(n_samples, _BATCH_FLOATS // (chunk * m))
-    for start in range(0, n_samples, batch):
-        idx = np.arange(start, min(start + batch, n_samples)) + index_offset
-        yield idx, increment_chunks(seed, idx, m, n, dt, chunk)
+
+    def batches():
+        for start in range(0, n_samples, batch):
+            idx = np.arange(start, min(start + batch, n_samples)) + index_offset
+            yield idx, increment_chunks(seed, idx, m, n, dt, chunk)
+
+    return batches()
 
 
 def is_power_of_two(n: int) -> bool:
@@ -180,13 +184,6 @@ def sample_lattice(
     return next(increment_chunks(seed, [sample_index], m, finest_n, T / finest_n, finest_n))[:, 0]
 
 
-def halve_pairs(arr: np.ndarray) -> np.ndarray:
-    """Sum adjacent pairs along the last axis (one dyadic aggregation step)."""
-    if arr.shape[-1] % 2 != 0:
-        raise LatticeError(f"cannot halve odd length {arr.shape[-1]}")
-    return arr[..., 0::2] + arr[..., 1::2]
-
-
 def aggregate_to(arr: np.ndarray, n: int) -> np.ndarray:
     """Aggregate fine increments along the last axis down to n columns.
 
@@ -199,8 +196,8 @@ def aggregate_to(arr: np.ndarray, n: int) -> np.ndarray:
             f"target resolution {n} must divide {fine} by a power of two"
         )
     out = arr
-    while out.shape[-1] > n:
-        out = halve_pairs(out)
+    while out.shape[-1] > n:  # sum adjacent pairs: one dyadic step
+        out = out[..., 0::2] + out[..., 1::2]
     return out
 
 

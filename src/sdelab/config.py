@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import models, schemes
+from . import estimators, models, schemes
 from .brownian import MAX_SAMPLE_INDEX
 
 # experiment kind -> the help text of its CLI subcommand
@@ -165,7 +165,7 @@ _RUN_KEYS: dict[str, _RunKey] = {
     ),
     "payoff": _RunKey(
         _parse_str, ("explode", "mlmc", "price"), (),
-        _one_of("payoff", ("identity", "call", "put", "abs")),
+        _one_of("payoff", estimators.PHI_NAMES),
     ),
     "lower": _RunKey(_parse_float, ("mlmc", "price"), (), None),
     "upper": _RunKey(_parse_float, ("mlmc", "price"), (), None),
@@ -356,6 +356,10 @@ def _resolve_schemes(
                 f"line {_line_of(raw, 'scheme')}: unknown scheme alias {a!r}; "
                 "known: " + ", ".join(schemes.ALIASES)
             )
+    repeated = sorted({a for a in aliases if aliases.count(a) > 1})
+    if repeated:  # a repeat would recompute and overwrite its own results
+        errors.append(f"line {_line_of(raw, 'scheme')}: scheme aliases listed "
+                      f"more than once: {', '.join(repeated)}")
     return tuple(a for a in aliases if a in schemes.ALIASES)
 
 

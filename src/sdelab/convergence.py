@@ -172,17 +172,23 @@ def strong_error_curves(
 
     m = model.m
     nc, nn = len(configs), len(ns)
-    dist = np.zeros((nc, nn, n_samples))  # max node deviation of each path
-    bad = np.zeros((nc, nn, n_samples), dtype=bool)
-    ref_bad = np.zeros(n_samples, dtype=bool)
-
     # Walk time in chunks of whole coarsest steps, carrying states and
     # running max errors across them; one chunk per path fills the budget.
     dt_ref = T / ref_n
     stride = ref_n // n_top
-    for idx, chunks in bw.increment_batches(
+    walk = bw.increment_batches(
         seed, n_samples, m, ref_n, dt_ref, index_offset, chunk=ref_n // ns[0]
-    ):
+    )
+    bw.check_work(  # the whole run: the reference walk and every scheme's walks
+        n_samples * (ref_n + nc * sum(ns)) * m,
+        f"n_samples = {n_samples} paths x (ref_n = {ref_n} + {nc} schemes x "
+        f"{sum(ns)} n_list steps) x {m} noise dimensions",
+    )
+    dist = np.zeros((nc, nn, n_samples))  # max node deviation of each path
+    bad = np.zeros((nc, nn, n_samples), dtype=bool)
+    ref_bad = np.zeros(n_samples, dtype=bool)
+
+    for idx, chunks in walk:
         paths = slice(idx[0] - index_offset, idx[-1] + 1 - index_offset)
         rres, w_end, carry, t0 = None, np.zeros(len(idx)), {}, 0
         for fine in chunks:

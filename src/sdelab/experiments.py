@@ -147,6 +147,9 @@ def _run_explode(cfg, model, seed, out_dir, header):
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     payoff = _build_payoff(cfg, default_phi="abs")
     n_samples_list = run.get("n_samples_list") or (run["n_samples"],)
+    steps, paths = sum(run["n_list"]), max(n_samples_list)  # one walk per grid
+    bw.check_work(steps * paths * model.m, f"[run]: n_list sums to {steps} steps "
+                  f"x {paths} paths x {model.m} noise dimensions")
     rows = []
     for n in run["n_list"]:
         ests = estimators.mc_prefix_estimates(

@@ -19,7 +19,6 @@ positive strong solution and a solvable drift-implicit step.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -168,16 +167,13 @@ class CubicToyParams:
 
 @dataclass(frozen=True)
 class LampertiCir:
-    """dY = (alpha/Y + beta*Y) dt + gamma dW, the CIR equation for Y = sqrt(X)."""
+    """dY = (alpha/Y + beta*Y) dt + gamma dW, the CIR equation for Y = sqrt(X),
+    as :func:`lamperti_cir` derives it from checked CirParams."""
 
     alpha: float
     beta: float
     gamma: float
     y0: float
-
-    def __post_init__(self) -> None:
-        _require(self.gamma > 0, f"gamma must be positive, got {self.gamma}")
-        _require(self.y0 > 0, f"y0 must be positive, got {self.y0}")
 
 
 Params = (
@@ -187,7 +183,6 @@ Params = (
     | AitSahaliaParams
     | ThreeHalvesParams
     | CubicToyParams
-    | LampertiCir
 )
 
 
@@ -414,38 +409,6 @@ def lamperti_root(
     return root
 
 
-def lamperti_implicit(
-    p: LampertiCir, truncate: bool = False
-) -> Callable[[np.ndarray, float], np.ndarray]:
-    """``solve(rhs, dt)``: :func:`lamperti_root` at ``dt``, each dt's root
-    built once."""
-    root_at = functools.lru_cache(maxsize=64)(lambda dt: lamperti_root(p, dt, truncate))
-    return lambda rhs, dt: root_at(float(dt))(rhs)
-
-
-def _lamperti_model(p: LampertiCir) -> Model:
-    alpha, beta, gamma = p.alpha, p.beta, p.gamma
-
-    def drift(y):
-        return alpha / y + beta * y
-
-    def diff(y):
-        return np.full_like(np.asarray(y, dtype=np.float64), gamma)
-
-    def ddiff(y):
-        return np.zeros_like(np.asarray(y, dtype=np.float64))
-
-    def drift_prime(y):
-        return -alpha / np.asarray(y, dtype=np.float64) ** 2 + beta
-
-    return Model(
-        model_id="cir_lamperti", d=1, m=1, drift=drift, diffusion=(diff,),
-        diffusion_jacobian=(ddiff,), positive=True, params=p,
-        state0=(float(p.y0),), drift_prime=drift_prime,
-        closed_form=lamperti_implicit(p),
-    )
-
-
 def _heston_log_model(p: HestonParams) -> Model:
     """(log-price, sqrt-variance) system driven by independent (W1, W2).
 
@@ -518,7 +481,6 @@ _BUILDERS: dict[str, tuple[type, Callable]] = {
     "ait_sahalia": (AitSahaliaParams, _ait_sahalia_model),
     "three_halves_vol": (ThreeHalvesParams, _three_halves_model),
     "cubic_toy": (CubicToyParams, _cubic_toy_model),
-    "cir_lamperti": (LampertiCir, _lamperti_model),
 }
 
 MODEL_IDS = tuple(sorted(_BUILDERS))

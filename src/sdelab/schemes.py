@@ -41,7 +41,6 @@ from . import brownian as bw
 from .models import (
     CirParams,
     DomainError,
-    LampertiCir,
     Model,
     SolverError,
     feller_ratio,
@@ -121,11 +120,6 @@ def _extended_cir(model: Model, name: str) -> Model:
     extensions).  The diffusion derivative is b' on x > 0, g' on x < 0, and
     0 at x = 0, where sqrt has no finite one-sided limit.
     """
-    if not isinstance(model.params, CirParams):
-        raise SchemeError(
-            f"the {name!r} extension needs a square-root (cir) model, "
-            f"got model {model.model_id!r}"
-        )
     theta = model.params.theta
     project, g_prime = EXTENSIONS[name]
     b, db = model.diffusion[0], model.diffusion_jacobian[0]
@@ -166,11 +160,6 @@ def step_explicit_euler(model: Model, x, dt: float, dw) -> np.ndarray:
 
 def step_milstein_scalar(model: Model, x, dt: float, dw) -> np.ndarray:
     """Euler plus the scalar-noise Milstein correction b*b'*((dW)^2 - dt)/2."""
-    if model.m != 1 or model.d != 1:
-        raise SchemeError(
-            "Milstein correction implemented for scalar noise only; "
-            f"model {model.model_id!r} has d={model.d}, m={model.m}"
-        )
     x = np.asarray(x, dtype=np.float64)
     dw = np.asarray(dw, dtype=np.float64)
     b = model.diffusion[0]
@@ -182,9 +171,6 @@ def step_milstein_scalar(model: Model, x, dt: float, dw) -> np.ndarray:
 def step_reflected(model: Model, psi: Callable[[np.ndarray], np.ndarray], x, dt, dw):
     """Euler step, mapped back into [0, inf) by ``psi`` whenever a positive
     model's step leaves (0, inf)."""
-    if model.d != 1:
-        raise SchemeError("reflected Euler is implemented for scalar models")
-    x = np.asarray(x, dtype=np.float64)
     h = step_explicit_euler(model, x, dt, dw)
     return np.where(h > 0, h, psi(h)) if model.positive else h
 
@@ -215,7 +201,7 @@ def solve_drift_implicit(
     rhs,
     dt: float,
     positive: bool,
-    x_init=None,
+    x_init,
     closed_form: Callable[[np.ndarray, float], np.ndarray] | None = None,
     drift_prime: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
@@ -223,12 +209,12 @@ def solve_drift_implicit(
     R otherwise, vectorized over rhs.
 
     Uses the registered closed form when one is supplied; otherwise brackets
-    a sign change of g(x) = x - dt*drift(x) - rhs inside that domain
-    (geometric expansion on (0, inf), additive on R) and drives it home with
-    bisection accelerated by Newton/secant candidates.  The result satisfies
-    |g(x*)| <= 1e-12; failure to bracket raises
-    :class:`SolverError`, which typically signals dt above the scheme's
-    well-definedness bound or a non-coercive drift.
+    a sign change of g(x) = x - dt*drift(x) - rhs inside that domain,
+    starting from ``x_init`` (geometric expansion on (0, inf), additive on
+    R), and drives it home with bisection accelerated by Newton/secant
+    candidates.  The result satisfies |g(x*)| <= 1e-12; failure to bracket
+    raises :class:`SolverError`, which typically signals dt above the
+    scheme's well-definedness bound or a non-coercive drift.
     """
     rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
     if closed_form is not None:
@@ -237,14 +223,11 @@ def solve_drift_implicit(
     def g(x):
         return x - dt * drift(x) - rhs
 
-    if x_init is None:
-        x0 = np.maximum(rhs, 1.0) if positive else rhs.copy()
-    else:
-        x0 = np.broadcast_to(
-            np.asarray(x_init, dtype=np.float64), rhs.shape
-        ).astype(np.float64)
-        if positive:
-            x0 = np.maximum(x0, 1e-12)
+    x0 = np.broadcast_to(
+        np.asarray(x_init, dtype=np.float64), rhs.shape
+    ).astype(np.float64)
+    if positive:
+        x0 = np.maximum(x0, 1e-12)
 
     fac = _BRACKET_FACTOR
     lo = x0.copy()
@@ -433,10 +416,9 @@ def _reflected(config: StepperConfig, model: Model) -> _Builder:
 def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Builder:
     """Drift-implicit Euler for Y = sqrt(X): the closed-form positive root of
     y' = y + (alpha/y' + beta*y')*dt + gamma*dW, positive for any input when
-    alpha > 0 (``truncate_sqrt`` clips the radicand when alpha < 0).  A CIR
-    model records y^2."""
-    cir = isinstance(model.params, CirParams)
-    lam = lamperti_cir(model.params) if cir else model.params
+    alpha > 0 (``truncate_sqrt`` clips the radicand when alpha < 0).  The
+    model's X = y^2 is recorded."""
+    lam = lamperti_cir(model.params)
     if lam.alpha <= 0 and not config.truncate_sqrt:
         raise SchemeError(
             "implicit sqrt Euler requires 2*kappa*lam > theta^2 "
@@ -446,8 +428,7 @@ def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Builder:
 
     def at(dt: float) -> _Stepper:
         root = lamperti_root(lam, dt, config.truncate_sqrt)
-        return _Stepper(lambda y, dw: root(y + gamma * dw), (lam.y0,),
-                        (lambda y: y * y) if cir else None)
+        return _Stepper(lambda y, dw: root(y + gamma * dw), (lam.y0,), lambda y: y * y)
 
     return at
 
@@ -522,6 +503,10 @@ def _scalar_in_domain(model: Model) -> bool:
     return model.d == 1 and model.positive
 
 
+def _cir(model: Model) -> bool:
+    return isinstance(model.params, CirParams)
+
+
 SCHEMES: dict[str, SchemeEntry] = {
     "explicit_euler": SchemeEntry(_on_model(step_explicit_euler)),
     "milstein": SchemeEntry(
@@ -529,13 +514,10 @@ SCHEMES: dict[str, SchemeEntry] = {
         "models with scalar noise (d = m = 1)",
     ),
     "modified_euler": SchemeEntry(
-        _modified(step_explicit_euler), _scalar_in_domain,
-        "scalar models whose domain is not the full space", "extension",
+        _modified(step_explicit_euler), _cir, "CIR models", "extension",
     ),
     "modified_milstein": SchemeEntry(
-        _modified(step_milstein_scalar),
-        lambda model: model.m == 1 and _scalar_in_domain(model),
-        "models with scalar noise whose domain is not the full space", "extension",
+        _modified(step_milstein_scalar), _cir, "CIR models", "extension",
     ),
     "reflected_euler": SchemeEntry(
         _reflected, _scalar_in_domain, "scalar models with a proper domain",
@@ -551,14 +533,10 @@ SCHEMES: dict[str, SchemeEntry] = {
     ),
     "tamed_euler": SchemeEntry(_on_model(step_tamed_euler)),
     "cir_implicit_sqrt_euler": SchemeEntry(
-        _cir_implicit_sqrt,
-        lambda model: isinstance(model.params, (CirParams, LampertiCir)),
-        "CIR or Lamperti-CIR models", "truncate_sqrt",
+        _cir_implicit_sqrt, _cir, "CIR models", "truncate_sqrt",
     ),
     "cir_implicit_milstein": SchemeEntry(
-        _cir_implicit_milstein,
-        lambda model: isinstance(model.params, CirParams),
-        "CIR models", "truncate_sqrt",
+        _cir_implicit_milstein, _cir, "CIR models", "truncate_sqrt",
     ),
     "log_heston_composite": SchemeEntry(
         _log_heston, lambda model: model.model_id == "heston_log",

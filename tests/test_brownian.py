@@ -207,8 +207,8 @@ def test_aggregation_tower_is_exact(log_n, log_k, seed, base):
     arr = np.random.default_rng(seed).standard_normal((2, n_fine))
     direct = bw.aggregate_to(arr, base * 2**log_n)
     staged = arr
-    for _ in range(log_k):
-        staged = bw.halve_pairs(staged)
+    for _ in range(log_k):  # one halving at a time
+        staged = bw.aggregate_to(staged, staged.shape[-1] // 2)
     np.testing.assert_array_equal(direct, staged)
 
 

@@ -828,10 +828,8 @@ reference = exact
 
 # [model] block per model id: a preset where one exists, inline otherwise.
 # gbm appears twice; gamma = 0.5 parses but cannot build the model.
-# cir_lamperti takes square-root parameters, which it does not have.
 SWEEP_MODELS = {
     "cir": "preset = cir-scenario-1",
-    "cir_lamperti": "model = cir_lamperti\nkappa = 2.0\nlam = 0.09\ntheta = 0.3\nx0 = 0.09\nT = 1.0",
     "cev": "preset = cev-set-1",
     "gbm": "model = gbm\nmu = 0.05\nsigma = 0.2\ngamma = 1.0\ns0 = 1.0\nT = 1.0",
     "gbm-gamma": "model = gbm\nmu = 0.05\nsigma = 0.2\ngamma = 0.5\ns0 = 1.0\nT = 1.0",
@@ -1102,6 +1100,23 @@ EDGE_RUNS = {
     "converge-runaway": (
         "converge", "n_list = 2^40\nn_samples = 2", 2, "2 paths x 4398046511104 steps",
     ),
+    # and so is a whole run: every walk of explode's 2000 grids is under the
+    # bound, and so is converge's reference walk, but not its five schemes
+    "explode-runaway": (
+        "explode", "n_list = " + ", ".join(["2^20"] * 2000) + "\nn_samples = 4000", 2,
+        "[run]: n_list sums to 2097152000 steps x 4000 paths x 1 noise dimensions",
+    ),
+    "converge-schemes-runaway": (
+        "converge", "n_list = 2^10, 2^11, 2^12\nref_n = 2^12\nn_samples = 10^6", 2,
+        "n_samples = 1000000 paths x (ref_n = 4096 + 5 schemes x 7168 n_list steps)",
+    ),
+    # each alias writes converge_<alias>.csv: a repeat would overwrite its own
+    "converge-repeated-alias": (
+        "converge", "n_list = 2, 4\nn_samples = 4", 2,
+        "line 14: scheme aliases listed more than once: euler",
+    ),
+    # the Lamperti form of CIR is the implicit sqrt scheme's state, not a model
+    "validate-cir_lamperti": ("validate", "", 2, "unknown model 'cir_lamperti'"),
     # a replication study is bounded as a whole, before the oracle runs
     "mlmc-replications-runaway": (
         "mlmc", "epsilon = 2^-1\nreplications = 2^40\ntruth = 1.0", 2,
@@ -1126,6 +1141,12 @@ EDGE_SETUPS = {
     "pathwise-runaway": ("preset = cev-set-1", "tamed_euler"),
     "mlmc-replications-runaway": ("preset = heston-mlmc", "log_heston"),
     "pathwise-mu-nan": (SWEEP_MODELS["gbm"].replace("mu = 0.05", "mu = nan"), "euler"),
+    "explode-runaway": ("preset = three-halves-mc", "euler"),
+    "converge-schemes-runaway": (
+        "preset = cev-set-1", "euler, milstein, tamed_euler, split_step, backward_euler",
+    ),
+    "converge-repeated-alias": (SWEEP_MODELS["gbm"], "euler, tamed_euler, euler"),
+    "validate-cir_lamperti": ("model = cir_lamperti\nT = 1.0", None),
 }
 
 

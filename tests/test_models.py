@@ -147,7 +147,6 @@ def _zoo():
 
     return [
         (models.build_model("cir", SC1), positive),
-        (models.build_model("cir_lamperti", models.lamperti_cir(SC1)), positive),
         (models.build_model("cev", cev), away_from_zero),
         (models.build_model("gbm", models.CevParams(mu=0.05, sigma=0.2, gamma=1.0, s0=1.0)), away_from_zero),
         (models.build_model("ait_sahalia", AS), positive),
@@ -188,11 +187,15 @@ def test_ait_sahalia_drift_coercive():
 
 
 def test_lamperti_drift_one_sided_lipschitz(rng):
-    lam = models.lamperti_cir(SC1)
-    m = models.build_model("cir_lamperti", lam)
+    # the volatility Y = sqrt(V) of the log-Heston system has the Lamperti
+    # drift alpha/y + beta*y, one-sided Lipschitz with constant beta
+    pre = models.get_preset("heston-mlmc")
+    lam = models.lamperti_cir(pre.params.vol_cir())
+    m = models.build_model("heston_log", pre.params)
+    h = rng.normal(0.0, 1.0, 10_000)
     x = rng.uniform(1e-3, 10.0, 10_000)
     y = rng.uniform(1e-3, 10.0, 10_000)
-    lhs = (x - y) * (m.drift(x) - m.drift(y))
+    lhs = (x - y) * (m.drift(np.stack([h, x]))[1] - m.drift(np.stack([h, y]))[1])
     assert np.all(lhs <= lam.beta * (x - y) ** 2 + 1e-12)
 
 
@@ -204,7 +207,7 @@ def test_positive_flag():
     )
     gbm = models.CevParams(mu=0.1, sigma=0.3, gamma=1.0, s0=1.0)
     params = {
-        "cir": SC1, "cir_lamperti": models.lamperti_cir(SC1), "ait_sahalia": AS,
+        "cir": SC1, "ait_sahalia": AS,
         "heston": heston, "heston_log": heston, "cev": gbm, "gbm": gbm,
         "three_halves_vol": models.ThreeHalvesParams(c1=1.2, c2=0.8, c3=1.0, v0=0.5),
         "cubic_toy": models.CubicToyParams(sigma=1.0, x0=1.0),
@@ -212,7 +215,7 @@ def test_positive_flag():
     assert set(params) == set(models.MODEL_IDS)
     built = {mid: models.build_model(mid, p) for mid, p in params.items()}
     assert {mid for mid, m in built.items() if m.positive} == {
-        "cir", "cir_lamperti", "ait_sahalia", "heston",
+        "cir", "ait_sahalia", "heston",
     }
     # a coefficient evaluation needs the open half-line ...
     schemes._guard_domain_eval(built["cir"], np.array([[0.5]]), "stage")

@@ -159,8 +159,8 @@ def test_extension_is_identity_inside(rng):
         )
         # sqrt has no finite slope at 0, so the extended derivative is 0 there
         assert m.diffusion_jacobian[0](np.array([0.0]))[0] == 0.0
-    with pytest.raises(schemes.SchemeError, match="square-root"):
-        schemes._extended_cir(GBM, "truncate")
+    with pytest.raises(schemes.SchemeError, match="CIR models"):
+        schemes.make_stepper(schemes.ALIASES["truncated_euler"], GBM)
 
 
 # --- reflection ----------------------------------------------------------------
@@ -196,38 +196,25 @@ def test_reflected_constant_projection():
 
 
 def test_solve_linear_drift():
-    x = schemes.solve_drift_implicit(lambda x: -x, np.array([1.0]), 1.0, False)
+    rhs = np.array([1.0])
+    x = schemes.solve_drift_implicit(lambda x: -x, rhs, 1.0, False, x_init=rhs)
     assert abs(x[0] - 0.5) <= 1e-12
 
 
-def test_lamperti_implicit_keeps_its_guard_for_direct_calls():
+def test_lamperti_root_keeps_its_guard_for_direct_calls():
     # alpha < 0: the radicand goes negative for small |rhs|; the steppers
     # never see this regime untruncated, a direct call still rejects it
     lam = models.LampertiCir(alpha=-0.01, beta=-1.0, gamma=0.24, y0=0.3)
     with pytest.raises(models.DomainError, match="negative radicand"):
-        models.lamperti_implicit(lam)(np.array([0.0, 1.0]), 0.01)
-    out = models.lamperti_implicit(lam, truncate=True)(np.array([0.0, 1.0]), 0.01)
+        models.lamperti_root(lam, 0.01)(np.array([0.0, 1.0]))
+    out = models.lamperti_root(lam, 0.01, truncate=True)(np.array([0.0, 1.0]))
     assert out[0] == 0.0 and out[1] > 0
-
-
-def test_lamperti_implicit_builds_each_dt_once(monkeypatch, rng):
-    built, real = [], models.lamperti_root
-    monkeypatch.setattr(
-        models, "lamperti_root", lambda p, dt, truncate: built.append(dt) or real(p, dt, truncate)
-    )
-    solve = models.lamperti_implicit(LAM1)
-    rhs = rng.normal(0.0, 0.5, 50)
-    dts = (0.01, 0.02, np.array(0.01), 0.02)
-    got = [solve(rhs, dt) for dt in dts]
-    assert built == [0.01, 0.02]  # a 0-d dt finds the float's root
-    for out, dt in zip(got, dts):
-        np.testing.assert_array_equal(out, real(LAM1, float(dt))(rhs))
 
 
 def test_lamperti_closed_form_matches_display(rng):
     dt = 5.0 / 512.0
     rhs = rng.normal(0.0, 0.5, 200)
-    got = models.lamperti_implicit(LAM1)(rhs, dt)
+    got = models.lamperti_root(LAM1, dt)(rhs)
     denom = 1.0 - LAM1.beta * dt
     want = rhs / (2.0 * denom) + np.sqrt(
         rhs**2 / (4.0 * denom**2) + LAM1.alpha * dt / denom
@@ -252,7 +239,9 @@ def _bisect_oracle(fn, lo, hi, tol=1e-14):
 def test_newton_matches_bisection_on_ait_sahalia(rng):
     dt = 0.01
     for rhs in rng.uniform(0.1, 5.0, 20):
-        got = schemes.solve_drift_implicit(AS.drift, np.array([rhs]), dt, AS.positive)[0]
+        got = schemes.solve_drift_implicit(
+            AS.drift, np.array([rhs]), dt, AS.positive, x_init=np.array([rhs])
+        )[0]
 
         def g(x, rhs=rhs):
             return x - dt * AS.drift(np.array([x]))[0] - rhs
@@ -395,10 +384,10 @@ def test_tamed_increment_bounded(x, dt):
 # --- square-root process specials --------------------------------------------------
 
 
-def _isqrt_step(model, y, dt, dw, config=ISQRT):
+def _isqrt_step(model, y, dt, dw):
     """One implicit square-root Euler step, in Lamperti coordinates, of the
     stepper that simulations use."""
-    step = schemes.make_stepper(config, model)(dt).step
+    step = schemes.make_stepper(ISQRT, model)(dt).step
     return step(np.atleast_1d(y)[None], np.atleast_1d(dw)[None])[0]
 
 
@@ -407,8 +396,7 @@ def test_implicit_sqrt_degenerate_is_positive_part(rng):
     y = rng.uniform(-0.5, 0.5, 200)
     dw = rng.normal(0.0, 0.3, 200)
     # alpha = 0 runs only truncated; the radicand (rhs/2)^2 never needs it
-    truncated = schemes.ALIASES["implicit_sqrt_truncated"]
-    out = _isqrt_step(models.build_model("cir_lamperti", lam), y, 0.01, dw, truncated)
+    out = models.lamperti_root(lam, 0.01, truncate=True)(y + 0.24 * dw)
     np.testing.assert_array_equal(out, np.maximum(y + 0.24 * dw, 0.0))
 
 
@@ -651,7 +639,7 @@ _HESTON = models.HestonParams(
     mu=0.05, kappa=2.0, lam=0.09, theta=0.3, rho=-0.5, s0=100.0, v0=0.09
 )
 _EVERY_MODEL = {
-    "cir": SC1, "cir_lamperti": LAM1, "ait_sahalia": AS_PARAMS,
+    "cir": SC1, "ait_sahalia": AS_PARAMS,
     "heston": _HESTON, "heston_log": _HESTON,
     "cev": models.CevParams(mu=0.1, sigma=0.3, gamma=0.75, s0=0.2),
     "gbm": models.CevParams(mu=0.1, sigma=0.3, gamma=1.0, s0=1.0),
@@ -803,9 +791,9 @@ def test_config_validation_rules():
         with pytest.raises(schemes.SchemeError, match="scalar models"):
             schemes.make_stepper(schemes.StepperConfig(scheme_id=implicit), heston)
     cev = models.get_preset("cev-set-1").build()
-    with pytest.raises(schemes.SchemeError, match="full space"):
+    with pytest.raises(schemes.SchemeError, match="CIR models"):
         schemes.make_stepper(schemes.ALIASES["truncated_euler"], cev)
-    with pytest.raises(schemes.SchemeError, match="square-root"):
+    with pytest.raises(schemes.SchemeError, match="CIR models"):
         schemes.make_stepper(schemes.ALIASES["truncated_euler"], AS)
     with pytest.raises(schemes.SchemeError, match="proper domain"):
         schemes.make_stepper(schemes.ALIASES["symmetrized_euler"], cev)
