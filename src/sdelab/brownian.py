@@ -7,7 +7,9 @@ positions i % 64 + 64*t.  A sample's normals are therefore a prefix of one
 fixed sequence, whatever the count and whichever samples share the batch.
 Streams are pure functions of their key: no global state, no wall-clock
 seeding, and the draws are byte-identical across runs, machines with the
-same numpy build, and thread counts.
+same numpy build, and numbers of CPUs: since each block is its own stream,
+a wide draw splits its blocks over the CPUs the process may run on, each
+part into its own rows, and nothing but those draws leaves the caller's thread.
 
 Increments live on a dyadic lattice at a power-of-two resolution.  Coarser
 resolutions are obtained by summing adjacent pairs, one halving at a time, so
@@ -19,7 +21,9 @@ estimators, reference-solution error curves) well defined.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,6 +44,10 @@ _BLOCK = 64  # sample indices per Philox stream
 BUFFER_FLOATS = 1 << 13
 _CHUNK = BUFFER_FLOATS // _BLOCK  # steps per draw
 
+#: Threads a wide draw splits over: the CPUs the process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_PART_BLOCKS = 8  # fewest blocks a thread draws
+
 _BATCH_FLOATS = 1 << 23  # per-batch increment budget, keeps blocks ~64 MB
 _WALK_FLOATS = 1 << 32  # work bound, ~13x the largest study's 10^4 x 2^15 steps
 
@@ -50,7 +58,7 @@ class LatticeError(ValueError):
 
 def batch_standard_normals(
     seed: int, sample_indices: Sequence[int], substream: int, count: int,
-    out: np.ndarray | None = None, streams: dict | None = None,
+    out: np.ndarray | None = None, streams: dict | None = None, scale: float = 1.0,
 ) -> np.ndarray:
     """Draw ``count`` N(0,1) variates for each sample index, one row each.
 
@@ -63,7 +71,10 @@ def batch_standard_normals(
     ``out`` receives the (len(sample_indices), count) result when given.
     ``streams``, a dict kept by the caller for one seed and substream, holds
     each block's generator state between calls, so that each call continues
-    the rows where the previous call with that dict stopped.
+    the rows where the previous call with that dict stopped.  Every normal is
+    written times ``scale``.  A call of whole draws with at least
+    ``_PART_BLOCKS`` blocks per CPU splits its blocks over the CPUs, and
+    returns once every part is written, also when one raises.
     """
     seed, substream = int(seed), int(substream)
     idx = np.asarray(sample_indices)
@@ -84,24 +95,58 @@ def batch_standard_normals(
     starts = np.flatnonzero(np.diff(block, prepend=-1))
     ends = np.append(starts[1:], len(idx))
     jumps = np.cumsum((np.diff(order, prepend=0) != 1) | (np.diff(col, prepend=0) != 1))
+    runs = []
+    for k, s, e in zip(block[starts].tolist(), starts.tolist(), ends.tolist()):
+        rows, cols = order[s:e], col[s:e]
+        if jumps[e - 1] == jumps[s]:
+            rows, cols = slice(rows[0], rows[0] + e - s), slice(cols[0], cols[0] + e - s)
+        runs.append((k, rows, cols))
+    # a wide draw of whole chunks splits its runs into contiguous parts, one
+    # per CPU and at least _PART_BLOCKS blocks each: the caller draws the
+    # first, the pool the others, into disjoint rows and stream keys
+    whole = count >= _CHUNK and count % _CHUNK == 0
+    parts = max(1, min(_WORKERS, len(runs) // _PART_BLOCKS)) if whole else 1
+    cuts = [len(runs) * p // parts for p in range(parts + 1)]
+    draw = functools.partial(_draw_runs, seed, substream, count, scale, out, streams)
+    pending = [_pool().submit(draw, runs[a:b]) for a, b in zip(cuts[1:-1], cuts[2:])]
+    try:
+        draw(runs[: cuts[1]])
+    finally:  # no part may still write into out once the call returns
+        for f in pending:
+            f.exception()
+    for f in pending:
+        f.result()
+    return out
+
+
+def _draw_runs(seed, substream, count, scale, out, streams, runs) -> None:
+    """Draw the ``(block, rows, cols)`` runs of :func:`batch_standard_normals`
+    into ``out``, times ``scale``, on a generator and buffer of their own."""
     bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bg)
     fresh = bg.state  # counter zero, buffer empty: only the key changes
     key = fresh["state"]["key"]
     buf = np.empty((_CHUNK, _BLOCK))
-    for k, s, e in zip(block[starts].tolist(), starts.tolist(), ends.tolist()):
+    for k, rows, cols in runs:
         key[1] = k << 8 | substream
         bg.state = fresh if streams is None else streams.get(k, fresh)
-        rows, cols = order[s:e], col[s:e]
-        if jumps[e - 1] == jumps[s]:
-            rows, cols = slice(rows[0], rows[0] + e - s), slice(cols[0], cols[0] + e - s)
         for t in range(0, count, _CHUNK):
             chunk = buf[: min(_CHUNK, count - t)]
             gen.standard_normal(out=chunk)
-            out[rows, t : t + len(chunk)] = chunk[:, cols].T
+            if isinstance(rows, slice):
+                np.multiply(chunk[:, cols].T, scale, out=out[rows, t : t + len(chunk)])
+            else:
+                out[rows, t : t + len(chunk)] = chunk[:, cols].T * scale
         if streams is not None:
             streams[k] = bg.state
-    return out
+
+
+@functools.cache
+def _pool():
+    """The threads that draw the parts of split draws, started by the first."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="sdelab-draw")
 
 
 def increment_chunks(
@@ -122,9 +167,8 @@ def increment_chunks(
         for j in range(m):
             batch_standard_normals(
                 seed, sample_indices, substream + j, out.shape[-1], out=out[j],
-                streams=streams[j],
+                streams=streams[j], scale=math.sqrt(dt),
             )
-            out[j] *= math.sqrt(dt)
         yield out
 
 

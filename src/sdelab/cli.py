@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--threads", type=int, choices=(1,), default=1,
-            help="accepted for the benchmark's command line; has no effect",
+            help="accepted for the benchmark's command line; has no effect "
+                 "(draws use the CPUs the process may run on)",
         )
     return parser
 

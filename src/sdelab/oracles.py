@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,24 +22,12 @@ class OracleError(RuntimeError):
     """A reference value failed its self-check or is out of scope."""
 
 
-@dataclass(frozen=True)
-class FourierSettings:
-    """Quadrature controls for the damped-transform call price."""
-
-    nodes: int = 1024
-    truncation: float = 200.0
-    damping: float = 1.5
-    stability_tol: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if self.nodes < 64:
-            raise OracleError(f"need at least 64 quadrature nodes, got {self.nodes}")
-        if not self.truncation > 0:
-            raise OracleError(f"truncation must be positive, got {self.truncation}")
-        if not self.damping > 0:
-            raise OracleError(f"damping must be positive, got {self.damping}")
-        if not self.stability_tol > 0:
-            raise OracleError("stability tolerance must be positive")
+# Quadrature of the damped-transform call price: Gauss-Legendre nodes on
+# [0, truncation], the damping exponent, and the self-check's tolerance.
+_NODES = 1024
+_TRUNCATION = 200.0
+_DAMPING = 1.5
+_STABILITY_TOL = 1e-4
 
 
 def _heston_charfunc(u: np.ndarray, p: HestonParams, T: float) -> np.ndarray:
@@ -101,18 +88,16 @@ def _damped_call_quad(
     return float(math.exp(-alpha * k) / math.pi * np.dot(w, integrand.real))
 
 
-def heston_call_price(
-    p: HestonParams, strike: float, T: float, settings: FourierSettings | None = None
-) -> float:
+def heston_call_price(p: HestonParams, strike: float, T: float) -> float:
     """European call on the stochastic-volatility model, self-checked.
 
-    The damping parameter requires a finite moment E S_T^(damping+1); the
+    The damping requires a finite moment E S_T^(damping+1); the
     moment-explosion bound is checked up front.  The quadrature is then run
-    at the requested settings, at doubled nodes, and at doubled nodes plus
-    doubled truncation; disagreement beyond ``stability_tol`` raises
-    :class:`OracleError` with the three values for diagnosis.
+    at ``_NODES`` nodes on [0, ``_TRUNCATION``], at doubled nodes, and at
+    doubled nodes plus doubled truncation; disagreement beyond
+    ``_STABILITY_TOL`` raises :class:`OracleError` with the three values for
+    diagnosis.
     """
-    settings = settings or FourierSettings()
     if not T > 0:
         raise OracleError(f"maturity must be positive, got {T}")
     if strike < 0:
@@ -120,24 +105,21 @@ def heston_call_price(
     if strike == 0.0:
         # limit of the call payoff: the discounted forward
         return p.s0 * math.exp((p.mu - p.r) * T)
-    bound = heston_moment_bound(p, settings.damping + 1.0)
+    bound = heston_moment_bound(p, _DAMPING + 1.0)
     if not bound.satisfied:
         raise OracleError(
-            f"damping {settings.damping} needs E S_T^{settings.damping + 1:g} "
-            f"finite, which fails: rho = {p.rho} > bound {bound.threshold:.6g}; "
-            "lower the damping"
+            f"damping {_DAMPING} needs E S_T^{_DAMPING + 1:g} "
+            f"finite, which fails: rho = {p.rho} > bound {bound.threshold:.6g}"
         )
-    base = _gauss_legendre(settings.nodes)
-    fine = _gauss_legendre(2 * settings.nodes)
-    a = _damped_call_quad(p, strike, T, *base, settings.truncation, settings.damping)
-    b = _damped_call_quad(p, strike, T, *fine, settings.truncation, settings.damping)
-    c = _damped_call_quad(p, strike, T, *fine, 2.0 * settings.truncation, settings.damping)
-    tol = settings.stability_tol
-    if abs(a - b) > tol or abs(b - c) > tol:
+    base = _gauss_legendre(_NODES)
+    fine = _gauss_legendre(2 * _NODES)
+    a = _damped_call_quad(p, strike, T, *base, _TRUNCATION, _DAMPING)
+    b = _damped_call_quad(p, strike, T, *fine, _TRUNCATION, _DAMPING)
+    c = _damped_call_quad(p, strike, T, *fine, 2.0 * _TRUNCATION, _DAMPING)
+    if abs(a - b) > _STABILITY_TOL or abs(b - c) > _STABILITY_TOL:
         raise OracleError(
             "Fourier price did not stabilize: "
-            f"{a:.8f} (base), {b:.8f} (2x nodes), {c:.8f} (2x nodes+truncation); "
-            "increase nodes/truncation or reduce damping"
+            f"{a:.8f} (base), {b:.8f} (2x nodes), {c:.8f} (2x nodes+truncation)"
         )
     return c
 

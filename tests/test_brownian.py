@@ -1,6 +1,9 @@
 """Brownian kernel: determinism, increment blocks, dyadic coupling."""
 
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -131,6 +134,93 @@ def test_increment_block_draws_in_place_in_small_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 256 * 1024
+
+
+def _parts(monkeypatch):
+    """Record the number of runs each part of a draw holds, and whether the
+    calling thread drew it, as (runs, on_caller) pairs."""
+    parts, draw = [], bw._draw_runs
+
+    def recorded(*args):
+        parts.append((len(args[-1]), threading.current_thread() is threading.main_thread()))
+        return draw(*args)
+
+    monkeypatch.setattr(bw, "_draw_runs", recorded)
+    return parts
+
+
+# index sets of at least 16 blocks: one contiguous run per block; a
+# permutation and sorted indices with gaps, which gather by index; and 25
+# blocks, which 2 or 3 workers split unevenly
+_rng = np.random.default_rng(23)
+WIDE_SETS = {
+    "contiguous": np.arange(64 * 32),
+    "permuted": 640 + _rng.permutation(64 * 24),
+    "scattered": np.sort(_rng.choice(64 * 40, 900, replace=False)),
+    "odd": np.arange(10, 64 * 25),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", list(WIDE_SETS))
+def test_draws_do_not_depend_on_the_worker_count(monkeypatch, workers, name):
+    # two calls that continue their streams, of one and of two whole draws
+    idx = WIDE_SETS[name]
+
+    def two_calls():
+        streams = {}
+        return [
+            bw.batch_standard_normals(17, idx, 3, count, streams=streams, scale=0.5)
+            for count in (128, 256)
+        ]
+
+    monkeypatch.setattr(bw, "_WORKERS", 1)
+    want = two_calls()
+    monkeypatch.setattr(bw, "_WORKERS", workers)
+    parts = _parts(monkeypatch)
+    got = two_calls()
+    for a, b in zip(want, got):
+        np.testing.assert_array_equal(a, b)
+    blocks = len(np.unique(idx // 64))
+    split = min(workers, blocks // 8)
+    assert sorted(n for n, _ in parts) == sorted(
+        [blocks * (p + 1) // split - blocks * p // split for p in range(split)] * 2
+    )
+    assert [on_caller for _, on_caller in parts].count(True) == 2  # the first parts
+
+
+def test_narrow_draws_never_start_the_pool(monkeypatch):
+    def no_pool():
+        raise AssertionError("a narrow draw started the pool")
+
+    monkeypatch.setattr(bw, "_WORKERS", 3)
+    monkeypatch.setattr(bw, "_pool", no_pool)
+    bw.batch_standard_normals(1, range(256), 0, 256)  # 4 blocks
+    bw.batch_standard_normals(1, range(64 * 32), 0, 64)  # part of one draw
+    bw.batch_standard_normals(1, range(64 * 32), 0, 200)  # not whole draws
+
+
+@pytest.mark.parametrize("failing", ["caller", "pool"])
+def test_a_failing_part_raises_after_every_part_is_written(monkeypatch, failing):
+    monkeypatch.setattr(bw, "_WORKERS", 2)
+    finished, draw = [], bw._draw_runs
+
+    def flaky(*args):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing == "caller"):
+            raise RuntimeError("part failed")
+        time.sleep(0.2)
+        draw(*args)
+        finished.append(on_caller)
+
+    monkeypatch.setattr(bw, "_draw_runs", flaky)
+    with pytest.raises(RuntimeError, match="part failed"):
+        bw.batch_standard_normals(1, range(64 * 16), 0, 128)
+    assert finished == [failing == "pool"]
+
+
+def test_workers_are_the_cpus_the_process_may_run_on():
+    assert bw._WORKERS == len(os.sched_getaffinity(0))
 
 
 def test_stream_key_validation():

@@ -4,6 +4,8 @@ import contextlib
 import io
 import math
 import os
+import sys
+import threading
 import warnings
 
 import pytest
@@ -470,39 +472,73 @@ truth = oracle
     assert "oracle self-check failed" in capsys.readouterr().err
 
 
-def test_cli_output_is_byte_identical_across_threads(tmp_path, capsys):
+# runs whose draws split over the CPUs: 1024 paths (16 blocks) drawn in
+# whole 128-step draws
+SPLIT_RUNS = {
+    "explode": ("three-halves-mc", "euler",
+                "n_list = 4, 128\nn_samples_list = 500, 1024\npayoff = abs"),
+    "converge": ("cir-scenario-1", "truncated_euler, implicit_sqrt",
+                 "n_list = 2^4, 2^5\nn_samples = 1024\nref_n = 2^7\nref_scheme = implicit_sqrt"),
+    "negstats": ("cir-scenario-1", "truncated_euler", "n = 128\nn_samples = 1024"),
+}
+
+
+def _split_run(tmp_path, kind, out, *flags):
+    preset, alias, run = SPLIT_RUNS[kind]
     cfg = _write(
-        tmp_path / "e.cfg",
-        """
-[experiment]
-kind = explode
-seed = 7
-
-[model]
-preset = three-halves-mc
-
-[scheme]
-scheme = euler
-
-[run]
-n_list = 4, 8
-n_samples_list = 100, 200
-payoff = abs
-""",
+        tmp_path / f"{kind}.cfg",
+        f"[experiment]\nkind = {kind}\nseed = 7\n\n[model]\npreset = {preset}\n\n"
+        f"[scheme]\nscheme = {alias}\n\n[run]\n{run}\n",
     )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([kind, "--config", cfg, "--out", str(out), *flags]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_cli_output_is_byte_identical_across_threads(tmp_path, monkeypatch, capsys):
+    # draws split over 2 CPUs write the bytes of one
+    for kind in SPLIT_RUNS:
+        monkeypatch.setattr(bw, "_WORKERS", 1)
+        one = _split_run(tmp_path, kind, tmp_path / f"{kind}-1")
+        monkeypatch.setattr(bw, "_WORKERS", 2)
+        assert _split_run(tmp_path, kind, tmp_path / f"{kind}-2") == one
     # --threads is kept for the benchmark's command line: it takes 1 only
     # and changes nothing
-    d0, d1 = tmp_path / "t0", tmp_path / "t1"
-    assert cli.main(["explode", "--config", cfg, "--out", str(d0)]) == 0
-    assert cli.main(["explode", "--config", cfg, "--out", str(d1), "--threads", "1"]) == 0
+    one = _split_run(tmp_path, "explode", tmp_path / "t0")
+    assert _split_run(tmp_path, "explode", tmp_path / "t1", "--threads", "1") == one
     with pytest.raises(SystemExit) as exc:
-        cli.main(["explode", "--config", cfg, "--out", str(tmp_path), "--threads", "4"])
+        _split_run(tmp_path, "explode", tmp_path / "t4", "--threads", "4")
     assert exc.value.code == 2
     capsys.readouterr()
-    b0 = open(d0 / "explode.csv", "rb").read()
-    b1 = open(d1 / "explode.csv", "rb").read()
-    assert b0 == b1
-    assert b"threads" not in b1
+    assert b"threads" not in one["explode.csv"]
+
+
+def test_split_runs_stay_on_the_calling_thread(tmp_path, monkeypatch):
+    # the functions a tracer may wrap run on the caller; only the private
+    # draw of a part runs on the pool
+    entered = set()
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            entered.add((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("sdelab.")]
+    traced = ("batch_standard_normals", "aggregate_to", "simulate_batch")
+    for mod, name in [(bw, "batch_standard_normals"), (bw, "aggregate_to"),
+                      (schemes, "simulate_batch"), (bw, "_draw_runs")]:
+        original = getattr(mod, name)
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, attr, record(name, original))
+    monkeypatch.setattr(bw, "_WORKERS", 2)
+    for kind in SPLIT_RUNS:
+        _split_run(tmp_path, kind, tmp_path / kind)
+    assert entered == {(name, True) for name in traced} | {
+        ("_draw_runs", True), ("_draw_runs", False),
+    }
 
 
 @pytest.mark.parametrize(
@@ -1122,6 +1158,15 @@ EDGE_RUNS = {
         "mlmc", "epsilon = 2^-1\nreplications = 2^40\ntruth = 1.0", 2,
         "replications = 1099511627776 repeats 10 steps x 2 noise dimensions",
     ),
+    # and so is a run without replications, whose levels each fit the bound
+    "mlmc-epsilon-runaway": (
+        "mlmc", "epsilon = 2^-13", 2,
+        "[run]: epsilon plans 17884512256 steps x 2 noise dimensions",
+    ),
+    "mlmc-epsilon_list-runaway": (
+        "mlmc", "epsilon_list = 2^-1, 2^-13", 2,
+        "[run]: epsilon_list plans 17884512266 steps x 2 noise dimensions",
+    ),
     # nan is no value: the run would compute with it
     "validate-l1-nan": (
         "validate", "l1 = nan\nl2 = 1", 2, "line 17: bad value for 'l1'",
@@ -1140,6 +1185,8 @@ EDGE_RUNS = {
 EDGE_SETUPS = {
     "pathwise-runaway": ("preset = cev-set-1", "tamed_euler"),
     "mlmc-replications-runaway": ("preset = heston-mlmc", "log_heston"),
+    "mlmc-epsilon-runaway": ("preset = heston-mlmc", "log_heston"),
+    "mlmc-epsilon_list-runaway": ("preset = heston-mlmc", "log_heston"),
     "pathwise-mu-nan": (SWEEP_MODELS["gbm"].replace("mu = 0.05", "mu = nan"), "euler"),
     "explode-runaway": ("preset = three-halves-mc", "euler"),
     "converge-schemes-runaway": (

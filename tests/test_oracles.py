@@ -9,7 +9,7 @@ import pytest
 
 from sdelab import brownian as bw
 from sdelab import models, oracles as orc, schemes
-from sdelab.oracles import FourierSettings, OracleError, _gauss_legendre
+from sdelab.oracles import OracleError, _damped_call_quad, _gauss_legendre
 
 HESTON = models.HestonParams(
     mu=0.0319,
@@ -78,9 +78,8 @@ def test_heston_price_matches_frozen_value(heston_price):
 
 
 def test_heston_price_stable_under_quadrature_changes(heston_price):
-    alt = orc.heston_call_price(
-        HESTON, 105.0, 1.0, FourierSettings(nodes=512, truncation=150.0)
-    )
+    # one quadrature at half the nodes and three quarters of the truncation
+    alt = _damped_call_quad(HESTON, 105.0, 1.0, *_gauss_legendre(512), 150.0, 1.5)
     assert abs(alt - heston_price) < 1e-4
 
 
@@ -105,8 +104,12 @@ def test_heston_unstable_integral_raises():
 
 
 def test_heston_damping_beyond_moment_bound_raises():
-    with pytest.raises(OracleError, match="damping"):
-        orc.heston_call_price(HESTON, 105.0, 1.0, FourierSettings(damping=50.0))
+    # E S_T^2.5, which the damping 1.5 needs, is infinite for rho above
+    # -sqrt(0.6) + kappa / (2.5 theta) = -0.5746
+    exploding = dataclasses.replace(HESTON, kappa=0.5, theta=1.0, rho=0.5)
+    assert not models.heston_moment_bound(exploding, 2.5).satisfied
+    with pytest.raises(OracleError, match="damping 1.5 needs E S_T"):
+        orc.heston_call_price(exploding, 105.0, 1.0)
 
 
 def test_heston_price_input_guards():
@@ -116,21 +119,9 @@ def test_heston_price_input_guards():
         orc.heston_call_price(HESTON, -5.0, 1.0)
 
 
-def test_fourier_settings_validation():
-    with pytest.raises(OracleError):
-        FourierSettings(nodes=32)
-    with pytest.raises(OracleError):
-        FourierSettings(truncation=0.0)
-    with pytest.raises(OracleError):
-        FourierSettings(damping=0.0)
-    with pytest.raises(OracleError):
-        FourierSettings(stability_tol=0.0)
-
-
 def test_heston_call_monotone_and_convex_in_strike():
-    fast = FourierSettings(nodes=256)
     strikes = np.linspace(85.0, 125.0, 12)
-    prices = [orc.heston_call_price(HESTON, k, 1.0, fast) for k in strikes]
+    prices = [orc.heston_call_price(HESTON, k, 1.0) for k in strikes]
     assert all(b < a for a, b in zip(prices, prices[1:]))
     second = np.diff(prices, n=2)
     assert (second > -1e-9).all()
