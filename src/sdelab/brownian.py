@@ -8,8 +8,10 @@ fixed sequence, whatever the count and whichever samples share the batch.
 Streams are pure functions of their key: no global state, no wall-clock
 seeding, and the draws are byte-identical across runs, machines with the
 same numpy build, and numbers of CPUs: since each block is its own stream,
-a wide draw splits its blocks over the CPUs the process may run on, each
-part into its own rows, and nothing but those draws leaves the caller's thread.
+a wide walk of :func:`increment_chunks` splits its blocks over the CPUs the
+process may run on, each part into its own rows, and draws one chunk ahead
+while its caller steps the last; nothing but those draws leaves the
+caller's thread.
 
 Increments live on a dyadic lattice at a power-of-two resolution.  Coarser
 resolutions are obtained by summing adjacent pairs, one halving at a time, so
@@ -44,9 +46,13 @@ _BLOCK = 64  # sample indices per Philox stream
 BUFFER_FLOATS = 1 << 13
 _CHUNK = BUFFER_FLOATS // _BLOCK  # steps per draw
 
-#: Threads a wide draw splits over: the CPUs the process may run on.
+#: Threads a wide walk draws on: the CPUs the process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _PART_BLOCKS = 8  # fewest blocks a thread draws
+#: Most blocks in one part of a wide walk's chunk.  The caller draws the
+#: parts the pool has not started, so smaller parts leave either side less
+#: idle while the other ends a chunk; each part costs a future and a buffer.
+_PART_MAX_BLOCKS = 32
 
 _BATCH_FLOATS = 1 << 23  # per-batch increment budget, keeps blocks ~64 MB
 _WALK_FLOATS = 1 << 32  # work bound, ~13x the largest study's 10^4 x 2^15 steps
@@ -56,9 +62,44 @@ class LatticeError(ValueError):
     """Raised for invalid stream keys, lattice requests or aggregations."""
 
 
+def _keys(seed: int, sample_indices: Sequence[int], *substreams: int) -> np.ndarray:
+    """The sample indices as int64; LatticeError unless (seed, each index,
+    each substream) keys a stream."""
+    idx = np.asarray(sample_indices)
+    if not 0 <= seed < _MAX_SEED:
+        raise LatticeError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if idx.size and not 0 <= idx.min() <= idx.max() < MAX_SAMPLE_INDEX:
+        bad = idx.min() if idx.min() < 0 else idx.max()
+        raise LatticeError(f"sample_index must lie in [0, 2**56), got {bad}")
+    for substream in substreams:
+        if not 0 <= substream < _MAX_SUBSTREAM:
+            raise LatticeError(f"substream must lie in [0, 256), got {substream}")
+    return idx.astype(np.int64, copy=False)
+
+
+def _runs(idx: np.ndarray) -> list[tuple]:
+    """The ``(block, rows, cols)`` runs of each block's indices in sorted
+    order; a run whose rows and columns both step by one is written as a
+    slice, any other by index."""
+    order = np.argsort(idx, kind="stable")
+    block, col = np.divmod(idx[order], _BLOCK)
+    starts = np.flatnonzero(np.diff(block, prepend=-1))
+    ends = np.append(starts[1:], len(idx))
+    jumps = np.cumsum((np.diff(order, prepend=0) != 1) | (np.diff(col, prepend=0) != 1))
+    runs = []
+    for k, s, e in zip(block[starts].tolist(), starts.tolist(), ends.tolist()):
+        rows, cols = order[s:e], col[s:e]
+        if jumps[e - 1] == jumps[s]:
+            r, c = int(rows[0]), int(cols[0])
+            rows, cols = slice(r, r + e - s), slice(c, c + e - s)
+        runs.append((k, rows, cols))
+    return runs
+
+
 def batch_standard_normals(
     seed: int, sample_indices: Sequence[int], substream: int, count: int,
-    out: np.ndarray | None = None, streams: dict | None = None, scale: float = 1.0,
+    out: np.ndarray | None = None, streams: dict | _Walk | None = None,
+    scale: float = 1.0,
 ) -> np.ndarray:
     """Draw ``count`` N(0,1) variates for each sample index, one row each.
 
@@ -72,104 +113,179 @@ def batch_standard_normals(
     ``streams``, a dict kept by the caller for one seed and substream, holds
     each block's generator state between calls, so that each call continues
     the rows where the previous call with that dict stopped.  Every normal is
-    written times ``scale``.  A call of whole draws with at least
-    ``_PART_BLOCKS`` blocks per CPU splits its blocks over the CPUs, and
-    returns once every part is written, also when one raises.
+    written times ``scale``.  The draw runs on the calling thread, except
+    in a wide walk of :func:`increment_chunks`, which passes itself as
+    ``streams`` and has its parts drawn on every CPU.
     """
+    if isinstance(streams, _Walk):
+        return streams.draw(substream, out)
     seed, substream = int(seed), int(substream)
-    idx = np.asarray(sample_indices)
-    if not 0 <= seed < _MAX_SEED:
-        raise LatticeError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if idx.size and not 0 <= idx.min() <= idx.max() < MAX_SAMPLE_INDEX:
-        bad = idx.min() if idx.min() < 0 else idx.max()
-        raise LatticeError(f"sample_index must lie in [0, 2**56), got {bad}")
-    if not 0 <= substream < _MAX_SUBSTREAM:
-        raise LatticeError(f"substream must lie in [0, 256), got {substream}")
-    idx = idx.astype(np.int64)
+    idx = _keys(seed, sample_indices, substream)
     if out is None:
         out = np.empty((len(idx), count))
-    # the runs of one block in sorted order, found once; a run whose rows and
-    # columns both step by one is written as a slice, any other by index
-    order = np.argsort(idx, kind="stable")
-    block, col = np.divmod(idx[order], _BLOCK)
-    starts = np.flatnonzero(np.diff(block, prepend=-1))
-    ends = np.append(starts[1:], len(idx))
-    jumps = np.cumsum((np.diff(order, prepend=0) != 1) | (np.diff(col, prepend=0) != 1))
-    runs = []
-    for k, s, e in zip(block[starts].tolist(), starts.tolist(), ends.tolist()):
-        rows, cols = order[s:e], col[s:e]
-        if jumps[e - 1] == jumps[s]:
-            rows, cols = slice(rows[0], rows[0] + e - s), slice(cols[0], cols[0] + e - s)
-        runs.append((k, rows, cols))
-    # a wide draw of whole chunks splits its runs into contiguous parts, one
-    # per CPU and at least _PART_BLOCKS blocks each: the caller draws the
-    # first, the pool the others, into disjoint rows and stream keys
-    whole = count >= _CHUNK and count % _CHUNK == 0
-    parts = max(1, min(_WORKERS, len(runs) // _PART_BLOCKS)) if whole else 1
-    cuts = [len(runs) * p // parts for p in range(parts + 1)]
-    draw = functools.partial(_draw_runs, seed, substream, count, scale, out, streams)
-    pending = [_pool().submit(draw, runs[a:b]) for a, b in zip(cuts[1:-1], cuts[2:])]
-    try:
-        draw(runs[: cuts[1]])
-    finally:  # no part may still write into out once the call returns
-        for f in pending:
-            f.exception()
-    for f in pending:
-        f.result()
-    return out
-
-
-def _draw_runs(seed, substream, count, scale, out, streams, runs) -> None:
-    """Draw the ``(block, rows, cols)`` runs of :func:`batch_standard_normals`
-    into ``out``, times ``scale``, on a generator and buffer of their own."""
     bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bg)
     fresh = bg.state  # counter zero, buffer empty: only the key changes
     key = fresh["state"]["key"]
     buf = np.empty((_CHUNK, _BLOCK))
-    for k, rows, cols in runs:
+    for k, rows, cols in _runs(idx):
         key[1] = k << 8 | substream
         bg.state = fresh if streams is None else streams.get(k, fresh)
-        for t in range(0, count, _CHUNK):
-            chunk = buf[: min(_CHUNK, count - t)]
-            gen.standard_normal(out=chunk)
-            if isinstance(rows, slice):
-                np.multiply(chunk[:, cols].T, scale, out=out[rows, t : t + len(chunk)])
-            else:
-                out[rows, t : t + len(chunk)] = chunk[:, cols].T * scale
+        _fill(gen, rows, cols, count, scale, out, buf)
         if streams is not None:
             streams[k] = bg.state
+    return out
+
+
+def _fill(gen, rows, cols, count, scale, out, buf) -> None:
+    """Write the next ``count`` normals of block generator ``gen``, columns
+    ``cols``, times ``scale``, into ``out[rows]``, ``len(buf)`` steps at a
+    time."""
+    for t in range(0, count, len(buf)):
+        chunk = buf[: min(len(buf), count - t)]
+        gen.standard_normal(out=chunk)
+        chunk *= scale
+        out[rows, t : t + len(chunk)] = chunk[:, cols].T
+
+
+def _draw_part(part, count, scale, out) -> None:
+    """Draw one part of a :class:`_Walk` chunk: each ``(generator, rows,
+    cols)`` run's next ``count`` normals into ``out``, on a buffer of its own."""
+    buf = np.empty((min(count, _CHUNK), _BLOCK))
+    for gen, rows, cols in part:
+        _fill(gen, rows, cols, count, scale, out, buf)
 
 
 @functools.cache
 def _pool():
-    """The threads that draw the parts of split draws, started by the first."""
+    """The threads that draw the parts of wide walks, started by the first."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="sdelab-draw")
 
 
+def _chunk(bufs: list[np.ndarray], counts: list[int], i: int) -> np.ndarray:
+    """Chunk ``i`` of a walk: the (m, b, counts[i]) view of its time-major buffer."""
+    return bufs[i % len(bufs)][:, : counts[i]].transpose(0, 2, 1)
+
+
+def _settle(futures: list) -> None:
+    """Cancel the futures not yet started, then wait for the others."""
+    for f in futures:
+        f.cancel()
+    for f in futures:
+        if not f.cancelled():
+            f.exception()
+
+
+class _Walk:
+    """The draws of a wide walk, planned once: its block runs cut into
+    contiguous parts, at least one per CPU and at most ``_PART_MAX_BLOCKS``
+    blocks each, and one Philox generator per block and noise dimension.
+    With two buffers it draws a chunk ahead: once chunk i is handed out, the
+    pool draws the parts of chunk i + 1 into the other buffer while the
+    caller steps chunk i.  A part of the next chunk is queued only after
+    every part of this one has finished, since a block's stream is
+    sequential."""
+
+    def __init__(self, seed, runs, parts, m, substream, scale, bufs, counts):
+        def keyed(j, runs):  # noise dimension j's generator for each run
+            return [
+                (np.random.Generator(np.random.Philox(
+                    key=np.array([seed, k << 8 | substream + j], dtype=np.uint64)
+                )), rows, cols)
+                for k, rows, cols in runs
+            ]
+
+        parts = max(parts, -(-len(runs) // _PART_MAX_BLOCKS))
+        cuts = [len(runs) * p // parts for p in range(parts + 1)]
+        self.parts = [[keyed(j, runs[a:b]) for a, b in zip(cuts, cuts[1:])] for j in range(m)]
+        self.substream, self.scale, self.bufs, self.counts = substream, scale, bufs, counts
+        self.queued = [[] for _ in range(m)]  # per noise dimension: its next chunk's parts
+        self.taken = [0] * m  # chunks handed out per noise dimension
+
+    def _queue(self, j: int, i: int) -> list:
+        out = _chunk(self.bufs, self.counts, i)[j]
+        return [
+            _pool().submit(_draw_part, part, self.counts[i], self.scale, out)
+            for part in self.parts[j]
+        ]
+
+    def draw(self, substream: int, out: np.ndarray) -> np.ndarray:
+        """Finish noise dimension ``substream``'s part of the next chunk in
+        ``out``: draw the parts the pool has not started, from the tail, wait
+        for the others, and raise a part's error only then.  Then queue that
+        dimension's part of the chunk after, when the walk draws ahead."""
+        j = substream - self.substream
+        i, self.taken[j] = self.taken[j], self.taken[j] + 1
+        futures = self.queued[j] or self._queue(j, i)
+        self.queued[j] = []
+        try:
+            for f, part in reversed(list(zip(futures, self.parts[j]))):
+                if f.cancel():
+                    _draw_part(part, self.counts[i], self.scale, out)
+        finally:  # no part may still write into out once the call returns
+            _settle(futures)
+        for f in futures:
+            if not f.cancelled():
+                f.result()
+        if len(self.bufs) > 1 and i + 1 < len(self.counts):
+            self.queued[j] = self._queue(j, i + 1)
+        return out
+
+    def close(self) -> None:
+        """Drop the queued parts and wait for those already running."""
+        for futures in self.queued:
+            _settle(futures)
+        self.queued = [[] for _ in self.queued]
+
+
 def increment_chunks(
     seed: int, sample_indices: Sequence[int], m: int, n: int, dt: float,
-    chunk: int, substream: int = 0,
+    chunk: int, substream: int = 0, *, granule: int | None = None,
 ) -> Iterator[np.ndarray]:
     """Yield the (m, b, n) increments over steps of length ``dt``, ``chunk``
     steps at a time (the last may be shorter), in memory O(m * b * chunk).
     Row j holds the normals of substream ``substream + j`` for each sample
     index, scaled by sqrt(dt), each chunk resuming the rows; every simulating
-    experiment draws its noise here.  A chunk is a view of one time-major
-    buffer, valid until the next chunk is drawn.
+    experiment draws its noise here.  A chunk is a view of a time-major
+    buffer, valid until the next chunk is requested.
+
+    A walk of whole ``_CHUNK``-step draws with at least ``_PART_BLOCKS``
+    blocks per CPU is wide: it plans its draws once and splits them over
+    every CPU.  If it is longer than one ``chunk`` and a multiple of
+    ``granule`` (by default ``chunk``) fits in ``chunk // 4`` steps, it
+    yields the largest such multiple at a time and draws one chunk ahead of
+    its caller, in two buffers that together hold half of one ``chunk``.
+    Narrower walks draw on the calling thread.  No value depends on which
+    way a walk draws; closing the generator waits for the draws in flight.
     """
-    streams = [{} if chunk < n else None for _ in range(m)]  # None: one chunk
-    buf = np.empty((m, min(chunk, n), len(sample_indices)))
-    for t in range(0, n, chunk):
-        out = buf[:, : min(chunk, n - t)].transpose(0, 2, 1)
-        for j in range(m):
-            batch_standard_normals(
-                seed, sample_indices, substream + j, out.shape[-1], out=out[j],
-                streams=streams[j], scale=math.sqrt(dt),
-            )
-        yield out
+    seed, substream = int(seed), int(substream)
+    idx = _keys(seed, sample_indices, substream, substream + m - 1)
+    runs = _runs(idx) if chunk % _CHUNK == 0 else []
+    parts = min(_WORKERS, len(runs) // _PART_BLOCKS)
+    granule = granule or chunk
+    length, ahead = min(chunk, n), parts > 1 and n > chunk and chunk // 4 >= granule
+    if ahead:
+        length = chunk // 4 // granule * granule
+    counts = [min(length, n - t) for t in range(0, n, length)]
+    bufs = [np.empty((m, length, len(idx))) for _ in range(1 + ahead)]
+    walk = None
+    if parts > 1:
+        walk = _Walk(seed, runs, parts, m, substream, math.sqrt(dt), bufs, counts)
+    streams = [walk or ({} if len(counts) > 1 else None) for _ in range(m)]
+    try:
+        for i in range(len(counts)):
+            out = _chunk(bufs, counts, i)
+            for j in range(m):
+                batch_standard_normals(
+                    seed, idx, substream + j, counts[i], out=out[j],
+                    streams=streams[j], scale=math.sqrt(dt),
+                )
+            yield out
+    finally:
+        if walk is not None:
+            walk.close()
 
 
 def check_work(floats: int, what: str) -> None:
@@ -189,10 +305,11 @@ def increment_batches(
     index_offset + n_samples - 1`` in index order; ``chunks`` is the batch's
     :func:`increment_chunks` of ``chunk`` steps rounded up to whole draws (at
     most ``n``), as many paths as fit one chunk each in ``_BATCH_FLOATS``
-    increments.  LatticeError, raised by the call and not by the first batch,
-    if one chunk does not, or the walk needs more than ``_WALK_FLOATS``.
+    increments; a walk that draws ahead yields multiples of ``chunk``
+    instead.  LatticeError, raised by the call and not by the first batch,
+    if one chunk does not fit, or the walk needs more than ``_WALK_FLOATS``.
     """
-    chunk = min(n, math.lcm(chunk, _CHUNK))
+    granule, chunk = chunk, min(n, math.lcm(chunk, _CHUNK))
     if chunk * m > _BATCH_FLOATS:
         raise LatticeError(
             f"one path needs {chunk} steps x {m} noise dimensions in a batch, "
@@ -204,7 +321,7 @@ def increment_batches(
     def batches():
         for start in range(0, n_samples, batch):
             idx = np.arange(start, min(start + batch, n_samples)) + index_offset
-            yield idx, increment_chunks(seed, idx, m, n, dt, chunk)
+            yield idx, increment_chunks(seed, idx, m, n, dt, chunk, granule=granule)
 
     return batches()
 

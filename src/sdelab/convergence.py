@@ -32,6 +32,11 @@ class MeasurementError(ValueError):
     """Ill-posed error-curve request (grids, references, fit inputs)."""
 
 
+#: Per-path errors a run may hold, one per (scheme, grid, path): as many as
+#: a batch holds increments, 9 bytes each (the maximum and the overflow flag).
+_ERROR_CELLS = bw._BATCH_FLOATS
+
+
 @dataclass(frozen=True)
 class Regression:
     """Least-squares line through (log dt, log e)."""
@@ -184,6 +189,12 @@ def strong_error_curves(
         f"n_samples = {n_samples} paths x (ref_n = {ref_n} + {nc} schemes x "
         f"{sum(ns)} n_list steps) x {m} noise dimensions",
     )
+    if nc * nn * n_samples > _ERROR_CELLS:
+        raise MeasurementError(
+            f"n_samples = {n_samples} paths x {nc} schemes in [scheme] x {nn} grids in "
+            f"n_list: {nc * nn * n_samples} per-path errors, more than the "
+            f"{_ERROR_CELLS} a run may hold"
+        )
     dist = np.zeros((nc, nn, n_samples))  # max node deviation of each path
     bad = np.zeros((nc, nn, n_samples), dtype=bool)
     ref_bad = np.zeros(n_samples, dtype=bool)

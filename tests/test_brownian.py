@@ -137,16 +137,22 @@ def test_increment_block_draws_in_place_in_small_chunks():
 
 
 def _parts(monkeypatch):
-    """Record the number of runs each part of a draw holds, and whether the
-    calling thread drew it, as (runs, on_caller) pairs."""
-    parts, draw = [], bw._draw_runs
+    """Record the number of runs each part of a wide walk holds, and whether
+    the calling thread drew it, as (runs, on_caller) pairs."""
+    parts, draw = [], bw._draw_part
 
-    def recorded(*args):
-        parts.append((len(args[-1]), threading.current_thread() is threading.main_thread()))
-        return draw(*args)
+    def recorded(part, *args):
+        parts.append((len(part), threading.current_thread() is threading.main_thread()))
+        return draw(part, *args)
 
-    monkeypatch.setattr(bw, "_draw_runs", recorded)
+    monkeypatch.setattr(bw, "_draw_part", recorded)
     return parts
+
+
+def _walk(idx, n, granule, m=2):
+    """increment_batches' walk of ``idx`` over ``n`` steps at ``granule``."""
+    chunk = min(n, math.lcm(granule, bw._CHUNK))
+    return bw.increment_chunks(17, idx, m, n, 0.25, chunk, 3, granule=granule)
 
 
 # index sets of at least 16 blocks: one contiguous run per block; a
@@ -164,29 +170,29 @@ WIDE_SETS = {
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", list(WIDE_SETS))
 def test_draws_do_not_depend_on_the_worker_count(monkeypatch, workers, name):
-    # two calls that continue their streams, of one and of two whole draws
-    idx = WIDE_SETS[name]
-
-    def two_calls():
-        streams = {}
-        return [
-            bw.batch_standard_normals(17, idx, 3, count, streams=streams, scale=0.5)
-            for count in (128, 256)
-        ]
-
-    monkeypatch.setattr(bw, "_WORKERS", 1)
-    want = two_calls()
+    # a wide walk of two noise dimensions over 512 steps equals the serial
+    # block draws, whether it draws a chunk ahead (granules 1, 2, 3 and 32
+    # cut 128-step or 384-step chunks to 32 or 96 steps) or in whole chunks
+    # (128 and 256)
+    idx, n = WIDE_SETS[name], 512
+    want = np.stack(
+        [bw.batch_standard_normals(17, idx, 3 + j, n, scale=0.5) for j in range(2)]
+    )
     monkeypatch.setattr(bw, "_WORKERS", workers)
     parts = _parts(monkeypatch)
-    got = two_calls()
-    for a, b in zip(want, got):
-        np.testing.assert_array_equal(a, b)
     blocks = len(np.unique(idx // 64))
     split = min(workers, blocks // 8)
-    assert sorted(n for n, _ in parts) == sorted(
-        [blocks * (p + 1) // split - blocks * p // split for p in range(split)] * 2
-    )
-    assert [on_caller for _, on_caller in parts].count(True) == 2  # the first parts
+    for granule, length in [(1, 32), (2, 32), (3, 96), (32, 32), (128, 128), (256, 256)]:
+        parts.clear()
+        chunks = [c.copy() for c in _walk(idx, n, granule)]
+        np.testing.assert_array_equal(np.concatenate(chunks, axis=-1), want)
+        if split < 2:  # drawn on the caller alone, in whole chunks
+            assert parts == []
+            length = min(n, math.lcm(granule, 128))
+        else:  # each chunk of each noise dimension in `split` parts
+            sizes = [blocks * (p + 1) // split - blocks * p // split for p in range(split)]
+            assert sorted(k for k, _ in parts) == sorted(sizes * 2 * len(chunks))
+        assert [c.shape[-1] for c in chunks[:-1]] == [length] * (len(chunks) - 1)
 
 
 def test_narrow_draws_never_start_the_pool(monkeypatch):
@@ -195,28 +201,94 @@ def test_narrow_draws_never_start_the_pool(monkeypatch):
 
     monkeypatch.setattr(bw, "_WORKERS", 3)
     monkeypatch.setattr(bw, "_pool", no_pool)
-    bw.batch_standard_normals(1, range(256), 0, 256)  # 4 blocks
-    bw.batch_standard_normals(1, range(64 * 32), 0, 64)  # part of one draw
-    bw.batch_standard_normals(1, range(64 * 32), 0, 200)  # not whole draws
+    # cir_converge's walk: 4 blocks in chunks of one 256-step coarsest step
+    for _, chunks in bw.increment_batches(1, 256, 1, 2**12, 2.0**-12, chunk=256):
+        assert [c.shape[-1] for c in chunks] == [256] * 16
+    # an mlmc level: one chunk of 64 steps, short of a whole draw
+    for _, chunks in bw.increment_batches(1, 64 * 32, 2, 64, 2.0**-6, chunk=2):
+        assert [c.shape[-1] for c in chunks] == [64]
+    # a draw outside a walk runs on the caller, however wide
+    bw.batch_standard_normals(1, range(64 * 32), 0, 256)
+
+
+def _slow_pool(monkeypatch, failing=None):
+    """Replace a wide walk's part draw: a part on the pool sets ``started``
+    and sleeps 0.2 s, one on the caller first waits for ``started``.  The
+    part of the ``failing`` side ("caller" or "pool") then raises; any other
+    draws and appends whether it ran on the caller to the returned list."""
+    started, finished, draw = threading.Event(), [], bw._draw_part
+
+    def part(*args):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller:
+            assert started.wait(10)
+        else:
+            started.set()
+            time.sleep(0.2)
+        if failing == ("caller" if on_caller else "pool"):
+            raise RuntimeError("part failed")
+        draw(*args)
+        finished.append(on_caller)
+
+    monkeypatch.setattr(bw, "_WORKERS", 2)
+    monkeypatch.setattr(bw, "_draw_part", part)
+    return finished
 
 
 @pytest.mark.parametrize("failing", ["caller", "pool"])
 def test_a_failing_part_raises_after_every_part_is_written(monkeypatch, failing):
-    monkeypatch.setattr(bw, "_WORKERS", 2)
-    finished, draw = [], bw._draw_runs
-
-    def flaky(*args):
-        on_caller = threading.current_thread() is threading.main_thread()
-        if on_caller == (failing == "caller"):
-            raise RuntimeError("part failed")
-        time.sleep(0.2)
-        draw(*args)
-        finished.append(on_caller)
-
-    monkeypatch.setattr(bw, "_draw_runs", flaky)
+    # one chunk of 16 blocks in two parts: the caller takes the second, the
+    # pool the first; whichever fails, the error comes once both are done
+    finished = _slow_pool(monkeypatch, failing)
     with pytest.raises(RuntimeError, match="part failed"):
-        bw.batch_standard_normals(1, range(64 * 16), 0, 128)
+        next(_walk(np.arange(64 * 16), 128, 128, m=1))
     assert finished == [failing == "pool"]
+
+
+def test_closing_a_walk_waits_for_its_running_parts(monkeypatch):
+    # after the first chunk the pool draws the second; closing the walk then
+    # waits for the part already running and drops the one still queued
+    writes = []
+    finished = _slow_pool(monkeypatch)
+    draw = bw._draw_part
+
+    def part(part_runs, count, scale, out):
+        writes.append(out)
+        draw(part_runs, count, scale, out)
+
+    monkeypatch.setattr(bw, "_draw_part", part)
+    walk = _walk(np.arange(64 * 16), 256, 1, m=1)
+    first = next(walk)
+    for _ in range(1000):  # the pool has started on the second chunk
+        if any(w.base is not first.base for w in writes):
+            break
+        time.sleep(0.01)
+    ahead = [w for w in writes if w.base is not first.base]
+    assert len(ahead) == 1
+    running = len(finished)
+    walk.close()
+    assert len(finished) == running + 1  # the running part ended first
+    snapshot = ahead[0].base.copy()
+    time.sleep(0.3)
+    assert len(writes) == 3 and len(finished) == running + 1
+    np.testing.assert_array_equal(ahead[0].base, snapshot)
+
+
+def test_a_walk_that_draws_ahead_holds_two_quarter_chunks(monkeypatch):
+    # 10,000 paths over 4,096 steps at granule 2: two 32-step buffers, where
+    # a walk on one CPU holds one of 128 steps.  The walk plans and allocates
+    # on its first chunk; the batch's index array is the caller's
+    monkeypatch.setattr(bw, "_WORKERS", 2)
+    list(_walk(np.arange(64 * 16), 256, 2, m=1))  # loads modules, starts the pool
+    ((idx, chunks),) = bw.increment_batches(3, 10_000, 1, 4096, 2.0**-12, chunk=2)
+    tracemalloc.start()
+    try:
+        for c in chunks:
+            assert c.shape == (1, 10_000, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 32 * 10_000 * 8 + 256 * 1024
 
 
 def test_workers_are_the_cpus_the_process_may_run_on():

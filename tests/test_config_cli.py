@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import os
+import shutil
 import sys
 import threading
 import warnings
@@ -472,14 +473,14 @@ truth = oracle
     assert "oracle self-check failed" in capsys.readouterr().err
 
 
-# runs whose draws split over the CPUs: 1024 paths (16 blocks) drawn in
-# whole 128-step draws
+# runs whose walks split their draws over the CPUs and draw a chunk ahead:
+# 1024 paths (16 blocks) over 256 steps, cut from 128-step chunks to 32
 SPLIT_RUNS = {
     "explode": ("three-halves-mc", "euler",
-                "n_list = 4, 128\nn_samples_list = 500, 1024\npayoff = abs"),
+                "n_list = 4, 256\nn_samples_list = 500, 1024\npayoff = abs"),
     "converge": ("cir-scenario-1", "truncated_euler, implicit_sqrt",
-                 "n_list = 2^4, 2^5\nn_samples = 1024\nref_n = 2^7\nref_scheme = implicit_sqrt"),
-    "negstats": ("cir-scenario-1", "truncated_euler", "n = 128\nn_samples = 1024"),
+                 "n_list = 2^4, 2^5\nn_samples = 1024\nref_n = 2^8\nref_scheme = implicit_sqrt"),
+    "negstats": ("cir-scenario-1", "truncated_euler", "n = 256\nn_samples = 1024"),
 }
 
 
@@ -496,12 +497,23 @@ def _split_run(tmp_path, kind, out, *flags):
 
 
 def test_cli_output_is_byte_identical_across_threads(tmp_path, monkeypatch, capsys):
-    # draws split over 2 CPUs write the bytes of one
+    # walks that draw a chunk ahead on 2 CPUs write the bytes of one CPU
+    buffers = []
+
+    class Walk(bw._Walk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            buffers.append(len(self.bufs))
+
+    monkeypatch.setattr(bw, "_Walk", Walk)
     for kind in SPLIT_RUNS:
         monkeypatch.setattr(bw, "_WORKERS", 1)
         one = _split_run(tmp_path, kind, tmp_path / f"{kind}-1")
+        assert buffers == []
         monkeypatch.setattr(bw, "_WORKERS", 2)
         assert _split_run(tmp_path, kind, tmp_path / f"{kind}-2") == one
+        assert 2 in buffers
+        buffers.clear()
     # --threads is kept for the benchmark's command line: it takes 1 only
     # and changes nothing
     one = _split_run(tmp_path, "explode", tmp_path / "t0")
@@ -527,7 +539,7 @@ def test_split_runs_stay_on_the_calling_thread(tmp_path, monkeypatch):
     modules = [m for name, m in sys.modules.items() if name.startswith("sdelab.")]
     traced = ("batch_standard_normals", "aggregate_to", "simulate_batch")
     for mod, name in [(bw, "batch_standard_normals"), (bw, "aggregate_to"),
-                      (schemes, "simulate_batch"), (bw, "_draw_runs")]:
+                      (schemes, "simulate_batch"), (bw, "_draw_part")]:
         original = getattr(mod, name)
         for m in modules:
             for attr, value in list(vars(m).items()):
@@ -537,7 +549,7 @@ def test_split_runs_stay_on_the_calling_thread(tmp_path, monkeypatch):
     for kind in SPLIT_RUNS:
         _split_run(tmp_path, kind, tmp_path / kind)
     assert entered == {(name, True) for name in traced} | {
-        ("_draw_runs", True), ("_draw_runs", False),
+        ("_draw_part", True), ("_draw_part", False),
     }
 
 
@@ -1016,15 +1028,22 @@ def test_run_values_cover_every_run_key():
 @settings(max_examples=1500, derandomize=True, database=None)
 @given(case=_boundary_configs())
 def test_boundary_run_values_never_end_in_a_traceback(tmp_path_factory, case):
+    # and a run that exits 0 writes no nan in any CSV row: inf is data, nan is not
     kind, text = case
     work = tmp_path_factory.getbasetemp() / "boundary"
     work.mkdir(exist_ok=True)
+    shutil.rmtree(work / "out", ignore_errors=True)
     cfg = _write(work / "run.cfg", text)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
         io.StringIO()
     ):
         rc = cli.main([kind, "--config", cfg, "--out", str(work / "out")])
     assert rc in (0, 2, 3), text
+    if rc == 0:
+        for csv in (work / "out").glob("*.csv"):
+            rows = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
+            nans = [f for row in rows for f in row.split(",") if f.lower() == "nan"]
+            assert not nans, f"{csv.name}\n{text}"
 
 
 # (kind, [run] block, exit code, text the error must contain)
@@ -1146,6 +1165,13 @@ EDGE_RUNS = {
         "converge", "n_list = 2^10, 2^11, 2^12\nref_n = 2^12\nn_samples = 10^6", 2,
         "n_samples = 1000000 paths x (ref_n = 4096 + 5 schemes x 7168 n_list steps)",
     ),
+    # and so are a curve's per-path errors, 9 bytes per scheme, grid and
+    # path, in a run within the work bound (4.2e9 increments)
+    "converge-error-cells": (
+        "converge", "n_list = 1\nref_n = 1\nn_samples = 700000000", 2,
+        "n_samples = 700000000 paths x 5 schemes in [scheme] x 1 grids in n_list: "
+        "3500000000 per-path errors",
+    ),
     # each alias writes converge_<alias>.csv: a repeat would overwrite its own
     "converge-repeated-alias": (
         "converge", "n_list = 2, 4\nn_samples = 4", 2,
@@ -1190,6 +1216,9 @@ EDGE_SETUPS = {
     "pathwise-mu-nan": (SWEEP_MODELS["gbm"].replace("mu = 0.05", "mu = nan"), "euler"),
     "explode-runaway": ("preset = three-halves-mc", "euler"),
     "converge-schemes-runaway": (
+        "preset = cev-set-1", "euler, milstein, tamed_euler, split_step, backward_euler",
+    ),
+    "converge-error-cells": (
         "preset = cev-set-1", "euler, milstein, tamed_euler, split_step, backward_euler",
     ),
     "converge-repeated-alias": (SWEEP_MODELS["gbm"], "euler, tamed_euler, euler"),
