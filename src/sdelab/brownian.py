@@ -62,18 +62,17 @@ class LatticeError(ValueError):
     """Raised for invalid stream keys, lattice requests or aggregations."""
 
 
-def _keys(seed: int, sample_indices: Sequence[int], *substreams: int) -> np.ndarray:
+def _keys(seed: int, sample_indices: Sequence[int], substream: int) -> np.ndarray:
     """The sample indices as int64; LatticeError unless (seed, each index,
-    each substream) keys a stream."""
+    substream) keys a stream."""
     idx = np.asarray(sample_indices)
     if not 0 <= seed < _MAX_SEED:
         raise LatticeError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if idx.size and not 0 <= idx.min() <= idx.max() < MAX_SAMPLE_INDEX:
         bad = idx.min() if idx.min() < 0 else idx.max()
         raise LatticeError(f"sample_index must lie in [0, 2**56), got {bad}")
-    for substream in substreams:
-        if not 0 <= substream < _MAX_SUBSTREAM:
-            raise LatticeError(f"substream must lie in [0, 256), got {substream}")
+    if not 0 <= substream < _MAX_SUBSTREAM:
+        raise LatticeError(f"substream must lie in [0, 256), got {substream}")
     return idx.astype(np.int64, copy=False)
 
 
@@ -98,8 +97,7 @@ def _runs(idx: np.ndarray) -> list[tuple]:
 
 def batch_standard_normals(
     seed: int, sample_indices: Sequence[int], substream: int, count: int,
-    out: np.ndarray | None = None, streams: dict | _Walk | None = None,
-    scale: float = 1.0,
+    out: np.ndarray | None = None, walk: _Walk | None = None, scale: float = 1.0,
 ) -> np.ndarray:
     """Draw ``count`` N(0,1) variates for each sample index, one row each.
 
@@ -110,31 +108,19 @@ def batch_standard_normals(
     of a fixed sequence, whatever the count and the other indices drawn with
     it.  Blocks are drawn whole, ``_CHUNK`` steps at a time, and sliced.
     ``out`` receives the (len(sample_indices), count) result when given.
-    ``streams``, a dict kept by the caller for one seed and substream, holds
-    each block's generator state between calls, so that each call continues
-    the rows where the previous call with that dict stopped.  Every normal is
-    written times ``scale``.  The draw runs on the calling thread, except
-    in a wide walk of :func:`increment_chunks`, which passes itself as
-    ``streams`` and has its parts drawn on every CPU.
+    Every normal is written times ``scale``.  A call on its own is a walk of
+    one chunk, drawn on the calling thread.  A walk of
+    :func:`increment_chunks` passes itself as ``walk``, which then holds the
+    indices and the scale: the call draws that walk's next chunk of noise
+    dimension ``substream``, with a wide walk's parts on every CPU.
     """
-    if isinstance(streams, _Walk):
-        return streams.draw(substream, out)
-    seed, substream = int(seed), int(substream)
-    idx = _keys(seed, sample_indices, substream)
-    if out is None:
-        out = np.empty((len(idx), count))
-    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bg)
-    fresh = bg.state  # counter zero, buffer empty: only the key changes
-    key = fresh["state"]["key"]
-    buf = np.empty((_CHUNK, _BLOCK))
-    for k, rows, cols in _runs(idx):
-        key[1] = k << 8 | substream
-        bg.state = fresh if streams is None else streams.get(k, fresh)
-        _fill(gen, rows, cols, count, scale, out, buf)
-        if streams is not None:
-            streams[k] = bg.state
-    return out
+    if walk is None:
+        seed, substream = int(seed), int(substream)
+        idx = _keys(seed, sample_indices, substream)
+        if out is None:
+            out = np.empty((len(idx), count))
+        return _Walk(seed, _runs(idx), 1, substream, scale, [count]).draw(0, out)
+    return walk.draw(substream, out)
 
 
 def _fill(gen, rows, cols, count, scale, out, buf) -> None:
@@ -154,6 +140,19 @@ def _draw_part(part, count, scale, out) -> None:
     buf = np.empty((min(count, _CHUNK), _BLOCK))
     for gen, rows, cols in part:
         _fill(gen, rows, cols, count, scale, out, buf)
+
+
+def _rekeyed(seed, substream, runs) -> Iterator[tuple]:
+    """Each ``(block, rows, cols)`` run as ``(generator, rows, cols)``: one
+    generator for all of them, rekeyed to each block at its counter zero."""
+    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bg)
+    fresh = bg.state  # counter zero, buffer empty: only the key changes
+    key = fresh["state"]["key"]
+    for k, rows, cols in runs:
+        key[1] = k << 8 | substream
+        bg.state = fresh
+        yield gen, rows, cols
 
 
 @functools.cache
@@ -179,17 +178,20 @@ def _settle(futures: list) -> None:
 
 
 class _Walk:
-    """The draws of a wide walk, planned once: its block runs cut into
+    """The draw plan of one walk, made once: its block runs cut into parts,
+    each with its generators per noise dimension.  A wide walk has
     contiguous parts, at least one per CPU and at most ``_PART_MAX_BLOCKS``
-    blocks each, and one Philox generator per block and noise dimension.
-    With two buffers it draws a chunk ahead: once chunk i is handed out, the
-    pool draws the parts of chunk i + 1 into the other buffer while the
-    caller steps chunk i.  A part of the next chunk is queued only after
-    every part of this one has finished, since a block's stream is
-    sequential."""
+    blocks each; any other has one, drawn on the caller.  A walk of several
+    chunks keys one Philox generator per block, which each chunk continues;
+    one of a single chunk rekeys one generator per part.  With two buffers
+    a walk draws a chunk ahead: while the caller steps chunk i, the pool
+    draws chunk i + 1 into the other buffer, queued only once every part of
+    chunk i has finished, since a block's stream is sequential."""
 
-    def __init__(self, seed, runs, parts, m, substream, scale, bufs, counts):
+    def __init__(self, seed, runs, m, substream, scale, counts, bufs=(), parts=1):
         def keyed(j, runs):  # noise dimension j's generator for each run
+            if len(counts) == 1:
+                return _rekeyed(seed, substream + j, runs)
             return [
                 (np.random.Generator(np.random.Philox(
                     key=np.array([seed, k << 8 | substream + j], dtype=np.uint64)
@@ -197,28 +199,29 @@ class _Walk:
                 for k, rows, cols in runs
             ]
 
-        parts = max(parts, -(-len(runs) // _PART_MAX_BLOCKS))
+        parts = max(parts, -(-len(runs) // _PART_MAX_BLOCKS)) if parts > 1 else 1
         cuts = [len(runs) * p // parts for p in range(parts + 1)]
         self.parts = [[keyed(j, runs[a:b]) for a, b in zip(cuts, cuts[1:])] for j in range(m)]
-        self.substream, self.scale, self.bufs, self.counts = substream, scale, bufs, counts
+        self.scale, self.bufs, self.counts = scale, bufs, counts
         self.queued = [[] for _ in range(m)]  # per noise dimension: its next chunk's parts
         self.taken = [0] * m  # chunks handed out per noise dimension
 
-    def _queue(self, j: int, i: int) -> list:
-        out = _chunk(self.bufs, self.counts, i)[j]
+    def _queue(self, j: int, i: int, out: np.ndarray) -> list:
         return [
             _pool().submit(_draw_part, part, self.counts[i], self.scale, out)
             for part in self.parts[j]
         ]
 
-    def draw(self, substream: int, out: np.ndarray) -> np.ndarray:
-        """Finish noise dimension ``substream``'s part of the next chunk in
-        ``out``: draw the parts the pool has not started, from the tail, wait
-        for the others, and raise a part's error only then.  Then queue that
-        dimension's part of the chunk after, when the walk draws ahead."""
-        j = substream - self.substream
+    def draw(self, j: int, out: np.ndarray) -> np.ndarray:
+        """Finish noise dimension ``j``'s part of the next chunk in ``out``:
+        a single part on the caller; of several, those the pool has not
+        started, from the tail, then wait for the others and raise a part's
+        error only then.  A walk that draws ahead queues the next."""
         i, self.taken[j] = self.taken[j], self.taken[j] + 1
-        futures = self.queued[j] or self._queue(j, i)
+        if len(self.parts[j]) == 1:
+            _draw_part(self.parts[j][0], self.counts[i], self.scale, out)
+            return out
+        futures = self.queued[j] or self._queue(j, i, out)
         self.queued[j] = []
         try:
             for f, part in reversed(list(zip(futures, self.parts[j]))):
@@ -230,62 +233,56 @@ class _Walk:
             if not f.cancelled():
                 f.result()
         if len(self.bufs) > 1 and i + 1 < len(self.counts):
-            self.queued[j] = self._queue(j, i + 1)
+            self.queued[j] = self._queue(j, i + 1, _chunk(self.bufs, self.counts, i + 1)[j])
         return out
 
     def close(self) -> None:
         """Drop the queued parts and wait for those already running."""
         for futures in self.queued:
             _settle(futures)
-        self.queued = [[] for _ in self.queued]
+
+
+def _chunk_steps(n: int, granule: int) -> int:
+    """Steps in one chunk of an ``n``-step walk at ``granule``."""
+    return min(n, math.lcm(granule, _CHUNK))
 
 
 def increment_chunks(
-    seed: int, sample_indices: Sequence[int], m: int, n: int, dt: float,
-    chunk: int, substream: int = 0, *, granule: int | None = None,
+    seed: int, sample_indices: Sequence[int], m: int, n: int, dt: float, granule: int,
 ) -> Iterator[np.ndarray]:
-    """Yield the (m, b, n) increments over steps of length ``dt``, ``chunk``
-    steps at a time (the last may be shorter), in memory O(m * b * chunk).
-    Row j holds the normals of substream ``substream + j`` for each sample
-    index, scaled by sqrt(dt), each chunk resuming the rows; every simulating
-    experiment draws its noise here.  A chunk is a view of a time-major
-    buffer, valid until the next chunk is requested.
+    """Yield the (m, b, n) increments over steps of length ``dt``, one chunk
+    at a time (the last may be shorter), in memory O(m * b * chunk).  Row j
+    holds the normals of substream j for each sample index, scaled by
+    sqrt(dt), each chunk resuming the rows; every simulating experiment
+    draws its noise here.  A chunk is ``granule`` rounded up to whole
+    ``_CHUNK``-step draws, at most ``n``, and a view of a time-major buffer,
+    valid until the next chunk is requested.
 
-    A walk of whole ``_CHUNK``-step draws with at least ``_PART_BLOCKS``
-    blocks per CPU is wide: it plans its draws once and splits them over
-    every CPU.  If it is longer than one ``chunk`` and a multiple of
-    ``granule`` (by default ``chunk``) fits in ``chunk // 4`` steps, it
-    yields the largest such multiple at a time and draws one chunk ahead of
-    its caller, in two buffers that together hold half of one ``chunk``.
-    Narrower walks draw on the calling thread.  No value depends on which
-    way a walk draws; closing the generator waits for the draws in flight.
+    The walk plans its draws once (:class:`_Walk`).  A walk of whole draws
+    with at least ``_PART_BLOCKS`` blocks per CPU is wide and splits them
+    over every CPU; if it is longer than one chunk and a multiple of
+    ``granule`` fits in a quarter chunk, it yields the largest such multiple
+    at a time and draws one chunk ahead of its caller, in two buffers that
+    together hold half of one chunk.  No value depends on which way a walk
+    draws; closing the generator waits for the draws in flight.
     """
-    seed, substream = int(seed), int(substream)
-    idx = _keys(seed, sample_indices, substream, substream + m - 1)
-    runs = _runs(idx) if chunk % _CHUNK == 0 else []
-    parts = min(_WORKERS, len(runs) // _PART_BLOCKS)
-    granule = granule or chunk
-    length, ahead = min(chunk, n), parts > 1 and n > chunk and chunk // 4 >= granule
-    if ahead:
-        length = chunk // 4 // granule * granule
+    seed = int(seed)
+    idx = _keys(seed, sample_indices, m - 1)
+    runs, chunk = _runs(idx), _chunk_steps(n, granule)
+    parts = min(_WORKERS, len(runs) // _PART_BLOCKS) if chunk % _CHUNK == 0 else 1
+    ahead = parts > 1 and n > chunk and chunk // 4 >= granule
+    length = chunk // 4 // granule * granule if ahead else chunk
     counts = [min(length, n - t) for t in range(0, n, length)]
     bufs = [np.empty((m, length, len(idx))) for _ in range(1 + ahead)]
-    walk = None
-    if parts > 1:
-        walk = _Walk(seed, runs, parts, m, substream, math.sqrt(dt), bufs, counts)
-    streams = [walk or ({} if len(counts) > 1 else None) for _ in range(m)]
+    walk = _Walk(seed, runs, m, 0, math.sqrt(dt), counts, bufs, parts)
     try:
-        for i in range(len(counts)):
+        for i, count in enumerate(counts):
             out = _chunk(bufs, counts, i)
             for j in range(m):
-                batch_standard_normals(
-                    seed, idx, substream + j, counts[i], out=out[j],
-                    streams=streams[j], scale=math.sqrt(dt),
-                )
+                batch_standard_normals(seed, idx, j, count, out=out[j], walk=walk)
             yield out
     finally:
-        if walk is not None:
-            walk.close()
+        walk.close()
 
 
 def check_work(floats: int, what: str) -> None:
@@ -299,17 +296,16 @@ def check_work(floats: int, what: str) -> None:
 
 def increment_batches(
     seed: int, n_samples: int, m: int, n: int, dt: float, index_offset: int = 0,
-    *, chunk: int,
+    *, granule: int,
 ) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
     """Yield ``(sample_indices, chunks)`` over samples ``index_offset ..
     index_offset + n_samples - 1`` in index order; ``chunks`` is the batch's
-    :func:`increment_chunks` of ``chunk`` steps rounded up to whole draws (at
-    most ``n``), as many paths as fit one chunk each in ``_BATCH_FLOATS``
-    increments; a walk that draws ahead yields multiples of ``chunk``
-    instead.  LatticeError, raised by the call and not by the first batch,
-    if one chunk does not fit, or the walk needs more than ``_WALK_FLOATS``.
+    :func:`increment_chunks` at ``granule``, and a batch holds as many paths
+    as fit one chunk each in ``_BATCH_FLOATS`` increments.  LatticeError,
+    raised by the call and not by the first batch, if one chunk does not
+    fit, or the walk needs more than ``_WALK_FLOATS``.
     """
-    granule, chunk = chunk, min(n, math.lcm(chunk, _CHUNK))
+    chunk = _chunk_steps(n, granule)
     if chunk * m > _BATCH_FLOATS:
         raise LatticeError(
             f"one path needs {chunk} steps x {m} noise dimensions in a batch, "
@@ -321,7 +317,7 @@ def increment_batches(
     def batches():
         for start in range(0, n_samples, batch):
             idx = np.arange(start, min(start + batch, n_samples)) + index_offset
-            yield idx, increment_chunks(seed, idx, m, n, dt, chunk, granule=granule)
+            yield idx, increment_chunks(seed, idx, m, n, dt, granule)
 
     return batches()
 

@@ -15,6 +15,7 @@ since every stepsize and accuracy grid in the experiments is a power of two.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -78,12 +79,25 @@ def _split_list(text: str) -> list[str]:
     return [t for t in re.split(r"[,\s]+", text.strip()) if t]
 
 
+def _repeated(values) -> str:
+    """The values listed more than once, sorted and joined by commas."""
+    return ", ".join(map(str, sorted({v for v in values if values.count(v) > 1})))
+
+
+def _distinct(values: tuple) -> tuple:
+    """``values``; ValueError if one is listed twice, which would merge its
+    rows or run the same work again."""
+    if repeated := _repeated(values):
+        raise ValueError(f"{repeated} listed more than once")
+    return values
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_float(t) for t in _split_list(text))
+    return _distinct(tuple(_parse_float(t) for t in _split_list(text)))
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(_parse_int(t) for t in _split_list(text))
+    return _distinct(tuple(_parse_int(t) for t in _split_list(text)))
 
 
 def _parse_str(text: str) -> str:
@@ -116,7 +130,8 @@ def _positive(key: str, v) -> str | None:
 
 
 def _all_positive(key: str, v) -> str | None:
-    return None if v and all(x > 0 for x in v) else f"{key!r} must list positive values"
+    ok = v and all(0 < x < math.inf for x in v)
+    return None if ok else f"{key!r} must list finite positive values"
 
 
 def _one_of(noun: str, choices) -> Callable[[str, object], str | None]:
@@ -178,7 +193,7 @@ _RUN_KEYS: dict[str, _RunKey] = {
     "epsilon_list": _RunKey(_parse_float_list, ("mlmc",), (), _all_positive),
     "replications": _RunKey(_parse_int, ("mlmc",), (), _at_least_one),
     "truth": _RunKey(_parse_truth, ("mlmc",), (), None),
-    "moment_p_list": _RunKey(_parse_float_list, ("validate",), (), None),
+    "moment_p_list": _RunKey(_parse_float_list, ("validate",), (), _all_positive),
     "l1": _RunKey(_parse_float, ("validate",), (), None),
     "l2": _RunKey(_parse_float, ("validate",), (), None),
 }
@@ -356,10 +371,10 @@ def _resolve_schemes(
                 f"line {_line_of(raw, 'scheme')}: unknown scheme alias {a!r}; "
                 "known: " + ", ".join(schemes.ALIASES)
             )
-    repeated = sorted({a for a in aliases if aliases.count(a) > 1})
+    repeated = _repeated(aliases)
     if repeated:  # a repeat would recompute and overwrite its own results
         errors.append(f"line {_line_of(raw, 'scheme')}: scheme aliases listed "
-                      f"more than once: {', '.join(repeated)}")
+                      f"more than once: {repeated}")
     return tuple(a for a in aliases if a in schemes.ALIASES)
 
 

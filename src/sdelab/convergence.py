@@ -182,7 +182,7 @@ def strong_error_curves(
     dt_ref = T / ref_n
     stride = ref_n // n_top
     walk = bw.increment_batches(
-        seed, n_samples, m, ref_n, dt_ref, index_offset, chunk=ref_n // ns[0]
+        seed, n_samples, m, ref_n, dt_ref, index_offset, granule=ref_n // ns[0]
     )
     bw.check_work(  # the whole run: the reference walk and every scheme's walks
         n_samples * (ref_n + nc * sum(ns)) * m,
@@ -291,7 +291,7 @@ def negativity_stats(
     dt = T / n
     total_neg = 0
     neg_paths = 0
-    for idx, chunks in bw.increment_batches(seed, n_samples, 1, n, dt, chunk=1):
+    for idx, chunks in bw.increment_batches(seed, n_samples, 1, n, dt, granule=1):
         res, neg = None, 0
         span = max(1, bw.BUFFER_FLOATS // len(idx))  # steps whose nodes fill 64 KiB
         for incr in chunks:

@@ -248,7 +248,7 @@ def _sample(
     values, overs = [], []
     steps = 0
     for idx, incrs in bw.increment_batches(
-        seed, n_samples, model.m, n, dt, index_offset, chunk=2  # coarse halves it
+        seed, n_samples, model.m, n, dt, index_offset, granule=2  # coarse halves it
     ):
         res = coarse = None
         for incr in incrs:

@@ -168,6 +168,13 @@ def _run_explode(cfg, model, seed, out_dir, header):
     return [path]
 
 
+def _check_plans(plans, m: int, what: str, repeats: int = 1) -> None:
+    """The whole run of ``plans``, ``repeats`` times, under the work bound
+    of one walk, before anything runs."""
+    steps = sum(plan.total_steps for plan in plans)
+    bw.check_work(repeats * steps * m, f"[run]: {what} {steps} steps x {m} noise dimensions")
+
+
 def _run_mlmc(cfg, model, seed, out_dir, header):
     run = cfg.run
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
@@ -177,14 +184,9 @@ def _run_mlmc(cfg, model, seed, out_dir, header):
     plans = [estimators.plan_for(method, eps, cfg.T) for eps in eps_list]
     replications = run.get("replications")
     kw = dict(T=cfg.T, seed=seed, policy=run.get("policy", "propagate"))
-    # the whole run under the work bound of one walk, before anything runs
-    steps = sum(plan.total_steps for plan in plans)
     what = (f"replications = {replications} repeats" if replications else
             "epsilon_list plans" if "epsilon_list" in run else "epsilon plans")
-    bw.check_work(
-        (replications or 1) * steps * model.m,
-        f"[run]: {what} {steps} steps x {model.m} noise dimensions",
-    )
+    _check_plans(plans, model.m, what, replications or 1)
 
     # evaluated once, before any simulation: the oracle is the costly part
     truth = run.get("truth")
@@ -230,6 +232,7 @@ def _run_price(cfg, model, seed, out_dir, header):
         )
     else:
         plan = estimators.plan_for(method, run["epsilon"], cfg.T)
+        _check_plans([plan], model.m, "epsilon plans")
         est = estimators.mlmc_estimate(scheme_cfg, model, payoff, plan, **kw)
     path = os.path.join(out_dir, "price.csv")
     util.write_csv(

@@ -526,7 +526,8 @@ def bbd_threshold(p: CirParams | HestonParams, moment_p: float) -> MomentThresho
 
         2*kappa*lam/theta^2 > 1 + sqrt(8)*max((sqrt(kappa)/theta)*sqrt(16p-1), 16p-2)
     """
-    _require(moment_p > 0, f"moment order must be positive, got {moment_p}")
+    # the threshold takes sqrt(16p - 1), so it exists from p = 1/16 on
+    _require(16.0 * moment_p >= 1.0, f"moment order must be >= 1/16, got {moment_p}")
     kappa, theta = p.kappa, p.theta
     lhs = feller_ratio(p)
     rhs = 1.0 + math.sqrt(8.0) * max(

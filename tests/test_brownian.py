@@ -65,60 +65,62 @@ def test_rows_are_prefixes_of_one_aligned_draw(offset, picks, counts):
         np.testing.assert_array_equal(got, full[idx - lo, :count])
 
 
-def _block(seed, sample_indices, substream, m, n, dt):
+def _block(seed, sample_indices, m, n, dt):
     """The whole (m, b, n) increment block, drawn as one chunk."""
-    return next(bw.increment_chunks(seed, sample_indices, m, n, dt, n, substream))
+    return next(bw.increment_chunks(seed, sample_indices, m, n, dt, n))
 
 
 def test_increment_block_rows_are_scaled_substreams(monkeypatch):
     idx = np.array([4, 9, 2**50])
-    block = _block(99, idx, substream=3, m=2, n=5, dt=0.25)
+    block = _block(99, idx, m=2, n=5, dt=0.25)
     assert block.shape == (2, 3, 5)
     for j in range(2):
-        want = bw.batch_standard_normals(99, idx, 3 + j, 5) * math.sqrt(0.25)
+        want = bw.batch_standard_normals(99, idx, j, 5) * math.sqrt(0.25)
         np.testing.assert_array_equal(block[j], want)
     # batches cover the index range in order and do not change the values,
     # whole or cut into chunks; a batch holds one chunk of each path
     monkeypatch.setattr(bw, "_BATCH_FLOATS", 30)  # 3 paths of 2 x 5 per batch
     monkeypatch.setattr(bw, "_CHUNK", 1)
-    want = _block(7, np.arange(10, 18), 0, 2, 5, 0.5)
-    for chunk, widths in [(5, [3, 3, 2]), (2, [7, 1]), (1, [8])]:
+    want = _block(7, np.arange(10, 18), 2, 5, 0.5)
+    for granule, widths in [(5, [3, 3, 2]), (2, [7, 1]), (1, [8])]:
         parts = [
             (i, np.concatenate([c.copy() for c in chunks], axis=-1))
-            for i, chunks in bw.increment_batches(7, 8, 2, 5, 0.5, 10, chunk=chunk)
+            for i, chunks in bw.increment_batches(7, 8, 2, 5, 0.5, 10, granule=granule)
         ]
         assert [len(i) for i, _ in parts] == widths
         np.testing.assert_array_equal(np.concatenate([i for i, _ in parts]), np.arange(10, 18))
         np.testing.assert_array_equal(np.concatenate([b for _, b in parts], axis=1), want)
     # chunks are rounded up to whole draws; one chunk over the budget is an error
     monkeypatch.setattr(bw, "_CHUNK", 4)
-    _, chunks = next(bw.increment_batches(7, 1, 1, 40, 0.5, chunk=3))
+    _, chunks = next(bw.increment_batches(7, 1, 1, 40, 0.5, granule=3))
     assert [c.shape[-1] for c in chunks] == [12, 12, 12, 4]
     with pytest.raises(bw.LatticeError, match="one path needs 16 steps x 2 noise"):
-        next(bw.increment_batches(7, 8, 2, 40, 0.5, chunk=16))
+        next(bw.increment_batches(7, 8, 2, 40, 0.5, granule=16))
     # so is a walk over the work bound, which is checked after the chunk
     monkeypatch.setattr(bw, "_WALK_FLOATS", 8 * 40 * 2)
-    next(bw.increment_batches(7, 8, 2, 40, 0.5, chunk=4))
+    next(bw.increment_batches(7, 8, 2, 40, 0.5, granule=4))
     monkeypatch.setattr(bw, "_WALK_FLOATS", 8 * 40 * 2 - 1)
     with pytest.raises(bw.LatticeError, match="8 paths x 40 steps x 2 noise"):
-        next(bw.increment_batches(7, 8, 2, 40, 0.5, chunk=4))
+        next(bw.increment_batches(7, 8, 2, 40, 0.5, granule=4))
     with pytest.raises(bw.LatticeError, match="one path needs 16 steps"):
-        next(bw.increment_batches(7, 8, 2, 40, 0.5, chunk=16))
+        next(bw.increment_batches(7, 8, 2, 40, 0.5, granule=16))
 
 
-def test_increment_chunks_concatenate_to_the_block():
-    # every chunk length, over indices that span three blocks from an
-    # unaligned start, with two noise dimensions and more steps than one
-    # 128-step draw: the rows continue across chunks, whatever their length
+def test_increment_chunks_concatenate_to_the_block(monkeypatch):
+    # over indices that span three blocks from an unaligned start, with two
+    # noise dimensions and more steps than one 128-step draw; then, with
+    # one-step draws, at every granule and so every chunk length: the rows
+    # continue across chunks, whatever their length
     idx = 37 + np.arange(100)
     n, dt = 300, 0.5
     want = np.stack([
         [_block_normals(3, i, j, n) * math.sqrt(dt) for i in idx] for j in range(2)
     ])
-    np.testing.assert_array_equal(_block(3, idx, 0, 2, n, dt), want)
-    for chunk in range(1, n + 1):
-        parts = [c.copy() for c in bw.increment_chunks(3, idx, 2, n, dt, chunk)]
-        assert [p.shape[-1] for p in parts[:-1]] == [chunk] * (len(parts) - 1)
+    np.testing.assert_array_equal(_block(3, idx, 2, n, dt), want)
+    monkeypatch.setattr(bw, "_CHUNK", 1)
+    for granule in range(1, n + 1):
+        parts = [c.copy() for c in bw.increment_chunks(3, idx, 2, n, dt, granule)]
+        assert [p.shape[-1] for p in parts[:-1]] == [granule] * (len(parts) - 1)
         np.testing.assert_array_equal(np.concatenate(parts, axis=-1), want)
 
 
@@ -126,10 +128,10 @@ def test_increment_block_draws_in_place_in_small_chunks():
     # the normals go straight into the (m, b, n) result, at most 64 KiB at a
     # time: no (b, n) temporary, and none past glibc's 128 KiB mmap threshold
     dt = 1.0 / 2**15
-    _block(5, range(256), 0, 1, 4, dt)  # first call loads modules
+    _block(5, range(256), 1, 4, dt)  # first call loads modules
     tracemalloc.start()
     try:
-        out = _block(5, range(256), 0, 1, 2**15, dt)
+        out = _block(5, range(256), 1, 2**15, dt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -137,12 +139,14 @@ def test_increment_block_draws_in_place_in_small_chunks():
 
 
 def _parts(monkeypatch):
-    """Record the number of runs each part of a wide walk holds, and whether
-    the calling thread drew it, as (runs, on_caller) pairs."""
+    """Record the number of runs each part of a walk holds (None for a
+    one-chunk walk's parts, which rekey as they go), and whether the calling
+    thread drew it, as (runs, on_caller) pairs."""
     parts, draw = [], bw._draw_part
 
     def recorded(part, *args):
-        parts.append((len(part), threading.current_thread() is threading.main_thread()))
+        runs = len(part) if isinstance(part, list) else None
+        parts.append((runs, threading.current_thread() is threading.main_thread()))
         return draw(part, *args)
 
     monkeypatch.setattr(bw, "_draw_part", recorded)
@@ -150,9 +154,8 @@ def _parts(monkeypatch):
 
 
 def _walk(idx, n, granule, m=2):
-    """increment_batches' walk of ``idx`` over ``n`` steps at ``granule``."""
-    chunk = min(n, math.lcm(granule, bw._CHUNK))
-    return bw.increment_chunks(17, idx, m, n, 0.25, chunk, 3, granule=granule)
+    """The walk of ``idx`` over ``n`` steps at ``granule``."""
+    return bw.increment_chunks(17, idx, m, n, 0.25, granule)
 
 
 # index sets of at least 16 blocks: one contiguous run per block; a
@@ -176,19 +179,23 @@ def test_draws_do_not_depend_on_the_worker_count(monkeypatch, workers, name):
     # (128 and 256)
     idx, n = WIDE_SETS[name], 512
     want = np.stack(
-        [bw.batch_standard_normals(17, idx, 3 + j, n, scale=0.5) for j in range(2)]
+        [bw.batch_standard_normals(17, idx, j, n, scale=0.5) for j in range(2)]
     )
     monkeypatch.setattr(bw, "_WORKERS", workers)
     parts = _parts(monkeypatch)
     blocks = len(np.unique(idx // 64))
     split = min(workers, blocks // 8)
-    for granule, length in [(1, 32), (2, 32), (3, 96), (32, 32), (128, 128), (256, 256)]:
+    for granule, ahead, whole in [
+        (1, 32, 128), (2, 32, 128), (3, 96, 384), (32, 32, 128), (128, 128, 128),
+        (256, 256, 256),
+    ]:
         parts.clear()
         chunks = [c.copy() for c in _walk(idx, n, granule)]
         np.testing.assert_array_equal(np.concatenate(chunks, axis=-1), want)
-        if split < 2:  # drawn on the caller alone, in whole chunks
-            assert parts == []
-            length = min(n, math.lcm(granule, 128))
+        length = ahead
+        if split < 2:  # one part per chunk and noise dimension, on the caller
+            assert parts == [(blocks, True)] * 2 * len(chunks)
+            length = whole
         else:  # each chunk of each noise dimension in `split` parts
             sizes = [blocks * (p + 1) // split - blocks * p // split for p in range(split)]
             assert sorted(k for k, _ in parts) == sorted(sizes * 2 * len(chunks))
@@ -202,13 +209,60 @@ def test_narrow_draws_never_start_the_pool(monkeypatch):
     monkeypatch.setattr(bw, "_WORKERS", 3)
     monkeypatch.setattr(bw, "_pool", no_pool)
     # cir_converge's walk: 4 blocks in chunks of one 256-step coarsest step
-    for _, chunks in bw.increment_batches(1, 256, 1, 2**12, 2.0**-12, chunk=256):
+    for _, chunks in bw.increment_batches(1, 256, 1, 2**12, 2.0**-12, granule=256):
         assert [c.shape[-1] for c in chunks] == [256] * 16
     # an mlmc level: one chunk of 64 steps, short of a whole draw
-    for _, chunks in bw.increment_batches(1, 64 * 32, 2, 64, 2.0**-6, chunk=2):
+    for _, chunks in bw.increment_batches(1, 64 * 32, 2, 64, 2.0**-6, granule=2):
         assert [c.shape[-1] for c in chunks] == [64]
     # a draw outside a walk runs on the caller, however wide
     bw.batch_standard_normals(1, range(64 * 32), 0, 256)
+
+
+def _plans(monkeypatch):
+    """Count ``_runs`` calls and Philox generators built, as a dict."""
+    made = {"runs": 0, "philox": 0}
+    runs, philox = bw._runs, np.random.Philox
+
+    def counted_runs(idx):
+        made["runs"] += 1
+        return runs(idx)
+
+    def counted_philox(*args, **kwargs):
+        made["philox"] += 1
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(bw, "_runs", counted_runs)
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
+    return made
+
+
+def test_a_walk_of_several_chunks_keys_each_block_once(monkeypatch):
+    # cir_converge's shape: 256 paths in 4 blocks over 2^12 steps at
+    # granule 256 plans once and keys one generator per block, which its 16
+    # chunks continue
+    monkeypatch.setattr(bw, "_WORKERS", 2)
+    made = _plans(monkeypatch)
+    ((idx, chunks),) = bw.increment_batches(1, 256, 1, 2**12, 2.0**-12, granule=256)
+    got = np.concatenate([c.copy() for c in chunks], axis=-1)
+    assert made == {"runs": 1, "philox": 4}
+    want = bw.batch_standard_normals(1, idx, 0, 2**12, scale=2.0**-6)
+    np.testing.assert_array_equal(got[0], want)
+
+
+def test_a_walk_of_one_chunk_rekeys_one_generator_per_part(monkeypatch):
+    # a one-chunk mlmc level: 2,048 paths over 64 steps at granule 2 with
+    # two noise dimensions plans once and builds one generator for each of
+    # its two parts, one per noise dimension, each drawn on the caller
+    monkeypatch.setattr(bw, "_WORKERS", 2)
+    parts = _parts(monkeypatch)
+    made = _plans(monkeypatch)
+    ((idx, chunks),) = bw.increment_batches(1, 64 * 32, 2, 64, 2.0**-6, granule=2)
+    (chunk,) = [c.copy() for c in chunks]
+    assert made == {"runs": 1, "philox": 2}
+    assert parts == [(None, True)] * 2
+    for j in range(2):
+        want = bw.batch_standard_normals(1, idx, j, 64, scale=2.0**-3)
+        np.testing.assert_array_equal(chunk[j], want)
 
 
 def _slow_pool(monkeypatch, failing=None):
@@ -280,7 +334,7 @@ def test_a_walk_that_draws_ahead_holds_two_quarter_chunks(monkeypatch):
     # on its first chunk; the batch's index array is the caller's
     monkeypatch.setattr(bw, "_WORKERS", 2)
     list(_walk(np.arange(64 * 16), 256, 2, m=1))  # loads modules, starts the pool
-    ((idx, chunks),) = bw.increment_batches(3, 10_000, 1, 4096, 2.0**-12, chunk=2)
+    ((idx, chunks),) = bw.increment_batches(3, 10_000, 1, 4096, 2.0**-12, granule=2)
     tracemalloc.start()
     try:
         for c in chunks:
@@ -301,8 +355,8 @@ def test_stream_key_validation():
     ]:
         with pytest.raises(bw.LatticeError):
             bw.batch_standard_normals(seed, idx, sub, 4)
-    with pytest.raises(bw.LatticeError, match="substream"):  # row 1 is substream 256
-        _block(0, [0], substream=255, m=2, n=4, dt=1.0)
+    with pytest.raises(bw.LatticeError, match="substream"):  # row 256 is substream 256
+        _block(0, [0], m=257, n=4, dt=1.0)
 
 
 def test_lattice_rejects_non_power_of_two():
@@ -314,7 +368,7 @@ def test_lattice_rejects_non_power_of_two():
 
 def test_sample_lattice_is_the_increment_block_row():
     lat = bw.sample_lattice(13, 4, T=3.0, m=2, finest_n=16)
-    block = _block(13, [2, 4, 9], 0, 2, 16, 3.0 / 16)
+    block = _block(13, [2, 4, 9], 2, 16, 3.0 / 16)
     np.testing.assert_array_equal(lat, block[:, 1])
 
 

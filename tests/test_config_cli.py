@@ -509,7 +509,8 @@ def test_cli_output_is_byte_identical_across_threads(tmp_path, monkeypatch, caps
     for kind in SPLIT_RUNS:
         monkeypatch.setattr(bw, "_WORKERS", 1)
         one = _split_run(tmp_path, kind, tmp_path / f"{kind}-1")
-        assert buffers == []
+        assert set(buffers) == {1}
+        buffers.clear()
         monkeypatch.setattr(bw, "_WORKERS", 2)
         assert _split_run(tmp_path, kind, tmp_path / f"{kind}-2") == one
         assert 2 in buffers
@@ -555,9 +556,9 @@ def test_split_runs_stay_on_the_calling_thread(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "n_samples_list, policy, radius",
-    [((300, 100, 40), "propagate", None), ((40, 300, 40), "exclude", None),
+    [((300, 100, 40), "propagate", None), ((40, 300, 100), "exclude", None),
      ((100, 300), "propagate", 2.0)],
-    ids=["propagate-descending", "exclude-repeated", "radius"],
+    ids=["propagate-descending", "exclude-unsorted", "radius"],
 )
 def test_explode_reduces_each_n_samples_over_one_walk_per_grid(
     n_samples_list, policy, radius, tmp_path, capsys, monkeypatch
@@ -944,9 +945,12 @@ def test_mlmc_levels_where_both_paths_overflow_warn_nothing(tmp_path, capsys):
 
 
 # Boundary values per [run] key.  Step counts, sample sizes and accuracies
-# stay small enough that a run takes milliseconds.
+# stay small enough that a run takes milliseconds, but for one step count
+# and one accuracy past the work bound, which a run must refuse at once.
 _INT = ("0", "1", "-1", "2", "2^3")
 _FLOAT = ("0", "1", "-1", "2^-1", "2^-3", "2^1023", "2^1024", "inf", "nan")
+_STEPS = (*_INT, "2^33")
+_EPSILON = (*_FLOAT, "2^-13")
 
 
 def _lists(values):
@@ -955,12 +959,12 @@ def _lists(values):
 
 
 RUN_VALUES = {
-    "n": _INT,
-    "n_samples": _INT,
-    "n_list": _lists(_INT),
-    "n_samples_list": _lists(_INT),
+    "n": _STEPS,
+    "n_samples": _STEPS,
+    "n_list": _lists(_STEPS),
+    "n_samples_list": _lists(_STEPS),
     "p": _INT,
-    "ref_n": _INT,
+    "ref_n": _STEPS,
     "ref_scheme": (*sorted(schemes.ALIASES), "bogus"),
     "reference": ("scheme", "exact", "bogus"),
     "sample_index": _INT + (str(bw.MAX_SAMPLE_INDEX - 1), str(bw.MAX_SAMPLE_INDEX)),
@@ -970,9 +974,9 @@ RUN_VALUES = {
     "upper": _FLOAT,
     "radius": _FLOAT,
     "method": ("mc", "mc_discarded", "mlmc", "standard", "quasi"),
-    "epsilon": _FLOAT,
-    "epsilon_list": _lists(_FLOAT),
-    "replications": _INT,
+    "epsilon": _EPSILON,
+    "epsilon_list": _lists(_EPSILON),
+    "replications": _STEPS,
     "truth": ("oracle", *_FLOAT),
     "moment_p_list": _lists(_FLOAT),
     "l1": _FLOAT,
@@ -1155,11 +1159,13 @@ EDGE_RUNS = {
     "converge-runaway": (
         "converge", "n_list = 2^40\nn_samples = 2", 2, "2 paths x 4398046511104 steps",
     ),
-    # and so is a whole run: every walk of explode's 2000 grids is under the
-    # bound, and so is converge's reference walk, but not its five schemes
+    # and so is a whole run: every walk of explode's 2000 distinct grids is
+    # under the bound, and so is converge's reference walk, but not its five
+    # schemes
     "explode-runaway": (
-        "explode", "n_list = " + ", ".join(["2^20"] * 2000) + "\nn_samples = 4000", 2,
-        "[run]: n_list sums to 2097152000 steps x 4000 paths x 1 noise dimensions",
+        "explode", "n_list = " + ", ".join(str(2**20 - k) for k in range(2000))
+        + "\nn_samples = 4000", 2,
+        "[run]: n_list sums to 2095153000 steps x 4000 paths x 1 noise dimensions",
     ),
     "converge-schemes-runaway": (
         "converge", "n_list = 2^10, 2^11, 2^12\nref_n = 2^12\nn_samples = 10^6", 2,
@@ -1193,6 +1199,37 @@ EDGE_RUNS = {
         "mlmc", "epsilon_list = 2^-1, 2^-13", 2,
         "[run]: epsilon_list plans 17884512266 steps x 2 noise dimensions",
     ),
+    "price-mlmc-epsilon-runaway": (
+        "price", "method = mlmc\nepsilon = 2^-13", 2,
+        "[run]: epsilon plans 17884512256 steps x 2 noise dimensions",
+    ),
+    # a repeated value would merge its rows or run the same plan again
+    "converge-repeated-n_list": (
+        "converge", "n_list = 16, 16, 32\nn_samples = 4", 2,
+        "line 17: bad value for 'n_list' in [run]: 16 listed more than once",
+    ),
+    "explode-repeated-n_samples_list": (
+        "explode", "n_list = 2, 4\nn_samples_list = 8, 2^3", 2,
+        "line 18: bad value for 'n_samples_list' in [run]: 8 listed more than once",
+    ),
+    "mlmc-repeated-epsilon_list": (
+        "mlmc", "epsilon_list = 2^-2, 0.25", 2,
+        "line 17: bad value for 'epsilon_list' in [run]: 0.25 listed more than once",
+    ),
+    # a moment order is a finite positive number: inf would write nan
+    "validate-moment_p_list-inf": (
+        "validate", "moment_p_list = 2, inf", 2,
+        "line 12: 'moment_p_list' must list finite positive values",
+    ),
+    "validate-moment_p_list-zero": (
+        "validate", "moment_p_list = 0", 2,
+        "line 12: 'moment_p_list' must list finite positive values",
+    ),
+    # the moment threshold takes sqrt(16p - 1): a smaller order exits 2 from
+    # the model, not in a traceback
+    "validate-moment_p_list-below-sixteenth": (
+        "validate", "moment_p_list = 2^-5", 2, "moment order must be >= 1/16",
+    ),
     # nan is no value: the run would compute with it
     "validate-l1-nan": (
         "validate", "l1 = nan\nl2 = 1", 2, "line 17: bad value for 'l1'",
@@ -1213,6 +1250,10 @@ EDGE_SETUPS = {
     "mlmc-replications-runaway": ("preset = heston-mlmc", "log_heston"),
     "mlmc-epsilon-runaway": ("preset = heston-mlmc", "log_heston"),
     "mlmc-epsilon_list-runaway": ("preset = heston-mlmc", "log_heston"),
+    "price-mlmc-epsilon-runaway": ("preset = heston-mlmc", "log_heston"),
+    "validate-moment_p_list-inf": ("preset = heston-mlmc", None),
+    "validate-moment_p_list-zero": ("preset = heston-mlmc", None),
+    "validate-moment_p_list-below-sixteenth": ("preset = cir-scenario-1", None),
     "pathwise-mu-nan": (SWEEP_MODELS["gbm"].replace("mu = 0.05", "mu = nan"), "euler"),
     "explode-runaway": ("preset = three-halves-mc", "euler"),
     "converge-schemes-runaway": (
