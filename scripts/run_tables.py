@@ -5,7 +5,9 @@ Each config reproduces one table of the study: negativity statistics,
 strong-order regressions (CIR and CEV), the moment-explosion table for the
 3/2 model, MLMC cost and rmsq tables, a Fourier-priced Heston run, and the
 parameter diagnostics. Seeds live in the config files so reruns are
-byte-identical.
+byte-identical. Each line gives a config's wall time and the path-steps its
+run takes (``experiments.run_work``, the work bound's own count), so also its
+path-steps per second.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import pathlib
 import sys
 import time
 
-from sdelab import cli, config
+from sdelab import cli, config, experiments, models
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent / "configs"
 
@@ -34,13 +36,17 @@ def main(argv=None) -> int:
     out_root = pathlib.Path(args.out)
     failures = 0
     for cfg in configs:
-        kind = config.parse_config_file(str(cfg)).kind
+        parsed = config.parse_config_file(str(cfg))
+        model = models.build_model(parsed.model_id, parsed.params)
+        steps = experiments.run_work(parsed, model)[0] // model.m
         out_dir = out_root / cfg.stem
         out_dir.mkdir(parents=True, exist_ok=True)
-        t0 = time.time()
-        rc = cli.main([kind, "--config", str(cfg), "--out", str(out_dir)])
+        t0 = time.perf_counter()
+        rc = cli.main([parsed.kind, "--config", str(cfg), "--out", str(out_dir)])
+        wall = time.perf_counter() - t0
         status = "ok" if rc == 0 else f"exit {rc}"
-        print(f"{cfg.stem:32s} {status:8s} {time.time() - t0:7.1f}s", file=sys.stderr)
+        print(f"{cfg.stem:32s} {status:8s} {wall:7.1f}s {steps:14,d} path-steps "
+              f"{steps / wall:9.3g}/s", file=sys.stderr)
         failures += rc != 0
     return 1 if failures else 0
 

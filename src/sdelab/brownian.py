@@ -55,7 +55,7 @@ _PART_BLOCKS = 8  # fewest blocks a thread draws
 _PART_MAX_BLOCKS = 32
 
 _BATCH_FLOATS = 1 << 23  # per-batch increment budget, keeps blocks ~64 MB
-_WALK_FLOATS = 1 << 32  # work bound, ~13x the largest study's 10^4 x 2^15 steps
+_WALK_FLOATS = 1 << 32  # a run's path-steps x m, ~13x the largest study's 10^4 x 2^15
 
 
 class LatticeError(ValueError):
@@ -285,15 +285,6 @@ def increment_chunks(
         walk.close()
 
 
-def check_work(floats: int, what: str) -> None:
-    """LatticeError if ``what``, which draws ``floats`` increments, is over
-    the work bound ``_WALK_FLOATS``."""
-    if floats > _WALK_FLOATS:
-        raise LatticeError(
-            f"{what}: {floats} increments, more than the work bound of {_WALK_FLOATS}"
-        )
-
-
 def increment_batches(
     seed: int, n_samples: int, m: int, n: int, dt: float, index_offset: int = 0,
     *, granule: int,
@@ -303,7 +294,7 @@ def increment_batches(
     :func:`increment_chunks` at ``granule``, and a batch holds as many paths
     as fit one chunk each in ``_BATCH_FLOATS`` increments.  LatticeError,
     raised by the call and not by the first batch, if one chunk does not
-    fit, or the walk needs more than ``_WALK_FLOATS``.
+    fit.  The walk's length is its run's to bound (``_WALK_FLOATS``).
     """
     chunk = _chunk_steps(n, granule)
     if chunk * m > _BATCH_FLOATS:
@@ -311,7 +302,6 @@ def increment_batches(
             f"one path needs {chunk} steps x {m} noise dimensions in a batch, "
             f"more than the {_BATCH_FLOATS} increments a batch may hold"
         )
-    check_work(n_samples * n * m, f"{n_samples} paths x {n} steps x {m} noise dimensions")
     batch = min(n_samples, _BATCH_FLOATS // (chunk * m))
 
     def batches():

@@ -59,12 +59,15 @@ class ExperimentConfig:
 
 
 def _parse_float(text: str) -> float:
+    """A float or a power ``a^k``.  Neither nan nor a value past the float
+    range (``1e309``, ``2^1024``, ``0^-1``) is one: infinity is ``inf``."""
     m = re.fullmatch(r"([+-]?\d+)\^([+-]?\d+)", text)
-    if m:
-        return float(m.group(1)) ** int(m.group(2))
-    value = float(text)
-    if value != value:  # nan, the one float unequal to itself
-        raise ValueError(f"not a number: {text!r}")
+    try:
+        value = float(m.group(1)) ** int(m.group(2)) if m else float(text)
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if value != value or math.isinf(value) and "inf" not in text.lower():  # nan != nan
+        raise ValueError("not a finite number, nor inf")
     return value
 
 
@@ -276,7 +279,7 @@ def _typed(section: dict[str, tuple[str, int]], name: str, errors: list[str]) ->
     for key, (text, lineno) in section.items():
         try:
             out[key] = _SCHEMA[name][key](text)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             errors.append(f"line {lineno}: bad value for {key!r} in [{name}]: {exc}")
     return out
 

@@ -32,9 +32,12 @@ class MeasurementError(ValueError):
     """Ill-posed error-curve request (grids, references, fit inputs)."""
 
 
-#: Per-path errors a run may hold, one per (scheme, grid, path): as many as
-#: a batch holds increments, 9 bytes each (the maximum and the overflow flag).
-_ERROR_CELLS = bw._BATCH_FLOATS
+def reference_n(n_list: Sequence[int], reference: str, ref_n: int | None) -> int:
+    """``ref_n``, else the default reference resolution: four times the
+    finest grid for a scheme reference, the finest grid for an exact one."""
+    if ref_n is not None:
+        return ref_n
+    return max(n_list) * (4 if reference == "scheme" else 1)
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,8 @@ def strong_error_curves(
     Brownian motion only) compares against the closed-form solution on the
     same Brownian path instead of a scheme.  A pathwise curve is the case
     ``n_samples=1, p=1``: the error along the one path ``index_offset``.
-    Memory is O(width x chunk), not O(width x ref_n): no path is held whole.
+    Memory is O(width x chunk), not O(width x ref_n): no path is held whole,
+    but each (config, grid, path) keeps its maximum error and overflow flag.
     """
     if policy not in ("propagate", "exclude"):
         raise MeasurementError(f"unknown overflow policy {policy!r}")
@@ -163,9 +167,7 @@ def strong_error_curves(
     ns = sorted(set(int(n) for n in n_list))  # increasing n: decreasing dt
     if not ns:
         raise MeasurementError("n_list is empty")
-    n_top = ns[-1]
-    if ref_n is None:
-        ref_n = 4 * n_top if reference == "scheme" else n_top
+    n_top, ref_n = ns[-1], reference_n(ns, reference, ref_n)
     for n in ns:
         if n < 1 or ref_n % n != 0 or not bw.is_power_of_two(ref_n // n):
             raise MeasurementError(
@@ -184,17 +186,6 @@ def strong_error_curves(
     walk = bw.increment_batches(
         seed, n_samples, m, ref_n, dt_ref, index_offset, granule=ref_n // ns[0]
     )
-    bw.check_work(  # the whole run: the reference walk and every scheme's walks
-        n_samples * (ref_n + nc * sum(ns)) * m,
-        f"n_samples = {n_samples} paths x (ref_n = {ref_n} + {nc} schemes x "
-        f"{sum(ns)} n_list steps) x {m} noise dimensions",
-    )
-    if nc * nn * n_samples > _ERROR_CELLS:
-        raise MeasurementError(
-            f"n_samples = {n_samples} paths x {nc} schemes in [scheme] x {nn} grids in "
-            f"n_list: {nc * nn * n_samples} per-path errors, more than the "
-            f"{_ERROR_CELLS} a run may hold"
-        )
     dist = np.zeros((nc, nn, n_samples))  # max node deviation of each path
     bad = np.zeros((nc, nn, n_samples), dtype=bool)
     ref_bad = np.zeros(n_samples, dtype=bool)

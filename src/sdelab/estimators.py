@@ -228,9 +228,9 @@ def _sample(
     policy: str,
     radius: float | None,
     coupled: bool,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-sample payoff values at resolution n in sample-index order, their
-    overflow flags and the steps taken.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample payoff values at resolution n in sample-index order and
+    their overflow flags.
 
     With ``coupled`` (a level l >= 1) each value is the fine payoff minus the
     payoff on the n/2-step grid driven by the same, aggregated, increments.
@@ -246,7 +246,6 @@ def _sample(
     track = payoff.needs_extrema or radius is not None
     dt = T / n
     values, overs = [], []
-    steps = 0
     for idx, incrs in bw.increment_batches(
         seed, n_samples, model.m, n, dt, index_offset, granule=2  # coarse halves it
     ):
@@ -260,9 +259,7 @@ def _sample(
                 )
         vals = _payoff_values(model, payoff, T, res, radius)
         over = res.overflow
-        steps += res.steps * len(idx)
         if coupled:
-            steps += coarse.steps * len(idx)
             # inf - inf where both paths overflowed; the overflow policy
             # replaces or drops every overflowed value
             with np.errstate(invalid="ignore"):
@@ -270,7 +267,7 @@ def _sample(
             over = over | coarse.overflow
         values.append(vals)
         overs.append(over)
-    return np.concatenate(values), np.concatenate(overs), steps
+    return np.concatenate(values), np.concatenate(overs)
 
 
 def _level(
@@ -327,11 +324,10 @@ def mlmc_estimate(
     """
     stats: list[LevelStat] = []
     var_sum = 0.0
-    steps = 0
     offset = index_offset
     for level, n_l in enumerate(plan.samples):
         n = plan.n0 * 2**level
-        y, over, steps_l = _sample(
+        y, over = _sample(
             config, model, payoff, T=T, seed=seed, n=n, n_samples=n_l,
             index_offset=offset, policy=policy, radius=radius, coupled=level > 0,
         )
@@ -339,16 +335,11 @@ def mlmc_estimate(
         stats.append(stat)
         var_sum += var_mean
         offset += n_l
-        steps += steps_l
-    if steps != plan.total_steps:
-        raise RuntimeError(
-            f"step accounting bug: simulated {steps}, plan says {plan.total_steps}"
-        )
     return PriceEstimate(
         value=sum((s.mean for s in stats[1:]), stats[0].mean),
         stderr=math.sqrt(var_sum),
         n_samples=plan.sample_span,
-        total_steps=steps,
+        total_steps=plan.total_steps,
         n_overflow=sum(s.n_overflow for s in stats),
         levels=tuple(stats),
     )
@@ -361,7 +352,7 @@ def mc_prefix_estimates(
     """``mc_estimate`` at each N of ``n_samples_list``, from one walk of the
     largest N.  A sample's value does not depend on the samples walked with
     it, so the estimate at N reduces the first N values of that walk."""
-    y, over, _ = _sample(
+    y, over = _sample(
         config, model, payoff, T=T, seed=seed, n=n, n_samples=max(n_samples_list),
         index_offset=0, policy=policy, radius=radius, coupled=False,
     )

@@ -147,9 +147,6 @@ def _run_explode(cfg, model, seed, out_dir, header):
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     payoff = _build_payoff(cfg, default_phi="abs")
     n_samples_list = run.get("n_samples_list") or (run["n_samples"],)
-    steps, paths = sum(run["n_list"]), max(n_samples_list)  # one walk per grid
-    bw.check_work(steps * paths * model.m, f"[run]: n_list sums to {steps} steps "
-                  f"x {paths} paths x {model.m} noise dimensions")
     rows = []
     for n in run["n_list"]:
         ests = estimators.mc_prefix_estimates(
@@ -168,11 +165,10 @@ def _run_explode(cfg, model, seed, out_dir, header):
     return [path]
 
 
-def _check_plans(plans, m: int, what: str, repeats: int = 1) -> None:
-    """The whole run of ``plans``, ``repeats`` times, under the work bound
-    of one walk, before anything runs."""
-    steps = sum(plan.total_steps for plan in plans)
-    bw.check_work(repeats * steps * m, f"[run]: {what} {steps} steps x {m} noise dimensions")
+def _plans(cfg: ExperimentConfig) -> dict[float, estimators.Plan]:
+    """Each accuracy of an ``mlmc`` or ``price`` run, and its level plan."""
+    eps_list = cfg.run.get("epsilon_list") or (cfg.run["epsilon"],)
+    return {eps: estimators.plan_for(cfg.run.get("method", "mlmc"), eps, cfg.T) for eps in eps_list}
 
 
 def _run_mlmc(cfg, model, seed, out_dir, header):
@@ -180,13 +176,8 @@ def _run_mlmc(cfg, model, seed, out_dir, header):
     scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     payoff = _build_payoff(cfg)
     method = run.get("method", "mlmc")
-    eps_list = run.get("epsilon_list") or (run["epsilon"],)
-    plans = [estimators.plan_for(method, eps, cfg.T) for eps in eps_list]
     replications = run.get("replications")
     kw = dict(T=cfg.T, seed=seed, policy=run.get("policy", "propagate"))
-    what = (f"replications = {replications} repeats" if replications else
-            "epsilon_list plans" if "epsilon_list" in run else "epsilon plans")
-    _check_plans(plans, model.m, what, replications or 1)
 
     # evaluated once, before any simulation: the oracle is the costly part
     truth = run.get("truth")
@@ -194,7 +185,7 @@ def _run_mlmc(cfg, model, seed, out_dir, header):
         truth = oracles.heston_call_price(cfg.params, cfg.strike, cfg.T)
 
     rows = []
-    for eps, plan in zip(eps_list, plans):
+    for eps, plan in _plans(cfg).items():
         levels = plan.levels if method == "mlmc" else None
         if replications:
             study = estimators.rmsq_study(
@@ -231,8 +222,7 @@ def _run_price(cfg, model, seed, out_dir, header):
             radius=run.get("radius"), **kw,
         )
     else:
-        plan = estimators.plan_for(method, run["epsilon"], cfg.T)
-        _check_plans([plan], model.m, "epsilon plans")
+        (plan,) = _plans(cfg).values()
         est = estimators.mlmc_estimate(scheme_cfg, model, payoff, plan, **kw)
     path = os.path.join(out_dir, "price.csv")
     util.write_csv(
@@ -288,12 +278,46 @@ _RUNNERS: dict[str, Callable] = {
 }
 
 
+#: The [run] keys a run's work depends on, which its bounds' messages name.
+_WORK_KEYS = ("n", "n_samples", "n_list", "n_samples_list", "ref_n", "epsilon",
+              "epsilon_list", "replications")
+#: A run's bounds, on its work and on its per-path cells (as many as a batch
+#: holds increments), read once: a narrower batch budget leaves them as they are.
+_BOUNDS = ((bw._WALK_FLOATS, "path-steps x noise dimensions"), (bw._BATCH_FLOATS, "per-path errors"))
+
+
+def run_work(cfg: ExperimentConfig, model: models.Model) -> tuple[int, int]:
+    """The work of a run, fixed by its config: the path-steps its walks draw
+    or take times the noise dimension, and the per-path cells it keeps, one
+    per (scheme, grid, path) of an error curve."""
+    run, cells = cfg.run, 0
+    if cfg.kind in ("converge", "pathwise"):  # the reference walk and each scheme's
+        paths, nc, ns = run.get("n_samples", 1), len(cfg.schemes), run["n_list"]
+        ref_n = convergence.reference_n(ns, run.get("reference", "scheme"), run.get("ref_n"))
+        steps, cells = paths * (ref_n + nc * sum(ns)), paths * nc * len(ns)
+    elif cfg.kind == "explode":  # one walk per grid, of the largest sample count
+        steps = sum(run["n_list"]) * max(run.get("n_samples_list") or (run["n_samples"],))
+    elif cfg.kind == "negstats" or run.get("method") in ("mc", "mc_discarded"):
+        steps = run["n"] * run["n_samples"]
+    elif cfg.kind == "validate":
+        steps = 0
+    else:  # mlmc, and price at method mlmc or standard
+        steps = run.get("replications", 1) * sum(p.total_steps for p in _plans(cfg).values())
+    return steps * model.m, cells
+
+
 def run_experiment(
     cfg: ExperimentConfig, *, seed: int, out_dir: str
 ) -> list[str]:
-    """Run one experiment, write its CSV artifacts, return their paths."""
+    """Run one experiment, write its CSV artifacts, return their paths; a
+    run whose work (:func:`run_work`) is over a bound is a ConfigError."""
     try:
         model = models.build_model(cfg.model_id, cfg.params)
+        keys = [k for k in cfg.run if k in _WORK_KEYS] + ["[scheme]"] * (cfg.kind == "converge")
+        errors = [f"[run]: {', '.join(keys)} give {v} {what}, over the bound of {b}"
+                  for v, (b, what) in zip(run_work(cfg, model), _BOUNDS) if v > b]
+        if errors:
+            raise ConfigError(errors)
         os.makedirs(out_dir, exist_ok=True)
         return _RUNNERS[cfg.kind](cfg, model, seed, out_dir, _header(cfg, seed))
     except (

@@ -96,14 +96,6 @@ def test_increment_block_rows_are_scaled_substreams(monkeypatch):
     assert [c.shape[-1] for c in chunks] == [12, 12, 12, 4]
     with pytest.raises(bw.LatticeError, match="one path needs 16 steps x 2 noise"):
         next(bw.increment_batches(7, 8, 2, 40, 0.5, granule=16))
-    # so is a walk over the work bound, which is checked after the chunk
-    monkeypatch.setattr(bw, "_WALK_FLOATS", 8 * 40 * 2)
-    next(bw.increment_batches(7, 8, 2, 40, 0.5, granule=4))
-    monkeypatch.setattr(bw, "_WALK_FLOATS", 8 * 40 * 2 - 1)
-    with pytest.raises(bw.LatticeError, match="8 paths x 40 steps x 2 noise"):
-        next(bw.increment_batches(7, 8, 2, 40, 0.5, granule=4))
-    with pytest.raises(bw.LatticeError, match="one path needs 16 steps"):
-        next(bw.increment_batches(7, 8, 2, 40, 0.5, granule=16))
 
 
 def test_increment_chunks_concatenate_to_the_block(monkeypatch):

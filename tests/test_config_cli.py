@@ -948,7 +948,7 @@ def test_mlmc_levels_where_both_paths_overflow_warn_nothing(tmp_path, capsys):
 # stay small enough that a run takes milliseconds, but for one step count
 # and one accuracy past the work bound, which a run must refuse at once.
 _INT = ("0", "1", "-1", "2", "2^3")
-_FLOAT = ("0", "1", "-1", "2^-1", "2^-3", "2^1023", "2^1024", "inf", "nan")
+_FLOAT = ("0", "1", "-1", "2^-1", "2^-3", "2^1023", "2^1024", "0^-1", "inf", "nan")
 _STEPS = (*_INT, "2^33")
 _EPSILON = (*_FLOAT, "2^-13")
 
@@ -1050,6 +1050,8 @@ def test_boundary_run_values_never_end_in_a_traceback(tmp_path_factory, case):
             assert not nans, f"{csv.name}\n{text}"
 
 
+WORK_BOUND = "over the bound of 4294967296"
+
 # (kind, [run] block, exit code, text the error must contain)
 EDGE_RUNS = {
     # resolutions only need to divide ref_n by a power of two
@@ -1139,44 +1141,55 @@ EDGE_RUNS = {
     "price-call-without-strike": (
         "price", "method = mc\nn = 8\nn_samples = 16\npayoff = call", 2, "strike",
     ),
-    # one path over the batch budget is a config error, not a failed allocation
+    # a run over the work bound is a config error, not a failed allocation
     "negstats-over-budget": (
-        "negstats", "n = 2^40\nn_samples = 10", 2, "1099511627776 steps",
+        "negstats", "n = 2^40\nn_samples = 10", 2,
+        "[run]: n, n_samples give 10995116277760 path-steps x noise dimensions",
     ),
-    # a curve needs one coarsest step, ref_n / min(n_list) fine steps, per path
+    # 4 x (2^30 + 1) path-steps: over the work bound by four, before the walk
     "converge-over-budget": (
-        "converge", "n_list = 1\nn_samples = 4\nref_n = 2^30", 2, "1073741824 steps",
+        "converge", "n_list = 1\nn_samples = 4\nref_n = 2^30", 2,
+        "[run]: n_list, n_samples, ref_n, [scheme] give 4294967300 path-steps",
     ),
+    # a curve needs one coarsest step, ref_n / min(n_list) fine steps, per path:
+    # here 2^24 of them, more than a batch holds, in a run under the work bound
     "pathwise-over-budget": (
         "pathwise", "n_list = 2, 4\nref_n = 2^25", 2, "16777216 steps",
     ),
-    # a walk of more increments than the work bound ends at once: here
-    # ref_n = 4 * 2^40 steps, drawn in chunks that each fit the budget
+    # a run of more path-steps than the work bound ends at once: here a
+    # reference walk of ref_n = 4 * 2^40 steps, drawn in chunks that each fit
+    # the budget, and the scheme's 2^40
     "pathwise-runaway": (
         "pathwise", "n_list = 2^40\nsample_index = 72057594037927935", 2,
-        "1 paths x 4398046511104 steps",
+        f"[run]: n_list give 5497558138880 path-steps x noise dimensions, {WORK_BOUND}",
     ),
     "converge-runaway": (
-        "converge", "n_list = 2^40\nn_samples = 2", 2, "2 paths x 4398046511104 steps",
+        "converge", "n_list = 2^40\nn_samples = 2", 2,
+        "[run]: n_list, n_samples, [scheme] give 10995116277760 path-steps",
     ),
-    # and so is a whole run: every walk of explode's 2000 distinct grids is
-    # under the bound, and so is converge's reference walk, but not its five
-    # schemes
+    # every walk of explode's 2000 distinct grids is under the bound, and so
+    # is converge's reference walk and the normals it draws (4.1e9), but not
+    # its five schemes' steps
     "explode-runaway": (
         "explode", "n_list = " + ", ".join(str(2**20 - k) for k in range(2000))
         + "\nn_samples = 4000", 2,
-        "[run]: n_list sums to 2095153000 steps x 4000 paths x 1 noise dimensions",
+        "[run]: n_list, n_samples give 8380612000000 path-steps x noise dimensions",
     ),
     "converge-schemes-runaway": (
         "converge", "n_list = 2^10, 2^11, 2^12\nref_n = 2^12\nn_samples = 10^6", 2,
-        "n_samples = 1000000 paths x (ref_n = 4096 + 5 schemes x 7168 n_list steps)",
+        "[run]: n_list, ref_n, n_samples, [scheme] give 39936000000 path-steps",
     ),
     # and so are a curve's per-path errors, 9 bytes per scheme, grid and
-    # path, in a run within the work bound (4.2e9 increments)
+    # path, in a run within the work bound (4.2e9 path-steps)
     "converge-error-cells": (
         "converge", "n_list = 1\nref_n = 1\nn_samples = 700000000", 2,
-        "n_samples = 700000000 paths x 5 schemes in [scheme] x 1 grids in n_list: "
-        "3500000000 per-path errors",
+        "[run]: n_list, ref_n, n_samples, [scheme] give 3500000000 per-path errors, "
+        "over the bound of 8388608",
+    ),
+    # a fixed-grid price of 2^17 steps x 2^16 paths is bounded as a whole too
+    "price-mc-runaway": (
+        "price", "method = mc\nn = 2^17\nn_samples = 2^16", 2,
+        f"[run]: n, n_samples give 8589934592 path-steps x noise dimensions, {WORK_BOUND}",
     ),
     # each alias writes converge_<alias>.csv: a repeat would overwrite its own
     "converge-repeated-alias": (
@@ -1188,20 +1201,34 @@ EDGE_RUNS = {
     # a replication study is bounded as a whole, before the oracle runs
     "mlmc-replications-runaway": (
         "mlmc", "epsilon = 2^-1\nreplications = 2^40\ntruth = 1.0", 2,
-        "replications = 1099511627776 repeats 10 steps x 2 noise dimensions",
+        "[run]: epsilon, replications give 21990232555520 path-steps x noise dimensions",
     ),
     # and so is a run without replications, whose levels each fit the bound
     "mlmc-epsilon-runaway": (
         "mlmc", "epsilon = 2^-13", 2,
-        "[run]: epsilon plans 17884512256 steps x 2 noise dimensions",
+        f"[run]: epsilon give 35769024512 path-steps x noise dimensions, {WORK_BOUND}",
     ),
     "mlmc-epsilon_list-runaway": (
         "mlmc", "epsilon_list = 2^-1, 2^-13", 2,
-        "[run]: epsilon_list plans 17884512266 steps x 2 noise dimensions",
+        f"[run]: epsilon_list give 35769024532 path-steps x noise dimensions, {WORK_BOUND}",
     ),
     "price-mlmc-epsilon-runaway": (
         "price", "method = mlmc\nepsilon = 2^-13", 2,
-        "[run]: epsilon plans 17884512256 steps x 2 noise dimensions",
+        f"[run]: epsilon give 35769024512 path-steps x noise dimensions, {WORK_BOUND}",
+    ),
+    # a value past the float range is no number, however it is written:
+    # infinity is spelled inf
+    "mlmc-epsilon-zero-power": (
+        "mlmc", "epsilon = 0^-1", 2,
+        "line 12: bad value for 'epsilon' in [run]: not a finite number, nor inf",
+    ),
+    "mlmc-epsilon-power-overflow": (
+        "mlmc", "epsilon = 2^1024", 2,
+        "line 12: bad value for 'epsilon' in [run]: not a finite number, nor inf",
+    ),
+    "mlmc-epsilon-decimal-overflow": (
+        "mlmc", "epsilon = 1e309", 2,
+        "line 12: bad value for 'epsilon' in [run]: not a finite number, nor inf",
     ),
     # a repeated value would merge its rows or run the same plan again
     "converge-repeated-n_list": (
@@ -1251,6 +1278,9 @@ EDGE_SETUPS = {
     "mlmc-epsilon-runaway": ("preset = heston-mlmc", "log_heston"),
     "mlmc-epsilon_list-runaway": ("preset = heston-mlmc", "log_heston"),
     "price-mlmc-epsilon-runaway": ("preset = heston-mlmc", "log_heston"),
+    "mlmc-epsilon-zero-power": ("preset = heston-mlmc", "log_heston"),
+    "mlmc-epsilon-power-overflow": ("preset = heston-mlmc", "log_heston"),
+    "mlmc-epsilon-decimal-overflow": ("preset = heston-mlmc", "log_heston"),
     "validate-moment_p_list-inf": ("preset = heston-mlmc", None),
     "validate-moment_p_list-zero": ("preset = heston-mlmc", None),
     "validate-moment_p_list-below-sixteenth": ("preset = cir-scenario-1", None),
