@@ -18,7 +18,7 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_args
 
 from . import estimators, models, schemes
 from .brownian import MAX_SAMPLE_INDEX
@@ -202,10 +202,10 @@ _RUN_KEYS: dict[str, _RunKey] = {
 }
 
 
-_MODEL_PARAM_KEYS = (
-    "mu", "sigma", "gamma", "s0", "kappa", "lam", "theta", "rho",
-    "x0", "v0", "r", "a_m1", "a_0", "a_1", "a_2", "c1", "c2", "c3",
-)
+# every field of every parameter class, in class order
+_MODEL_PARAM_KEYS = tuple(dict.fromkeys(
+    f.name for cls in get_args(models.Params) for f in dataclasses.fields(cls)
+))
 
 # key -> parser, per section
 _SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
@@ -309,18 +309,14 @@ def _resolve_model(
     except models.ModelError as exc:
         errors.append(f"line {_line_of(raw, 'model')}: {exc}")
         return None
-    fields = {f.name for f in dataclasses.fields(cls)}
-    overrides = {}
+    fields = [f.name for f in dataclasses.fields(cls)]
     for key in _MODEL_PARAM_KEYS:
-        if key in vals:
-            if key not in fields:
-                errors.append(
-                    f"line {_line_of(raw, key)}: model {model_id!r} has no "
-                    f"parameter {key!r}; its parameters are "
-                    + ", ".join(sorted(fields))
-                )
-            else:
-                overrides[key] = vals[key]
+        if key in vals and key not in fields:
+            errors.append(
+                f"line {_line_of(raw, key)}: model {model_id!r} has no "
+                f"parameter {key!r}; its parameters are "
+                + ", ".join(sorted(fields))
+            )
     if preset is not None and preset.model_id != model_id:
         # replacing the model invalidates preset params wholesale
         errors.append(
@@ -328,28 +324,22 @@ def _resolve_model(
             f"preset {preset_name!r} ({preset.model_id}); drop one of the two"
         )
         return None
+    # the preset's fields, then the overrides
+    values = dataclasses.asdict(preset.params) if preset is not None else {}
+    values.update((k, vals[k]) for k in fields if k in vals)
+    missing = [
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.name not in values and f.default is dataclasses.MISSING
+    ]
+    if missing:
+        errors.append(
+            f"[model]: model {model_id!r} without a preset needs "
+            + ", ".join(missing)
+        )
+        return None
     try:
-        if preset is not None:
-            params = (
-                dataclasses.replace(preset.params, **overrides)
-                if overrides
-                else preset.params
-            )
-        else:
-            missing = [
-                f.name
-                for f in dataclasses.fields(cls)
-                if f.name not in overrides
-                and f.default is dataclasses.MISSING
-                and f.default_factory is dataclasses.MISSING
-            ]
-            if missing:
-                errors.append(
-                    f"[model]: model {model_id!r} without a preset needs "
-                    + ", ".join(missing)
-                )
-                return None
-            params = cls(**overrides)
+        params = cls(**values)
     except models.ModelError as exc:
         errors.append(f"[model]: {exc}")
         return None
@@ -446,7 +436,7 @@ def parse_config(text: str) -> ExperimentConfig:
             elif key in run and row.check and (msg := row.check(key, run[key])):
                 errors.append(f"line {lineno}: {msg}")
         for key, row in _RUN_KEYS.items():
-            if kind in row.required_by and key not in run:
+            if kind in row.required_by and key not in run_raw:
                 errors.append(f"[run]: experiment {kind!r} requires {key!r}")
         _check_run_values(kind, run, run_raw, resolved, errors)
 
@@ -468,11 +458,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _check_run_values(kind, run, run_raw, resolved, errors):
-    """The rules that tie several run keys together, or a key to the model."""
+    """The rules that tie several run keys together, or a key to the model;
+    those that require a key read ``run_raw``, so a bad value is reported once."""
     def bad(key, msg):
         errors.append(f"line {_line_of(run_raw, key)}: {msg}")
 
-    if kind == "price" and run.get("method") == "mc_discarded" and "radius" not in run:
+    if kind == "price" and run.get("method") == "mc_discarded" and "radius" not in run_raw:
         errors.append("[run]: method 'mc_discarded' requires 'radius'")
     if kind == "price" and "radius" in run and run.get("method") != "mc_discarded":
         bad("radius", "'radius' applies only to method 'mc_discarded'")
@@ -484,17 +475,17 @@ def _check_run_values(kind, run, run_raw, resolved, errors):
         grid = ("n", "n_samples")
         fixed = method in ("mc", "mc_discarded")
         for key in grid if fixed else ("epsilon",):
-            if key not in run:
+            if key not in run_raw:
                 errors.append(f"[run]: method {method!r} requires {key!r}")
         for key in ("epsilon",) if fixed else grid:
             if key in run:
                 bad(key, f"method {method!r} does not read {key!r}; drop it")
     if kind == "mlmc":
-        if "epsilon" not in run and "epsilon_list" not in run:
+        if "epsilon" not in run_raw and "epsilon_list" not in run_raw:
             errors.append("[run]: experiment 'mlmc' needs 'epsilon' or 'epsilon_list'")
-        if "replications" in run and "truth" not in run:
+        if "replications" in run and "truth" not in run_raw:
             errors.append("[run]: a replication study needs 'truth' (number or 'oracle')")
-        if "truth" in run and "replications" not in run:
+        if "truth" in run and "replications" not in run_raw:
             bad("truth", "'truth' is read only by a replication study; set "
                 "'replications' or drop 'truth'")
         if method in ("mc", "mc_discarded"):
@@ -505,7 +496,7 @@ def _check_run_values(kind, run, run_raw, resolved, errors):
         if not isinstance(params, models.HestonParams) or strike is None:
             bad("truth", "truth = oracle needs a heston model with a strike "
                 "(the Fourier call-price oracle)")
-    if kind == "explode" and "n_samples" not in run and "n_samples_list" not in run:
+    if kind == "explode" and "n_samples" not in run_raw and "n_samples_list" not in run_raw:
         errors.append("[run]: experiment 'explode' needs 'n_samples' or 'n_samples_list'")
     for key, other in (("n_samples", "n_samples_list"), ("epsilon", "epsilon_list")):
         if key in run and other in run:
@@ -513,7 +504,7 @@ def _check_run_values(kind, run, run_raw, resolved, errors):
     if run.get("reference") == "exact" and "ref_scheme" in run:
         bad("ref_scheme", "'ref_scheme' has no effect with reference = exact")
     for key, other in (("l1", "l2"), ("l2", "l1")):
-        if key in run and other not in run:
+        if key in run and other not in run_raw:
             bad(key, f"{key!r} is read only together with {other!r}")
     if "l1" in run and "l2" in run and max(1 + 2 * run["l1"], 4 * run["l2"]) <= 0:
         bad("l1", "the implicit step bound 1/max(1 + 2*l1, 4*l2) needs "

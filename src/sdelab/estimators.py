@@ -189,12 +189,17 @@ def mc_standard_pairing(epsilon: float, T: float) -> Plan:
 
 def plan_for(method: str, epsilon: float, T: float) -> Plan:
     """The multilevel ("mlmc") or standard-pairing ("standard") plan at
-    accuracy epsilon."""
-    if method == "mlmc":
-        return mlmc_plan(epsilon, T)
-    if method != "standard":
+    accuracy epsilon; EstimatorError if its sample counts, of order
+    T/epsilon^2, are past the float range."""
+    if method not in ("mlmc", "standard"):
         raise EstimatorError(f"unknown method {method!r}; use 'mlmc' or 'standard'")
-    return mc_standard_pairing(epsilon, T)
+    try:
+        return mlmc_plan(epsilon, T) if method == "mlmc" else mc_standard_pairing(epsilon, T)
+    except (ZeroDivisionError, OverflowError):
+        raise EstimatorError(
+            f"epsilon = {epsilon!r} is too small: its plan's sample counts, "
+            "of order T/epsilon^2, are past the float range"
+        ) from None
 
 
 def _payoff_values(

@@ -1,8 +1,10 @@
-"""Config-driven experiment runners that write gnuplot-friendly CSV files.
+"""Config-driven experiments that write gnuplot-friendly CSV files.
 
-Every file starts with a '#' metadata block (library version, seed, the
-resolved configuration, and the Gaussian-transform identifier of the RNG),
-so a result can always be traced back to the exact run that produced it.
+Each kind's runner simulates and returns its tables; :func:`run_experiment`
+alone writes them.  Every file starts with a '#' metadata block (library
+version, seed, the resolved configuration, and the Gaussian-transform
+identifier of the RNG), so a result can always be traced back to the exact
+run that produced it.
 Floats are written with repr, and every estimator reduces its per-sample
 values once, in sample-index order, which makes outputs byte-identical for
 a fixed seed no matter how wide the sample batches are.
@@ -11,7 +13,8 @@ a fixed seed no matter how wide the sample batches are.
 from __future__ import annotations
 
 import os
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,12 +56,15 @@ def _build_payoff(cfg: ExperimentConfig, default_phi: str | None = None):
     )
 
 
-def _header(cfg: ExperimentConfig, seed: int) -> list[str]:
-    return [
-        f"sdelab {__version__}",
-        f"gaussian-transform = {bw.GAUSSIAN_TRANSFORM}",
-        *echo_lines(cfg, seed),
-    ]
+class Table(NamedTuple):
+    """One CSV of a run: its file name, columns and rows, the header lines
+    after the run's own, and its trailing comments."""
+
+    name: str
+    columns: Sequence[str]
+    rows: Iterable[Sequence[object]]
+    header: Sequence[str] = ()
+    comments: Sequence[str] = ()
 
 
 def _regression_comments(report: convergence.ErrorReport) -> list[str]:
@@ -73,36 +79,25 @@ def _regression_comments(report: convergence.ErrorReport) -> list[str]:
     ]
 
 
-def _run_negstats(cfg, model, seed, out_dir, header):
-    scheme_cfg = build_stepper_config(cfg.schemes[0], model)
+def _run_negstats(cfg, model, seed, steppers):
     stats = convergence.negativity_stats(
-        scheme_cfg,
+        steppers[0],
         model,
         T=cfg.T,
         seed=seed,
         n=cfg.run["n"],
         n_samples=cfg.run["n_samples"],
     )
-    path = os.path.join(out_dir, "negstats.csv")
-    util.write_csv(
-        path,
+    return [Table(
+        "negstats.csv",
         ("scheme", "n_steps", "n_samples", "avg_negative_steps",
          "negative_path_fraction"),
-        [
-            (
-                cfg.schemes[0],
-                cfg.run["n"],
-                cfg.run["n_samples"],
-                stats.avg_negative_steps,
-                stats.negative_path_fraction,
-            )
-        ],
-        header,
-    )
-    return [path]
+        [(cfg.schemes[0], cfg.run["n"], cfg.run["n_samples"],
+          stats.avg_negative_steps, stats.negative_path_fraction)],
+    )]
 
 
-def _run_curves(cfg, model, seed, out_dir, header):
+def _run_curves(cfg, model, seed, steppers):
     """converge, and pathwise as its case of one path: one sample at
     ``sample_index``, p = 1, and no standard error (one path has none)."""
     run = cfg.run
@@ -111,7 +106,7 @@ def _run_curves(cfg, model, seed, out_dir, header):
     if "ref_scheme" in run:
         ref_cfg = build_stepper_config(run["ref_scheme"], model)
     reports = convergence.strong_error_curves(
-        [build_stepper_config(s, model) for s in cfg.schemes],
+        steppers,
         model,
         T=cfg.T,
         seed=seed,
@@ -124,45 +119,34 @@ def _run_curves(cfg, model, seed, out_dir, header):
         policy=run.get("policy", "propagate"),
         index_offset=run.get("sample_index", 0),
     )
-    paths = []
-    for alias, report in zip(cfg.schemes, reports):
-        name = "pathwise.csv" if pathwise else f"converge_{alias}.csv"
-        path = os.path.join(out_dir, name)
-        stderrs = (None,) * len(report.errors) if pathwise else report.stderrs
-        util.write_csv(
-            path,
+    return [
+        Table(
+            "pathwise.csv" if pathwise else f"converge_{alias}.csv",
             ("delta", "error", "stderr", "n_overflow"),
-            zip(report.stepsizes, report.errors, stderrs, report.overflow_counts),
-            header
-            + ([] if pathwise else [f"scheme = {alias}"])
+            zip(report.stepsizes, report.errors,
+                (None,) * len(report.errors) if pathwise else report.stderrs,
+                report.overflow_counts),
+            ([] if pathwise else [f"scheme = {alias}"])
             + [f"reference = {report.reference}"],
             _regression_comments(report),
         )
-        paths.append(path)
-    return paths
+        for alias, report in zip(cfg.schemes, reports)
+    ]
 
 
-def _run_explode(cfg, model, seed, out_dir, header):
+def _run_explode(cfg, model, seed, steppers):
     run = cfg.run
-    scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     payoff = _build_payoff(cfg, default_phi="abs")
     n_samples_list = run.get("n_samples_list") or (run["n_samples"],)
     rows = []
     for n in run["n_list"]:
         ests = estimators.mc_prefix_estimates(
-            scheme_cfg, model, payoff, T=cfg.T, seed=seed, n=n,
+            steppers[0], model, payoff, T=cfg.T, seed=seed, n=n,
             n_samples_list=n_samples_list, policy=run.get("policy", "propagate"),
             radius=run.get("radius"),
         )
         rows += [(cfg.T / n, e.n_samples, e.value, e.stderr, e.n_overflow) for e in ests]
-    path = os.path.join(out_dir, "explode.csv")
-    util.write_csv(
-        path,
-        ("delta", "n_samples", "estimate", "stderr", "n_overflow"),
-        rows,
-        header,
-    )
-    return [path]
+    return [Table("explode.csv", ("delta", "n_samples", "estimate", "stderr", "n_overflow"), rows)]
 
 
 def _plans(cfg: ExperimentConfig) -> dict[float, estimators.Plan]:
@@ -171,9 +155,8 @@ def _plans(cfg: ExperimentConfig) -> dict[float, estimators.Plan]:
     return {eps: estimators.plan_for(cfg.run.get("method", "mlmc"), eps, cfg.T) for eps in eps_list}
 
 
-def _run_mlmc(cfg, model, seed, out_dir, header):
+def _run_mlmc(cfg, model, seed, steppers):
     run = cfg.run
-    scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     payoff = _build_payoff(cfg)
     method = run.get("method", "mlmc")
     replications = run.get("replications")
@@ -189,54 +172,48 @@ def _run_mlmc(cfg, model, seed, out_dir, header):
         levels = plan.levels if method == "mlmc" else None
         if replications:
             study = estimators.rmsq_study(
-                scheme_cfg, model, payoff, plan, truth=truth,
+                steppers[0], model, payoff, plan, truth=truth,
                 replications=replications, **kw,
             )
             rows.append((eps, levels, plan.total_steps,
                          float(np.mean(study.estimates)), study.rmsq,
                          study.n_overflow))
         else:
-            est = estimators.mlmc_estimate(scheme_cfg, model, payoff, plan, **kw)
+            est = estimators.mlmc_estimate(steppers[0], model, payoff, plan, **kw)
             rows.append((eps, levels, est.total_steps, est.value, None,
                          est.n_overflow))
-    path = os.path.join(out_dir, "mlmc.csv")
-    util.write_csv(
-        path,
+    return [Table(
+        "mlmc.csv",
         ("epsilon", "levels", "total_steps", "estimate", "rmsq_if_study",
          "overflow_count"),
         rows,
-        header + [f"method = {method}"],
-    )
-    return [path]
+        [f"method = {method}"],
+    )]
 
 
-def _run_price(cfg, model, seed, out_dir, header):
+def _run_price(cfg, model, seed, steppers):
     run = cfg.run
-    scheme_cfg = build_stepper_config(cfg.schemes[0], model)
     payoff = _build_payoff(cfg)
     method = run["method"]
     kw = dict(T=cfg.T, seed=seed, policy=run.get("policy", "propagate"))
     if method in ("mc", "mc_discarded"):
         est = estimators.mc_estimate(
-            scheme_cfg, model, payoff, n=run["n"], n_samples=run["n_samples"],
+            steppers[0], model, payoff, n=run["n"], n_samples=run["n_samples"],
             radius=run.get("radius"), **kw,
         )
     else:
         (plan,) = _plans(cfg).values()
-        est = estimators.mlmc_estimate(scheme_cfg, model, payoff, plan, **kw)
-    path = os.path.join(out_dir, "price.csv")
-    util.write_csv(
-        path,
+        est = estimators.mlmc_estimate(steppers[0], model, payoff, plan, **kw)
+    return [Table(
+        "price.csv",
         ("method", "estimate", "stderr", "n_samples", "total_steps",
          "n_overflow"),
         [(method, est.value, est.stderr, est.n_samples, est.total_steps,
           est.n_overflow)],
-        header,
-    )
-    return [path]
+    )]
 
 
-def _run_validate(cfg, model, seed, out_dir, header):
+def _run_validate(cfg, model, seed, steppers):
     run = cfg.run
     p = cfg.params
     rows: list[tuple[str, object]] = []
@@ -262,9 +239,7 @@ def _run_validate(cfg, model, seed, out_dir, header):
         )
     if not rows:
         rows.append(("model", cfg.model_id))
-    path = os.path.join(out_dir, "validate.csv")
-    util.write_csv(path, ("quantity", "value"), rows, header)
-    return [path]
+    return [Table("validate.csv", ("quantity", "value"), rows)]
 
 
 _RUNNERS: dict[str, Callable] = {
@@ -306,11 +281,21 @@ def run_work(cfg: ExperimentConfig, model: models.Model) -> tuple[int, int]:
     return steps * model.m, cells
 
 
+@contextmanager
+def _output(path: str):
+    """An OSError while making or writing ``path`` as a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError([f"cannot write output {path!r}: {exc.strerror or exc}"]) from exc
+
+
 def run_experiment(
     cfg: ExperimentConfig, *, seed: int, out_dir: str
 ) -> list[str]:
     """Run one experiment, write its CSV artifacts, return their paths; a
-    run whose work (:func:`run_work`) is over a bound is a ConfigError."""
+    run whose work (:func:`run_work`) is over a bound, or whose output
+    cannot be written, is a ConfigError."""
     try:
         model = models.build_model(cfg.model_id, cfg.params)
         keys = [k for k in cfg.run if k in _WORK_KEYS] + ["[scheme]"] * (cfg.kind == "converge")
@@ -318,8 +303,10 @@ def run_experiment(
                   for v, (b, what) in zip(run_work(cfg, model), _BOUNDS) if v > b]
         if errors:
             raise ConfigError(errors)
-        os.makedirs(out_dir, exist_ok=True)
-        return _RUNNERS[cfg.kind](cfg, model, seed, out_dir, _header(cfg, seed))
+        steppers = [build_stepper_config(alias, model) for alias in cfg.schemes]
+        with _output(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
+        tables = _RUNNERS[cfg.kind](cfg, model, seed, steppers)
     except (
         bw.LatticeError,
         models.ModelError,
@@ -330,3 +317,10 @@ def run_experiment(
         estimators.EstimatorError,
     ) as exc:
         raise ConfigError([str(exc)]) from exc
+    header = [f"sdelab {__version__}", f"gaussian-transform = {bw.GAUSSIAN_TRANSFORM}",
+              *echo_lines(cfg, seed)]
+    paths = [os.path.join(out_dir, t.name) for t in tables]
+    for path, t in zip(paths, tables):
+        with _output(path):
+            util.write_csv(path, t.columns, t.rows, [*header, *t.header], t.comments)
+    return paths

@@ -236,16 +236,13 @@ def _cir_model(p: CirParams) -> Model:
     def ddiff(x):
         return theta / (2.0 * np.sqrt(x))
 
-    def drift_prime(x):
-        return np.full_like(np.asarray(x, dtype=np.float64), -kappa)
-
     def closed_form(rhs, dt):
         return (rhs + kappa * lam * dt) / (1.0 + kappa * dt)
 
     return Model(
         model_id="cir", d=1, m=1, drift=drift, diffusion=(diff,),
         diffusion_jacobian=(ddiff,), positive=True, params=p,
-        state0=(float(p.x0),), drift_prime=drift_prime, closed_form=closed_form,
+        state0=(float(p.x0),), closed_form=closed_form,
     )
 
 
@@ -287,9 +284,6 @@ def _gbm_model(p: CevParams) -> Model:
     def ddiff(x):
         return np.full_like(np.asarray(x, dtype=np.float64), sigma)
 
-    def drift_prime(x):
-        return np.full_like(np.asarray(x, dtype=np.float64), mu)
-
     def closed_form(rhs, dt):
         denom = 1.0 - mu * dt
         if denom <= 0:
@@ -299,7 +293,7 @@ def _gbm_model(p: CevParams) -> Model:
     return Model(
         model_id="gbm", d=1, m=1, drift=drift, diffusion=(diff,),
         diffusion_jacobian=(ddiff,), positive=False, params=p,
-        state0=(float(p.s0),), drift_prime=drift_prime, closed_form=closed_form,
+        state0=(float(p.s0),), closed_form=closed_form,
     )
 
 

@@ -73,8 +73,7 @@ class StepperConfig:
     :func:`make_stepper`.
 
     ``extension`` names an :data:`EXTENSIONS` entry (the modified schemes),
-    ``projection`` a :data:`PROJECTIONS` entry (the reflected scheme), and
-    ``truncate_sqrt`` opts the square-root-process implicit schemes into
+    and ``truncate_sqrt`` opts the square-root-process implicit schemes into
     evaluating sqrt(x^+) instead of sqrt(x), which is how they are run when
     the Feller-type conditions fail and iterates may leave the domain.  A
     scheme rejects every option it does not read.
@@ -82,7 +81,6 @@ class StepperConfig:
 
     scheme_id: str
     extension: str | None = None
-    projection: str | None = None
     truncate_sqrt: bool = False
 
     def __post_init__(self) -> None:
@@ -91,21 +89,18 @@ class StepperConfig:
             raise SchemeError(
                 f"unknown scheme {self.scheme_id!r}; known: {', '.join(SCHEMES)}"
             )
-        for option in ("extension", "projection", "truncate_sqrt"):
+        for option in ("extension", "truncate_sqrt"):
             if getattr(self, option) not in (None, False) and entry.option != option:
                 users = [sid for sid, e in SCHEMES.items() if e.option == option]
                 raise SchemeError(
                     f"{option} given but scheme {self.scheme_id} does not read it; "
                     f"use {' or '.join(users)}"
                 )
-        if entry.option in ("extension", "projection"):
-            known = EXTENSIONS if entry.option == "extension" else PROJECTIONS
-            value = getattr(self, entry.option)
-            if value not in known:
-                raise SchemeError(
-                    f"{self.scheme_id} needs {entry.option} set to one of "
-                    f"{', '.join(known)}; got {value!r}"
-                )
+        if entry.option == "extension" and self.extension not in EXTENSIONS:
+            raise SchemeError(
+                f"{self.scheme_id} needs extension set to one of "
+                f"{', '.join(EXTENSIONS)}; got {self.extension!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +110,7 @@ class StepperConfig:
 def _extended_cir(model: Model, name: str) -> Model:
     """The square-root model extended to all of R by ``EXTENSIONS[name]``.
 
-    The diffusion becomes b(pi(x)) for the extension's projection pi onto
+    The diffusion becomes b(pi(x)) for the extension's map pi onto
     [0, inf), which is b on x > 0; the drift is kept (f = a for both
     extensions).  The diffusion derivative is b' on x > 0, g' on x < 0, and
     0 at x = 0, where sqrt has no finite one-sided limit.
@@ -168,11 +163,9 @@ def step_milstein_scalar(model: Model, x, dt: float, dw) -> np.ndarray:
     return euler + _HALF * b(x) * db(x) * (dw * dw - dt)
 
 
-def step_reflected(model: Model, psi: Callable[[np.ndarray], np.ndarray], x, dt, dw):
-    """Euler step, mapped back into [0, inf) by ``psi`` whenever a positive
-    model's step leaves (0, inf)."""
-    h = step_explicit_euler(model, x, dt, dw)
-    return np.where(h > 0, h, psi(h)) if model.positive else h
+def step_reflected(model: Model, x, dt: float, dw) -> np.ndarray:
+    """Euler step reflected into [0, inf): |x + a(x)*dt + sum_j b_j(x)*dW_j|."""
+    return np.abs(step_explicit_euler(model, x, dt, dw))
 
 
 def step_tamed_euler(model: Model, x, dt: float, dw) -> np.ndarray:
@@ -296,7 +289,7 @@ def _guard_domain_eval(model: Model, x: np.ndarray, what: str) -> None:
     if model.positive and not (x > 0).all():
         raise DomainError(
             f"{what}: state left the domain of model {model.model_id!r} and no "
-            "extension/projection/truncation is configured for this scheme"
+            "extension, reflection or truncation is configured for this scheme"
         )
 
 
@@ -408,11 +401,6 @@ def _modified(step_fn):
     return lambda config, model: _bind(step_fn, _extended_cir(model, config.extension))
 
 
-def _reflected(config: StepperConfig, model: Model) -> _Builder:
-    psi = PROJECTIONS[config.projection]
-    return _bind(lambda model, x, dt, dw: step_reflected(model, psi, x, dt, dw), model)
-
-
 def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Builder:
     """Drift-implicit Euler for Y = sqrt(X): the closed-form positive root of
     y' = y + (alpha/y' + beta*y')*dt + gamma*dW, positive for any input when
@@ -421,7 +409,7 @@ def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Builder:
     lam = lamperti_cir(model.params)
     if lam.alpha <= 0 and not config.truncate_sqrt:
         raise SchemeError(
-            "implicit sqrt Euler requires 2*kappa*lam > theta^2 "
+            "implicit sqrt Euler requires 4*kappa*lam > theta^2 "
             f"(alpha = {lam.alpha:.6g}); scheme implicit_sqrt_truncated runs anyway"
         )
     gamma = np.array(lam.gamma)
@@ -451,17 +439,17 @@ def _log_heston(config: StepperConfig, model: Model) -> _Builder:
     """
     p = model.params
     lam = lamperti_cir(p.vol_cir())
-    if lam.alpha <= 0 and not config.truncate_sqrt:
+    if lam.alpha <= 0:
         raise SchemeError(
-            "volatility equation violates 2*kappa*lam > theta^2; running it "
-            "anyway with truncate_sqrt is available from the library only"
+            "volatility equation violates 4*kappa*lam > theta^2 "
+            f"(alpha = {lam.alpha:.6g})"
         )
     mu, rho, rho_bar, gamma = (
         np.array(v) for v in (p.mu, p.rho, math.sqrt(1.0 - p.rho * p.rho), lam.gamma)
     )
 
     def at(dt: float) -> _Stepper:
-        root = lamperti_root(lam, dt, config.truncate_sqrt)
+        root = lamperti_root(lam, dt)
         dt = np.array(dt)
 
         def step(x, dw):
@@ -481,8 +469,7 @@ class SchemeEntry:
 
     ``requires`` states the ``applies_to`` condition in words, for errors.
     ``option`` names the one StepperConfig option the scheme reads, if any:
-    "extension" or "projection", which it cannot run without, or
-    "truncate_sqrt".
+    "extension", which it cannot run without, or "truncate_sqrt".
     """
 
     factory: Callable[[StepperConfig, Model], _Builder]
@@ -520,8 +507,8 @@ SCHEMES: dict[str, SchemeEntry] = {
         _modified(step_milstein_scalar), _cir, "CIR models", "extension",
     ),
     "reflected_euler": SchemeEntry(
-        _reflected, _scalar_in_domain, "scalar models with a proper domain",
-        "projection",
+        _on_model(step_reflected, check_domain=False), _scalar_in_domain,
+        "scalar models with a proper domain",
     ),
     "split_step_backward_euler": SchemeEntry(
         _on_model(step_split_step_backward, check_domain=False), _scalar,
@@ -540,20 +527,18 @@ SCHEMES: dict[str, SchemeEntry] = {
     ),
     "log_heston_composite": SchemeEntry(
         _log_heston, lambda model: model.model_id == "heston_log",
-        "the log-Heston model", "truncate_sqrt",
+        "the log-Heston model",
     ),
 }
 
 
-# square-root extensions: (pi, g'), the projection onto [0, inf) whose
+# square-root extensions: (pi, g'), the map onto [0, inf) whose
 # composite b(pi(x)) is the diffusion, and its derivative g'(theta, x) for
 # x < 0; truncate kills the diffusion, absolute makes it theta*sqrt(|x|)
 EXTENSIONS: dict[str, tuple[Callable, Callable]] = {
     "truncate": (lambda x: np.maximum(x, _ZERO), lambda theta, x: 0.0),
     "absolute": (np.abs, lambda theta, x: -theta / (2.0 * np.sqrt(-x))),
 }
-
-PROJECTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {"abs": np.abs}
 
 
 # the scheme names config files use
@@ -564,7 +549,7 @@ ALIASES: dict[str, StepperConfig] = {
     "absolute_euler": StepperConfig("modified_euler", extension="absolute"),
     "truncated_milstein": StepperConfig("modified_milstein", extension="truncate"),
     "absolute_milstein": StepperConfig("modified_milstein", extension="absolute"),
-    "symmetrized_euler": StepperConfig("reflected_euler", projection="abs"),
+    "symmetrized_euler": StepperConfig("reflected_euler"),
     "tamed_euler": StepperConfig("tamed_euler"),
     "split_step": StepperConfig("split_step_backward_euler"),
     "backward_euler": StepperConfig("backward_euler"),

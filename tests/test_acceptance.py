@@ -232,8 +232,7 @@ def test_positivity_one_steps():
         schemes.StepperConfig(scheme_id="cir_implicit_sqrt_euler"), M1
     )
     refl = schemes.make_stepper(
-        schemes.StepperConfig(scheme_id="reflected_euler", projection="abs"),
-        M1,
+        schemes.StepperConfig(scheme_id="reflected_euler"), M1
     )
     violations = 0
     assert 4.0 * SC1.params.kappa * SC1.params.lam >= SC1.params.theta**2

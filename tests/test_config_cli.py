@@ -386,6 +386,29 @@ def test_cli_requires_a_seed(tmp_path, capsys):
     assert "never seeded from the clock" in err
 
 
+@pytest.mark.parametrize("where", ["--out", "[experiment] out"])
+@pytest.mark.parametrize("target", ["file", "file/x"], ids=["a-file", "under-a-file"])
+def test_cli_unwritable_output_directory_exits_2(tmp_path, capsys, where, target):
+    # an existing file, or a path through one, cannot be the output directory
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / target)
+    text = VALIDATE_CFG if where == "--out" else VALIDATE_CFG.replace(
+        "seed = 3\n", f"seed = 3\nout = {out}\n"
+    )
+    cfg = _write(tmp_path / "v.cfg", text)
+    rc = cli.main(["validate", "--config", cfg] + (["--out", out] if where == "--out" else []))
+    assert rc == 2
+    assert f"cannot write output {out!r}" in capsys.readouterr().err
+
+
+def test_cli_unwritable_output_file_exits_2(tmp_path, capsys):
+    (tmp_path / "validate.csv").mkdir()  # the CSV's path is a directory
+    cfg = _write(tmp_path / "v.cfg", VALIDATE_CFG)
+    rc = cli.main(["validate", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"cannot write output {str(tmp_path / 'validate.csv')!r}" in capsys.readouterr().err
+
+
 def test_cli_rejects_mismatched_subcommand(tmp_path, capsys):
     cfg = _write(tmp_path / "v.cfg", VALIDATE_CFG)
     rc = cli.main(["price", "--config", cfg, "--out", str(tmp_path)])
@@ -950,7 +973,7 @@ def test_mlmc_levels_where_both_paths_overflow_warn_nothing(tmp_path, capsys):
 _INT = ("0", "1", "-1", "2", "2^3")
 _FLOAT = ("0", "1", "-1", "2^-1", "2^-3", "2^1023", "2^1024", "0^-1", "inf", "nan")
 _STEPS = (*_INT, "2^33")
-_EPSILON = (*_FLOAT, "2^-13")
+_EPSILON = (*_FLOAT, "2^-13", "2^-600")
 
 
 def _lists(values):
@@ -1269,6 +1292,27 @@ EDGE_RUNS = {
         "line 19: bad value for 'truth'",
     ),
     "pathwise-mu-nan": ("pathwise", "n_list = 2, 4", 2, "line 7: bad value for 'mu'"),
+    # the implicit square-root schemes refuse a model with 4*kappa*lam < theta^2
+    "negstats-implicit_sqrt-degraded": (
+        "negstats", "n = 8\nn_samples = 16", 2,
+        "implicit sqrt Euler requires 4*kappa*lam > theta^2",
+    ),
+    "negstats-dimp_milstein-degraded": (
+        "negstats", "n = 8\nn_samples = 16", 2,
+        "drift-implicit Milstein loses positivity when 4*kappa*lam < theta^2",
+    ),
+    "price-log_heston-degraded": (
+        "price", "method = mc\nn = 8\nn_samples = 16", 2,
+        "volatility equation violates 4*kappa*lam > theta^2",
+    ),
+    # an accuracy whose T/epsilon^2 samples are past the float range
+    "mlmc-epsilon-too-small": (
+        "mlmc", "epsilon = 2^-600", 2, "epsilon = 2.409919865102884e-181 is too small",
+    ),
+    "price-standard-epsilon-too-small": (
+        "price", "method = standard\nepsilon = 2^-600", 2,
+        "epsilon = 2.409919865102884e-181 is too small",
+    ),
 }
 
 # (model block, scheme alias) of the rows that do not run euler on gbm
@@ -1285,6 +1329,11 @@ EDGE_SETUPS = {
     "validate-moment_p_list-zero": ("preset = heston-mlmc", None),
     "validate-moment_p_list-below-sixteenth": ("preset = cir-scenario-1", None),
     "pathwise-mu-nan": (SWEEP_MODELS["gbm"].replace("mu = 0.05", "mu = nan"), "euler"),
+    "negstats-implicit_sqrt-degraded": ("preset = cir-scenario-2", "implicit_sqrt"),
+    "negstats-dimp_milstein-degraded": ("preset = cir-scenario-2", "dimp_milstein"),
+    "price-log_heston-degraded": ("preset = heston-mlmc\ntheta = 1.0", "log_heston"),
+    "mlmc-epsilon-too-small": ("preset = heston-mlmc", "log_heston"),
+    "price-standard-epsilon-too-small": ("preset = heston-mlmc", "log_heston"),
     "explode-runaway": ("preset = three-halves-mc", "euler"),
     "converge-schemes-runaway": (
         "preset = cev-set-1", "euler, milstein, tamed_euler, split_step, backward_euler",
@@ -1295,6 +1344,29 @@ EDGE_SETUPS = {
     "converge-repeated-alias": (SWEEP_MODELS["gbm"], "euler, tamed_euler, euler"),
     "validate-cir_lamperti": ("model = cir_lamperti\nT = 1.0", None),
 }
+
+
+# a key that did not parse is reported once, as a bad value, and not again
+# by the rule that requires it
+@pytest.mark.parametrize("kind, run_block", [
+    ("mlmc", "epsilon = nan"),
+    ("mlmc", "epsilon_list = 2^-1, nan"),
+    ("price", "method = mlmc\nepsilon = nan"),
+    ("price", "method = mc\nn = 8\nn_samples = x"),
+    ("price", "method = mc_discarded\nn = 8\nn_samples = 16\nradius = nan"),
+    ("negstats", "n = x\nn_samples = 8"),
+    ("explode", "n_list = 2, 4\nn_samples = x"),
+    ("mlmc", "epsilon = 2^-2\nreplications = 2\ntruth = nan"),
+    ("mlmc", "epsilon = 2^-2\nreplications = x\ntruth = 1.0"),
+    ("validate", "l1 = 1\nl2 = nan"),
+])
+def test_an_unparsable_required_key_is_reported_once(kind, run_block):
+    scheme = "" if kind == "validate" else "[scheme]\nscheme = euler\n\n"
+    errs = _errors(
+        f"[experiment]\nkind = {kind}\nseed = 1\n\n[model]\n{SWEEP_MODELS['gbm']}\n\n"
+        f"{scheme}[run]\n{run_block}\n"
+    )
+    assert len(errs) == 1 and "bad value" in errs[0], errs
 
 
 @pytest.mark.parametrize("name", list(EDGE_RUNS), ids=list(EDGE_RUNS))

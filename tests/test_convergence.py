@@ -444,7 +444,7 @@ def test_negativity_counts_truncated_euler():
 
 def test_negativity_symmetrized_scheme_is_exactly_zero():
     st_ = cv.negativity_stats(
-        schemes.StepperConfig(scheme_id="reflected_euler", projection="abs"),
+        schemes.StepperConfig(scheme_id="reflected_euler"),
         _cir_sc1(),
         T=5.0,
         seed=51,

@@ -372,6 +372,14 @@ def test_rmsq_equals_absolute_bias_for_deterministic_estimates():
     assert study.rmsq == 0.5
 
 
+@pytest.mark.parametrize("method", ["mlmc", "standard"])
+def test_plan_for_refuses_counts_past_the_float_range(method):
+    # T/epsilon^2 is inf at 2^-520; at 2^-600 epsilon^2 is zero
+    for eps in (2.0**-520, 2.0**-600):
+        with pytest.raises(EstimatorError, match="epsilon = .* is too small"):
+            est.plan_for(method, eps, 1.0)
+
+
 def test_rmsq_study_guards():
     with pytest.raises(EstimatorError, match="method"):
         est.plan_for("quasi", 0.25, 1.0)

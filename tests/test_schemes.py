@@ -170,7 +170,7 @@ def test_reflected_inside_matches_euler():
     x = np.array([0.05])
     dw = np.array([0.001])
     dt = 5.0 / 512.0
-    ref = schemes.step_reflected(CIR, np.abs, x, dt, dw)
+    ref = schemes.step_reflected(CIR, x, dt, dw)
     np.testing.assert_array_equal(ref, schemes.step_explicit_euler(CIR, x, dt, dw))
 
 
@@ -180,16 +180,8 @@ def test_reflected_symmetrizes_negative_excursion():
     dw = np.array([-0.7])  # drives the Euler step negative
     h = schemes.step_explicit_euler(CIR, x, dt, dw)
     assert h[0] < 0
-    out = schemes.step_reflected(CIR, np.abs, x, dt, dw)
+    out = schemes.step_reflected(CIR, x, dt, dw)
     assert out[0] == -h[0]
-
-
-def test_reflected_constant_projection():
-    const = lambda x: np.full_like(x, 0.07)
-    out = schemes.step_reflected(
-        CIR, const, np.array([0.04]), 1.0 / 512.0, np.array([-0.7])
-    )
-    assert out[0] == 0.07
 
 
 # --- implicit solver ------------------------------------------------------------
@@ -690,7 +682,7 @@ def _lattice_run(cfg, model, lat, T):
 
 def test_symmetrized_euler_never_negative():
     lat = bw.sample_lattice(907, 0, T=5.0, m=1, finest_n=512)
-    cfg = schemes.StepperConfig(scheme_id="reflected_euler", projection="abs")
+    cfg = schemes.StepperConfig(scheme_id="reflected_euler")
     res = _lattice_run(cfg, CIR, lat, 5.0)
     assert res.recorded.min() >= 0.0
     assert res.recorded[0, 0, 0] == SC1.x0
@@ -744,7 +736,7 @@ def test_domain_check_names_the_first_negative_step(monkeypatch, k, resumed):
 
 
 def test_batch_equals_stacked_single_paths(rng):
-    cfg = schemes.StepperConfig(scheme_id="reflected_euler", projection="abs")
+    cfg = schemes.StepperConfig(scheme_id="reflected_euler")
     n, b = 16, 5
     dt = 5.0 / n
     incr = rng.normal(0.0, math.sqrt(dt), (1, b, n))
@@ -774,13 +766,12 @@ def test_config_validation_rules():
         schemes.StepperConfig(scheme_id="modified_euler")
     with pytest.raises(schemes.SchemeError, match="needs extension"):
         schemes.StepperConfig(scheme_id="modified_euler", extension="reflect")
-    with pytest.raises(schemes.SchemeError, match="needs projection"):
-        schemes.StepperConfig(scheme_id="reflected_euler")
     # every option the scheme does not read is rejected
     for scheme_id, option in (
         ("explicit_euler", {"extension": "truncate"}),
         ("explicit_euler", {"truncate_sqrt": True}),
-        ("modified_euler", {"extension": "truncate", "projection": "abs"}),
+        ("modified_euler", {"extension": "truncate", "truncate_sqrt": True}),
+        ("log_heston_composite", {"truncate_sqrt": True}),
     ):
         with pytest.raises(schemes.SchemeError, match="does not read it"):
             schemes.StepperConfig(scheme_id=scheme_id, **option)
