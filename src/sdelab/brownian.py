@@ -62,44 +62,42 @@ class LatticeError(ValueError):
     """Raised for invalid stream keys, lattice requests or aggregations."""
 
 
-def _keys(seed: int, sample_indices: Sequence[int], substream: int) -> np.ndarray:
-    """The sample indices as int64; LatticeError unless (seed, each index,
-    substream) keys a stream."""
-    idx = np.asarray(sample_indices)
+def _keys(seed: int, sample_indices: Sequence[int], substream: int) -> range:
+    """The sample indices as a range; LatticeError unless they are one
+    consecutive ascending range (a ``range`` of step 1, or a 1-D integer
+    array equal to one) and (seed, each index, substream) keys a stream."""
+    idx = sample_indices
+    if not (isinstance(idx, range) and idx.step == 1):
+        arr = np.asarray(idx)
+        if arr.ndim != 1 or arr.size and (arr.dtype.kind not in "iu" or (np.diff(arr) != 1).any()):
+            raise LatticeError("sample indices must be consecutive and ascending")
+        idx = range(int(arr[0]), int(arr[-1]) + 1) if arr.size else range(0)
     if not 0 <= seed < _MAX_SEED:
         raise LatticeError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if idx.size and not 0 <= idx.min() <= idx.max() < MAX_SAMPLE_INDEX:
-        bad = idx.min() if idx.min() < 0 else idx.max()
-        raise LatticeError(f"sample_index must lie in [0, 2**56), got {bad}")
+    if not 0 <= idx.start <= idx.start + len(idx) <= MAX_SAMPLE_INDEX:
+        raise LatticeError(f"sample indices must lie in [0, 2**56), got {idx}")
     if not 0 <= substream < _MAX_SUBSTREAM:
         raise LatticeError(f"substream must lie in [0, 256), got {substream}")
-    return idx.astype(np.int64, copy=False)
+    return idx
 
 
-def _runs(idx: np.ndarray) -> list[tuple]:
-    """The ``(block, rows, cols)`` runs of each block's indices in sorted
-    order; a run whose rows and columns both step by one is written as a
-    slice, any other by index."""
-    order = np.argsort(idx, kind="stable")
-    block, col = np.divmod(idx[order], _BLOCK)
-    starts = np.flatnonzero(np.diff(block, prepend=-1))
-    ends = np.append(starts[1:], len(idx))
-    jumps = np.cumsum((np.diff(order, prepend=0) != 1) | (np.diff(col, prepend=0) != 1))
-    runs = []
-    for k, s, e in zip(block[starts].tolist(), starts.tolist(), ends.tolist()):
-        rows, cols = order[s:e], col[s:e]
-        if jumps[e - 1] == jumps[s]:
-            r, c = int(rows[0]), int(cols[0])
-            rows, cols = slice(r, r + e - s), slice(c, c + e - s)
-        runs.append((k, rows, cols))
-    return runs
+def _runs(idx: range) -> list[tuple]:
+    """The ``(block, rows, cols)`` run of each block that ``idx`` meets, its
+    rows and columns as slices."""
+    lo, hi = idx.start, idx.start + len(idx)
+    return [
+        (k, slice(max(lo, k * _BLOCK) - lo, min(hi, k * _BLOCK + _BLOCK) - lo),
+         slice(max(lo - k * _BLOCK, 0), min(hi - k * _BLOCK, _BLOCK)))
+        for k in range(lo // _BLOCK, -(-hi // _BLOCK))
+    ]
 
 
 def batch_standard_normals(
     seed: int, sample_indices: Sequence[int], substream: int, count: int,
-    out: np.ndarray | None = None, walk: _Walk | None = None, scale: float = 1.0,
+    out: np.ndarray | None = None, walk: _Walk | None = None,
 ) -> np.ndarray:
-    """Draw ``count`` N(0,1) variates for each sample index, one row each.
+    """Draw ``count`` N(0,1) variates for each index of one consecutive
+    ascending range, one row each; any other index set is a LatticeError.
 
     Indices are grouped in blocks of ``_BLOCK``: block ``k`` is one Philox
     stream keyed by the words ``[seed, k << 8 | substream]`` (the range
@@ -108,18 +106,17 @@ def batch_standard_normals(
     of a fixed sequence, whatever the count and the other indices drawn with
     it.  Blocks are drawn whole, ``_CHUNK`` steps at a time, and sliced.
     ``out`` receives the (len(sample_indices), count) result when given.
-    Every normal is written times ``scale``.  A call on its own is a walk of
-    one chunk, drawn on the calling thread.  A walk of
-    :func:`increment_chunks` passes itself as ``walk``, which then holds the
-    indices and the scale: the call draws that walk's next chunk of noise
-    dimension ``substream``, with a wide walk's parts on every CPU.
+    A call on its own is a walk of one chunk, drawn on the calling thread.
+    A walk of :func:`increment_chunks` passes itself as ``walk``, which then
+    holds the indices and the scale: the call draws that walk's next chunk
+    of noise dimension ``substream``, with a wide walk's parts on every CPU.
     """
     if walk is None:
         seed, substream = int(seed), int(substream)
         idx = _keys(seed, sample_indices, substream)
         if out is None:
             out = np.empty((len(idx), count))
-        return _Walk(seed, _runs(idx), 1, substream, scale, [count]).draw(0, out)
+        return _Walk(seed, _runs(idx), 1, substream, 1.0, [count]).draw(0, out)
     return walk.draw(substream, out)
 
 
@@ -250,9 +247,10 @@ def _chunk_steps(n: int, granule: int) -> int:
 def increment_chunks(
     seed: int, sample_indices: Sequence[int], m: int, n: int, dt: float, granule: int,
 ) -> Iterator[np.ndarray]:
-    """Yield the (m, b, n) increments over steps of length ``dt``, one chunk
-    at a time (the last may be shorter), in memory O(m * b * chunk).  Row j
-    holds the normals of substream j for each sample index, scaled by
+    """Yield the (m, b, n) increments over steps of length ``dt`` of the b
+    samples of one consecutive ascending index range, one chunk at a time
+    (the last may be shorter), in memory O(m * b * chunk).  Row j holds the
+    normals of substream j for each sample index, scaled by
     sqrt(dt), each chunk resuming the rows; every simulating experiment
     draws its noise here.  A chunk is ``granule`` rounded up to whole
     ``_CHUNK``-step draws, at most ``n``, and a view of a time-major buffer,
@@ -288,9 +286,10 @@ def increment_chunks(
 def increment_batches(
     seed: int, n_samples: int, m: int, n: int, dt: float, index_offset: int = 0,
     *, granule: int,
-) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
+) -> Iterator[tuple[range, Iterator[np.ndarray]]]:
     """Yield ``(sample_indices, chunks)`` over samples ``index_offset ..
-    index_offset + n_samples - 1`` in index order; ``chunks`` is the batch's
+    index_offset + n_samples - 1`` in index order, each batch's indices a
+    ``range``; ``chunks`` is the batch's
     :func:`increment_chunks` at ``granule``, and a batch holds as many paths
     as fit one chunk each in ``_BATCH_FLOATS`` increments.  LatticeError,
     raised by the call and not by the first batch, if one chunk does not
@@ -306,7 +305,7 @@ def increment_batches(
 
     def batches():
         for start in range(0, n_samples, batch):
-            idx = np.arange(start, min(start + batch, n_samples)) + index_offset
+            idx = range(index_offset + start, index_offset + min(start + batch, n_samples))
             yield idx, increment_chunks(seed, idx, m, n, dt, granule)
 
     return batches()
@@ -328,7 +327,8 @@ def sample_lattice(
         raise LatticeError(f"finest_n must be a power of two, got {finest_n}")
     if m < 1:
         raise LatticeError(f"dimension m must be >= 1, got {m}")
-    return next(increment_chunks(seed, [sample_index], m, finest_n, T / finest_n, finest_n))[:, 0]
+    idx = range(sample_index, sample_index + 1)
+    return next(increment_chunks(seed, idx, m, finest_n, T / finest_n, finest_n))[:, 0]
 
 
 def aggregate_to(arr: np.ndarray, n: int) -> np.ndarray:

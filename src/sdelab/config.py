@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, get_args
 
-from . import estimators, models, schemes
+from . import estimators, models, schemes, util
 from .brownian import MAX_SAMPLE_INDEX
 
 # experiment kind -> the help text of its CLI subcommand
@@ -68,6 +68,13 @@ def _parse_float(text: str) -> float:
         value = math.nan
     if value != value or math.isinf(value) and "inf" not in text.lower():  # nan != nan
         raise ValueError("not a finite number, nor inf")
+    return value
+
+
+def _parse_finite(text: str) -> float:
+    """A :func:`_parse_float` value other than inf, as every [model] value is."""
+    if math.isinf(value := _parse_float(text)):
+        raise ValueError("not a finite number")
     return value
 
 
@@ -217,9 +224,7 @@ _SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
     "model": {
         "preset": _parse_str,
         "model": _parse_str,
-        "T": _parse_float,
-        "strike": _parse_float,
-        **{k: _parse_float for k in _MODEL_PARAM_KEYS},
+        **{k: _parse_finite for k in ("T", "strike", *_MODEL_PARAM_KEYS)},
     },
     "scheme": {"scheme": _parse_str_list},
     "run": {key: row.parse for key, row in _RUN_KEYS.items()},
@@ -544,10 +549,6 @@ def echo_lines(cfg: ExperimentConfig, seed: int) -> list[str]:
         lines.append("scheme = " + ", ".join(cfg.schemes))
     for key in sorted(cfg.run):
         v = cfg.run[key]
-        if isinstance(v, tuple):
-            lines.append(f"run.{key} = " + ", ".join(repr(x) if isinstance(x, float) else str(x) for x in v))
-        elif isinstance(v, float):
-            lines.append(f"run.{key} = {v!r}")
-        else:
-            lines.append(f"run.{key} = {v}")
+        values = v if isinstance(v, tuple) else (v,)
+        lines.append(f"run.{key} = " + ", ".join(util.format_value(x) for x in values))
     return lines

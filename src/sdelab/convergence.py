@@ -191,7 +191,7 @@ def strong_error_curves(
     ref_bad = np.zeros(n_samples, dtype=bool)
 
     for idx, chunks in walk:
-        paths = slice(idx[0] - index_offset, idx[-1] + 1 - index_offset)
+        paths = slice(idx.start - index_offset, idx.stop - index_offset)
         rres, w_end, carry, t0 = None, np.zeros(len(idx)), {}, 0
         for fine in chunks:
             grids, incr = {}, fine

@@ -36,23 +36,20 @@ def build_stepper_config(alias: str, model: models.Model) -> schemes.StepperConf
     return cfg
 
 
-def _discount_rate(cfg: ExperimentConfig) -> float:
-    if isinstance(cfg.params, models.HestonParams):
-        return cfg.params.r
-    return 0.0
-
-
 def _build_payoff(cfg: ExperimentConfig, default_phi: str | None = None):
     run = cfg.run
     phi = run.get("payoff", default_phi)
     if phi is None:
         phi = "call" if cfg.strike is not None else "identity"
+    rate = cfg.params.r if isinstance(cfg.params, models.HestonParams) else 0.0
+    if -rate * cfg.T > np.log(np.finfo(float).max):  # exp(-r*T) past the float range
+        raise ConfigError([f"[model]: the discount factor exp(-r*T) overflows at r = {rate}, T = {cfg.T}"])
     return estimators.PayoffSpec(
         phi=phi,
         strike=cfg.strike if phi in ("call", "put") else None,
         lower=run.get("lower"),
         upper=run.get("upper"),
-        discount=_discount_rate(cfg),
+        discount=rate,
     )
 
 

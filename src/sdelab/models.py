@@ -504,8 +504,9 @@ def build_model(model_id: str, params: Params) -> Model:
 
 
 def feller_ratio(p: CirParams | HestonParams) -> float:
-    """2*kappa*lambda/theta^2; the boundary 0 is unattainable iff ratio >= 1."""
-    return 2.0 * p.kappa * p.lam / (p.theta * p.theta)
+    """2*kappa*lambda/theta^2 (inf if theta^2 underflows); the boundary 0 is
+    unattainable iff ratio >= 1."""
+    return 2.0 * p.kappa * p.lam / p.theta / p.theta
 
 
 @dataclass(frozen=True)

@@ -189,29 +189,24 @@ def implicit_step_bound(L1: float, L2: float) -> float:
     return 1.0 / max(1.0 + 2.0 * L1, 4.0 * L2)
 
 
-def solve_drift_implicit(
-    drift: Callable[[np.ndarray], np.ndarray],
-    rhs,
-    dt: float,
-    positive: bool,
-    x_init,
-    closed_form: Callable[[np.ndarray, float], np.ndarray] | None = None,
-    drift_prime: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Solve x - drift(x)*dt = rhs for x in (0, inf) when ``positive`` and in
-    R otherwise, vectorized over rhs.
+def solve_drift_implicit(model: Model, rhs, dt: float, x_init) -> np.ndarray:
+    """Solve x - a(x)*dt = rhs for the drift a of ``model``, for x in
+    (0, inf) when the model is ``positive`` and in R otherwise, vectorized
+    over rhs.
 
-    Uses the registered closed form when one is supplied; otherwise brackets
-    a sign change of g(x) = x - dt*drift(x) - rhs inside that domain,
-    starting from ``x_init`` (geometric expansion on (0, inf), additive on
-    R), and drives it home with bisection accelerated by Newton/secant
-    candidates.  The result satisfies |g(x*)| <= 1e-12; failure to bracket
-    raises :class:`SolverError`, which typically signals dt above the
-    scheme's well-definedness bound or a non-coercive drift.
+    Uses the model's closed form when it has one; otherwise brackets a sign
+    change of g(x) = x - dt*a(x) - rhs inside that domain, starting from
+    ``x_init`` (geometric expansion on (0, inf), additive on R), and drives
+    it home with bisection accelerated by Newton candidates where the model
+    gives ``drift_prime`` and secant ones where it does not.  The result
+    satisfies |g(x*)| <= 1e-12; failure to bracket raises
+    :class:`SolverError`, which typically signals dt above the scheme's
+    well-definedness bound or a non-coercive drift.
     """
     rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-    if closed_form is not None:
-        return closed_form(rhs, dt)
+    if model.closed_form is not None:
+        return model.closed_form(rhs, dt)
+    drift, positive, dp = model.drift, model.positive, model.drift_prime
 
     def g(x):
         return x - dt * drift(x) - rhs
@@ -256,7 +251,6 @@ def solve_drift_implicit(
 
         x = 0.5 * (lo + hi)
         gx = g(x)
-        dp = drift_prime
         for _ in range(_MAX_ITER):
             done = np.abs(gx) <= _ABS_TOL
             if done.all():
@@ -297,10 +291,7 @@ def step_split_step_backward(model: Model, x, dt: float, dw) -> np.ndarray:
     """x* = x + a(x*)*dt, then x' = x* + sum_j b_j(x*)*dW_j."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     dw = np.asarray(dw, dtype=np.float64)
-    xs = solve_drift_implicit(
-        model.drift, x, dt, model.positive,
-        x_init=x, closed_form=model.closed_form, drift_prime=model.drift_prime,
-    )
+    xs = solve_drift_implicit(model, x, dt, x_init=x)
     _guard_domain_eval(model, xs, "split-step diffusion stage")
     return _add_noise(model, xs, xs, dw)
 
@@ -310,10 +301,7 @@ def step_backward_euler(model: Model, x, dt: float, dw) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     dw = np.asarray(dw, dtype=np.float64)
     _guard_domain_eval(model, x, "backward Euler diffusion term")
-    return solve_drift_implicit(
-        model.drift, _add_noise(model, x, x, dw), dt, model.positive,
-        x_init=x, closed_form=model.closed_form, drift_prime=model.drift_prime,
-    )
+    return solve_drift_implicit(model, _add_noise(model, x, x, dw), dt, x_init=x)
 
 
 # --- square-root process specials ------------------------------------------

@@ -292,9 +292,7 @@ def test_implicit_residuals():
         xp = schemes.step_backward_euler(toy, x, dt, dw)
         res = xp - (x + toy.diffusion[0](x) * dw) - toy.drift(xp) * dt
         worst = max(worst, float(np.abs(res).max()))
-        xs = schemes.solve_drift_implicit(
-            toy.drift, x, dt, toy.positive, x_init=x, drift_prime=toy.drift_prime,
-        )
+        xs = schemes.solve_drift_implicit(toy, x, dt, x_init=x)
         xfull = schemes.step_split_step_backward(toy, x, dt, dw)
         res_stage = xs - x - toy.drift(xs) * dt
         res_diff = xfull - (xs + toy.diffusion[0](xs) * dw)

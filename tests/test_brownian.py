@@ -33,36 +33,48 @@ def test_substreams_distinct():
 
 
 def test_batch_rows_equal_single_streams():
-    idx = [0, 3, 17, 63, 64, 2**40, 2**56 - 1, 3]
-    batch = bw.batch_standard_normals(2**64 - 1, idx, substream=255, count=37)
-    assert batch.shape == (8, 37)
-    for row, i in zip(batch, idx):
-        np.testing.assert_array_equal(row, _block_normals(2**64 - 1, i, 255, 37))
-    # 300 steps span three of the draw's 128-step chunks
-    batch = bw.batch_standard_normals(99, np.array(idx), substream=2, count=300)
-    for row, i in zip(batch, idx):
-        np.testing.assert_array_equal(row, _block_normals(99, i, 2, 300))
+    # across a block edge, and up to the last index
+    for idx in (range(60, 70), range(2**56 - 5, 2**56)):
+        batch = bw.batch_standard_normals(2**64 - 1, idx, substream=255, count=37)
+        assert batch.shape == (len(idx), 37)
+        for row, i in zip(batch, idx):
+            np.testing.assert_array_equal(row, _block_normals(2**64 - 1, i, 255, 37))
+        # 300 steps span three of the draw's 128-step chunks
+        batch = bw.batch_standard_normals(99, np.array(idx), substream=2, count=300)
+        for row, i in zip(batch, idx):
+            np.testing.assert_array_equal(row, _block_normals(99, i, 2, 300))
 
 
 @settings(derandomize=True, max_examples=60)
 @given(
-    offset=st.integers(min_value=64, max_value=2**40),
-    picks=st.lists(st.integers(min_value=-64, max_value=255), min_size=1, max_size=40),
+    offset=st.integers(min_value=0, max_value=2**40),
+    length=st.integers(min_value=1, max_value=300),
     counts=st.tuples(st.integers(1, 300), st.integers(1, 300)),
 )
 # rmsq_study's replication r starts at r*span; span = 10080 at eps = 2^-5 is
 # 32 mod 64, so the end of one replication and the start of the next, drawn
 # at different counts, share a block
-@example(offset=10080, picks=list(range(-32, 32)), counts=(64, 1))
-def test_rows_are_prefixes_of_one_aligned_draw(offset, picks, counts):
-    # any subset, order or offset of indices, at any count, reads the rows of
-    # one large block-aligned draw, cut to that count
-    idx = offset + np.array(picks)
-    lo = (offset - 64) // 64 * 64
-    full = bw.batch_standard_normals(11, np.arange(lo, lo + 448), 4, max(counts))
+@example(offset=10048, length=64, counts=(64, 1))
+def test_rows_are_prefixes_of_one_aligned_draw(offset, length, counts):
+    # any range of indices, at any count, reads the rows of one large
+    # block-aligned draw, cut to that count
+    lo = offset // 64 * 64
+    full = bw.batch_standard_normals(11, range(lo, lo + 448), 4, max(counts))
     for count in counts:
-        got = bw.batch_standard_normals(11, idx, 4, count)
-        np.testing.assert_array_equal(got, full[idx - lo, :count])
+        got = bw.batch_standard_normals(11, range(offset, offset + length), 4, count)
+        np.testing.assert_array_equal(got, full[offset - lo : offset - lo + length, :count])
+
+
+@pytest.mark.parametrize("idx", [
+    [5, 4], np.arange(9, -1, -1), [3, 3], [7, 7, 8], [0, 2], range(0, 10, 2),
+    np.arange(64 * 3)[::-1], np.arange(6).reshape(2, 3), [[0, 1]], np.array([0.0, 1.0]),
+])
+def test_index_sets_other_than_one_ascending_range_are_rejected(idx):
+    # descending, duplicated, gapped, 2-D and non-integer index sets
+    with pytest.raises(bw.LatticeError, match="consecutive and ascending"):
+        bw.batch_standard_normals(1, idx, 0, 4)
+    with pytest.raises(bw.LatticeError, match="consecutive and ascending"):
+        next(bw.increment_chunks(1, idx, 2, 4, 0.25, 4))
 
 
 def _block(seed, sample_indices, m, n, dt):
@@ -71,7 +83,7 @@ def _block(seed, sample_indices, m, n, dt):
 
 
 def test_increment_block_rows_are_scaled_substreams(monkeypatch):
-    idx = np.array([4, 9, 2**50])
+    idx = np.arange(2**50 - 2, 2**50 + 1)  # across a block edge
     block = _block(99, idx, m=2, n=5, dt=0.25)
     assert block.shape == (2, 3, 5)
     for j in range(2):
@@ -150,15 +162,12 @@ def _walk(idx, n, granule, m=2):
     return bw.increment_chunks(17, idx, m, n, 0.25, granule)
 
 
-# index sets of at least 16 blocks: one contiguous run per block; a
-# permutation and sorted indices with gaps, which gather by index; and 25
-# blocks, which 2 or 3 workers split unevenly
-_rng = np.random.default_rng(23)
+# index ranges of at least 16 blocks: 32 whole blocks; 25 blocks, which 2
+# or 3 workers split unevenly; and 20 blocks, the first and last partial
 WIDE_SETS = {
     "contiguous": np.arange(64 * 32),
-    "permuted": 640 + _rng.permutation(64 * 24),
-    "scattered": np.sort(_rng.choice(64 * 40, 900, replace=False)),
     "odd": np.arange(10, 64 * 25),
+    "mid-block": np.arange(64 * 3 + 17, 64 * 22 + 40),
 }
 
 
@@ -170,9 +179,7 @@ def test_draws_do_not_depend_on_the_worker_count(monkeypatch, workers, name):
     # cut 128-step or 384-step chunks to 32 or 96 steps) or in whole chunks
     # (128 and 256)
     idx, n = WIDE_SETS[name], 512
-    want = np.stack(
-        [bw.batch_standard_normals(17, idx, j, n, scale=0.5) for j in range(2)]
-    )
+    want = np.stack([bw.batch_standard_normals(17, idx, j, n) * 0.5 for j in range(2)])
     monkeypatch.setattr(bw, "_WORKERS", workers)
     parts = _parts(monkeypatch)
     blocks = len(np.unique(idx // 64))
@@ -237,7 +244,7 @@ def test_a_walk_of_several_chunks_keys_each_block_once(monkeypatch):
     ((idx, chunks),) = bw.increment_batches(1, 256, 1, 2**12, 2.0**-12, granule=256)
     got = np.concatenate([c.copy() for c in chunks], axis=-1)
     assert made == {"runs": 1, "philox": 4}
-    want = bw.batch_standard_normals(1, idx, 0, 2**12, scale=2.0**-6)
+    want = bw.batch_standard_normals(1, idx, 0, 2**12) * 2.0**-6
     np.testing.assert_array_equal(got[0], want)
 
 
@@ -253,7 +260,7 @@ def test_a_walk_of_one_chunk_rekeys_one_generator_per_part(monkeypatch):
     assert made == {"runs": 1, "philox": 2}
     assert parts == [(None, True)] * 2
     for j in range(2):
-        want = bw.batch_standard_normals(1, idx, j, 64, scale=2.0**-3)
+        want = bw.batch_standard_normals(1, idx, j, 64) * 2.0**-3
         np.testing.assert_array_equal(chunk[j], want)
 
 
@@ -343,7 +350,7 @@ def test_workers_are_the_cpus_the_process_may_run_on():
 
 def test_stream_key_validation():
     for seed, idx, sub in [
-        (-1, [0], 0), (2**64, [0], 0), (0, [0, -2], 0), (0, [2**56], 0), (0, [0], 256),
+        (-1, [0], 0), (2**64, [0], 0), (0, [-2, -1], 0), (0, [2**56], 0), (0, [0], 256),
     ]:
         with pytest.raises(bw.LatticeError):
             bw.batch_standard_normals(seed, idx, sub, 4)
@@ -360,8 +367,8 @@ def test_lattice_rejects_non_power_of_two():
 
 def test_sample_lattice_is_the_increment_block_row():
     lat = bw.sample_lattice(13, 4, T=3.0, m=2, finest_n=16)
-    block = _block(13, [2, 4, 9], 2, 16, 3.0 / 16)
-    np.testing.assert_array_equal(lat, block[:, 1])
+    block = _block(13, range(2, 10), 2, 16, 3.0 / 16)
+    np.testing.assert_array_equal(lat, block[:, 2])
 
 
 def test_single_increment_variance():

@@ -1,6 +1,7 @@
 """Config parsing (strict, line-numbered) and the CLI contract."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -928,6 +929,49 @@ SWEEP_RUNS = {
 }
 
 
+_GBM = SWEEP_MODELS["gbm"]
+
+
+# (config text, the error it must give): each a config that parses no further
+@pytest.mark.parametrize("text, needle", [
+    (f"[experiment]\nkind = bogus\n\n[model]\n{_GBM}\n", "line 2: unknown experiment 'bogus'"),
+    (f"[experiment]\nkind = validate\nseed\n\n[model]\n{_GBM}\n",
+     "line 3: expected 'key = value', got 'seed'"),
+    ("[experiment]\nkind = validate\n\n[model]\nT = 1.0\n",
+     "[model]: needs either 'preset' or 'model'"),
+    ("[experiment]\nkind = validate\n\n[model]\npreset = bogus\n",
+     "line 5: unknown preset 'bogus'; known presets: "),
+    (f"[experiment]\nkind = validate\n\n[model]\n{SWEEP_MODELS['cev']}\nkappa = 1.0\n",
+     "line 6: model 'cev' has no parameter 'kappa'; its parameters are gamma, mu, s0, sigma"),
+    ("[experiment]\nkind = validate\n\n[model]\npreset = cir-scenario-1\nkappa = -1\n",
+     "[model]: kappa must be positive, got -1.0"),
+    (f"[experiment]\nkind = validate\n\n[model]\n{_GBM.replace('T = 1.0', '')}\n",
+     "[model]: needs 'T' (no preset supplies it)"),
+    ("[experiment]\nkind = validate\n\n[model]\npreset = cir-scenario-1\nT = 0\n",
+     "[model]: T must be positive, got 0.0"),
+])
+def test_config_errors_name_their_cause(text, needle):
+    errs = _errors(text)
+    assert any(needle in e for e in errs), errs
+
+
+def test_an_unreadable_config_path_exits_2(tmp_path, capsys):
+    rc = cli.main(["validate", "--config", str(tmp_path / "absent.cfg")])
+    assert rc == 2
+    assert "config error: cannot read config file" in capsys.readouterr().err
+
+
+def test_an_overflowed_reference_marks_the_curve_invalid(tmp_path):
+    # the 3/2 model under Euler at a coarse reference: a reference path overflows
+    cfg = _write(tmp_path / "converge.cfg", (
+        "[experiment]\nkind = converge\nseed = 5\n\n[model]\npreset = three-halves-mc\n\n"
+        "[scheme]\nscheme = euler\n\n[run]\nn_list = 2, 4\nn_samples = 200\nref_n = 16\n"
+    ))
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "converge_euler.csv").read_text().splitlines()
+    assert lines[-1] == "# invalid: reference overflowed; errors are meaningless"
+
+
 def test_every_model_alias_and_kind_exits_cleanly(tmp_path, capsys):
     assert {m.split("-")[0] for m in SWEEP_MODELS} == set(models.MODEL_IDS)
     tracebacks = []
@@ -1052,10 +1096,9 @@ def test_run_values_cover_every_run_key():
     assert set(RUN_VALUES) == set(cfgmod._RUN_KEYS)
 
 
-@settings(max_examples=1500, derandomize=True, database=None)
-@given(case=_boundary_configs())
-def test_boundary_run_values_never_end_in_a_traceback(tmp_path_factory, case):
-    # and a run that exits 0 writes no nan in any CSV row: inf is data, nan is not
+def _exits_cleanly(tmp_path_factory, case):
+    """Run one (kind, config text) case: it exits 0, 2 or 3, and a run that
+    exits 0 writes no nan in any CSV row: inf is data, nan is not."""
     kind, text = case
     work = tmp_path_factory.getbasetemp() / "boundary"
     work.mkdir(exist_ok=True)
@@ -1071,6 +1114,53 @@ def test_boundary_run_values_never_end_in_a_traceback(tmp_path_factory, case):
             rows = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
             nans = [f for row in rows for f in row.split(",") if f.lower() == "nan"]
             assert not nans, f"{csv.name}\n{text}"
+
+
+@settings(max_examples=1500, derandomize=True, database=None)
+@given(case=_boundary_configs())
+def test_boundary_run_values_never_end_in_a_traceback(tmp_path_factory, case):
+    _exits_cleanly(tmp_path_factory, case)
+
+
+# Boundary values for each [model] float and T.  The square of 2^-1074, the
+# least subnormal, underflows to 0; inf and values past the float range are
+# no model value.
+_MODEL_FLOAT = ("0", "-1", "2^-1074", "1e-300", "2^-1", "1", "2^1023", "1e300", "inf")
+
+
+def _model_values(model_block):
+    """The model id and every float of a model block, T included."""
+    cfg = parse_config(f"[experiment]\nkind = validate\n\n[model]\n{model_block}\n")
+    return cfg.model_id, {**dataclasses.asdict(cfg.params), "T": cfg.T}
+
+
+SWEEP_VALUES = {label: _model_values(block) for label, block in SWEEP_MODELS.items()}
+
+
+@st.composite
+def _boundary_model_configs(draw):
+    """(kind, config text): a kind with its sweep run, an alias that applies
+    to the sweep's model, and that model with each float and T kept or, one
+    time in two, set to a boundary value."""
+    kind = draw(st.sampled_from(sorted(cfgmod.EXPERIMENT_KINDS)))
+    label = draw(st.sampled_from(sorted(SWEEP_MODELS)))
+    alias = draw(st.sampled_from(SWEEP_ALIASES[label]))
+    model_id, values = SWEEP_VALUES[label]
+    fields = "".join(
+        f"{key} = {draw(st.sampled_from((repr(v),) * len(_MODEL_FLOAT) + _MODEL_FLOAT))}\n"
+        for key, v in values.items()
+    )
+    scheme = "" if kind == "validate" else f"[scheme]\nscheme = {alias}\n\n"
+    return kind, (
+        f"[experiment]\nkind = {kind}\nseed = 5\n\n[model]\nmodel = {model_id}\n{fields}\n"
+        f"{scheme}[run]\n{SWEEP_RUNS.get(kind, '')}\n"
+    )
+
+
+@settings(max_examples=1500, derandomize=True, database=None)
+@given(case=_boundary_model_configs())
+def test_boundary_model_values_never_end_in_a_traceback(tmp_path_factory, case):
+    _exits_cleanly(tmp_path_factory, case)
 
 
 WORK_BOUND = "over the bound of 4294967296"
@@ -1313,6 +1403,21 @@ EDGE_RUNS = {
         "price", "method = standard\nepsilon = 2^-600", 2,
         "epsilon = 2.409919865102884e-181 is too small",
     ),
+    # a theta whose square underflows: the Feller ratio reads inf, the
+    # condition holding
+    "validate-cir-theta-underflow": ("validate", "", 0, None),
+    "validate-heston_log-theta-underflow": ("validate", "", 0, None),
+    "converge-cir-theta-underflow": (
+        "converge", "n_list = 2, 4\nn_samples = 4\nref_n = 8", 0, None,
+    ),
+    # no [model] value is infinite, and a discount factor must be a float
+    "validate-T-inf": (
+        "validate", "", 2, "line 7: bad value for 'T' in [model]: not a finite number",
+    ),
+    "price-discount-overflow": (
+        "price", "method = mc\nn = 8\nn_samples = 16", 2,
+        "[model]: the discount factor exp(-r*T) overflows at r = -1.0, T = 1e+300",
+    ),
 }
 
 # (model block, scheme alias) of the rows that do not run euler on gbm
@@ -1343,6 +1448,11 @@ EDGE_SETUPS = {
     ),
     "converge-repeated-alias": (SWEEP_MODELS["gbm"], "euler, tamed_euler, euler"),
     "validate-cir_lamperti": ("model = cir_lamperti\nT = 1.0", None),
+    "validate-cir-theta-underflow": ("model = cir\nkappa = 2.0\nlam = 0.09\nx0 = 0.09\nT = 1.0\ntheta = 1e-300", None),
+    "validate-heston_log-theta-underflow": ("preset = heston-mlmc\ntheta = 2^-1074", None),
+    "converge-cir-theta-underflow": ("model = cir\nkappa = 2.0\nlam = 0.09\nx0 = 0.09\nT = 1.0\ntheta = 2^-1074", "euler"),
+    "validate-T-inf": ("preset = cir-scenario-1\nT = inf", None),
+    "price-discount-overflow": ("preset = heston-mlmc\nr = -1\nT = 1e300", "log_heston"),
 }
 
 

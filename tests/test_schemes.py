@@ -188,8 +188,10 @@ def test_reflected_symmetrizes_negative_excursion():
 
 
 def test_solve_linear_drift():
+    # a linear drift without its closed form: bracketing and secant steps
     rhs = np.array([1.0])
-    x = schemes.solve_drift_implicit(lambda x: -x, rhs, 1.0, False, x_init=rhs)
+    linear = dataclasses.replace(GBM, drift=lambda x: -x, closed_form=None)
+    x = schemes.solve_drift_implicit(linear, rhs, 1.0, x_init=rhs)
     assert abs(x[0] - 0.5) <= 1e-12
 
 
@@ -229,11 +231,12 @@ def _bisect_oracle(fn, lo, hi, tol=1e-14):
 
 
 def test_newton_matches_bisection_on_ait_sahalia(rng):
+    # Newton steps with the model's drift_prime, secant steps without it
     dt = 0.01
-    for rhs in rng.uniform(0.1, 5.0, 20):
-        got = schemes.solve_drift_implicit(
-            AS.drift, np.array([rhs]), dt, AS.positive, x_init=np.array([rhs])
-        )[0]
+    for model, rhs in itertools.product(
+        (AS, dataclasses.replace(AS, drift_prime=None)), rng.uniform(0.1, 5.0, 20)
+    ):
+        got = schemes.solve_drift_implicit(model, np.array([rhs]), dt, x_init=np.array([rhs]))[0]
 
         def g(x, rhs=rhs):
             return x - dt * AS.drift(np.array([x]))[0] - rhs
@@ -326,7 +329,7 @@ def test_implicit_residuals(rng):
     xb = schemes.step_backward_euler(AS, x, dt, dw)
     res_b = xb - x - AS.drift(xb) * dt - AS.diffusion[0](x) * dw
     assert np.abs(res_b).max() <= 1e-12
-    xs = schemes.solve_drift_implicit(AS.drift, x, dt, AS.positive, x_init=x)
+    xs = schemes.solve_drift_implicit(AS, x, dt, x_init=x)
     res_s = xs - x - AS.drift(xs) * dt
     assert np.abs(res_s).max() <= 1e-12
 
