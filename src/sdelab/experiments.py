@@ -159,7 +159,7 @@ def _run_mlmc(cfg, model, seed, steppers):
     replications = run.get("replications")
     kw = dict(T=cfg.T, seed=seed, policy=run.get("policy", "propagate"))
 
-    # evaluated once, before any simulation: the oracle is the costly part
+    # evaluated once, before any simulation, so a bad truth fails first
     truth = run.get("truth")
     if replications and truth == "oracle":
         truth = oracles.heston_call_price(cfg.params, cfg.strike, cfg.T)

@@ -524,12 +524,12 @@ def bbd_threshold(p: CirParams | HestonParams, moment_p: float) -> MomentThresho
     # the threshold takes sqrt(16p - 1), so it exists from p = 1/16 on
     _require(16.0 * moment_p >= 1.0, f"moment order must be >= 1/16, got {moment_p}")
     kappa, theta = p.kappa, p.theta
-    lhs = feller_ratio(p)
-    rhs = 1.0 + math.sqrt(8.0) * max(
-        (math.sqrt(kappa) / theta) * math.sqrt(16.0 * moment_p - 1.0),
-        16.0 * moment_p - 2.0,
-    )
-    return MomentThreshold(threshold=rhs, satisfied=lhs > rhs)
+    root, q = math.sqrt(16.0 * moment_p - 1.0), 16.0 * moment_p - 2.0
+    rhs = 1.0 + math.sqrt(8.0) * max((math.sqrt(kappa) / theta) * root, q)
+    # compared as theta times each side: both sides read inf where theta^2 underflows
+    lhs_theta = 2.0 * kappa * p.lam / theta
+    rhs_theta = theta + math.sqrt(8.0) * max(math.sqrt(kappa) * root, q * theta)
+    return MomentThreshold(threshold=rhs, satisfied=lhs_theta > rhs_theta)
 
 
 def heston_moment_bound(p: HestonParams, moment_p: float) -> MomentThreshold:

@@ -2,9 +2,10 @@
 
 Everything here is simulation-free.  The Heston price uses the damped-payoff
 Fourier transform with the trap-free branch of the characteristic function,
-integrated by Gauss-Legendre quadrature, and every call re-verifies itself by
-doubling both the node count and the truncation bound; a result that moves
-more than the stability tolerance raises :class:`OracleError` instead of
+integrated by Gauss-Legendre quadrature on rules stored in
+``gauss_legendre.npz``, and every call re-verifies itself by doubling both the
+node count and the truncation bound; a result that moves more than the
+stability tolerance, or is not finite, raises :class:`OracleError` instead of
 returning silently wrong numbers.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
+import pathlib
+from typing import Callable
 
 import numpy as np
 
@@ -23,11 +26,12 @@ class OracleError(RuntimeError):
 
 
 # Quadrature of the damped-transform call price: Gauss-Legendre nodes on
-# [0, truncation], the damping exponent, and the self-check's tolerance.
+# [0, truncation], the damping exponent, the self-check's tolerance, the rule file.
 _NODES = 1024
 _TRUNCATION = 200.0
 _DAMPING = 1.5
 _STABILITY_TOL = 1e-4
+_RULES = pathlib.Path(__file__).with_name("gauss_legendre.npz")
 
 
 def _heston_charfunc(u: np.ndarray, p: HestonParams, T: float) -> np.ndarray:
@@ -44,30 +48,12 @@ def _heston_charfunc(u: np.ndarray, p: HestonParams, T: float) -> np.ndarray:
     return np.exp(iu * (math.log(p.s0) + p.mu * T) + cc + dd * v0)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
-
-    Newton's method on the three-term Legendre recurrence, started from the
-    guesses -cos(pi*(k - 1/4)/(n + 1/2)); it converges in a few sweeps.
-    """
-    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    dp, live, step = np.empty(n), np.arange(n), np.inf
-    while step > 1e-15:
-        xl = x[live]
-        p_prev, p, q = np.ones(len(live)), xl.copy(), np.empty(len(live))
-        for j in range(2, n + 1):  # p = ((2j - 1) x p - (j - 1) p_prev) / j
-            np.multiply(xl, 2 * j - 1, out=q)
-            q *= p
-            q -= np.multiply(p_prev, j - 1, out=p_prev)
-            q /= j
-            p_prev, p, q = p, q, p_prev
-        dp[live] = dpl = n * (xl * p - p_prev) / (xl * xl - 1.0)
-        dx = p / dpl
-        x[live] = xl - dx
-        step = np.max(np.abs(dx))
-        live = live[x[live] != xl]  # a node a sweep leaves never moves again
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only, for
+    n = 1024 and 2048: the rules Newton's method wrote to ``_RULES``."""
+    with np.load(_RULES) as rules:
+        x, w = rules[f"x{n}"], rules[f"w{n}"]
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -88,6 +74,18 @@ def _damped_call_quad(
     return float(math.exp(-alpha * k) / math.pi * np.dot(w, integrand.real))
 
 
+def _finite(what: str, compute: Callable[[], float]) -> float:
+    """``compute()``, or :class:`OracleError` where it overflows or is nan."""
+    try:
+        with np.errstate(all="ignore"):
+            value = compute()
+    except OverflowError:  # math.exp past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise OracleError(f"{what} is not finite: {value}")
+    return value
+
+
 def heston_call_price(p: HestonParams, strike: float, T: float) -> float:
     """European call on the stochastic-volatility model, self-checked.
 
@@ -96,7 +94,7 @@ def heston_call_price(p: HestonParams, strike: float, T: float) -> float:
     at ``_NODES`` nodes on [0, ``_TRUNCATION``], at doubled nodes, and at
     doubled nodes plus doubled truncation; disagreement beyond
     ``_STABILITY_TOL`` raises :class:`OracleError` with the three values for
-    diagnosis.
+    diagnosis, as does any value (or the zero-strike forward) that is not finite.
     """
     if not T > 0:
         raise OracleError(f"maturity must be positive, got {T}")
@@ -104,7 +102,7 @@ def heston_call_price(p: HestonParams, strike: float, T: float) -> float:
         raise OracleError(f"strike must be nonnegative, got {strike}")
     if strike == 0.0:
         # limit of the call payoff: the discounted forward
-        return p.s0 * math.exp((p.mu - p.r) * T)
+        return _finite("discounted forward", lambda: p.s0 * math.exp((p.mu - p.r) * T))
     bound = heston_moment_bound(p, _DAMPING + 1.0)
     if not bound.satisfied:
         raise OracleError(
@@ -113,9 +111,10 @@ def heston_call_price(p: HestonParams, strike: float, T: float) -> float:
         )
     base = _gauss_legendre(_NODES)
     fine = _gauss_legendre(2 * _NODES)
-    a = _damped_call_quad(p, strike, T, *base, _TRUNCATION, _DAMPING)
-    b = _damped_call_quad(p, strike, T, *fine, _TRUNCATION, _DAMPING)
-    c = _damped_call_quad(p, strike, T, *fine, 2.0 * _TRUNCATION, _DAMPING)
+    quad = functools.partial(_damped_call_quad, p, strike, T, alpha=_DAMPING)
+    a = _finite("Fourier price (base)", lambda: quad(*base, _TRUNCATION))
+    b = _finite("Fourier price (2x nodes)", lambda: quad(*fine, _TRUNCATION))
+    c = _finite("Fourier price (2x nodes+truncation)", lambda: quad(*fine, 2.0 * _TRUNCATION))
     if abs(a - b) > _STABILITY_TOL or abs(b - c) > _STABILITY_TOL:
         raise OracleError(
             "Fourier price did not stabilize: "

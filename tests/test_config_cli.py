@@ -1164,6 +1164,7 @@ def test_boundary_model_values_never_end_in_a_traceback(tmp_path_factory, case):
 
 
 WORK_BOUND = "over the bound of 4294967296"
+ORACLE_RUN = "epsilon = 2^-1\nreplications = 1\ntruth = oracle"
 
 # (kind, [run] block, exit code, text the error must contain)
 EDGE_RUNS = {
@@ -1382,6 +1383,16 @@ EDGE_RUNS = {
         "line 19: bad value for 'truth'",
     ),
     "pathwise-mu-nan": ("pathwise", "n_list = 2, 4", 2, "line 7: bad value for 'mu'"),
+    # the oracle's value is finite, or the run ends as an oracle error
+    "mlmc-oracle-forward-overflow": (
+        "mlmc", ORACLE_RUN, 3, "discounted forward is not finite: inf",
+    ),
+    "mlmc-oracle-damping-overflow": (
+        "mlmc", ORACLE_RUN, 3, "Fourier price (base) is not finite: inf",
+    ),
+    "mlmc-oracle-nan": (
+        "mlmc", ORACLE_RUN, 3, "Fourier price (base) is not finite: nan",
+    ),
     # the implicit square-root schemes refuse a model with 4*kappa*lam < theta^2
     "negstats-implicit_sqrt-degraded": (
         "negstats", "n = 8\nn_samples = 16", 2,
@@ -1438,6 +1449,11 @@ EDGE_SETUPS = {
     "negstats-dimp_milstein-degraded": ("preset = cir-scenario-2", "dimp_milstein"),
     "price-log_heston-degraded": ("preset = heston-mlmc\ntheta = 1.0", "log_heston"),
     "mlmc-epsilon-too-small": ("preset = heston-mlmc", "log_heston"),
+    "mlmc-oracle-forward-overflow": (
+        "preset = heston-mlmc\nstrike = 0\nmu = 800", "log_heston",
+    ),
+    "mlmc-oracle-damping-overflow": ("preset = heston-mlmc\nstrike = 1e-300", "log_heston"),
+    "mlmc-oracle-nan": ("preset = heston-mlmc\nmu = 300", "log_heston"),
     "price-standard-epsilon-too-small": ("preset = heston-mlmc", "log_heston"),
     "explode-runaway": ("preset = three-halves-mc", "euler"),
     "converge-schemes-runaway": (

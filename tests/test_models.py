@@ -83,6 +83,27 @@ def test_sup_moment_threshold():
     assert res.threshold == 1.0 + math.sqrt(8.0) * 158.0
 
 
+@pytest.mark.parametrize("theta", [1e-300, 2.0**-1074])
+def test_sup_moment_condition_holds_where_theta_squared_underflows(theta):
+    # the Feller ratio grows as 1/theta^2 and the threshold as 1/theta, so the
+    # condition holds as theta falls: at 1e-300 the ratio alone reads inf, at
+    # 2^-1074 the threshold reads inf too
+    p = models.CirParams(kappa=2.0, lam=0.09, theta=theta, x0=0.09)
+    res = models.bbd_threshold(p, 2.0)
+    assert models.feller_ratio(p) == math.inf
+    assert math.isfinite(res.threshold) == (theta == 1e-300)
+    assert res.satisfied
+
+
+def test_sup_moment_condition_agrees_with_the_threshold_where_finite():
+    for kappa in (0.1, 1.0, 5.07, 100.0):
+        for theta in np.geomspace(1e-3, 10.0, 41):
+            for moment_p in (0.25, 1.0, 2.0, 10.0):
+                p = models.CirParams(kappa=kappa, lam=1.0, theta=theta, x0=1.0)
+                res = models.bbd_threshold(p, moment_p)
+                assert res.satisfied == (models.feller_ratio(p) > res.threshold)
+
+
 def test_heston_moment_condition():
     hp = models.get_preset("heston-mlmc").params
     res = models.heston_moment_bound(hp, 2.0)

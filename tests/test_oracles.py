@@ -2,7 +2,10 @@
 the 3/2 model's reciprocal square-root process."""
 
 import dataclasses
+import fnmatch
+import functools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -73,13 +76,17 @@ def heston_price():
 
 
 def test_heston_price_matches_frozen_value(heston_price):
-    assert math.isclose(heston_price, 7.462531075585542, abs_tol=1e-9)
-    assert abs(heston_price - 7.46253) < 5e-3
+    # bit for bit: the stored rules and the quadrature's arithmetic are fixed
+    assert repr(heston_price) == "7.462531075861208"
+    preset = models.get_preset("heston-mlmc")
+    price = orc.heston_call_price(preset.params, preset.strike, preset.T)
+    assert (preset.strike, preset.T) == (105.0, 1.0)
+    assert repr(price) == "7.462531075861208"
 
 
 def test_heston_price_stable_under_quadrature_changes(heston_price):
     # one quadrature at half the nodes and three quarters of the truncation
-    alt = _damped_call_quad(HESTON, 105.0, 1.0, *_gauss_legendre(512), 150.0, 1.5)
+    alt = _damped_call_quad(HESTON, 105.0, 1.0, *_newton_gauss_legendre(512), 150.0, 1.5)
     assert abs(alt - heston_price) < 1e-4
 
 
@@ -112,6 +119,17 @@ def test_heston_damping_beyond_moment_bound_raises():
         orc.heston_call_price(exploding, 105.0, 1.0)
 
 
+@pytest.mark.parametrize("change, strike, needle", [
+    (dict(mu=800.0), 0.0, "discounted forward is not finite: inf"),
+    ({}, 1e-300, "Fourier price (base) is not finite: inf"),
+    (dict(mu=300.0), 105.0, "Fourier price (base) is not finite: nan"),
+])
+def test_heston_non_finite_value_raises(change, strike, needle):
+    with pytest.raises(OracleError) as err:
+        orc.heston_call_price(dataclasses.replace(HESTON, **change), strike, 1.0)
+    assert needle in str(err.value)
+
+
 def test_heston_price_input_guards():
     with pytest.raises(OracleError):
         orc.heston_call_price(HESTON, 105.0, 0.0)
@@ -127,18 +145,11 @@ def test_heston_call_monotone_and_convex_in_strike():
     assert (second > -1e-9).all()
 
 
-@pytest.mark.parametrize("n", [64, 1024, 2048])
-def test_gauss_legendre_matches_numpy(n):
-    x, w = _gauss_legendre(n)
-    want_x, _ = np.polynomial.legendre.leggauss(n)
-    np.testing.assert_allclose(x, want_x, rtol=0, atol=1e-14)
-    assert abs(w.sum() - 2.0) <= 1e-14
-    assert not x.flags.writeable and not w.flags.writeable
-    assert _gauss_legendre(n) is _gauss_legendre(n)
-
-
-def _gauss_legendre_all_nodes(n):
-    """The plain Newton loop: every node in every sweep."""
+@functools.cache
+def _newton_gauss_legendre(n):
+    """The Newton loop that wrote the stored rules: every node in every sweep
+    of the three-term Legendre recurrence, from the guesses
+    -cos(pi*(k - 1/4)/(n + 1/2)), until no node moves more than 1e-15."""
     x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
     step = np.inf
     while step > 1e-15:
@@ -152,11 +163,37 @@ def _gauss_legendre_all_nodes(n):
     return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
+STORED_RULES = (1024, 2048)
+
+
 @pytest.mark.parametrize("n", [64, 1024, 2048])
-def test_gauss_legendre_sweeping_moving_nodes_is_bit_identical(n):
+def test_gauss_legendre_matches_numpy(n):
+    # the stored rules, and the Newton loop at a size it does not store
+    x, w = _gauss_legendre(n) if n in STORED_RULES else _newton_gauss_legendre(n)
+    want_x, _ = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x, want_x, rtol=0, atol=1e-14)
+    assert abs(w.sum() - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", STORED_RULES)
+def test_stored_gauss_legendre_rule_is_the_newton_loop_output(n):
     x, w = _gauss_legendre(n)
-    want_x, want_w = _gauss_legendre_all_nodes(n)
-    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+    want_x, want_w = _newton_gauss_legendre(n)
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes(), (
+        f"the stored {n}-node rule is not the Newton loop's; rewrite it with "
+        "`PYTHONPATH=src python3 tests/test_oracles.py`"
+    )
+    assert not x.flags.writeable and not w.flags.writeable
+    assert _gauss_legendre(n) is _gauss_legendre(n)
+
+
+def test_package_data_ships_the_stored_rules():
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    setup = tomllib.loads((root / "pyproject.toml").read_text())["tool"]["setuptools"]
+    assert orc._RULES.parent == root / "src" / "sdelab" and orc._RULES.is_file()
+    globs = setup["package-data"]["sdelab"]
+    assert any(fnmatch.fnmatch(orc._RULES.name, g) for g in globs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +282,11 @@ def test_reciprocal_process_reproduces_absolute_mean():
     se = math.sqrt((total_sq / n_samples - mean * mean) / (n_samples - 1))
     assert se < 4e-3
     assert abs(mean - 0.566217) <= 3.0 * se
+
+
+if __name__ == "__main__":
+    # rewrite the stored rules from the Newton loop
+    rules = {}
+    for n in STORED_RULES:
+        rules[f"x{n}"], rules[f"w{n}"] = _newton_gauss_legendre(n)
+    np.savez(orc._RULES, **rules)
