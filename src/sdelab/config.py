@@ -79,10 +79,16 @@ def _parse_finite(text: str) -> float:
 
 
 def _parse_int(text: str) -> int:
+    """An integer or a power ``a^k`` of magnitude at most 2^64, more than any
+    key or seed takes.  A power past it is refused before it is computed:
+    ``9^99999999`` would take minutes, and ``10^5000`` has too many digits to
+    print."""
     m = re.fullmatch(r"([+-]?\d+)\^(\d+)", text)
-    if m:
-        return int(m.group(1)) ** int(m.group(2))
-    return int(text, 10)
+    base, k = (int(m.group(1)), int(m.group(2))) if m else (int(text, 10), 1)
+    # |a|^k with |a| >= 2 passes 2^64 by k = 65
+    if abs(base) > 1 and k > 64 or abs(value := base**k) > 2**64:
+        raise ValueError("magnitude past 2^64")
+    return value
 
 
 def _split_list(text: str) -> list[str]:
@@ -178,7 +184,7 @@ _RUN_KEYS: dict[str, _RunKey] = {
     "p": _RunKey(_parse_int, ("converge",), (), _at_least_one),
     "ref_n": _RunKey(_parse_int, ("pathwise", "converge"), (), _at_least_one),
     "ref_scheme": _RunKey(
-        _parse_str, ("pathwise", "converge"), (), _one_of("scheme alias", schemes.ALIASES)
+        _parse_str, ("pathwise", "converge"), (), _one_of("scheme alias", schemes.SCHEMES)
     ),
     "reference": _RunKey(
         _parse_str, ("pathwise", "converge"), (), _one_of("reference", ("scheme", "exact"))
@@ -364,16 +370,16 @@ def _resolve_schemes(
 ) -> tuple[str, ...]:
     aliases = vals.get("scheme", ())
     for a in aliases:
-        if a not in schemes.ALIASES:
+        if a not in schemes.SCHEMES:
             errors.append(
                 f"line {_line_of(raw, 'scheme')}: unknown scheme alias {a!r}; "
-                "known: " + ", ".join(schemes.ALIASES)
+                "known: " + ", ".join(schemes.SCHEMES)
             )
     repeated = _repeated(aliases)
     if repeated:  # a repeat would recompute and overwrite its own results
         errors.append(f"line {_line_of(raw, 'scheme')}: scheme aliases listed "
                       f"more than once: {repeated}")
-    return tuple(a for a in aliases if a in schemes.ALIASES)
+    return tuple(a for a in aliases if a in schemes.SCHEMES)
 
 
 def parse_config(text: str) -> ExperimentConfig:

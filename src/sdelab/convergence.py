@@ -230,19 +230,23 @@ def strong_error_curves(
             ep = np.where(bad[j_c, j_n], np.inf, dist[j_c, j_n])
             if policy == "exclude":
                 ep = ep[~bad[j_c, j_n]]
+            # for p > 1, reduce ep over its largest finite value, so that no
+            # ep**p underflows, and scale the error and stderr back
+            finite = ep[np.isfinite(ep)]
+            scale = float(finite.max()) if p > 1 and finite.any() else 1.0
             with np.errstate(over="ignore"):
-                ep = ep**p
+                ep = (ep / scale) ** p
             mean_p, var = util.sample_moments(ep)
             se = math.inf
             if math.isfinite(mean_p):
                 se_mean = math.sqrt(var / len(ep))
                 # numpy power: a subnormal mean_p overflows to inf, not raises
-                se = (
+                se = scale * (
                     (1.0 / p) * np.float64(mean_p) ** (1.0 / p - 1.0) * se_mean
                     if mean_p > 0
                     else 0.0
                 )
-            errors.append(mean_p ** (1.0 / p))
+            errors.append(scale * mean_p ** (1.0 / p))
             stderrs.append(float(se))
         reg = None
         if valid and all(math.isfinite(e) and e > 0 for e in errors) and nn >= 2:

@@ -1,14 +1,15 @@
-"""Monte Carlo price estimators on one level plan.
+"""Monte Carlo price estimators: one plain-Monte-Carlo walk, one level plan.
 
+:func:`mc_estimate` is plain Monte Carlo at one resolution: one walk of the
+largest sample count, reduced over its first N values for each N asked for.
 A :class:`Plan` lays out the levels of the multilevel telescoping sum, and
-plain Monte Carlo is its one-level case; :func:`mlmc_estimate` is the one
-estimation loop.  Sampling is fully deterministic given (seed,
-index_offset): each (level, sample) pair takes a fresh stream index from
-contiguous blocks, and replication studies stride their offsets so no
-stream is ever reused.  Overflowed paths are never hidden: the default
-policy propagates them as +inf (reproducing moment explosion), "exclude"
-drops and counts them, and the discarded-path estimator zeroes every path
-whose running maximum leaves the chosen radius.
+:func:`mlmc_estimate` is its one estimation loop.  Sampling is fully
+deterministic given (seed, index_offset): each (level, sample) pair takes a
+fresh stream index from contiguous blocks, and replication studies stride
+their offsets so no stream is ever reused.  Overflowed paths are never
+hidden: the default policy propagates them as +inf (reproducing moment
+explosion), "exclude" drops and counts them, and the discarded-path
+estimator zeroes every path whose running maximum leaves the chosen radius.
 """
 
 from __future__ import annotations
@@ -294,16 +295,32 @@ def mc_estimate(
     T: float,
     seed: int,
     n: int,
-    n_samples: int,
+    n_samples_list: tuple[int, ...],
     policy: str = "propagate",
     radius: float | None = None,
-    index_offset: int = 0,
-) -> PriceEstimate:
-    """Plain Monte Carlo at resolution n: the one-level plan ``Plan(n, (n_samples,))``."""
-    return mlmc_estimate(
-        config, model, payoff, Plan(n, (n_samples,)), T=T, seed=seed,
-        policy=policy, radius=radius, index_offset=index_offset,
+) -> list[PriceEstimate]:
+    """Plain Monte Carlo at resolution n: one estimate per N of
+    ``n_samples_list``, from one walk of stream indices 0 .. max N - 1.
+
+    A sample's value does not depend on the samples walked with it, so the
+    estimate at N reduces the first N values of that walk, bit for bit what
+    ``mlmc_estimate`` gives on the one-level plan ``Plan(n, (N,))``.  With
+    ``radius`` set, a path whose running maximum |X| exceeds it, or that
+    overflowed, pays zero instead of applying ``policy``; ``radius=inf``
+    keeps every path.
+    """
+    if n < 1 or not n_samples_list or min(n_samples_list) < 1:
+        raise EstimatorError(
+            f"plain Monte Carlo needs n >= 1 and every n_samples >= 1; got "
+            f"n={n}, n_samples_list={n_samples_list}"
+        )
+    y, over = _sample(
+        config, model, payoff, T=T, seed=seed, n=n, n_samples=max(n_samples_list),
+        index_offset=0, policy=policy, radius=radius, coupled=False,
     )
+    stats = [_level(0, n, y[:N], over[:N], policy, radius) for N in n_samples_list]
+    return [PriceEstimate(s.mean, math.sqrt(v), s.n_samples, s.n_samples * n, s.n_overflow, (s,))
+            for s, v in stats]
 
 
 def mlmc_estimate(
@@ -315,7 +332,6 @@ def mlmc_estimate(
     T: float,
     seed: int,
     policy: str = "propagate",
-    radius: float | None = None,
     index_offset: int = 0,
 ) -> PriceEstimate:
     """Telescoping Monte Carlo estimate of the discounted payoff on ``plan``.
@@ -323,9 +339,7 @@ def mlmc_estimate(
     The value is the sum of the level means, the stderr the root of the sum
     of var_l / N_l.  Every (level, sample) pair consumes its own stream
     index, from ``index_offset`` on, so levels are independent and the whole
-    estimate is reproducible from (seed, offset).  With ``radius`` set, a
-    path whose running maximum |X| exceeds it, or that overflowed, pays zero
-    instead of applying ``policy``; ``radius=inf`` keeps every path.
+    estimate is reproducible from (seed, offset).
     """
     stats: list[LevelStat] = []
     var_sum = 0.0
@@ -334,9 +348,9 @@ def mlmc_estimate(
         n = plan.n0 * 2**level
         y, over = _sample(
             config, model, payoff, T=T, seed=seed, n=n, n_samples=n_l,
-            index_offset=offset, policy=policy, radius=radius, coupled=level > 0,
+            index_offset=offset, policy=policy, radius=None, coupled=level > 0,
         )
-        stat, var_mean = _level(level, n, y, over, policy, radius)
+        stat, var_mean = _level(level, n, y, over, policy, None)
         stats.append(stat)
         var_sum += var_mean
         offset += n_l
@@ -348,22 +362,6 @@ def mlmc_estimate(
         n_overflow=sum(s.n_overflow for s in stats),
         levels=tuple(stats),
     )
-
-
-def mc_prefix_estimates(
-    config: StepperConfig, model: Model, payoff: PayoffSpec, *, T: float, seed: int, n: int,
-    n_samples_list: tuple[int, ...], policy: str = "propagate", radius: float | None = None,
-) -> list[PriceEstimate]:
-    """``mc_estimate`` at each N of ``n_samples_list``, from one walk of the
-    largest N.  A sample's value does not depend on the samples walked with
-    it, so the estimate at N reduces the first N values of that walk."""
-    y, over = _sample(
-        config, model, payoff, T=T, seed=seed, n=n, n_samples=max(n_samples_list),
-        index_offset=0, policy=policy, radius=radius, coupled=False,
-    )
-    stats = [_level(0, n, y[:N], over[:N], policy, radius) for N in n_samples_list]
-    return [PriceEstimate(s.mean, math.sqrt(v), s.n_samples, s.n_samples * n, s.n_overflow, (s,))
-            for s, v in stats]
 
 
 @dataclass(frozen=True)

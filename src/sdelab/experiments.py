@@ -26,7 +26,7 @@ from .config import ConfigError, ExperimentConfig, echo_lines
 def build_stepper_config(alias: str, model: models.Model) -> schemes.StepperConfig:
     """The StepperConfig a config-file scheme alias selects, checked against
     ``model``."""
-    cfg = schemes.ALIASES[alias]
+    cfg = schemes.SCHEMES[alias].config
     try:
         schemes.make_stepper(cfg, model)
     except schemes.SchemeError as exc:
@@ -137,7 +137,7 @@ def _run_explode(cfg, model, seed, steppers):
     n_samples_list = run.get("n_samples_list") or (run["n_samples"],)
     rows = []
     for n in run["n_list"]:
-        ests = estimators.mc_prefix_estimates(
+        ests = estimators.mc_estimate(
             steppers[0], model, payoff, T=cfg.T, seed=seed, n=n,
             n_samples_list=n_samples_list, policy=run.get("policy", "propagate"),
             radius=run.get("radius"),
@@ -194,8 +194,8 @@ def _run_price(cfg, model, seed, steppers):
     method = run["method"]
     kw = dict(T=cfg.T, seed=seed, policy=run.get("policy", "propagate"))
     if method in ("mc", "mc_discarded"):
-        est = estimators.mc_estimate(
-            steppers[0], model, payoff, n=run["n"], n_samples=run["n_samples"],
+        (est,) = estimators.mc_estimate(
+            steppers[0], model, payoff, n=run["n"], n_samples_list=(run["n_samples"],),
             radius=run.get("radius"), **kw,
         )
     else:

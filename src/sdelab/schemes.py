@@ -24,9 +24,10 @@ One-step maps are pure and vectorized: state has shape (d, b) for a batch of
 b paths, increments (m, b).  ``simulate_batch`` drives a batch of paths and
 is the engine used by the measurement modules.
 
-``SCHEMES`` is the one table of schemes: each entry builds the scheme's
-stepper and says which models and which option it applies to.  ``ALIASES``
-maps the scheme names that config files select to their StepperConfig.
+``SCHEMES`` is the one table of schemes, keyed by the names config files
+use: each row holds the StepperConfig it selects, builds its stepper and
+says which models it applies to.  A StepperConfig that is no row of it runs
+no scheme.
 """
 
 from __future__ import annotations
@@ -75,32 +76,13 @@ class StepperConfig:
     ``extension`` names an :data:`EXTENSIONS` entry (the modified schemes),
     and ``truncate_sqrt`` opts the square-root-process implicit schemes into
     evaluating sqrt(x^+) instead of sqrt(x), which is how they are run when
-    the Feller-type conditions fail and iterates may leave the domain.  A
-    scheme rejects every option it does not read.
+    the Feller-type conditions fail and iterates may leave the domain.  The
+    configs that run are the rows of :data:`SCHEMES`.
     """
 
     scheme_id: str
     extension: str | None = None
     truncate_sqrt: bool = False
-
-    def __post_init__(self) -> None:
-        entry = SCHEMES.get(self.scheme_id)
-        if entry is None:
-            raise SchemeError(
-                f"unknown scheme {self.scheme_id!r}; known: {', '.join(SCHEMES)}"
-            )
-        for option in ("extension", "truncate_sqrt"):
-            if getattr(self, option) not in (None, False) and entry.option != option:
-                users = [sid for sid, e in SCHEMES.items() if e.option == option]
-                raise SchemeError(
-                    f"{option} given but scheme {self.scheme_id} does not read it; "
-                    f"use {' or '.join(users)}"
-                )
-        if entry.option == "extension" and self.extension not in EXTENSIONS:
-            raise SchemeError(
-                f"{self.scheme_id} needs extension set to one of "
-                f"{', '.join(EXTENSIONS)}; got {self.extension!r}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +435,14 @@ def _log_heston(config: StepperConfig, model: Model) -> _Builder:
 
 @dataclass(frozen=True)
 class SchemeEntry:
-    """One scheme: how to build its stepper and which models it applies to.
+    """One scheme row: the StepperConfig it selects, how to build its stepper
+    and which models it applies to; ``requires`` states the ``applies_to``
+    condition in words, for errors."""
 
-    ``requires`` states the ``applies_to`` condition in words, for errors.
-    ``option`` names the one StepperConfig option the scheme reads, if any:
-    "extension", which it cannot run without, or "truncate_sqrt".
-    """
-
+    config: StepperConfig
     factory: Callable[[StepperConfig, Model], _Builder]
     applies_to: Callable[[Model], bool] = lambda model: True
     requires: str = ""
-    option: str | None = None
 
 
 def _scalar(model: Model) -> bool:
@@ -482,42 +461,64 @@ def _cir(model: Model) -> bool:
     return isinstance(model.params, CirParams)
 
 
+# the scheme names config files use, in the order their messages list them
 SCHEMES: dict[str, SchemeEntry] = {
-    "explicit_euler": SchemeEntry(_on_model(step_explicit_euler)),
+    "euler": SchemeEntry(StepperConfig("explicit_euler"), _on_model(step_explicit_euler)),
     "milstein": SchemeEntry(
-        _on_model(step_milstein_scalar), _scalar_noise,
+        StepperConfig("milstein"), _on_model(step_milstein_scalar), _scalar_noise,
         "models with scalar noise (d = m = 1)",
     ),
-    "modified_euler": SchemeEntry(
-        _modified(step_explicit_euler), _cir, "CIR models", "extension",
+    "truncated_euler": SchemeEntry(
+        StepperConfig("modified_euler", extension="truncate"),
+        _modified(step_explicit_euler), _cir, "CIR models",
     ),
-    "modified_milstein": SchemeEntry(
-        _modified(step_milstein_scalar), _cir, "CIR models", "extension",
+    "absolute_euler": SchemeEntry(
+        StepperConfig("modified_euler", extension="absolute"),
+        _modified(step_explicit_euler), _cir, "CIR models",
     ),
-    "reflected_euler": SchemeEntry(
-        _on_model(step_reflected, check_domain=False), _scalar_in_domain,
-        "scalar models with a proper domain",
+    "truncated_milstein": SchemeEntry(
+        StepperConfig("modified_milstein", extension="truncate"),
+        _modified(step_milstein_scalar), _cir, "CIR models",
     ),
-    "split_step_backward_euler": SchemeEntry(
-        _on_model(step_split_step_backward, check_domain=False), _scalar,
-        "scalar models",
+    "absolute_milstein": SchemeEntry(
+        StepperConfig("modified_milstein", extension="absolute"),
+        _modified(step_milstein_scalar), _cir, "CIR models",
+    ),
+    "symmetrized_euler": SchemeEntry(
+        StepperConfig("reflected_euler"), _on_model(step_reflected, check_domain=False),
+        _scalar_in_domain, "scalar models with a proper domain",
+    ),
+    "tamed_euler": SchemeEntry(StepperConfig("tamed_euler"), _on_model(step_tamed_euler)),
+    "split_step": SchemeEntry(
+        StepperConfig("split_step_backward_euler"),
+        _on_model(step_split_step_backward, check_domain=False), _scalar, "scalar models",
     ),
     "backward_euler": SchemeEntry(
-        _on_model(step_backward_euler, check_domain=False), _scalar,
-        "scalar models",
+        StepperConfig("backward_euler"),
+        _on_model(step_backward_euler, check_domain=False), _scalar, "scalar models",
     ),
-    "tamed_euler": SchemeEntry(_on_model(step_tamed_euler)),
-    "cir_implicit_sqrt_euler": SchemeEntry(
-        _cir_implicit_sqrt, _cir, "CIR models", "truncate_sqrt",
+    "implicit_sqrt": SchemeEntry(
+        StepperConfig("cir_implicit_sqrt_euler"), _cir_implicit_sqrt, _cir, "CIR models",
     ),
-    "cir_implicit_milstein": SchemeEntry(
-        _cir_implicit_milstein, _cir, "CIR models", "truncate_sqrt",
+    "implicit_sqrt_truncated": SchemeEntry(
+        StepperConfig("cir_implicit_sqrt_euler", truncate_sqrt=True),
+        _cir_implicit_sqrt, _cir, "CIR models",
     ),
-    "log_heston_composite": SchemeEntry(
-        _log_heston, lambda model: model.model_id == "heston_log",
-        "the log-Heston model",
+    "dimp_milstein": SchemeEntry(
+        StepperConfig("cir_implicit_milstein"), _cir_implicit_milstein, _cir, "CIR models",
+    ),
+    "dimp_milstein_truncated": SchemeEntry(
+        StepperConfig("cir_implicit_milstein", truncate_sqrt=True),
+        _cir_implicit_milstein, _cir, "CIR models",
+    ),
+    "log_heston": SchemeEntry(
+        StepperConfig("log_heston_composite"), _log_heston,
+        lambda model: model.model_id == "heston_log", "the log-Heston model",
     ),
 }
+
+# each row by the config it selects: the one lookup make_stepper makes
+_ROWS = {entry.config: entry for entry in SCHEMES.values()}
 
 
 # square-root extensions: (pi, g'), the map onto [0, inf) whose
@@ -526,26 +527,6 @@ SCHEMES: dict[str, SchemeEntry] = {
 EXTENSIONS: dict[str, tuple[Callable, Callable]] = {
     "truncate": (lambda x: np.maximum(x, _ZERO), lambda theta, x: 0.0),
     "absolute": (np.abs, lambda theta, x: -theta / (2.0 * np.sqrt(-x))),
-}
-
-
-# the scheme names config files use
-ALIASES: dict[str, StepperConfig] = {
-    "euler": StepperConfig("explicit_euler"),
-    "milstein": StepperConfig("milstein"),
-    "truncated_euler": StepperConfig("modified_euler", extension="truncate"),
-    "absolute_euler": StepperConfig("modified_euler", extension="absolute"),
-    "truncated_milstein": StepperConfig("modified_milstein", extension="truncate"),
-    "absolute_milstein": StepperConfig("modified_milstein", extension="absolute"),
-    "symmetrized_euler": StepperConfig("reflected_euler"),
-    "tamed_euler": StepperConfig("tamed_euler"),
-    "split_step": StepperConfig("split_step_backward_euler"),
-    "backward_euler": StepperConfig("backward_euler"),
-    "implicit_sqrt": StepperConfig("cir_implicit_sqrt_euler"),
-    "implicit_sqrt_truncated": StepperConfig("cir_implicit_sqrt_euler", truncate_sqrt=True),
-    "dimp_milstein": StepperConfig("cir_implicit_milstein"),
-    "dimp_milstein_truncated": StepperConfig("cir_implicit_milstein", truncate_sqrt=True),
-    "log_heston": StepperConfig("log_heston_composite"),
 }
 
 
@@ -559,14 +540,16 @@ def default_reference_config(config: StepperConfig, model: Model) -> StepperConf
     """
     if model.model_id == "cir":
         feller = feller_ratio(model.params) >= 1.0
-        return ALIASES["implicit_sqrt" if feller else "truncated_euler"]
+        return SCHEMES["implicit_sqrt" if feller else "truncated_euler"].config
     return config
 
 
 def make_stepper(config: StepperConfig, model: Model) -> _Builder:
     """The scheme's stepper builder dt -> _Stepper for ``model``; SchemeError
-    if the scheme does not apply."""
-    entry = SCHEMES[config.scheme_id]
+    if ``config`` is no row of :data:`SCHEMES` or its scheme does not apply."""
+    entry = _ROWS.get(config)
+    if entry is None:
+        raise SchemeError(f"{config} is no scheme; the schemes are {', '.join(SCHEMES)}")
     if not entry.applies_to(model):
         raise SchemeError(
             f"{config.scheme_id} applies only to {entry.requires}, not to model "

@@ -615,13 +615,13 @@ n_samples_list = {", ".join(map(str, n_samples_list))}
     assert walks == [300, 300]
     monkeypatch.setattr(bw, "increment_batches", walk)
     preset = models.get_preset("three-halves-mc")
-    model, euler = preset.build(), schemes.ALIASES["euler"]
+    model, euler = preset.build(), schemes.SCHEMES["euler"].config
     payoff = estimators.PayoffSpec(phi="abs")
     want = []
     for n in (4, 64):
         for N in n_samples_list:
-            e = estimators.mc_estimate(
-                euler, model, payoff, T=preset.T, seed=5, n=n, n_samples=N,
+            (e,) = estimators.mc_estimate(
+                euler, model, payoff, T=preset.T, seed=5, n=n, n_samples_list=(N,),
                 policy=policy, radius=radius,
             )
             row = (preset.T / n, N, e.value, e.stderr, e.n_overflow)
@@ -976,7 +976,7 @@ def test_every_model_alias_and_kind_exits_cleanly(tmp_path, capsys):
     assert {m.split("-")[0] for m in SWEEP_MODELS} == set(models.MODEL_IDS)
     tracebacks = []
     for label, model_block in SWEEP_MODELS.items():
-        for alias in schemes.ALIASES:
+        for alias in schemes.SCHEMES:
             for kind, run_block in SWEEP_RUNS.items():
                 text = (
                     f"[experiment]\nkind = {kind}\nseed = 5\n\n[model]\n{model_block}\n\n"
@@ -1013,8 +1013,9 @@ def test_mlmc_levels_where_both_paths_overflow_warn_nothing(tmp_path, capsys):
 
 # Boundary values per [run] key.  Step counts, sample sizes and accuracies
 # stay small enough that a run takes milliseconds, but for one step count
-# and one accuracy past the work bound, which a run must refuse at once.
-_INT = ("0", "1", "-1", "2", "2^3")
+# and one accuracy past the work bound, which a run must refuse at once, and
+# one integer past 2^64, which the parse refuses.
+_INT = ("0", "1", "-1", "2", "2^3", "10^5000")
 _FLOAT = ("0", "1", "-1", "2^-1", "2^-3", "2^1023", "2^1024", "0^-1", "inf", "nan")
 _STEPS = (*_INT, "2^33")
 _EPSILON = (*_FLOAT, "2^-13", "2^-600")
@@ -1032,7 +1033,7 @@ RUN_VALUES = {
     "n_samples_list": _lists(_STEPS),
     "p": _INT,
     "ref_n": _STEPS,
-    "ref_scheme": (*sorted(schemes.ALIASES), "bogus"),
+    "ref_scheme": (*sorted(schemes.SCHEMES), "bogus"),
     "reference": ("scheme", "exact", "bogus"),
     "sample_index": _INT + (str(bw.MAX_SAMPLE_INDEX - 1), str(bw.MAX_SAMPLE_INDEX)),
     "policy": ("propagate", "exclude", "drop"),
@@ -1058,18 +1059,18 @@ def _applicable_aliases(model_block):
         cfg = parse_config(f"[experiment]\nkind = validate\n\n[model]\n{model_block}\n")
         model = models.build_model(cfg.model_id, cfg.params)
     except (ConfigError, models.ModelError):
-        return sorted(schemes.ALIASES)
+        return sorted(schemes.SCHEMES)
     ok = []
-    for alias, stepper in sorted(schemes.ALIASES.items()):
+    for alias, entry in sorted(schemes.SCHEMES.items()):
         try:
-            schemes.make_stepper(stepper, model)
+            schemes.make_stepper(entry.config, model)
         except schemes.SchemeError:
             continue
         ok.append(alias)
     return ok
 
 
-SWEEP_ALIASES = {label: _applicable_aliases(block) for label, block in SWEEP_MODELS.items()}
+SWEEP_SCHEMES = {label: _applicable_aliases(block) for label, block in SWEEP_MODELS.items()}
 
 
 @st.composite
@@ -1079,7 +1080,7 @@ def _boundary_configs(draw):
     time in three, for each other key it accepts."""
     kind = draw(st.sampled_from(sorted(cfgmod.EXPERIMENT_KINDS)))
     label = draw(st.sampled_from(sorted(SWEEP_MODELS)))
-    alias = draw(st.sampled_from(SWEEP_ALIASES[label]))
+    alias = draw(st.sampled_from(SWEEP_SCHEMES[label]))
     run = [
         f"{key} = {draw(st.sampled_from(RUN_VALUES[key]))}"
         for key, row in cfgmod._RUN_KEYS.items()
@@ -1144,7 +1145,7 @@ def _boundary_model_configs(draw):
     time in two, set to a boundary value."""
     kind = draw(st.sampled_from(sorted(cfgmod.EXPERIMENT_KINDS)))
     label = draw(st.sampled_from(sorted(SWEEP_MODELS)))
-    alias = draw(st.sampled_from(SWEEP_ALIASES[label]))
+    alias = draw(st.sampled_from(SWEEP_SCHEMES[label]))
     model_id, values = SWEEP_VALUES[label]
     fields = "".join(
         f"{key} = {draw(st.sampled_from((repr(v),) * len(_MODEL_FLOAT) + _MODEL_FLOAT))}\n"
@@ -1259,6 +1260,20 @@ EDGE_RUNS = {
     "negstats-over-budget": (
         "negstats", "n = 2^40\nn_samples = 10", 2,
         "[run]: n, n_samples give 10995116277760 path-steps x noise dimensions",
+    ),
+    # an integer past 2^64 is a bad value on its line, refused before its
+    # power is computed (9^99999999 would take minutes) or printed
+    "negstats-n-10^5000": (
+        "negstats", "n = 10^5000\nn_samples = 10", 2,
+        "line 12: bad value for 'n' in [run]: magnitude past 2^64",
+    ),
+    "negstats-n-9^9999999": (
+        "negstats", "n = 9^9999999\nn_samples = 10", 2,
+        "line 12: bad value for 'n' in [run]: magnitude past 2^64",
+    ),
+    "negstats-n-9^99999999": (
+        "negstats", "n = 9^99999999\nn_samples = 10", 2,
+        "line 12: bad value for 'n' in [run]: magnitude past 2^64",
     ),
     # 4 x (2^30 + 1) path-steps: over the work bound by four, before the walk
     "converge-over-budget": (
@@ -1445,6 +1460,9 @@ EDGE_SETUPS = {
     "validate-moment_p_list-zero": ("preset = heston-mlmc", None),
     "validate-moment_p_list-below-sixteenth": ("preset = cir-scenario-1", None),
     "pathwise-mu-nan": (SWEEP_MODELS["gbm"].replace("mu = 0.05", "mu = nan"), "euler"),
+    "negstats-n-10^5000": ("preset = cir-scenario-1", "truncated_euler"),
+    "negstats-n-9^9999999": ("preset = cir-scenario-1", "truncated_euler"),
+    "negstats-n-9^99999999": ("preset = cir-scenario-1", "truncated_euler"),
     "negstats-implicit_sqrt-degraded": ("preset = cir-scenario-2", "implicit_sqrt"),
     "negstats-dimp_milstein-degraded": ("preset = cir-scenario-2", "dimp_milstein"),
     "price-log_heston-degraded": ("preset = heston-mlmc\ntheta = 1.0", "log_heston"),

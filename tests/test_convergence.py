@@ -263,6 +263,19 @@ def test_stderr_shrinks_with_sample_size():
     assert 1.6 < ratio < 2.4
 
 
+def test_a_large_p_error_is_never_below_its_l1_error():
+    # an L^p mean is at least the L^1 mean; at p = 200 every deviation to
+    # the power p underflows, unless it is reduced over the largest one first
+    preset = models.get_preset("cev-set-1")
+    kw = dict(T=preset.T, seed=5, n_list=[4, 8], n_samples=16)
+    one, big = (
+        cv.strong_error_curves([EULER], preset.build(), p=p, **kw)[0] for p in (1, 200)
+    )
+    for e1, ep, se in zip(one.errors, big.errors, big.stderrs):
+        assert 0 < e1 <= ep and se > 0
+    assert big.regression is not None
+
+
 def test_strong_errors_decrease_with_information():
     rep = cv.strong_error_curves(
         [_truncated_euler()],
@@ -385,7 +398,7 @@ def test_error_curve_walk_builds_each_stepper_once(monkeypatch):
 
     monkeypatch.setattr(schemes, "make_stepper", counting_make)
     monkeypatch.setattr(cv, "simulate_batch", counting_simulate)
-    configs = [_truncated_euler(), schemes.ALIASES["dimp_milstein"]]
+    configs = [_truncated_euler(), schemes.SCHEMES["dimp_milstein"].config]
     cv.strong_error_curves(
         configs, _cir_sc1(), T=1.0, seed=3, n_list=[4, 8], n_samples=4, ref_n=512
     )

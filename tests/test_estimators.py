@@ -118,12 +118,12 @@ def test_plan_domains():
 
 
 def test_mc_deterministic_model_is_exact():
-    r = est.mc_estimate(EULER, FROZEN, IDENT, T=1.0, seed=1, n=8, n_samples=5)
+    (r,) = est.mc_estimate(EULER, FROZEN, IDENT, T=1.0, seed=1, n=8, n_samples_list=(5,))
     assert r.value == 2.0 and r.stderr == 0.0
     drift = models.build_model(
         "gbm", models.CevParams(mu=0.8, sigma=0.0, gamma=1.0, s0=2.0)
     )
-    r = est.mc_estimate(EULER, drift, IDENT, T=1.0, seed=1, n=8, n_samples=3)
+    (r,) = est.mc_estimate(EULER, drift, IDENT, T=1.0, seed=1, n=8, n_samples_list=(3,))
     assert math.isclose(r.value, 2.0 * 1.1**8, rel_tol=1e-13)
     assert r.stderr == 0.0
     assert r.total_steps == 8 * 3
@@ -131,8 +131,8 @@ def test_mc_deterministic_model_is_exact():
 
 def test_mc_three_halves_fine_grid_mean():
     # coarse-enough stepping is fine here: dt = 2^-10 keeps every path stable
-    r = est.mc_estimate(
-        EULER, _three_halves(), ABS_T, T=4.0, seed=60, n=2**12, n_samples=1000
+    (r,) = est.mc_estimate(
+        EULER, _three_halves(), ABS_T, T=4.0, seed=60, n=2**12, n_samples_list=(1000,)
     )
     assert r.n_overflow == 0
     assert 0.53 < r.value < 0.58  # true terminal absolute mean is 0.566217
@@ -142,10 +142,10 @@ def test_estimator_walk_holds_one_time_chunk_not_the_path():
     # 2048 paths of 4096 steps: the (1, 2048, 4096) increment block alone
     # takes 64 MiB; the estimator walks time in chunks, carrying each path
     model, kw = _three_halves(), dict(T=4.0, seed=60, n=2**12)
-    est.mc_estimate(EULER, model, ABS_T, n_samples=2, **kw)  # loads modules
+    est.mc_estimate(EULER, model, ABS_T, n_samples_list=(2,), **kw)  # loads modules
     tracemalloc.start()
     try:
-        r = est.mc_estimate(EULER, model, ABS_T, n_samples=2048, **kw)
+        (r,) = est.mc_estimate(EULER, model, ABS_T, n_samples_list=(2048,), **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -181,32 +181,32 @@ def test_estimator_walk_builds_each_stepper_once(monkeypatch):
 
 def test_mc_three_halves_coarse_grid_explodes():
     model = _three_halves()
-    r = est.mc_estimate(EULER, model, ABS_T, T=4.0, seed=0, n=4, n_samples=1000)
+    (r,) = est.mc_estimate(EULER, model, ABS_T, T=4.0, seed=0, n=4, n_samples_list=(1000,))
     assert r.value > 5.0 or math.isinf(r.value)
-    finer = est.mc_estimate(EULER, model, ABS_T, T=4.0, seed=0, n=16, n_samples=10_000)
+    (finer,) = est.mc_estimate(EULER, model, ABS_T, T=4.0, seed=0, n=16, n_samples_list=(10_000,))
     assert math.isinf(finer.value) and finer.n_overflow > 0
 
 
 def test_discard_ball_radius_infinity_matches_plain():
     model = _three_halves()
-    kw = dict(T=4.0, seed=60, n=4096, n_samples=300)
-    plain = est.mc_estimate(EULER, model, ABS_T, **kw)
-    ball = est.mc_estimate(EULER, model, ABS_T, radius=math.inf, **kw)
+    kw = dict(T=4.0, seed=60, n=4096, n_samples_list=(300,))
+    (plain,) = est.mc_estimate(EULER, model, ABS_T, **kw)
+    (ball,) = est.mc_estimate(EULER, model, ABS_T, radius=math.inf, **kw)
     assert ball.value == plain.value and ball.stderr == plain.stderr
 
 
 def test_discard_ball_smaller_than_start_zeroes_everything():
-    r = est.mc_estimate(
-        EULER, _three_halves(), ABS_T, T=4.0, seed=60, n=4, n_samples=100, radius=0.1
+    (r,) = est.mc_estimate(
+        EULER, _three_halves(), ABS_T, T=4.0, seed=60, n=4, n_samples_list=(100,), radius=0.1
     )
     assert r.value == 0.0
 
 
 def test_discard_ball_stays_finite_where_plain_overflows():
     model = _three_halves()
-    kw = dict(T=4.0, seed=61, n=64, n_samples=500)
-    plain = est.mc_estimate(EULER, model, ABS_T, **kw)
-    ball = est.mc_estimate(EULER, model, ABS_T, radius=1e3, **kw)
+    kw = dict(T=4.0, seed=61, n=64, n_samples_list=(500,))
+    (plain,) = est.mc_estimate(EULER, model, ABS_T, **kw)
+    (ball,) = est.mc_estimate(EULER, model, ABS_T, radius=1e3, **kw)
     assert math.isinf(plain.value) and plain.n_overflow > 0
     assert math.isfinite(ball.value) and math.isfinite(ball.stderr)
     assert ball.n_overflow == plain.n_overflow
@@ -214,12 +214,12 @@ def test_discard_ball_stays_finite_where_plain_overflows():
 
 def test_mc_guards():
     with pytest.raises(EstimatorError, match="policy"):
-        est.mc_estimate(EULER, GBM, IDENT, T=1.0, seed=1, n=4, n_samples=2, policy="drop")
+        est.mc_estimate(EULER, GBM, IDENT, T=1.0, seed=1, n=4, n_samples_list=(2,), policy="drop")
     with pytest.raises(EstimatorError):
-        est.mc_estimate(EULER, GBM, IDENT, T=1.0, seed=1, n=4, n_samples=0)
+        est.mc_estimate(EULER, GBM, IDENT, T=1.0, seed=1, n=4, n_samples_list=(0,))
     with pytest.raises(EstimatorError, match="radius"):
         est.mc_estimate(
-            EULER, GBM, IDENT, T=1.0, seed=1, n=4, n_samples=2, radius=-1.0
+            EULER, GBM, IDENT, T=1.0, seed=1, n=4, n_samples_list=(2,), radius=-1.0
         )
     heston = models.get_preset("heston-mlmc")
     hmodel = models.build_model(heston.model_id, heston.params)
@@ -231,19 +231,33 @@ def test_mc_guards():
             T=1.0,
             seed=1,
             n=4,
-            n_samples=2,
+            n_samples_list=(2,),
             radius=10.0,
         )
 
 
 def test_mc_sample_indices_partition_cleanly():
-    whole = est.mc_estimate(EULER, GBM, CALL, T=1.0, seed=5, n=16, n_samples=100)
-    first = est.mc_estimate(EULER, GBM, CALL, T=1.0, seed=5, n=16, n_samples=50)
-    second = est.mc_estimate(
-        EULER, GBM, CALL, T=1.0, seed=5, n=16, n_samples=50, index_offset=50
+    # samples 0 .. 99 are samples 0 .. 49 and the one-level plan's 50 .. 99
+    whole, first = est.mc_estimate(
+        EULER, GBM, CALL, T=1.0, seed=5, n=16, n_samples_list=(100, 50)
+    )
+    second = est.mlmc_estimate(
+        EULER, GBM, CALL, est.Plan(16, (50,)), T=1.0, seed=5, index_offset=50
     )
     merged = 0.5 * (first.value + second.value)
     assert math.isclose(whole.value, merged, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("policy", ["propagate", "exclude"])
+def test_mc_estimate_is_the_one_level_plan_bit_for_bit(policy):
+    # the estimate at each N reduces the first N values of one walk, as the
+    # one-level plan Plan(n, (N,)) reduces a walk of N: value, stderr, counts
+    model, kw = _three_halves(), dict(T=4.0, seed=61, policy=policy)
+    ests = est.mc_estimate(EULER, model, ABS_T, n=64, n_samples_list=(500, 37), **kw)
+    assert ests[0].n_overflow > 0
+    for N, e in zip((500, 37), ests):
+        plan = est.mlmc_estimate(EULER, model, ABS_T, est.Plan(64, (N,)), **kw)
+        assert repr(e) == repr(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +273,7 @@ def test_mlmc_constant_payoff_telescopes_exactly():
 
 def test_mlmc_agrees_with_fine_level_mc():
     ml = est.mlmc_estimate(EULER, GBM, CALL, est.mlmc_plan(2**-3, 1.0), T=1.0, seed=70)
-    mc = est.mc_estimate(EULER, GBM, CALL, T=1.0, seed=71, n=8, n_samples=4096)
+    (mc,) = est.mc_estimate(EULER, GBM, CALL, T=1.0, seed=71, n=8, n_samples_list=(4096,))
     assert abs(ml.value - mc.value) <= 3.0 * (ml.stderr + mc.stderr)
 
 
@@ -328,17 +342,6 @@ def test_estimates_recompute_by_hand_from_the_plan():
         assert (r.n_samples, r.total_steps) == (plan.sample_span, plan.total_steps)
     assert est.mlmc_plan(2**-1, T) == est.Plan(1, (4, 2))
     assert est.mc_standard_pairing(2**-3, T) == est.Plan(8, (64,))
-
-
-def test_mlmc_radius_zeroes_each_grid_by_its_own_path():
-    # a ball that holds every path changes nothing; one smaller than the
-    # start zeroes the fine and the coarse payoff alike, so every level is 0
-    plan = est.mlmc_plan(2**-3, 1.0)
-    plain = est.mlmc_estimate(EULER, GBM, CALL, plan, T=1.0, seed=4)
-    ball = est.mlmc_estimate(EULER, GBM, CALL, plan, T=1.0, seed=4, radius=math.inf)
-    assert (ball.value, ball.stderr) == (plain.value, plain.stderr)
-    tiny = est.mlmc_estimate(EULER, GBM, CALL, plan, T=1.0, seed=4, radius=0.5)
-    assert [ls.mean for ls in tiny.levels] == [0.0] * (plan.levels + 1)
 
 
 def test_mlmc_plan_never_yields_an_empty_level():

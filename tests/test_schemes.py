@@ -160,7 +160,7 @@ def test_extension_is_identity_inside(rng):
         # sqrt has no finite slope at 0, so the extended derivative is 0 there
         assert m.diffusion_jacobian[0](np.array([0.0]))[0] == 0.0
     with pytest.raises(schemes.SchemeError, match="CIR models"):
-        schemes.make_stepper(schemes.ALIASES["truncated_euler"], GBM)
+        schemes.make_stepper(schemes.SCHEMES["truncated_euler"].config, GBM)
 
 
 # --- reflection ----------------------------------------------------------------
@@ -643,14 +643,14 @@ _EVERY_MODEL = {
 }
 
 
-@pytest.mark.parametrize("alias", sorted(schemes.ALIASES))
+@pytest.mark.parametrize("alias", sorted(schemes.SCHEMES))
 def test_every_scheme_keeps_a_non_finite_state_non_finite(alias):
     # simulate_batch reads overflow from the end state alone, which is exact
     # only if no step maps a non-finite state back to a finite one: every
     # admitted (scheme, model) pair maps a state with +-inf or nan in any
     # coordinate to a non-finite state, or stops the run with an error
     assert set(_EVERY_MODEL) == set(models.MODEL_IDS)
-    cfg = schemes.ALIASES[alias]
+    cfg = schemes.SCHEMES[alias].config
     admitted = 0
     for model_id, params in _EVERY_MODEL.items():
         model = models.build_model(model_id, params)
@@ -721,7 +721,7 @@ def test_domain_check_names_the_first_negative_step(monkeypatch, k, resumed):
     # path 1 leaves the domain on chunk step k, and the pass is checked
     # only after all of its steps are taken
     monkeypatch.setattr(bw, "BUFFER_FLOATS", 4 * 2)
-    cfg, dt = schemes.ALIASES["euler"], 0.01
+    cfg, dt = schemes.SCHEMES["euler"].config, 0.01
     carry, t0 = None, 0
     if resumed:
         carry, t0 = schemes.simulate_batch(cfg, CIR, dt, np.zeros((1, 2, 7))), 7
@@ -763,21 +763,22 @@ def test_record_every_keeps_every_sth_node():
 
 
 def test_config_validation_rules():
-    with pytest.raises(schemes.SchemeError, match="unknown scheme"):
-        schemes.StepperConfig(scheme_id="heun")
-    with pytest.raises(schemes.SchemeError, match="needs extension"):
-        schemes.StepperConfig(scheme_id="modified_euler")
-    with pytest.raises(schemes.SchemeError, match="needs extension"):
-        schemes.StepperConfig(scheme_id="modified_euler", extension="reflect")
-    # every option the scheme does not read is rejected
-    for scheme_id, option in (
+    # each alias selects its own config, and make_stepper runs no other: a
+    # config that is no row is refused before any model rule is read
+    assert len({entry.config for entry in schemes.SCHEMES.values()}) == len(schemes.SCHEMES)
+    for scheme_id, options in (
+        ("heun", {}),
+        ("modified_euler", {}),
+        ("modified_euler", {"extension": "reflect"}),
         ("explicit_euler", {"extension": "truncate"}),
         ("explicit_euler", {"truncate_sqrt": True}),
         ("modified_euler", {"extension": "truncate", "truncate_sqrt": True}),
         ("log_heston_composite", {"truncate_sqrt": True}),
     ):
-        with pytest.raises(schemes.SchemeError, match="does not read it"):
-            schemes.StepperConfig(scheme_id=scheme_id, **option)
+        config = schemes.StepperConfig(scheme_id=scheme_id, **options)
+        for model in (CIR, GBM):
+            with pytest.raises(schemes.SchemeError, match="is no scheme; the schemes are euler,"):
+                schemes.make_stepper(config, model)
     heston = models.get_preset("heston-mlmc").build()
     with pytest.raises(schemes.SchemeError, match="scalar noise"):
         schemes.make_stepper(schemes.StepperConfig(scheme_id="milstein"), heston)
@@ -786,11 +787,11 @@ def test_config_validation_rules():
             schemes.make_stepper(schemes.StepperConfig(scheme_id=implicit), heston)
     cev = models.get_preset("cev-set-1").build()
     with pytest.raises(schemes.SchemeError, match="CIR models"):
-        schemes.make_stepper(schemes.ALIASES["truncated_euler"], cev)
+        schemes.make_stepper(schemes.SCHEMES["truncated_euler"].config, cev)
     with pytest.raises(schemes.SchemeError, match="CIR models"):
-        schemes.make_stepper(schemes.ALIASES["truncated_euler"], AS)
+        schemes.make_stepper(schemes.SCHEMES["truncated_euler"].config, AS)
     with pytest.raises(schemes.SchemeError, match="proper domain"):
-        schemes.make_stepper(schemes.ALIASES["symmetrized_euler"], cev)
+        schemes.make_stepper(schemes.SCHEMES["symmetrized_euler"].config, cev)
     with pytest.raises(schemes.SchemeError, match="CIR"):
         schemes.make_stepper(
             schemes.StepperConfig(scheme_id="cir_implicit_milstein"), cev
