@@ -63,7 +63,7 @@ def _parse_float(text: str) -> float:
     range (``1e309``, ``2^1024``, ``0^-1``) is one: infinity is ``inf``."""
     m = re.fullmatch(r"([+-]?\d+)\^([+-]?\d+)", text)
     try:
-        value = float(m.group(1)) ** int(m.group(2)) if m else float(text)
+        value = float(m.group(1)) ** _parse_digits(m.group(2)) if m else float(text)
     except (OverflowError, ZeroDivisionError):
         value = math.nan
     if value != value or math.isinf(value) and "inf" not in text.lower():  # nan != nan
@@ -78,13 +78,26 @@ def _parse_finite(text: str) -> float:
     return value
 
 
+def _parse_digits(text: str) -> int:
+    """``int(text, 10)``, read from its significant digits: more than 20 of
+    them are past 2^64 and read as 2^64 + 1 or 2^64 + 2, of the same sign and
+    parity, which is all a caller reads of such a value.  ``int()`` would
+    refuse a string of over 4,300 digits with a message of its own."""
+    signed = text.startswith(("+", "-"))
+    if not text[signed:].isdecimal():
+        return int(text, 10)  # not plain digits: int() accepts or refuses it
+    digits = text[signed:].lstrip("0")
+    value = 2**64 + 2 - int(digits[-1]) % 2 if len(digits) > 20 else int(digits or "0")
+    return -value if text.startswith("-") else value
+
+
 def _parse_int(text: str) -> int:
     """An integer or a power ``a^k`` of magnitude at most 2^64, more than any
     key or seed takes.  A power past it is refused before it is computed:
     ``9^99999999`` would take minutes, and ``10^5000`` has too many digits to
     print."""
     m = re.fullmatch(r"([+-]?\d+)\^(\d+)", text)
-    base, k = (int(m.group(1)), int(m.group(2))) if m else (int(text, 10), 1)
+    base, k = map(_parse_digits, m.groups()) if m else (_parse_digits(text), 1)
     # |a|^k with |a| >= 2 passes 2^64 by k = 65
     if abs(base) > 1 and k > 64 or abs(value := base**k) > 2**64:
         raise ValueError("magnitude past 2^64")
@@ -203,7 +216,7 @@ _RUN_KEYS: dict[str, _RunKey] = {
     "radius": _RunKey(_parse_float, ("explode", "price"), (), _positive),
     "method": _RunKey(
         _parse_str, ("mlmc", "price"), ("price",),
-        _one_of("method", ("mc", "mc_discarded", "mlmc", "standard")),
+        _one_of("method", ("mc", "mlmc", "standard")),
     ),
     "epsilon": _RunKey(_parse_float, ("mlmc", "price"), (), _positive),
     "epsilon_list": _RunKey(_parse_float_list, ("mlmc",), (), _all_positive),
@@ -474,21 +487,17 @@ def _check_run_values(kind, run, run_raw, resolved, errors):
     def bad(key, msg):
         errors.append(f"line {_line_of(run_raw, key)}: {msg}")
 
-    if kind == "price" and run.get("method") == "mc_discarded" and "radius" not in run_raw:
-        errors.append("[run]: method 'mc_discarded' requires 'radius'")
-    if kind == "price" and "radius" in run and run.get("method") != "mc_discarded":
-        bad("radius", "'radius' applies only to method 'mc_discarded'")
     if "radius" in run and "policy" in run:
         bad("policy", "'policy' has no effect with 'radius': paths that leave "
             "the radius or overflow count as zero")
     method = run.get("method")
-    if kind == "price" and method in ("mc", "mc_discarded", "mlmc", "standard"):
+    if kind == "price" and method in ("mc", "mlmc", "standard"):
         grid = ("n", "n_samples")
-        fixed = method in ("mc", "mc_discarded")
+        fixed = method == "mc"
         for key in grid if fixed else ("epsilon",):
             if key not in run_raw:
                 errors.append(f"[run]: method {method!r} requires {key!r}")
-        for key in ("epsilon",) if fixed else grid:
+        for key in ("epsilon",) if fixed else (*grid, "radius"):
             if key in run:
                 bad(key, f"method {method!r} does not read {key!r}; drop it")
     if kind == "mlmc":
@@ -499,7 +508,7 @@ def _check_run_values(kind, run, run_raw, resolved, errors):
         if "truth" in run and "replications" not in run_raw:
             bad("truth", "'truth' is read only by a replication study; set "
                 "'replications' or drop 'truth'")
-        if method in ("mc", "mc_discarded"):
+        if method == "mc":
             bad("method", "experiment 'mlmc' supports 'method' = mlmc or standard; "
                 "use experiment 'price' for single fixed-grid estimates")
     if run.get("truth") == "oracle" and resolved is not None:

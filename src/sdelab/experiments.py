@@ -193,7 +193,7 @@ def _run_price(cfg, model, seed, steppers):
     payoff = _build_payoff(cfg)
     method = run["method"]
     kw = dict(T=cfg.T, seed=seed, policy=run.get("policy", "propagate"))
-    if method in ("mc", "mc_discarded"):
+    if method == "mc":
         (est,) = estimators.mc_estimate(
             steppers[0], model, payoff, n=run["n"], n_samples_list=(run["n_samples"],),
             radius=run.get("radius"), **kw,
@@ -269,7 +269,7 @@ def run_work(cfg: ExperimentConfig, model: models.Model) -> tuple[int, int]:
         steps, cells = paths * (ref_n + nc * sum(ns)), paths * nc * len(ns)
     elif cfg.kind == "explode":  # one walk per grid, of the largest sample count
         steps = sum(run["n_list"]) * max(run.get("n_samples_list") or (run["n_samples"],))
-    elif cfg.kind == "negstats" or run.get("method") in ("mc", "mc_discarded"):
+    elif cfg.kind == "negstats" or run.get("method") == "mc":
         steps = run["n"] * run["n_samples"]
     elif cfg.kind == "validate":
         steps = 0

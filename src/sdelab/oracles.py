@@ -3,10 +3,12 @@
 Everything here is simulation-free.  The Heston price uses the damped-payoff
 Fourier transform with the trap-free branch of the characteristic function,
 integrated by Gauss-Legendre quadrature on rules stored in
-``gauss_legendre.npz``, and every call re-verifies itself by doubling both the
-node count and the truncation bound; a result that moves more than the
-stability tolerance, or is not finite, raises :class:`OracleError` instead of
-returning silently wrong numbers.
+``gauss_legendre.npz`` (written by the Newton loop of
+``tests/test_oracles.py``, which rewrites it when run as a script), and every
+call re-verifies itself by doubling both the node count and the truncation
+bound; a result that moves more than the stability tolerance, or is not
+finite, raises :class:`OracleError` instead of returning silently wrong
+numbers.
 """
 
 from __future__ import annotations

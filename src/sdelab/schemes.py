@@ -591,12 +591,14 @@ def simulate_batch(
     ``record_every = s`` stores emitted values at nodes 0, s, 2s, ..., n
     (n must be divisible by s), ``track_extrema`` the running extrema of
     coordinate 0.  No scheme here takes a non-finite state it can reach back
-    to a finite one, so ``overflow`` is read from the end state.  ``carry``, the result
-    of the same paths' previous chunk under the same scheme, model and dt,
-    resumes them and is left unchanged: the result covers the path so far
-    (errors count steps from its start, flags and extrema merge), and only
-    ``recorded`` covers ``incr``.  The stepper is built once per walk, by
-    its first chunk, and carried in the result.
+    to a finite one (``dimp_milstein_truncated`` maps -inf to a finite value,
+    but its states stay above a finite floor; ``tests/test_schemes.py``
+    checks every pair the table admits), so ``overflow`` is read from the end
+    state.  ``carry``, the result of the same paths' previous chunk under the
+    same scheme, model and dt, resumes them and is left unchanged: the result
+    covers the path so far (errors count steps from its start, flags and
+    extrema merge), and only ``recorded`` covers ``incr``.  The stepper is
+    built once per walk, by its first chunk, and carried in the result.
     """
     m, b, n = incr.shape
     if m != model.m:

@@ -1014,8 +1014,8 @@ def test_mlmc_levels_where_both_paths_overflow_warn_nothing(tmp_path, capsys):
 # Boundary values per [run] key.  Step counts, sample sizes and accuracies
 # stay small enough that a run takes milliseconds, but for one step count
 # and one accuracy past the work bound, which a run must refuse at once, and
-# one integer past 2^64, which the parse refuses.
-_INT = ("0", "1", "-1", "2", "2^3", "10^5000")
+# two integers past 2^64, which the parse refuses.
+_INT = ("0", "1", "-1", "2", "2^3", "10^5000", "9" * 5000)
 _FLOAT = ("0", "1", "-1", "2^-1", "2^-3", "2^1023", "2^1024", "0^-1", "inf", "nan")
 _STEPS = (*_INT, "2^33")
 _EPSILON = (*_FLOAT, "2^-13", "2^-600")
@@ -1178,12 +1178,12 @@ EDGE_RUNS = {
     "pathwise-index-2^56": (
         "pathwise", "n_list = 2, 4\nsample_index = 72057594037927936", 2, "sample_index",
     ),
+    # a plain-MC price with a radius discards the paths that leave the ball
+    "price-mc-radius": ("price", "method = mc\nn = 8\nn_samples = 16\nradius = 0.1", 0, None),
     # keys the run would ignore are config errors
-    "price-mc-radius": (
-        "price", "method = mc\nn = 8\nn_samples = 16\nradius = 0.1", 2, "'radius'",
-    ),
     "price-standard-radius": (
-        "price", "method = standard\nepsilon = 2^-1\nradius = 0.1", 2, "'radius'",
+        "price", "method = standard\nepsilon = 2^-1\nradius = 0.1", 2,
+        "line 19: method 'standard' does not read 'radius'",
     ),
     "explode-radius-policy": (
         "explode", "n_list = 2, 4\nn_samples = 8\nradius = 0.1\npolicy = exclude",
@@ -1209,9 +1209,9 @@ EDGE_RUNS = {
         "price", "method = mc\nn = 8\nn_samples = 16\nepsilon = 2^-1", 2,
         "line 20: method 'mc' does not read 'epsilon'",
     ),
-    "price-mc_discarded-epsilon": (
-        "price", "method = mc_discarded\nn = 8\nn_samples = 16\nradius = 1.0\n"
-        "epsilon = 2^-1", 2, "line 21: method 'mc_discarded' does not read 'epsilon'",
+    "price-mc-radius-epsilon": (
+        "price", "method = mc\nn = 8\nn_samples = 16\nradius = 1.0\nepsilon = 2^-1", 2,
+        "line 21: method 'mc' does not read 'epsilon'",
     ),
     "converge-exact-ref_scheme": (
         "converge", "n_list = 2, 4\nn_samples = 4\nreference = exact\nref_scheme = euler",
@@ -1490,6 +1490,26 @@ EDGE_SETUPS = {
 }
 
 
+# A digit string gives one answer at any length, past Python's 4,300-digit
+# limit on int() too: past 2^64 with 21 or more significant digits, and its
+# value with fewer, however many leading zeros it has.
+EDGE_RUNS.update({
+    f"{kind}-{name}-{digits}": (
+        kind, run_block.format(nines="9" * digits, zeros="0" * digits), code, needle,
+    )
+    for digits in (4000, 5000)
+    for kind, name, run_block, code, needle in (
+        ("negstats", "n-nines", "n = {nines}\nn_samples = 10", 2,
+         "line 17: bad value for 'n' in [run]: magnitude past 2^64"),
+        ("negstats", "n-nines^1", "n = {nines}^1\nn_samples = 10", 2,
+         "line 17: bad value for 'n' in [run]: magnitude past 2^64"),
+        ("negstats", "n-zeros-1", "n = {zeros}1\nn_samples = 10", 0, None),
+        ("mlmc", "epsilon-2^-nines", "epsilon = 2^-{nines}", 2,
+         "line 17: 'epsilon' must be positive"),
+    )
+})
+
+
 # a key that did not parse is reported once, as a bad value, and not again
 # by the rule that requires it
 @pytest.mark.parametrize("kind, run_block", [
@@ -1497,7 +1517,6 @@ EDGE_SETUPS = {
     ("mlmc", "epsilon_list = 2^-1, nan"),
     ("price", "method = mlmc\nepsilon = nan"),
     ("price", "method = mc\nn = 8\nn_samples = x"),
-    ("price", "method = mc_discarded\nn = 8\nn_samples = 16\nradius = nan"),
     ("negstats", "n = x\nn_samples = 8"),
     ("explode", "n_list = 2, 4\nn_samples = x"),
     ("mlmc", "epsilon = 2^-2\nreplications = 2\ntruth = nan"),

@@ -13,9 +13,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "sdelab"
 
 # name -> why it stays without a caller in the package
 ALLOWED = {
-    "sample_lattice": "perfbench/tracer.py wraps it by name (ROADMAP items 5, step 1, and 6)",
-    "increments_at": "perfbench/tracer.py wraps it by name (ROADMAP items 5, step 1, and 6)",
-    "Preset.build": "perfbench/micro.py builds its model with it (ROADMAP items 5, step 1, and 6)",
+    "sample_lattice": "perfbench/tracer.py wraps it by name (ROADMAP item 4, step 2)",
+    "increments_at": "perfbench/tracer.py wraps it by name (ROADMAP item 4, step 2)",
+    "Preset.build": "perfbench/micro.py builds its model with it (ROADMAP item 4, step 2)",
     "step_cir_implicit_milstein": "the paper's displayed formula, which the "
                                   "acceptance tests check",
 }

@@ -37,9 +37,7 @@ SMALL_RUNS = {
         "method = standard\nepsilon = 2^-2\nreplications = 3\ntruth = 10.0",
     ),
     "price": (GBM, "euler", "method = mc\nn = 16\nn_samples = 130"),
-    "price-mc_discarded": (
-        GBM, "euler", "method = mc_discarded\nn = 8\nn_samples = 90\nradius = 2.0",
-    ),
+    "price-mc-radius": (GBM, "euler", "method = mc\nn = 8\nn_samples = 90\nradius = 2.0"),
     "price-mlmc": ("preset = heston-mlmc", "log_heston", "method = mlmc\nepsilon = 2^-2"),
 }
 
