@@ -10,18 +10,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import EXPERIMENT_KINDS, ConfigError, parse_config_file
+from .config import EXPERIMENT_KINDS, ConfigError, parse_config_file, parse_seed
 from .experiments import run_experiment
 from .oracles import OracleError
 
 
-def _u64(text: str) -> int:
-    value = int(text, 10)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(
-            f"seed must fit in an unsigned 64-bit integer, got {text}"
-        )
-    return value
+def _seed(text: str) -> int:
+    """:func:`config.parse_seed`, whose refusal argparse prints as it is."""
+    try:
+        return parse_seed(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="experiment config file (strict key = value format)",
         )
         p.add_argument(
-            "--seed", type=_u64, metavar="U64",
+            "--seed", type=_seed, metavar="U64",
             help="RNG seed; required here or in the config (never defaulted)",
         )
         p.add_argument(

@@ -60,10 +60,15 @@ class ExperimentConfig:
 
 def _parse_float(text: str) -> float:
     """A float or a power ``a^k``.  Neither nan nor a value past the float
-    range (``1e309``, ``2^1024``, ``0^-1``) is one: infinity is ``inf``."""
-    m = re.fullmatch(r"([+-]?\d+)\^([+-]?\d+)", text)
+    range (``1e309``, ``2^1024``, ``0^-1``) is one: infinity is ``inf``.
+    ``float ** int`` reads k as a double, which drops its parity past 2^53,
+    so |k| past 2^11 is cut to 2^11 or 2^11 + 1, of its sign and parity: by
+    then every |a| >= 2 has left the float range."""
+    if m := re.fullmatch(r"([+-]?\d+)\^([+-]?\d+)", text):
+        base, k = float(m.group(1)), _parse_digits(m.group(2))
+        k = k if abs(k) <= 2**11 else (2**11 + k % 2) * (1 if k > 0 else -1)
     try:
-        value = float(m.group(1)) ** _parse_digits(m.group(2)) if m else float(text)
+        value = base ** k if m else float(text)
     except (OverflowError, ZeroDivisionError):
         value = math.nan
     if value != value or math.isinf(value) and "inf" not in text.lower():  # nan != nan
@@ -82,10 +87,14 @@ def _parse_digits(text: str) -> int:
     """``int(text, 10)``, read from its significant digits: more than 20 of
     them are past 2^64 and read as 2^64 + 1 or 2^64 + 2, of the same sign and
     parity, which is all a caller reads of such a value.  ``int()`` would
-    refuse a string of over 4,300 digits with a message of its own."""
+    refuse a string of over 4,300 digits, or one that is no integer, in words
+    of its own."""
     signed = text.startswith(("+", "-"))
     if not text[signed:].isdecimal():
-        return int(text, 10)  # not plain digits: int() accepts or refuses it
+        try:
+            return int(text, 10)  # not plain digits, as 1_000
+        except ValueError:
+            raise ValueError("not an integer") from None
     digits = text[signed:].lstrip("0")
     value = 2**64 + 2 - int(digits[-1]) % 2 if len(digits) > 20 else int(digits or "0")
     return -value if text.startswith("-") else value
@@ -96,11 +105,21 @@ def _parse_int(text: str) -> int:
     key or seed takes.  A power past it is refused before it is computed:
     ``9^99999999`` would take minutes, and ``10^5000`` has too many digits to
     print."""
-    m = re.fullmatch(r"([+-]?\d+)\^(\d+)", text)
+    m = re.fullmatch(r"([+-]?\d+)\^([+-]?\d+)", text)
     base, k = map(_parse_digits, m.groups()) if m else (_parse_digits(text), 1)
+    if k < 0:
+        raise ValueError("an integer takes no negative exponent")
     # |a|^k with |a| >= 2 passes 2^64 by k = 65
     if abs(base) > 1 and k > 64 or abs(value := base**k) > 2**64:
         raise ValueError("magnitude past 2^64")
+    return value
+
+
+def parse_seed(text: str) -> int:
+    """A seed, from ``--seed`` or the config file: a :func:`_parse_int`
+    value that fits in an unsigned 64-bit integer."""
+    if not 0 <= (value := _parse_int(text)) < 2**64:
+        raise ValueError(f"a seed must fit in an unsigned 64-bit integer, got {value}")
     return value
 
 
@@ -237,7 +256,7 @@ _MODEL_PARAM_KEYS = tuple(dict.fromkeys(
 _SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
     "experiment": {
         "kind": _parse_str,
-        "seed": _parse_int,
+        "seed": parse_seed,
         "out": _parse_str,
     },
     "model": {
@@ -420,13 +439,6 @@ def parse_config(text: str) -> ExperimentConfig:
         )
         kind = None
 
-    seed = exp.get("seed")
-    if seed is not None and not 0 <= seed < 2**64:
-        errors.append(
-            f"line {_line_of(exp_raw, 'seed')}: seed must fit in an unsigned "
-            f"64-bit integer, got {seed}"
-        )
-
     resolved = None
     if "model" not in sections:
         errors.append("missing [model] section")
@@ -476,7 +488,7 @@ def parse_config(text: str) -> ExperimentConfig:
         preset_name=preset_name,
         schemes=schemes,
         run=run,
-        seed=seed,
+        seed=exp.get("seed"),
         out=exp.get("out"),
     )
 

@@ -396,7 +396,7 @@ def lamperti_root(
         elif check and np.any(radicand < 0):
             raise DomainError(
                 "negative radicand in implicit sqrt step (alpha < 0 regime); "
-                "enable truncate_sqrt to run outside the Feller condition"
+                "pass truncate=True to run outside the Feller condition"
             )
         return half + np.sqrt(radicand)
 

@@ -15,7 +15,7 @@ Two policies are enforced everywhere and never silently relaxed:
   ``positive`` flag is set, a state that leaves the positive half-line or
   orthant without a configured extension is treated as a programming error
   and raises :class:`DomainError`; all truncation behavior is opt-in via an
-  :data:`EXTENSIONS` entry or scheme flags.
+  :data:`EXTENSIONS` entry.
 * Non-finite values freeze a path.  Overflow is data (it reproduces moment
   explosion), so it sets a flag instead of raising; downstream estimators
   decide how to aggregate it.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,19 +70,19 @@ _BRACKET_FACTOR = 2.0
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """A scheme and the names of its options, resolved against a model by
-    :func:`make_stepper`.
+    """A scheme and how it reads sqrt left of zero, resolved against a model
+    by :func:`make_stepper`.
 
-    ``extension`` names an :data:`EXTENSIONS` entry (the modified schemes),
-    and ``truncate_sqrt`` opts the square-root-process implicit schemes into
-    evaluating sqrt(x^+) instead of sqrt(x), which is how they are run when
-    the Feller-type conditions fail and iterates may leave the domain.  The
-    configs that run are the rows of :data:`SCHEMES`.
+    ``extension`` is that reading: refused (``None``), ``"truncate"``
+    (sqrt(x^+)) or ``"absolute"`` (sqrt(|x|)), an :data:`EXTENSIONS` entry.
+    The modified schemes run on the coefficients it extends; the
+    square-root-process implicit schemes truncate inside their own solve,
+    which is how they run when the Feller-type conditions fail.  The configs
+    that run are the rows of :data:`SCHEMES`.
     """
 
     scheme_id: str
     extension: str | None = None
-    truncate_sqrt: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,8 @@ def step_cir_implicit_milstein(
     if not truncate and np.any(z < 0):
         raise DomainError(
             "negative state passed to the drift-implicit Milstein step; "
-            "enable truncate_sqrt to run outside the Feller regime"
+            "pass truncate=True (scheme dimp_milstein_truncated) to run outside "
+            "the Feller regime"
         )
     return _cir_milstein(p, dt, truncate)(z, dw)
 
@@ -347,37 +348,36 @@ class _Stepper:
 _Builder = Callable[[float], _Stepper]
 
 
-def _bind(step_fn, model: Model, check_domain: bool = False) -> _Builder:
-    """Builder of the stepper x' = step_fn(model, x, dt, dW)."""
-
-    def at(dt: float) -> _Stepper:
-        dt = np.array(dt)
-        return _Stepper(lambda x, dw: step_fn(model, x, dt, dw), model.state0,
-                        check_domain=check_domain)
-
-    return at
-
-
 def _on_model(step_fn, check_domain: bool = True):
-    """Stepper factory for a map on the model's own coefficients.  With
-    ``check_domain``, simulation raises DomainError when a path of a positive
-    model goes negative; the implicit maps guard their own evaluations
-    instead."""
-    return lambda config, model: _bind(step_fn, model, check_domain and model.positive)
+    """Stepper factory for x' = step_fn(model, x, dt, dW) on the model's
+    coefficients, extended by ``EXTENSIONS[config.extension]`` when that is
+    set.  With ``check_domain``, simulation raises DomainError when a path of
+    a positive model goes negative; the implicit maps guard their own
+    evaluations instead."""
 
+    def factory(config: StepperConfig, model: Model) -> _Builder:
+        if config.extension is not None:
+            model = _extended_cir(model, config.extension)
+        check = check_domain and model.positive
 
-def _modified(step_fn):
-    """Stepper factory for an explicit map on the extended coefficients."""
-    return lambda config, model: _bind(step_fn, _extended_cir(model, config.extension))
+        def at(dt: float) -> _Stepper:
+            dt = np.array(dt)
+            return _Stepper(lambda x, dw: step_fn(model, x, dt, dw), model.state0,
+                            check_domain=check)
+
+        return at
+
+    return factory
 
 
 def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Builder:
     """Drift-implicit Euler for Y = sqrt(X): the closed-form positive root of
     y' = y + (alpha/y' + beta*y')*dt + gamma*dW, positive for any input when
-    alpha > 0 (``truncate_sqrt`` clips the radicand when alpha < 0).  The
-    model's X = y^2 is recorded."""
+    alpha > 0 (extension ``"truncate"`` clips the radicand when alpha < 0).
+    The model's X = y^2 is recorded."""
     lam = lamperti_cir(model.params)
-    if lam.alpha <= 0 and not config.truncate_sqrt:
+    truncate = config.extension == "truncate"
+    if lam.alpha <= 0 and not truncate:
         raise SchemeError(
             "implicit sqrt Euler requires 4*kappa*lam > theta^2 "
             f"(alpha = {lam.alpha:.6g}); scheme implicit_sqrt_truncated runs anyway"
@@ -385,20 +385,20 @@ def _cir_implicit_sqrt(config: StepperConfig, model: Model) -> _Builder:
     gamma = np.array(lam.gamma)
 
     def at(dt: float) -> _Stepper:
-        root = lamperti_root(lam, dt, config.truncate_sqrt)
+        root = lamperti_root(lam, dt, truncate)
         return _Stepper(lambda y, dw: root(y + gamma * dw), (lam.y0,), lambda y: y * y)
 
     return at
 
 
 def _cir_implicit_milstein(config: StepperConfig, model: Model) -> _Builder:
-    p = model.params
-    if 4.0 * p.kappa * p.lam < p.theta * p.theta and not config.truncate_sqrt:
+    p, truncate = model.params, config.extension == "truncate"
+    if 4.0 * p.kappa * p.lam < p.theta * p.theta and not truncate:
         raise SchemeError(
             "drift-implicit Milstein loses positivity when 4*kappa*lam < "
             "theta^2; scheme dimp_milstein_truncated runs in that regime"
         )
-    return lambda dt: _Stepper(_cir_milstein(p, dt, config.truncate_sqrt), model.state0)
+    return lambda dt: _Stepper(_cir_milstein(p, dt, truncate), model.state0)
 
 
 def _log_heston(config: StepperConfig, model: Model) -> _Builder:
@@ -433,87 +433,72 @@ def _log_heston(config: StepperConfig, model: Model) -> _Builder:
     return at
 
 
+# which models a scheme applies to: the test, and its words for errors
+_Condition = NamedTuple("_Condition", [("test", Callable[[Model], bool]), ("words", str)])
+_SCALAR = _Condition(lambda model: model.d == 1, "scalar models")
+_SCALAR_NOISE = _Condition(lambda model: model.d == 1 and model.m == 1,
+                           "models with scalar noise (d = m = 1)")
+_SCALAR_IN_DOMAIN = _Condition(lambda model: model.d == 1 and model.positive,
+                               "scalar models with a proper domain")
+_CIR = _Condition(lambda model: isinstance(model.params, CirParams), "CIR models")
+_LOG_HESTON = _Condition(lambda model: model.model_id == "heston_log", "the log-Heston model")
+
+
 @dataclass(frozen=True)
 class SchemeEntry:
     """One scheme row: the StepperConfig it selects, how to build its stepper
-    and which models it applies to; ``requires`` states the ``applies_to``
-    condition in words, for errors."""
+    and which models it applies to."""
 
     config: StepperConfig
     factory: Callable[[StepperConfig, Model], _Builder]
-    applies_to: Callable[[Model], bool] = lambda model: True
-    requires: str = ""
-
-
-def _scalar(model: Model) -> bool:
-    return model.d == 1
-
-
-def _scalar_noise(model: Model) -> bool:
-    return model.d == 1 and model.m == 1
-
-
-def _scalar_in_domain(model: Model) -> bool:
-    return model.d == 1 and model.positive
-
-
-def _cir(model: Model) -> bool:
-    return isinstance(model.params, CirParams)
+    applies_to: _Condition = _Condition(lambda model: True, "any model")
 
 
 # the scheme names config files use, in the order their messages list them
 SCHEMES: dict[str, SchemeEntry] = {
     "euler": SchemeEntry(StepperConfig("explicit_euler"), _on_model(step_explicit_euler)),
     "milstein": SchemeEntry(
-        StepperConfig("milstein"), _on_model(step_milstein_scalar), _scalar_noise,
-        "models with scalar noise (d = m = 1)",
+        StepperConfig("milstein"), _on_model(step_milstein_scalar), _SCALAR_NOISE
     ),
     "truncated_euler": SchemeEntry(
-        StepperConfig("modified_euler", extension="truncate"),
-        _modified(step_explicit_euler), _cir, "CIR models",
+        StepperConfig("modified_euler", "truncate"), _on_model(step_explicit_euler), _CIR
     ),
     "absolute_euler": SchemeEntry(
-        StepperConfig("modified_euler", extension="absolute"),
-        _modified(step_explicit_euler), _cir, "CIR models",
+        StepperConfig("modified_euler", "absolute"), _on_model(step_explicit_euler), _CIR
     ),
     "truncated_milstein": SchemeEntry(
-        StepperConfig("modified_milstein", extension="truncate"),
-        _modified(step_milstein_scalar), _cir, "CIR models",
+        StepperConfig("modified_milstein", "truncate"), _on_model(step_milstein_scalar), _CIR
     ),
     "absolute_milstein": SchemeEntry(
-        StepperConfig("modified_milstein", extension="absolute"),
-        _modified(step_milstein_scalar), _cir, "CIR models",
+        StepperConfig("modified_milstein", "absolute"), _on_model(step_milstein_scalar), _CIR
     ),
     "symmetrized_euler": SchemeEntry(
         StepperConfig("reflected_euler"), _on_model(step_reflected, check_domain=False),
-        _scalar_in_domain, "scalar models with a proper domain",
+        _SCALAR_IN_DOMAIN,
     ),
     "tamed_euler": SchemeEntry(StepperConfig("tamed_euler"), _on_model(step_tamed_euler)),
     "split_step": SchemeEntry(
         StepperConfig("split_step_backward_euler"),
-        _on_model(step_split_step_backward, check_domain=False), _scalar, "scalar models",
+        _on_model(step_split_step_backward, check_domain=False), _SCALAR,
     ),
     "backward_euler": SchemeEntry(
         StepperConfig("backward_euler"),
-        _on_model(step_backward_euler, check_domain=False), _scalar, "scalar models",
+        _on_model(step_backward_euler, check_domain=False), _SCALAR,
     ),
     "implicit_sqrt": SchemeEntry(
-        StepperConfig("cir_implicit_sqrt_euler"), _cir_implicit_sqrt, _cir, "CIR models",
+        StepperConfig("cir_implicit_sqrt_euler"), _cir_implicit_sqrt, _CIR
     ),
     "implicit_sqrt_truncated": SchemeEntry(
-        StepperConfig("cir_implicit_sqrt_euler", truncate_sqrt=True),
-        _cir_implicit_sqrt, _cir, "CIR models",
+        StepperConfig("cir_implicit_sqrt_euler", "truncate"), _cir_implicit_sqrt, _CIR
     ),
     "dimp_milstein": SchemeEntry(
-        StepperConfig("cir_implicit_milstein"), _cir_implicit_milstein, _cir, "CIR models",
+        StepperConfig("cir_implicit_milstein"), _cir_implicit_milstein, _CIR
     ),
     "dimp_milstein_truncated": SchemeEntry(
-        StepperConfig("cir_implicit_milstein", truncate_sqrt=True),
-        _cir_implicit_milstein, _cir, "CIR models",
+        StepperConfig("cir_implicit_milstein", "truncate"), _cir_implicit_milstein, _CIR
     ),
     "log_heston": SchemeEntry(
-        StepperConfig("log_heston_composite"), _log_heston,
-        lambda model: model.model_id == "heston_log", "the log-Heston model",
+        StepperConfig("log_heston_composite"), _log_heston, _LOG_HESTON
     ),
 }
 
@@ -550,9 +535,9 @@ def make_stepper(config: StepperConfig, model: Model) -> _Builder:
     entry = _ROWS.get(config)
     if entry is None:
         raise SchemeError(f"{config} is no scheme; the schemes are {', '.join(SCHEMES)}")
-    if not entry.applies_to(model):
+    if not entry.applies_to.test(model):
         raise SchemeError(
-            f"{config.scheme_id} applies only to {entry.requires}, not to model "
+            f"{config.scheme_id} applies only to {entry.applies_to.words}, not to model "
             f"{model.model_id!r} (d={model.d}, m={model.m})"
         )
     return entry.factory(config, model)

@@ -377,6 +377,29 @@ def test_cli_seed_flag_overrides_config(tmp_path, capsys):
     assert "# seed = 99" in open(tmp_path / "validate.csv").read()
 
 
+@pytest.mark.parametrize("where", ["--seed", "[experiment] seed"])
+def test_a_seed_reads_the_integer_grammar_on_either_path(tmp_path, capsys, where):
+    # one rule and one message for a seed, on the command line or in the file
+    def run(seed):
+        text = VALIDATE_CFG if where == "--seed" else VALIDATE_CFG.replace("= 3", f"= {seed}")
+        argv = ["validate", "--config", _write(tmp_path / "v.cfg", text), "--out", str(tmp_path)]
+        try:
+            return cli.main(argv + (["--seed", seed] if where == "--seed" else []))
+        except SystemExit as exc:  # argparse refuses a bad --seed by exiting
+            return exc.code
+
+    assert run("2^10") == 0
+    capsys.readouterr()
+    assert "# seed = 1024" in open(tmp_path / "validate.csv").read()
+    for seed, value in (("2^64", "18446744073709551616"), ("-1", "-1")):
+        assert run(seed) == 2
+        err = capsys.readouterr().err
+        assert f"a seed must fit in an unsigned 64-bit integer, got {value}" in err
+        assert "_u64" not in err and "_seed" not in err
+    assert run("2^65") == 2
+    assert "magnitude past 2^64" in capsys.readouterr().err
+
+
 def test_cli_requires_a_seed(tmp_path, capsys):
     cfg = _write(
         tmp_path / "v.cfg", VALIDATE_CFG.replace("seed = 3\n", "")
@@ -1011,6 +1034,20 @@ def test_mlmc_levels_where_both_paths_overflow_warn_nothing(tmp_path, capsys):
     assert row == "0.03125,7,329728,inf,,26"
 
 
+@pytest.mark.parametrize("text, value", [
+    ("-1^3", -1.0),
+    ("-1^9007199254740993", -1.0),  # 2^53 + 1: a double would round it even
+    ("-1^9007199254740994", 1.0),
+    ("-1^" + "9" * 23, -1.0),
+    ("-1^-" + "9" * 23, -1.0),
+    ("2^-" + "9" * 23, 0.0),
+    ("2^-1074", 5e-324),
+])
+def test_a_power_keeps_the_sign_and_parity_of_its_exponent(text, value):
+    got = cfgmod._parse_float(text)
+    assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
+
+
 # Boundary values per [run] key.  Step counts, sample sizes and accuracies
 # stay small enough that a run takes milliseconds, but for one step count
 # and one accuracy past the work bound, which a run must refuse at once, and
@@ -1274,6 +1311,15 @@ EDGE_RUNS = {
     "negstats-n-9^99999999": (
         "negstats", "n = 9^99999999\nn_samples = 10", 2,
         "line 12: bad value for 'n' in [run]: magnitude past 2^64",
+    ),
+    # an integer key refuses what is no integer in words of its own
+    "negstats-n-2^-3": (
+        "negstats", "n = 2^-3\nn_samples = 10", 2,
+        "line 17: bad value for 'n' in [run]: an integer takes no negative exponent",
+    ),
+    "negstats-n-x": (
+        "negstats", "n = x\nn_samples = 10", 2,
+        "line 17: bad value for 'n' in [run]: not an integer",
     ),
     # 4 x (2^30 + 1) path-steps: over the work bound by four, before the walk
     "converge-over-budget": (

@@ -1,6 +1,7 @@
 """One-step maps: exact values, implicit equations, positivity, taming."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import warnings
@@ -676,6 +677,181 @@ def test_every_scheme_keeps_a_non_finite_state_non_finite(alias):
     assert admitted
 
 
+def _row_outcomes() -> dict[tuple[str, str], str]:
+    """Per (alias, model) pair: the first 16 hex digits of the sha256 of a
+    fixed 64-path, 64-step block's terminal values and overflow flags, or
+    the name of the error that refuses or ends the run and a digest of its
+    message."""
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    # a second CIR set, outside 4*kappa*lam > theta^2, runs the truncations
+    every = {**{m: (m, params) for m, params in _EVERY_MODEL.items()},
+             "cir-scenario-2": ("cir", models.get_preset("cir-scenario-2").params)}
+    outcomes = {}
+    for alias, (name, (model_id, params)) in itertools.product(schemes.SCHEMES, every.items()):
+        model = models.build_model(model_id, params)
+        config, dt = schemes.SCHEMES[alias].config, 1.0 / 64
+        incr = np.random.default_rng(20261022).standard_normal((model.m, 64, 64))
+        try:
+            res = schemes.simulate_batch(config, model, dt, incr * math.sqrt(dt))
+        except (schemes.SchemeError, schemes.DomainError, schemes.SolverError) as exc:
+            outcomes[alias, name] = f"{type(exc).__name__} {digest(str(exc).encode())}"
+            continue
+        outcomes[alias, name] = digest(res.terminal.tobytes() + res.overflow.tobytes())
+    return outcomes
+
+
+# written before the sqrt convention became one StepperConfig option, with
+# numpy 2.4.6, as scripts/tables.sha256
+_ROW_BITS = {
+    ("absolute_euler", "ait_sahalia"): "SchemeError 5cc7063cd8996e32",
+    ("absolute_euler", "cev"): "SchemeError 2b3f8a9ac78f39b5",
+    ("absolute_euler", "cir"): "ec167cfa877db91d",
+    ("absolute_euler", "cir-scenario-2"): "eac8269715596a0d",
+    ("absolute_euler", "cubic_toy"): "SchemeError f41173bf4b81fa28",
+    ("absolute_euler", "gbm"): "SchemeError 7fcc1731c1de9bd5",
+    ("absolute_euler", "heston"): "SchemeError ea4489ced51b4c25",
+    ("absolute_euler", "heston_log"): "SchemeError 234083d181fdd050",
+    ("absolute_euler", "three_halves_vol"): "SchemeError d6fcf84fb7f8a85f",
+    ("absolute_milstein", "ait_sahalia"): "SchemeError 839a145d58928e03",
+    ("absolute_milstein", "cev"): "SchemeError 3bc2d99b2167586a",
+    ("absolute_milstein", "cir"): "2447b106236bd4bb",
+    ("absolute_milstein", "cir-scenario-2"): "3afbd3bb31b91446",
+    ("absolute_milstein", "cubic_toy"): "SchemeError 1ca8dbf93422765c",
+    ("absolute_milstein", "gbm"): "SchemeError ab86ccf5b90f0050",
+    ("absolute_milstein", "heston"): "SchemeError 0d519af625f1a04f",
+    ("absolute_milstein", "heston_log"): "SchemeError fea91e73444bff6d",
+    ("absolute_milstein", "three_halves_vol"): "SchemeError 8e0d9fd72c2ccdb6",
+    ("backward_euler", "ait_sahalia"): "d950af4e2a7088ab",
+    ("backward_euler", "cev"): "da965b1573af29e8",
+    ("backward_euler", "cir"): "DomainError 06dc1d7e990f2b67",
+    ("backward_euler", "cir-scenario-2"): "DomainError 06dc1d7e990f2b67",
+    ("backward_euler", "cubic_toy"): "6373991858fce67d",
+    ("backward_euler", "gbm"): "0199811368a1325e",
+    ("backward_euler", "heston"): "SchemeError fee52b2c4fbef18a",
+    ("backward_euler", "heston_log"): "SchemeError b66a517a9ac2eb9a",
+    ("backward_euler", "three_halves_vol"): "10443184dddf81e6",
+    ("dimp_milstein", "ait_sahalia"): "SchemeError 67c1042229dfdacf",
+    ("dimp_milstein", "cev"): "SchemeError 8f845d978a0e56a0",
+    ("dimp_milstein", "cir"): "4b1368fc60a170bc",
+    ("dimp_milstein", "cir-scenario-2"): "SchemeError 96eb422522465000",
+    ("dimp_milstein", "cubic_toy"): "SchemeError de12bca73c8a2e44",
+    ("dimp_milstein", "gbm"): "SchemeError 3ddd7f3499854b8c",
+    ("dimp_milstein", "heston"): "SchemeError 66211360685a756c",
+    ("dimp_milstein", "heston_log"): "SchemeError 3a7f9b21ab9cc6ff",
+    ("dimp_milstein", "three_halves_vol"): "SchemeError 3a6d5ccf36853df1",
+    ("dimp_milstein_truncated", "ait_sahalia"): "SchemeError 67c1042229dfdacf",
+    ("dimp_milstein_truncated", "cev"): "SchemeError 8f845d978a0e56a0",
+    ("dimp_milstein_truncated", "cir"): "4b1368fc60a170bc",
+    ("dimp_milstein_truncated", "cir-scenario-2"): "6ecc230d6e87d2c9",
+    ("dimp_milstein_truncated", "cubic_toy"): "SchemeError de12bca73c8a2e44",
+    ("dimp_milstein_truncated", "gbm"): "SchemeError 3ddd7f3499854b8c",
+    ("dimp_milstein_truncated", "heston"): "SchemeError 66211360685a756c",
+    ("dimp_milstein_truncated", "heston_log"): "SchemeError 3a7f9b21ab9cc6ff",
+    ("dimp_milstein_truncated", "three_halves_vol"): "SchemeError 3a6d5ccf36853df1",
+    ("euler", "ait_sahalia"): "b4b20c311a35d624",
+    ("euler", "cev"): "d76c8c6e5ba902af",
+    ("euler", "cir"): "DomainError 077149cf6cdee2b1",
+    ("euler", "cir-scenario-2"): "DomainError d23158a6ff8f5164",
+    ("euler", "cubic_toy"): "9b7ac3a2c4d71d62",
+    ("euler", "gbm"): "a33aec6bf41b1e1a",
+    ("euler", "heston"): "786ad8d04d3efccd",
+    ("euler", "heston_log"): "4078f6eae256b275",
+    ("euler", "three_halves_vol"): "52ae8987731522d7",
+    ("implicit_sqrt", "ait_sahalia"): "SchemeError 4c955e3a2c2be5cb",
+    ("implicit_sqrt", "cev"): "SchemeError 76877a4767c9c347",
+    ("implicit_sqrt", "cir"): "7c4cbfc7e15ad2f2",
+    ("implicit_sqrt", "cir-scenario-2"): "SchemeError 84893b2df8aced24",
+    ("implicit_sqrt", "cubic_toy"): "SchemeError fd174925628f1066",
+    ("implicit_sqrt", "gbm"): "SchemeError ef2ed5f699ca765d",
+    ("implicit_sqrt", "heston"): "SchemeError f8d189ac24987104",
+    ("implicit_sqrt", "heston_log"): "SchemeError c730daec0b9ffa9f",
+    ("implicit_sqrt", "three_halves_vol"): "SchemeError 7d3de9ccd22eb999",
+    ("implicit_sqrt_truncated", "ait_sahalia"): "SchemeError 4c955e3a2c2be5cb",
+    ("implicit_sqrt_truncated", "cev"): "SchemeError 76877a4767c9c347",
+    ("implicit_sqrt_truncated", "cir"): "7c4cbfc7e15ad2f2",
+    ("implicit_sqrt_truncated", "cir-scenario-2"): "988f9b3c37a2d178",
+    ("implicit_sqrt_truncated", "cubic_toy"): "SchemeError fd174925628f1066",
+    ("implicit_sqrt_truncated", "gbm"): "SchemeError ef2ed5f699ca765d",
+    ("implicit_sqrt_truncated", "heston"): "SchemeError f8d189ac24987104",
+    ("implicit_sqrt_truncated", "heston_log"): "SchemeError c730daec0b9ffa9f",
+    ("implicit_sqrt_truncated", "three_halves_vol"): "SchemeError 7d3de9ccd22eb999",
+    ("log_heston", "ait_sahalia"): "SchemeError 569a4c8e6ff906c3",
+    ("log_heston", "cev"): "SchemeError 563207390a9cb519",
+    ("log_heston", "cir"): "SchemeError 44bb32fb3499d972",
+    ("log_heston", "cir-scenario-2"): "SchemeError 44bb32fb3499d972",
+    ("log_heston", "cubic_toy"): "SchemeError a4bca1baae2d0f03",
+    ("log_heston", "gbm"): "SchemeError d5e03953ac0497c2",
+    ("log_heston", "heston"): "SchemeError ad981c9147fe68e2",
+    ("log_heston", "heston_log"): "0720bbd96a157d74",
+    ("log_heston", "three_halves_vol"): "SchemeError c90e2e1033709a38",
+    ("milstein", "ait_sahalia"): "c60a32cd6d6f8148",
+    ("milstein", "cev"): "3e21431ac95377f9",
+    ("milstein", "cir"): "2447b106236bd4bb",
+    ("milstein", "cir-scenario-2"): "DomainError 7c70a2df1ac46572",
+    ("milstein", "cubic_toy"): "9b7ac3a2c4d71d62",
+    ("milstein", "gbm"): "b482796403763a67",
+    ("milstein", "heston"): "SchemeError b2570e245b6dfdd5",
+    ("milstein", "heston_log"): "SchemeError 1741546e3fbb50f3",
+    ("milstein", "three_halves_vol"): "deecc5d1e464bda7",
+    ("split_step", "ait_sahalia"): "6842019348a10520",
+    ("split_step", "cev"): "a4368e336392ca9e",
+    ("split_step", "cir"): "DomainError 57cb73dcca927838",
+    ("split_step", "cir-scenario-2"): "DomainError 57cb73dcca927838",
+    ("split_step", "cubic_toy"): "3dc33a4f9708f6e2",
+    ("split_step", "gbm"): "c0731c8bb1ce5003",
+    ("split_step", "heston"): "SchemeError 8711247638c448b7",
+    ("split_step", "heston_log"): "SchemeError 8e5f9955a2a4d759",
+    ("split_step", "three_halves_vol"): "5c5fa4905d2b2059",
+    ("symmetrized_euler", "ait_sahalia"): "b4b20c311a35d624",
+    ("symmetrized_euler", "cev"): "SchemeError afa6eb79ca9ff756",
+    ("symmetrized_euler", "cir"): "7e42f51426bc3ca8",
+    ("symmetrized_euler", "cir-scenario-2"): "9c4afb67e75c39a1",
+    ("symmetrized_euler", "cubic_toy"): "SchemeError 3333ce65a887afb0",
+    ("symmetrized_euler", "gbm"): "SchemeError 442711e5508a3655",
+    ("symmetrized_euler", "heston"): "SchemeError 720cb8675dfd5562",
+    ("symmetrized_euler", "heston_log"): "SchemeError b35d771c0c714b51",
+    ("symmetrized_euler", "three_halves_vol"): "SchemeError 0afc351b67e4ebda",
+    ("tamed_euler", "ait_sahalia"): "f909ac4ea01a64c8",
+    ("tamed_euler", "cev"): "42f313b6e6caabae",
+    ("tamed_euler", "cir"): "DomainError e16367ec8d8d3e89",
+    ("tamed_euler", "cir-scenario-2"): "DomainError 59ba9ba23079884a",
+    ("tamed_euler", "cubic_toy"): "8903653364a09369",
+    ("tamed_euler", "gbm"): "bc087d1954d147e8",
+    ("tamed_euler", "heston"): "4ddc04dfd7c7b08a",
+    ("tamed_euler", "heston_log"): "1bc61496838398c4",
+    ("tamed_euler", "three_halves_vol"): "14c1c689385d1670",
+    ("truncated_euler", "ait_sahalia"): "SchemeError 5cc7063cd8996e32",
+    ("truncated_euler", "cev"): "SchemeError 2b3f8a9ac78f39b5",
+    ("truncated_euler", "cir"): "cb97bdf210952496",
+    ("truncated_euler", "cir-scenario-2"): "4c66e4b046399b85",
+    ("truncated_euler", "cubic_toy"): "SchemeError f41173bf4b81fa28",
+    ("truncated_euler", "gbm"): "SchemeError 7fcc1731c1de9bd5",
+    ("truncated_euler", "heston"): "SchemeError ea4489ced51b4c25",
+    ("truncated_euler", "heston_log"): "SchemeError 234083d181fdd050",
+    ("truncated_euler", "three_halves_vol"): "SchemeError d6fcf84fb7f8a85f",
+    ("truncated_milstein", "ait_sahalia"): "SchemeError 839a145d58928e03",
+    ("truncated_milstein", "cev"): "SchemeError 3bc2d99b2167586a",
+    ("truncated_milstein", "cir"): "2447b106236bd4bb",
+    ("truncated_milstein", "cir-scenario-2"): "3087b9c26091d130",
+    ("truncated_milstein", "cubic_toy"): "SchemeError 1ca8dbf93422765c",
+    ("truncated_milstein", "gbm"): "SchemeError ab86ccf5b90f0050",
+    ("truncated_milstein", "heston"): "SchemeError 0d519af625f1a04f",
+    ("truncated_milstein", "heston_log"): "SchemeError fea91e73444bff6d",
+    ("truncated_milstein", "three_halves_vol"): "SchemeError 8e0d9fd72c2ccdb6",
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6",
+    reason=f"_ROW_BITS pins numpy 2.4.6 output, found {np.__version__}",
+)
+def test_every_scheme_row_keeps_its_bits():
+    # every row on every model it admits, the rows no shipped config runs too
+    assert _row_outcomes() == _ROW_BITS
+
+
 def _lattice_run(cfg, model, lat, T):
     """One recorded path on the lattice's finest grid."""
     return schemes.simulate_batch(
@@ -771,9 +947,9 @@ def test_config_validation_rules():
         ("modified_euler", {}),
         ("modified_euler", {"extension": "reflect"}),
         ("explicit_euler", {"extension": "truncate"}),
-        ("explicit_euler", {"truncate_sqrt": True}),
-        ("modified_euler", {"extension": "truncate", "truncate_sqrt": True}),
-        ("log_heston_composite", {"truncate_sqrt": True}),
+        ("cir_implicit_sqrt_euler", {"extension": "absolute"}),
+        ("cir_implicit_milstein", {"extension": "absolute"}),
+        ("log_heston_composite", {"extension": "truncate"}),
     ):
         config = schemes.StepperConfig(scheme_id=scheme_id, **options)
         for model in (CIR, GBM):
