@@ -30,6 +30,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import util
+
 #: Identifier of the uniform-bits -> N(0,1) transform in use.  Recorded in
 #: experiment metadata so archived results can be matched to the generator
 #: that produced them.
@@ -58,7 +60,7 @@ _BATCH_FLOATS = 1 << 23  # per-batch increment budget, keeps blocks ~64 MB
 _WALK_FLOATS = 1 << 32  # a run's path-steps x m, ~13x the largest study's 10^4 x 2^15
 
 
-class LatticeError(ValueError):
+class LatticeError(util.RunError, ValueError):
     """Raised for invalid stream keys, lattice requests or aggregations."""
 
 

@@ -6,7 +6,10 @@ comment.  Sections are ``[experiment]``, ``[model]``, ``[scheme]`` and
 keys, duplicate keys, type errors, and run keys that the chosen experiment
 does not use are all hard errors, each reported with its line number.  A
 silently ignored typo ("kapa = 5.07") would invalidate a table reproduction,
-so nothing is ignored.
+so nothing is ignored.  Each key's reader refuses a value that breaks the
+key's own rule as it refuses one of the wrong type, so every bad value is
+reported in one shape, ``line N: bad value for '<key>' in [<section>]:
+<why>``; the rules that tie keys together are checked after the read.
 
 Floats accept dyadic shorthand (``2^-10``) alongside ordinary literals,
 since every stepsize and accuracy grid in the experiments is a power of two.
@@ -59,8 +62,9 @@ class ExperimentConfig:
 
 
 def _parse_float(text: str) -> float:
-    """A float or a power ``a^k``.  Neither nan nor a value past the float
-    range (``1e309``, ``2^1024``, ``0^-1``) is one: infinity is ``inf``.
+    """A float or a power ``a^k``.  A sign belongs to the base, as for an
+    integer key: ``-2^2`` is (-2)^2 = 4.0.  Neither nan nor a value past the
+    float range (``1e309``, ``2^1024``, ``0^-1``) is one: infinity is ``inf``.
     ``float ** int`` reads k as a double, which drops its parity past 2^53,
     so |k| past 2^11 is cut to 2^11 or 2^11 + 1, of its sign and parity: by
     then every |a| >= 2 has left the float range."""
@@ -71,6 +75,8 @@ def _parse_float(text: str) -> float:
         value = base ** k if m else float(text)
     except (OverflowError, ZeroDivisionError):
         value = math.nan
+    except ValueError:  # float()'s own words quote the text
+        raise ValueError("not a number") from None
     if value != value or math.isinf(value) and "inf" not in text.lower():  # nan != nan
         raise ValueError("not a finite number, nor inf")
     return value
@@ -123,37 +129,40 @@ def parse_seed(text: str) -> int:
     return value
 
 
-def _split_list(text: str) -> list[str]:
-    return [t for t in re.split(r"[,\s]+", text.strip()) if t]
+def _checked(read: Callable[[str], object], ok: Callable[[object], bool],
+             why: Callable[[object], str]) -> Callable[[str], object]:
+    """A reader: ``read``, then refuse a value of which ``ok`` is false, in
+    the words ``why`` gives of it."""
+    def checked(text: str):
+        if not ok(value := read(text)):
+            raise ValueError(why(value))
+        return value
+
+    return checked
 
 
-def _repeated(values) -> str:
-    """The values listed more than once, sorted and joined by commas."""
-    return ", ".join(map(str, sorted({v for v in values if values.count(v) > 1})))
+def _one_of(noun: str, choices) -> Callable[[str], str]:
+    known = ", ".join(choices)
+    return _checked(str, choices.__contains__, lambda v: f"unknown {noun} {v!r}; known: {known}")
 
 
 def _distinct(values: tuple) -> tuple:
     """``values``; ValueError if one is listed twice, which would merge its
     rows or run the same work again."""
-    if repeated := _repeated(values):
-        raise ValueError(f"{repeated} listed more than once")
+    if repeated := sorted({v for v in values if values.count(v) > 1}):
+        raise ValueError(", ".join(map(str, repeated)) + " listed more than once")
     return values
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return _distinct(tuple(_parse_float(t) for t in _split_list(text)))
+def _list(read: Callable[[str], object]) -> Callable[[str], tuple]:
+    """A reader of one or more ``read`` values, split at commas and spaces,
+    each listed once."""
+    def read_list(text: str) -> tuple:
+        if not (items := [t for t in re.split(r"[,\s]+", text.strip()) if t]):
+            raise ValueError("lists no value")
+        return _distinct(tuple(map(read, items)))
 
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return _distinct(tuple(_parse_int(t) for t in _split_list(text)))
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(_split_list(text))
+    return read_list
 
 
 def _parse_truth(text: str) -> str | float:
@@ -165,85 +174,64 @@ def _parse_truth(text: str) -> str | float:
         raise ValueError(f"not a number or 'oracle': {text!r}") from None
 
 
-def _at_least_one(key: str, v) -> str | None:
-    return None if v >= 1 else f"{key!r} must be >= 1, got {v}"
-
-
-def _all_at_least_one(key: str, v) -> str | None:
-    return None if v and min(v) >= 1 else f"{key!r} must list integers >= 1"
-
-
-def _positive(key: str, v) -> str | None:
-    return None if v > 0 else f"{key!r} must be positive"
-
-
-def _all_positive(key: str, v) -> str | None:
-    ok = v and all(0 < x < math.inf for x in v)
-    return None if ok else f"{key!r} must list finite positive values"
-
-
-def _one_of(noun: str, choices) -> Callable[[str, object], str | None]:
-    def check(key: str, v) -> str | None:
-        return None if v in choices else f"unknown {noun} {v!r}; known: " + ", ".join(choices)
-
-    return check
-
-
-def _sample_index(key: str, v) -> str | None:
-    return None if 0 <= v < MAX_SAMPLE_INDEX else "sample_index must lie in [0, 2**56)"
+_count = _checked(_parse_int, lambda v: v >= 1, "{} is below 1".format)
+_positive = _checked(_parse_float, lambda v: v > 0, "{} is not positive".format)
+_finite_positive = _checked(
+    _parse_float, lambda v: 0 < v < math.inf, "{} is not finite and positive".format
+)
+_alias = _one_of("scheme alias", schemes.SCHEMES)
 
 
 class _RunKey(NamedTuple):
-    parse: Callable[[str], object]
+    read: Callable[[str], object]  # refuses a value that breaks the key's own rule
     kinds: tuple[str, ...]  # experiments that accept the key; the rest reject it
     required_by: tuple[str, ...]
-    check: Callable[[str, object], str | None] | None  # error message or None
 
 
 # One row per [run] key.  Rules that tie several keys together, or a key to
 # the model, are in _check_run_values.
 _RUN_KEYS: dict[str, _RunKey] = {
-    "n": _RunKey(_parse_int, ("negstats", "price"), ("negstats",), _at_least_one),
+    "n": _RunKey(_count, ("negstats", "price"), ("negstats",)),
     "n_samples": _RunKey(
-        _parse_int, ("negstats", "converge", "explode", "price"),
-        ("negstats", "converge"), _at_least_one,
+        _count, ("negstats", "converge", "explode", "price"),
+        ("negstats", "converge"),
     ),
     "n_list": _RunKey(
-        _parse_int_list, ("pathwise", "converge", "explode"),
-        ("pathwise", "converge", "explode"), _all_at_least_one,
+        _list(_count), ("pathwise", "converge", "explode"),
+        ("pathwise", "converge", "explode"),
     ),
-    "n_samples_list": _RunKey(_parse_int_list, ("explode",), (), _all_at_least_one),
-    "p": _RunKey(_parse_int, ("converge",), (), _at_least_one),
-    "ref_n": _RunKey(_parse_int, ("pathwise", "converge"), (), _at_least_one),
-    "ref_scheme": _RunKey(
-        _parse_str, ("pathwise", "converge"), (), _one_of("scheme alias", schemes.SCHEMES)
-    ),
+    "n_samples_list": _RunKey(_list(_count), ("explode",), ()),
+    "p": _RunKey(_count, ("converge",), ()),
+    "ref_n": _RunKey(_count, ("pathwise", "converge"), ()),
+    "ref_scheme": _RunKey(_alias, ("pathwise", "converge"), ()),
     "reference": _RunKey(
-        _parse_str, ("pathwise", "converge"), (), _one_of("reference", ("scheme", "exact"))
+        _one_of("reference", ("scheme", "exact")), ("pathwise", "converge"), ()
     ),
-    "sample_index": _RunKey(_parse_int, ("pathwise",), (), _sample_index),
+    "sample_index": _RunKey(
+        _checked(_parse_int, lambda v: 0 <= v < MAX_SAMPLE_INDEX,
+                 "{} is not in [0, 2^56)".format),
+        ("pathwise",), (),
+    ),
     "policy": _RunKey(
-        _parse_str, ("converge", "explode", "mlmc", "price"), (),
         _one_of("policy", ("propagate", "exclude")),
+        ("converge", "explode", "mlmc", "price"), (),
     ),
     "payoff": _RunKey(
-        _parse_str, ("explode", "mlmc", "price"), (),
-        _one_of("payoff", estimators.PHI_NAMES),
+        _one_of("payoff", estimators.PHI_NAMES), ("explode", "mlmc", "price"), ()
     ),
-    "lower": _RunKey(_parse_float, ("mlmc", "price"), (), None),
-    "upper": _RunKey(_parse_float, ("mlmc", "price"), (), None),
-    "radius": _RunKey(_parse_float, ("explode", "price"), (), _positive),
+    "lower": _RunKey(_parse_float, ("mlmc", "price"), ()),
+    "upper": _RunKey(_parse_float, ("mlmc", "price"), ()),
+    "radius": _RunKey(_positive, ("explode", "price"), ()),
     "method": _RunKey(
-        _parse_str, ("mlmc", "price"), ("price",),
-        _one_of("method", ("mc", "mlmc", "standard")),
+        _one_of("method", ("mc", "mlmc", "standard")), ("mlmc", "price"), ("price",)
     ),
-    "epsilon": _RunKey(_parse_float, ("mlmc", "price"), (), _positive),
-    "epsilon_list": _RunKey(_parse_float_list, ("mlmc",), (), _all_positive),
-    "replications": _RunKey(_parse_int, ("mlmc",), (), _at_least_one),
-    "truth": _RunKey(_parse_truth, ("mlmc",), (), None),
-    "moment_p_list": _RunKey(_parse_float_list, ("validate",), (), _all_positive),
-    "l1": _RunKey(_parse_float, ("validate",), (), None),
-    "l2": _RunKey(_parse_float, ("validate",), (), None),
+    "epsilon": _RunKey(_positive, ("mlmc", "price"), ()),
+    "epsilon_list": _RunKey(_list(_finite_positive), ("mlmc",), ()),
+    "replications": _RunKey(_count, ("mlmc",), ()),
+    "truth": _RunKey(_parse_truth, ("mlmc",), ()),
+    "moment_p_list": _RunKey(_list(_finite_positive), ("validate",), ()),
+    "l1": _RunKey(_parse_float, ("validate",), ()),
+    "l2": _RunKey(_parse_float, ("validate",), ()),
 }
 
 
@@ -252,20 +240,21 @@ _MODEL_PARAM_KEYS = tuple(dict.fromkeys(
     f.name for cls in get_args(models.Params) for f in dataclasses.fields(cls)
 ))
 
-# key -> parser, per section
+# key -> reader, per section
 _SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
     "experiment": {
-        "kind": _parse_str,
+        "kind": _one_of("experiment", EXPERIMENT_KINDS),
         "seed": parse_seed,
-        "out": _parse_str,
+        "out": str,
     },
     "model": {
-        "preset": _parse_str,
-        "model": _parse_str,
-        **{k: _parse_finite for k in ("T", "strike", *_MODEL_PARAM_KEYS)},
+        "preset": str,  # preset and model names are refused in models' words
+        "model": str,
+        "T": _checked(_parse_finite, lambda v: v > 0, "{} is not positive".format),
+        **{k: _parse_finite for k in ("strike", *_MODEL_PARAM_KEYS)},
     },
-    "scheme": {"scheme": _parse_str_list},
-    "run": {key: row.parse for key, row in _RUN_KEYS.items()},
+    "scheme": {"scheme": _list(_alias)},
+    "run": {key: row.read for key, row in _RUN_KEYS.items()},
 }
 
 
@@ -375,11 +364,13 @@ def _resolve_model(
         for f in dataclasses.fields(cls)
         if f.name not in values and f.default is dataclasses.MISSING
     ]
-    if missing:
+    # a value written but refused is reported on its line, not again as missing
+    if unwritten := [k for k in missing if k not in raw]:
         errors.append(
             f"[model]: model {model_id!r} without a preset needs "
-            + ", ".join(missing)
+            + ", ".join(unwritten)
         )
+    if missing:
         return None
     try:
         params = cls(**values)
@@ -387,31 +378,12 @@ def _resolve_model(
         errors.append(f"[model]: {exc}")
         return None
     T = vals.get("T", preset.T if preset else None)
-    if T is None:
+    if T is None and "T" not in raw:
         errors.append("[model]: needs 'T' (no preset supplies it)")
-        return None
-    if not T > 0:
-        errors.append(f"[model]: T must be positive, got {T}")
+    if T is None:
         return None
     strike = vals.get("strike", preset.strike if preset else None)
     return model_id, params, T, strike, preset_name
-
-
-def _resolve_schemes(
-    raw: dict[str, tuple[str, int]], vals: dict, errors: list[str]
-) -> tuple[str, ...]:
-    aliases = vals.get("scheme", ())
-    for a in aliases:
-        if a not in schemes.SCHEMES:
-            errors.append(
-                f"line {_line_of(raw, 'scheme')}: unknown scheme alias {a!r}; "
-                "known: " + ", ".join(schemes.SCHEMES)
-            )
-    repeated = _repeated(aliases)
-    if repeated:  # a repeat would recompute and overwrite its own results
-        errors.append(f"line {_line_of(raw, 'scheme')}: scheme aliases listed "
-                      f"more than once: {repeated}")
-    return tuple(a for a in aliases if a in schemes.SCHEMES)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -430,14 +402,8 @@ def parse_config(text: str) -> ExperimentConfig:
     run = _typed(run_raw, "run", errors)
 
     kind = exp.get("kind")
-    if "experiment" not in sections or "kind" not in exp_raw:
+    if "kind" not in exp_raw:
         errors.append("[experiment]: missing required key 'kind'")
-    elif kind not in EXPERIMENT_KINDS:
-        errors.append(
-            f"line {_line_of(exp_raw, 'kind')}: unknown experiment {kind!r}; "
-            "known: " + ", ".join(EXPERIMENT_KINDS)
-        )
-        kind = None
 
     resolved = None
     if "model" not in sections:
@@ -445,32 +411,29 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         resolved = _resolve_model(model_raw, model_vals, errors)
 
-    schemes = _resolve_schemes(scheme_raw, scheme_vals, errors)
+    aliases = scheme_vals.get("scheme", ())
     if kind == "validate" and "scheme" in scheme_raw:
         errors.append(
             f"line {_line_of(scheme_raw, 'scheme')}: experiment 'validate' runs "
             "no scheme; drop the [scheme] section"
         )
-    elif kind is not None and kind != "validate" and not schemes:
+    elif kind is not None and kind != "validate" and "scheme" not in scheme_raw:
         errors.append(f"[scheme]: experiment {kind!r} needs at least one scheme")
-    elif kind is not None and kind not in ("converge",) and len(schemes) > 1:
+    elif kind is not None and kind not in ("converge",) and len(aliases) > 1:
         errors.append(
             f"[scheme]: experiment {kind!r} takes exactly one scheme, "
-            f"got {len(schemes)}"
+            f"got {len(aliases)}"
         )
 
     if kind is not None:
         for key, (_, lineno) in run_raw.items():
-            row = _RUN_KEYS[key]
-            if kind not in row.kinds:
+            if kind not in _RUN_KEYS[key].kinds:
                 errors.append(
                     f"line {lineno}: run key {key!r} is not used by experiment "
                     f"{kind!r}; its keys are "
                     + (", ".join(sorted(k for k, r in _RUN_KEYS.items() if kind in r.kinds))
                        or "(none)")
                 )
-            elif key in run and row.check and (msg := row.check(key, run[key])):
-                errors.append(f"line {lineno}: {msg}")
         for key, row in _RUN_KEYS.items():
             if kind in row.required_by and key not in run_raw:
                 errors.append(f"[run]: experiment {kind!r} requires {key!r}")
@@ -486,7 +449,7 @@ def parse_config(text: str) -> ExperimentConfig:
         T=T,
         strike=strike,
         preset_name=preset_name,
-        schemes=schemes,
+        schemes=aliases,
         run=run,
         seed=exp.get("seed"),
         out=exp.get("out"),

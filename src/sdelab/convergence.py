@@ -28,7 +28,7 @@ from .oracles import gbm_exact_nodes
 from .schemes import StepperConfig, default_reference_config, simulate_batch
 
 
-class MeasurementError(ValueError):
+class MeasurementError(util.RunError, ValueError):
     """Ill-posed error-curve request (grids, references, fit inputs)."""
 
 

@@ -24,7 +24,7 @@ from .models import Model
 from .schemes import BatchResult, StepperConfig, simulate_batch
 
 
-class EstimatorError(ValueError):
+class EstimatorError(util.RunError, ValueError):
     """Ill-posed estimator request."""
 
 

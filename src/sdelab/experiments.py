@@ -304,15 +304,7 @@ def run_experiment(
         with _output(out_dir):
             os.makedirs(out_dir, exist_ok=True)
         tables = _RUNNERS[cfg.kind](cfg, model, seed, steppers)
-    except (
-        bw.LatticeError,
-        models.ModelError,
-        schemes.SchemeError,
-        schemes.DomainError,
-        schemes.SolverError,
-        convergence.MeasurementError,
-        estimators.EstimatorError,
-    ) as exc:
+    except util.RunError as exc:
         raise ConfigError([str(exc)]) from exc
     header = [f"sdelab {__version__}", f"gaussian-transform = {bw.GAUSSIAN_TRANSFORM}",
               *echo_lines(cfg, seed)]

@@ -25,16 +25,18 @@ from typing import Callable
 
 import numpy as np
 
+from . import util
 
-class ModelError(ValueError):
+
+class ModelError(util.RunError, ValueError):
     """Raised when parameters violate a model's standing assumptions."""
 
 
-class DomainError(RuntimeError):
+class DomainError(util.RunError, RuntimeError):
     """A coefficient was about to be evaluated outside its domain."""
 
 
-class SolverError(RuntimeError):
+class SolverError(util.RunError, RuntimeError):
     """The implicit-step equation could not be solved."""
 
 

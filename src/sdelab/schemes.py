@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import brownian as bw
+from . import brownian as bw, util
 from .models import (
     CirParams,
     DomainError,
@@ -50,7 +50,7 @@ from .models import (
 )
 
 
-class SchemeError(ValueError):
+class SchemeError(util.RunError, ValueError):
     """Invalid scheme configuration for the given model."""
 
 

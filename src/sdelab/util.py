@@ -8,6 +8,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+class RunError(Exception):
+    """The base of the library's refusals of a parsed config: a run that
+    raises one ends as a config error (exit 2), never in a traceback."""
+
+
 def sample_moments(values: np.ndarray) -> tuple[float, float]:
     """Mean and unbiased (ddof=1) variance of per-sample Monte Carlo values.
 

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import shutil
 import sys
 import threading
@@ -223,7 +224,7 @@ n_list = 4
     assert any("'kapa'" in e for e in errs)
     assert any("takes exactly one scheme" in e for e in errs)
     assert any("'n_list' is not used" in e for e in errs)
-    assert any("'n' must be >= 1" in e for e in errs)
+    assert any("bad value for 'n' in [run]: 0 is below 1" in e for e in errs)
     assert any("requires 'n_samples'" in e for e in errs)
 
 
@@ -464,7 +465,7 @@ n_samples = 10
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("config error:") >= 2
-    assert "'kapa'" in err and "'n' must be >= 1" in err
+    assert "'kapa'" in err and "bad value for 'n' in [run]: 0 is below 1" in err
 
 
 def test_cli_rejects_scheme_id_key(tmp_path, capsys):
@@ -957,7 +958,8 @@ _GBM = SWEEP_MODELS["gbm"]
 
 # (config text, the error it must give): each a config that parses no further
 @pytest.mark.parametrize("text, needle", [
-    (f"[experiment]\nkind = bogus\n\n[model]\n{_GBM}\n", "line 2: unknown experiment 'bogus'"),
+    (f"[experiment]\nkind = bogus\n\n[model]\n{_GBM}\n",
+     "line 2: bad value for 'kind' in [experiment]: unknown experiment 'bogus'"),
     (f"[experiment]\nkind = validate\nseed\n\n[model]\n{_GBM}\n",
      "line 3: expected 'key = value', got 'seed'"),
     ("[experiment]\nkind = validate\n\n[model]\nT = 1.0\n",
@@ -971,7 +973,7 @@ _GBM = SWEEP_MODELS["gbm"]
     (f"[experiment]\nkind = validate\n\n[model]\n{_GBM.replace('T = 1.0', '')}\n",
      "[model]: needs 'T' (no preset supplies it)"),
     ("[experiment]\nkind = validate\n\n[model]\npreset = cir-scenario-1\nT = 0\n",
-     "[model]: T must be positive, got 0.0"),
+     "line 6: bad value for 'T' in [model]: 0.0 is not positive"),
 ])
 def test_config_errors_name_their_cause(text, needle):
     errs = _errors(text)
@@ -1036,6 +1038,7 @@ def test_mlmc_levels_where_both_paths_overflow_warn_nothing(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, value", [
     ("-1^3", -1.0),
+    ("-2^2", 4.0),  # the sign belongs to the base: (-2)^2
     ("-1^9007199254740993", -1.0),  # 2^53 + 1: a double would round it even
     ("-1^9007199254740994", 1.0),
     ("-1^" + "9" * 23, -1.0),
@@ -1046,6 +1049,10 @@ def test_mlmc_levels_where_both_paths_overflow_warn_nothing(tmp_path, capsys):
 def test_a_power_keeps_the_sign_and_parity_of_its_exponent(text, value):
     got = cfgmod._parse_float(text)
     assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
+
+
+def test_an_integer_power_reads_its_sign_as_a_float_power_does():
+    assert [cfgmod._parse_int(t) for t in ("-2^2", "-2^3", "+2^2")] == [4, -8, 4]
 
 
 # Boundary values per [run] key.  Step counts, sample sizes and accuracies
@@ -1321,6 +1328,10 @@ EDGE_RUNS = {
         "negstats", "n = x\nn_samples = 10", 2,
         "line 17: bad value for 'n' in [run]: not an integer",
     ),
+    # and a float key refuses what is no number
+    "mlmc-epsilon-x": (
+        "mlmc", "epsilon = x", 2, "line 17: bad value for 'epsilon' in [run]: not a number",
+    ),
     # 4 x (2^30 + 1) path-steps: over the work bound by four, before the walk
     "converge-over-budget": (
         "converge", "n_list = 1\nn_samples = 4\nref_n = 2^30", 2,
@@ -1369,7 +1380,7 @@ EDGE_RUNS = {
     # each alias writes converge_<alias>.csv: a repeat would overwrite its own
     "converge-repeated-alias": (
         "converge", "n_list = 2, 4\nn_samples = 4", 2,
-        "line 14: scheme aliases listed more than once: euler",
+        "line 14: bad value for 'scheme' in [scheme]: euler listed more than once",
     ),
     # the Lamperti form of CIR is the implicit sqrt scheme's state, not a model
     "validate-cir_lamperti": ("validate", "", 2, "unknown model 'cir_lamperti'"),
@@ -1421,11 +1432,11 @@ EDGE_RUNS = {
     # a moment order is a finite positive number: inf would write nan
     "validate-moment_p_list-inf": (
         "validate", "moment_p_list = 2, inf", 2,
-        "line 12: 'moment_p_list' must list finite positive values",
+        "line 12: bad value for 'moment_p_list' in [run]: inf is not finite and positive",
     ),
     "validate-moment_p_list-zero": (
         "validate", "moment_p_list = 0", 2,
-        "line 12: 'moment_p_list' must list finite positive values",
+        "line 12: bad value for 'moment_p_list' in [run]: 0.0 is not finite and positive",
     ),
     # the moment threshold takes sqrt(16p - 1): a smaller order exits 2 from
     # the model, not in a traceback
@@ -1551,7 +1562,7 @@ EDGE_RUNS.update({
          "line 17: bad value for 'n' in [run]: magnitude past 2^64"),
         ("negstats", "n-zeros-1", "n = {zeros}1\nn_samples = 10", 0, None),
         ("mlmc", "epsilon-2^-nines", "epsilon = 2^-{nines}", 2,
-         "line 17: 'epsilon' must be positive"),
+         "line 17: bad value for 'epsilon' in [run]: 0.0 is not positive"),
     )
 })
 
@@ -1575,6 +1586,67 @@ def test_an_unparsable_required_key_is_reported_once(kind, run_block):
         f"[experiment]\nkind = {kind}\nseed = 1\n\n[model]\n{SWEEP_MODELS['gbm']}\n\n"
         f"{scheme}[run]\n{run_block}\n"
     )
+    assert len(errs) == 1 and "bad value" in errs[0], errs
+
+
+# (kind, value) per [run] key with a rule of its own: a value that reads as
+# the key's type but breaks the rule.  The keys of RULELESS read any value
+# of their type.
+RULE_BREAKERS = {
+    "n": ("negstats", "0"),
+    "n_samples": ("negstats", "-1"),
+    "n_list": ("converge", "2, 0"),
+    "n_samples_list": ("explode", "8, 0"),
+    "p": ("converge", "0"),
+    "ref_n": ("converge", "0"),
+    "ref_scheme": ("converge", "eulr"),
+    "reference": ("converge", "table"),
+    "sample_index": ("pathwise", "2^56"),
+    "policy": ("converge", "drop"),
+    "payoff": ("explode", "digital"),
+    "radius": ("explode", "0"),
+    "method": ("price", "quasi"),
+    "epsilon": ("mlmc", "-2^-1"),
+    "epsilon_list": ("mlmc", "2^-1, inf"),
+    "replications": ("mlmc", "0"),
+    "moment_p_list": ("validate", "0"),
+}
+RULELESS = {"lower", "upper", "truth", "l1", "l2"}
+
+
+def _errors_of_run(tmp_path, capsys, kind, scheme, run_block):
+    """The exit code and the error lines of a run of the sweep's gbm model."""
+    scheme_block = "" if kind == "validate" else f"[scheme]\nscheme = {scheme}\n\n"
+    cfg = _write(tmp_path / "one.cfg", (
+        f"[experiment]\nkind = {kind}\nseed = 5\n\n[model]\n{SWEEP_MODELS['gbm']}\n\n"
+        f"{scheme_block}[run]\n{run_block}\n"
+    ))
+    rc = cli.main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+    return rc, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("key", [k for k in cfgmod._RUN_KEYS if k not in RULELESS])
+def test_a_value_that_breaks_its_keys_rule_is_one_bad_value(tmp_path, capsys, key):
+    kind, value = RULE_BREAKERS[key]
+    run = [l for l in SWEEP_RUNS.get(kind, "").splitlines() if l.split()[0] != key]
+    run.append(f"{key} = {value}")
+    rc, errs = _errors_of_run(tmp_path, capsys, kind, "euler", "\n".join(run))
+    assert rc == 2 and len(errs) == 1, errs
+    assert re.match(rf"config error: line \d+: bad value for '{key}' in \[run\]: ", errs[0]), errs
+
+
+def test_an_unknown_scheme_alias_is_one_bad_value(tmp_path, capsys):
+    rc, errs = _errors_of_run(tmp_path, capsys, "converge", "eulr", SWEEP_RUNS["converge"])
+    assert rc == 2 and errs == [
+        "config error: line 14: bad value for 'scheme' in [scheme]: unknown scheme alias "
+        "'eulr'; known: " + ", ".join(schemes.SCHEMES)
+    ]
+
+
+# and so is a [model] value that a model without a preset needs
+@pytest.mark.parametrize("old, new", [("mu = 0.05", "mu = nan"), ("T = 1.0", "T = 0")])
+def test_an_unreadable_model_value_is_reported_once(old, new):
+    errs = _errors(f"[experiment]\nkind = validate\n\n[model]\n{_GBM.replace(old, new)}\n")
     assert len(errs) == 1 and "bad value" in errs[0], errs
 
 

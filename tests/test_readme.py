@@ -4,14 +4,17 @@ Its scheme-alias table, preset list and CLI lists are written by hand, and
 its library layout indexes the modules by name.  These checks keep them to
 the package: every ``sdelab.<module>[.<name>...]`` the README writes as code
 resolves by import and getattr, every module of ``src/sdelab`` has an entry
-in the layout, and the lists equal ``schemes.SCHEMES``, ``models.PRESETS``,
-``config.EXPERIMENT_KINDS`` and the options of ``cli.build_parser()``.
+in the layout, the lists equal ``schemes.SCHEMES``, ``models.PRESETS``,
+``config.EXPERIMENT_KINDS`` and the options of ``cli.build_parser()``, and
+the shape it gives a refused value is the one ``config`` reports.
 """
 
 import argparse
 import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 from sdelab import cli, config, models, schemes
 
@@ -113,3 +116,39 @@ def test_the_cli_section_lists_every_subcommand_and_flag():
         for option in action.option_strings
     }
     assert sorted(_listed("Flags:")) == sorted(options)
+
+
+CONFIG = """[experiment]
+kind = converge
+seed = 1
+
+[model]
+preset = cir-scenario-1
+
+[scheme]
+scheme = truncated_euler
+
+[run]
+n_list = 2, 4
+n_samples = 4
+"""
+
+
+def test_the_readme_writes_the_shape_of_a_refused_value():
+    (shape,) = [c for c in _code(README) if c.startswith("line N: bad value")]
+    fields = {"N": r"\d+", "<key>": r"(?P<key>\w+)", "<section>": r"(?P<section>\w+)",
+              "<why>": ".+"}
+    pattern = "".join(fields.get(p) or re.escape(p)
+                      for p in re.split(r"(N|<key>|<section>|<why>)", shape))
+    config.parse_config(CONFIG)
+    for old, new, section, key in [
+        ("kind = converge", "kind = bogus", "experiment", "kind"),
+        ("preset = cir-scenario-1", "preset = cir-scenario-1\nT = 0", "model", "T"),
+        ("scheme = truncated_euler", "scheme = eulr", "scheme", "scheme"),
+        ("n_samples = 4", "n_samples = 0", "run", "n_samples"),
+    ]:
+        with pytest.raises(config.ConfigError) as exc:
+            config.parse_config(CONFIG.replace(old, new))
+        (error,) = exc.value.errors
+        m = re.fullmatch(pattern, error)
+        assert m and (m["section"], m["key"]) == (section, key), error
